@@ -1,0 +1,229 @@
+//! Cross-commit bit-stability: a hash of the raw `f32` output bits of a
+//! fixed, seeded problem set, held against a committed table.
+//!
+//! Every other bitwise test in the workspace compares two paths *of the
+//! same build* (packing modes, thread grids, plan vs one-shot). None of
+//! them notices a refactor that moves all paths together — a reordered tap
+//! loop, a different accumulator start — because both sides move. This
+//! file pins the bits themselves, so a structural change to the kernels or
+//! drivers is held to the outputs of the commit before it.
+//!
+//! Each case first asserts the in-build equalities (every packing mode ×
+//! every grid × planned and one-shot produce one bit pattern) and then
+//! compares that pattern's FNV-1a hash with the table. All schedules are
+//! spelled out: the channel tile `Tc` groups the reduction, so a
+//! host-derived schedule would make the bits host-dependent.
+//!
+//! The table is keyed on [`ndirect_simd::backend_name`]: `"sse"` and
+//! `"scalar"` share it (the scalar backend mirrors SSE's unfused
+//! multiply-add lane for lane); any other backend (`"sse+fma"`, `"neon"`)
+//! contracts the multiply-add, so it prints a notice, skips the table and
+//! still asserts the in-build equalities.
+
+use ndirect_core::{
+    conv_depthwise, conv_ndirect_with, nhwc::conv_ndirect_nhwc_with, try_conv_dwpw_fused_with,
+    ConvPlan, DepthwisePlan, DwPwSchedule, FusedDwPwPlan, PackingMode, Schedule,
+};
+use ndirect_tensor::{fill, ActLayout, ConvShape, Filter, FilterLayout, Padding, Tensor4};
+use ndirect_threads::{Grid2, StaticPool};
+
+/// Hashes of the output bits under the unfused-multiply-add backends. A
+/// refactor must not edit this table; a change that is *meant* to move the
+/// bits regenerates it from the failure message, which prints every entry.
+const GOLDEN: &[(&str, u64)] = &[
+    ("nchw 3x3 s1", 0x7fe8_c333_94d9_c3ba),
+    ("nchw 3x3 s2", 0x0560_41dd_b127_8e8e),
+    ("nchw 1x1 s1", 0x46ee_0ec9_5e6f_631d),
+    ("nchw 1x1 s2", 0x19b9_b839_360b_d605),
+    ("nchw 5x5", 0x465c_165d_8616_b47b),
+    ("nchw 7x7 s2 p3", 0x4d5a_1d40_ddeb_5bb9),
+    ("nchw tails n2", 0x59a1_c7f1_4c38_3221),
+    ("nchw wide strip", 0x657e_9ee5_23c1_f46e),
+    ("nhwc 3x3 tails", 0xa449_e136_3318_f8cb),
+    ("nhwc 1x1 s2", 0x2a17_921c_eb42_3326),
+    ("dw 3x3 s1", 0x2640_da13_1ae8_7986),
+    ("dw 3x3 s2", 0x5eda_0150_97ae_f371),
+    ("dw 5x5", 0xaa32_b7d9_514d_749d),
+    ("dwpw", 0x5912_60a0_04cf_7522),
+    ("dwpw mid_relu", 0x0b15_1702_23a7_a683),
+];
+
+fn fnv1a(data: &[f32]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in data {
+        for b in v.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Compares `actual` with the table, entry by entry and in order.
+fn check_golden(actual: &[(&str, u64)]) {
+    let backend = ndirect_simd::backend_name();
+    if !matches!(backend, "sse" | "scalar") {
+        println!("golden_bits: no table for backend {backend:?}; in-build equalities only");
+        return;
+    }
+    let stale: Vec<_> = actual
+        .iter()
+        .filter(|(name, hash)| GOLDEN.iter().find(|(n, _)| n == name) != Some(&(*name, *hash)))
+        .collect();
+    let listing: String =
+        actual.iter().map(|(n, h)| format!("    ({n:?}, {h:#018x}),\n")).collect();
+    assert!(stale.is_empty(), "output bits moved for {stale:x?}; computed entries:\n{listing}");
+}
+
+fn problem(shape: &ConvShape, layout: ActLayout, seed: u64) -> (Tensor4, Filter) {
+    let flayout = match layout {
+        ActLayout::Nchw => FilterLayout::Kcrs,
+        ActLayout::Nhwc => FilterLayout::Krsc,
+    };
+    (
+        fill::random_tensor(Tensor4::input_for(shape, layout), seed),
+        fill::random_filter(Filter::for_shape(shape, flayout), seed ^ 0x5a5a),
+    )
+}
+
+/// `(Vw, Vk, Tc, Tk, Th)` over [`Schedule::minimal`].
+fn schedule(shape: &ConvShape, tiles: (usize, usize, usize, usize, usize)) -> Schedule {
+    let mut s = Schedule::minimal(shape);
+    (s.vw, s.vk, s.tc, s.tk, s.th) = tiles;
+    s
+}
+
+const MODES: [PackingMode; 4] = [
+    PackingMode::Fused,
+    PackingMode::Sequential,
+    PackingMode::None,
+    PackingMode::Sliced { rows: 2 },
+];
+const GRIDS: [(usize, usize); 3] = [(1, 1), (2, 1), (1, 2)];
+
+/// One `NCHW` case: every mode × grid, one-shot and planned, must agree
+/// bitwise; returns the hash of the common output.
+fn nchw_case(name: &str, shape: ConvShape, tiles: (usize, usize, usize, usize, usize)) -> u64 {
+    let (input, filter) = problem(&shape, ActLayout::Nchw, 0x601d);
+    let base = schedule(&shape, tiles);
+    let mut reference: Option<Tensor4> = None;
+    for mode in MODES {
+        for (ptn, ptk) in GRIDS {
+            let pool = StaticPool::new(ptn * ptk);
+            let sched = base.with_packing(mode).with_grid(Grid2::new(ptn, ptk));
+            let oneshot = conv_ndirect_with(&pool, &input, &filter, &shape, &sched);
+            let plan = ConvPlan::try_with_schedule(&shape, &filter, &sched).expect("valid case");
+            let mut planned = Tensor4::output_for(&shape, ActLayout::Nchw);
+            plan.execute(&pool, &input, &mut planned).expect("valid case");
+            let what = format!("{name}: {mode:?} on {ptn}x{ptk}");
+            assert_eq!(oneshot.as_slice(), planned.as_slice(), "{what}: plan vs one-shot");
+            let want = reference.get_or_insert(oneshot);
+            assert_eq!(planned.as_slice(), want.as_slice(), "{what}: vs Fused on 1x1");
+        }
+    }
+    fnv1a(reference.expect("at least one mode ran").as_slice())
+}
+
+#[test]
+fn nchw_bits_are_stable() {
+    let pad = Padding::same;
+    let cases = [
+        ("nchw 3x3 s1", ConvShape::new(1, 8, 12, 14, 16, 3, 3, 1, pad(1)), (4, 8, 8, 8, 4)),
+        ("nchw 3x3 s2", ConvShape::new(1, 6, 13, 15, 8, 3, 3, 2, pad(1)), (4, 8, 6, 8, 3)),
+        ("nchw 1x1 s1", ConvShape::new(1, 16, 9, 12, 24, 1, 1, 1, Padding::NONE), (12, 8, 16, 16, 9)),
+        ("nchw 1x1 s2", ConvShape::new(1, 10, 9, 11, 12, 1, 1, 2, Padding::NONE), (3, 4, 4, 8, 2)),
+        ("nchw 5x5", ConvShape::new(1, 4, 11, 13, 8, 5, 5, 1, pad(2)), (8, 4, 4, 8, 11)),
+        ("nchw 7x7 s2 p3", ConvShape::new(1, 3, 17, 19, 8, 7, 7, 2, pad(3)), (5, 8, 3, 8, 4)),
+        // K = 13 (masked Vk tail), C = 5 over Tc = 3, Q = 17 over Vw = 8,
+        // P = 9 over Th = 2, two images.
+        ("nchw tails n2", ConvShape::new(2, 5, 9, 17, 13, 3, 3, 1, pad(1)), (8, 8, 3, 8, 2)),
+        // Vw = 13 has no monomorphized kernel: the runtime-bound one runs.
+        ("nchw wide strip", ConvShape::new(1, 4, 8, 29, 8, 3, 3, 1, pad(1)), (13, 8, 4, 8, 8)),
+    ];
+    let actual: Vec<_> =
+        cases.into_iter().map(|(name, shape, tiles)| (name, nchw_case(name, shape, tiles))).collect();
+    check_golden(&actual);
+}
+
+#[test]
+fn nhwc_bits_are_stable() {
+    let cases = [
+        ("nhwc 3x3 tails", ConvShape::new(2, 6, 9, 13, 13, 3, 3, 1, Padding::same(1)), (4, 8, 4, 8, 9)),
+        ("nhwc 1x1 s2", ConvShape::new(1, 8, 9, 11, 12, 1, 1, 2, Padding::NONE), (8, 4, 8, 8, 5)),
+    ];
+    let mut actual = Vec::new();
+    for (name, shape, tiles) in cases {
+        let (input, filter) = problem(&shape, ActLayout::Nhwc, 0x601e);
+        let base = schedule(&shape, tiles);
+        let mut reference: Option<Tensor4> = None;
+        for (ptn, ptk) in GRIDS {
+            let pool = StaticPool::new(ptn * ptk);
+            let sched = base.with_grid(Grid2::new(ptn, ptk));
+            let oneshot = conv_ndirect_nhwc_with(&pool, &input, &filter, &shape, &sched);
+            let plan =
+                ConvPlan::try_with_schedule_nhwc(&shape, &filter, &sched).expect("valid case");
+            let mut planned = Tensor4::output_for(&shape, ActLayout::Nhwc);
+            plan.execute(&pool, &input, &mut planned).expect("valid case");
+            assert_eq!(oneshot.as_slice(), planned.as_slice(), "{name}: plan vs one-shot");
+            let want = reference.get_or_insert(oneshot);
+            assert_eq!(planned.as_slice(), want.as_slice(), "{name}: {ptn}x{ptk} vs 1x1");
+        }
+        actual.push((name, fnv1a(reference.expect("a grid ran").as_slice())));
+    }
+    check_golden(&actual);
+}
+
+fn dw_problem(shape: &ConvShape, k: usize, seed: u64) -> (Tensor4, Filter, Filter) {
+    (
+        fill::random_tensor(Tensor4::input_for(shape, ActLayout::Nchw), seed),
+        fill::random_filter(Filter::zeros(shape.c, 1, shape.r, shape.s, FilterLayout::Kcrs), seed ^ 1),
+        fill::random_filter(Filter::zeros(k, shape.c, 1, 1, FilterLayout::Kcrs), seed ^ 2),
+    )
+}
+
+#[test]
+fn depthwise_bits_are_stable() {
+    // C = 10: two full 4-lane channel groups and a 2-lane tail; odd
+    // spatial sizes give a Q tail on the 8-pixel depthwise strip.
+    let dw = |rs, stride, pad| ConvShape::new(2, 10, 13, 11, 10, rs, rs, stride, Padding::same(pad));
+    let cases = [("dw 3x3 s1", dw(3, 1, 1)), ("dw 3x3 s2", dw(3, 2, 1)), ("dw 5x5", dw(5, 1, 2))];
+    let mut actual = Vec::new();
+    for (name, shape) in cases {
+        let (input, filter, _) = dw_problem(&shape, 1, 0x601f);
+        let reference = conv_depthwise(&StaticPool::new(1), &input, &filter, &shape);
+        for threads in [1, 2] {
+            let pool = StaticPool::new(threads);
+            let plan = DepthwisePlan::try_new(&shape, &filter, threads).expect("valid case");
+            let mut planned = Tensor4::output_for(&shape, ActLayout::Nchw);
+            plan.execute(&pool, &input, &mut planned).expect("valid case");
+            assert_eq!(planned.as_slice(), reference.as_slice(), "{name}: plan on {threads}");
+        }
+        actual.push((name, fnv1a(reference.as_slice())));
+    }
+    check_golden(&actual);
+}
+
+#[test]
+fn dwpw_bits_are_stable() {
+    // C = 10 (dw lane tail), K = 13 (pw Vk tail), stride 2 over odd input.
+    let shape = ConvShape::new(2, 10, 13, 11, 10, 3, 3, 2, Padding::same(1));
+    let k = 13;
+    let (input, dwf, pwf) = dw_problem(&shape, k, 0x6020);
+    let mut actual = Vec::new();
+    for (name, mid_relu) in [("dwpw", false), ("dwpw mid_relu", true)] {
+        let reference =
+            try_conv_dwpw_fused_with(&StaticPool::new(1), &input, &dwf, &pwf, &shape, mid_relu)
+                .expect("valid case");
+        for (threads, slice_rows, vw, vk) in [(1, 1, 4, 4), (2, 3, 12, 8), (2, 100, 5, 12)] {
+            let pool = StaticPool::new(threads);
+            let sched = DwPwSchedule { slice_rows, vw, vk };
+            let plan = FusedDwPwPlan::try_with_schedule(&shape, &dwf, &pwf, &sched, threads)
+                .expect("valid case")
+                .with_mid_relu(mid_relu);
+            let mut planned = Tensor4::zeros(shape.n, k, shape.p(), shape.q(), ActLayout::Nchw);
+            plan.execute(&pool, &input, &mut planned).expect("valid case");
+            assert_eq!(planned.as_slice(), reference.as_slice(), "{name}: {sched:?} on {threads}");
+        }
+        actual.push((name, fnv1a(reference.as_slice())));
+    }
+    check_golden(&actual);
+}
