@@ -220,7 +220,9 @@ fn append_json_line(path: &str, value: Json) {
         .create(true)
         .append(true)
         .open(path)
-        .and_then(|mut f| writeln!(f, "{}", value.compact()));
+        // One `write` per line: appends from concurrent cases must not
+        // interleave mid-line.
+        .and_then(|mut f| f.write_all(format!("{}\n", value.compact()).as_bytes()));
     if let Err(e) = result {
         eprintln!("NDIRECT_BENCH_JSON: cannot append to {path}: {e}");
     }

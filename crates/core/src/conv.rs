@@ -138,6 +138,23 @@ pub fn __set_scratch_element_limit(limit: usize) {
     SCRATCH_ELEMENT_LIMIT.store(limit, Ordering::Relaxed); // ORDERING: Relaxed — test-only knob; callers serialize externally
 }
 
+/// `(n − 1)·stride + taps`: the input extent that `n` outputs of a
+/// `taps`-wide kernel cover. `None` on overflow.
+pub(crate) fn input_span(n: usize, stride: usize, taps: usize) -> Option<usize> {
+    (n.max(1) - 1).checked_mul(stride)?.checked_add(taps)
+}
+
+/// `dims.product()`, `None` on overflow.
+pub(crate) fn checked_product(dims: &[usize]) -> Option<usize> {
+    dims.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d))
+}
+
+/// Whether a scratch request of `total` f32 elements is under the test
+/// ceiling.
+fn within_limit(total: usize) -> bool {
+    total <= SCRATCH_ELEMENT_LIMIT.load(Ordering::Relaxed) // ORDERING: Relaxed — advisory cap read once per provisioning; independent of other state
+}
+
 /// Allocates one [`Scratch`] per grid thread for `sched`, with every size
 /// product checked. `Err` carries the element count of the request that
 /// failed (overflow or allocator refusal) so the caller can degrade.
@@ -147,53 +164,31 @@ pub(crate) fn try_alloc_scratch(
     shape: &ConvShape,
     threads: usize,
 ) -> Result<Vec<Mutex<Scratch>>, usize> {
-    let win_max = (sched.vw - 1)
-        .checked_mul(shape.stride)
-        .and_then(|x| x.checked_add(shape.s))
-        .ok_or(usize::MAX)?;
     // The input-side buffer is packing-mode dependent: the per-strip modes
     // hold one `Tc·R·win` strip, `Sliced` holds one cache-resident slab
     // (`Tc·slab_rows·row_win`), and the zero-copy mode holds nothing at
     // all (a zero-length `AlignedBuf` performs no allocation).
-    let bbuf_len = match sched.packing {
-        PackingMode::None => 0,
-        PackingMode::Sliced { rows } => {
-            let row_win = (shape.q() - 1)
-                .checked_mul(shape.stride)
-                .and_then(|x| x.checked_add(shape.s))
-                .ok_or(usize::MAX)?;
-            let slab_rows = (rows.max(1) - 1)
-                .checked_mul(shape.stride)
-                .and_then(|x| x.checked_add(shape.r))
-                .ok_or(usize::MAX)?;
-            sched
-                .tc
-                .checked_mul(slab_rows)
-                .and_then(|x| x.checked_mul(row_win))
-                .ok_or(usize::MAX)?
-        }
-        PackingMode::Fused | PackingMode::Sequential => sched
-            .tc
-            .checked_mul(shape.r)
-            .and_then(|x| x.checked_mul(win_max))
-            .ok_or(usize::MAX)?,
+    let lens = || {
+        let bbuf_len = match sched.packing {
+            PackingMode::None => 0,
+            PackingMode::Sliced { rows } => checked_product(&[
+                sched.tc,
+                input_span(rows, shape.stride, shape.r)?,
+                input_span(shape.q(), shape.stride, shape.s)?,
+            ])?,
+            PackingMode::Fused | PackingMode::Sequential => checked_product(&[
+                sched.tc,
+                shape.r,
+                input_span(sched.vw, shape.stride, shape.s)?,
+            ])?,
+        };
+        let kv_blocks = sched.tk.div_ceil(sched.vk);
+        let tfbuf_len = checked_product(&[kv_blocks, sched.tc, shape.r, shape.s, sched.vk])?;
+        let total = bbuf_len.checked_add(tfbuf_len)?.checked_mul(threads)?;
+        Some((bbuf_len, tfbuf_len, total))
     };
-    let tf_block_len = sched
-        .tc
-        .checked_mul(shape.r)
-        .and_then(|x| x.checked_mul(shape.s))
-        .and_then(|x| x.checked_mul(sched.vk))
-        .ok_or(usize::MAX)?;
-    let tfbuf_len = sched
-        .tk
-        .div_ceil(sched.vk)
-        .checked_mul(tf_block_len)
-        .ok_or(usize::MAX)?;
-    let total = bbuf_len
-        .checked_add(tfbuf_len)
-        .and_then(|x| x.checked_mul(threads))
-        .ok_or(usize::MAX)?;
-    if total > SCRATCH_ELEMENT_LIMIT.load(Ordering::Relaxed) { // ORDERING: Relaxed — advisory cap read once per provisioning; independent of other state
+    let (bbuf_len, tfbuf_len, total) = lens().ok_or(usize::MAX)?;
+    if !within_limit(total) {
         return Err(total);
     }
     (0..threads)
@@ -204,6 +199,28 @@ pub(crate) fn try_alloc_scratch(
             }))
         })
         .collect()
+}
+
+/// Provisions `count` zeroed scratch buffers of `len` floats each — one
+/// per thread — for the drivers outside the plan layer. `len` arrives as
+/// the caller's checked size arithmetic (`None`: it overflowed); the
+/// [`__set_scratch_element_limit`] ceiling applies to the whole request,
+/// and allocator refusal is a typed error.
+// AUDIT: cold — scratch provisioning, once per call before the region.
+pub(crate) fn try_scratch_bufs(
+    len: Option<usize>,
+    count: usize,
+) -> Result<Vec<Mutex<AlignedBuf>>, Error> {
+    let (Some(len), Some(total)) = (len, len.and_then(|l| l.checked_mul(count))) else {
+        return Err(Error::ScratchAlloc { elements: usize::MAX });
+    };
+    if !within_limit(total) {
+        return Err(Error::ScratchAlloc { elements: total });
+    }
+    (0..count)
+        .map(|_| AlignedBuf::try_zeroed(len).map(Mutex::new))
+        .collect::<Result<_, _>>()
+        .map_err(|elements| Error::ScratchAlloc { elements })
 }
 
 /// Fallible form of [`conv_ndirect_into`]. Validation happens here, once,
@@ -238,7 +255,7 @@ pub fn try_conv_ndirect_into(
         });
     }
 
-    let plan = crate::plan::ConvPlan::try_borrowed(shape, filter, schedule)?;
+    let plan = crate::plan::ConvPlan::try_borrowed(shape, filter, schedule, ActLayout::Nchw)?;
     plan.execute(pool, input, out)
 }
 
@@ -256,6 +273,8 @@ pub(crate) struct StripCtx<'a> {
     pub(crate) kt: usize,
     pub(crate) kv_blocks: usize,
     pub(crate) k_hi: usize,
+    /// The output rows whose slab `bbuf` holds (`Sliced` only).
+    pub(crate) slice: std::ops::Range<usize>,
     pub(crate) oh: usize,
     pub(crate) wv: usize,
     pub(crate) valid_w: usize,
@@ -264,38 +283,13 @@ pub(crate) struct StripCtx<'a> {
     pub(crate) q: usize,
 }
 
-/// Where [`compute_strip`] gets its input rows — one variant per packing
-/// strategy, constructed by the drivers.
-pub(crate) enum StripSource<'a> {
-    /// Fused/Sequential: the thread's per-strip packing buffer (written by
-    /// the first `kv` iteration, read by the rest).
-    PerStrip(&'a mut AlignedBuf),
-    /// Sliced: a read-only window into the slab the driver packed for the
-    /// current row-slice (`[c][ih_rel][row_stride]` layout, see
-    /// [`crate::pack::pack_slice_slab`]).
-    Slab {
-        /// The packed slab.
-        buf: &'a [f32],
-        /// Slab rows per channel (`(slice_len−1)·stride + R`).
-        rows_per_c: usize,
-        /// Elements per slab row (`(Q−1)·stride + S`).
-        row_stride: usize,
-        /// First slab row of this strip (`(oh − slice_oh0)·stride`).
-        row_off: usize,
-    },
-    /// None: zero-copy, every `kv` iteration reads the image directly.
-    Direct,
-}
-
-/// Runs loop L7 for one output strip. Under the per-strip modes the first
-/// `kv` iteration packs (fused or sequential per the schedule) and the
-/// rest consume the packed buffer; under `Sliced`/`None` every iteration
-/// reads the slab / the image directly.
-pub(crate) fn compute_strip(
-    ctx: StripCtx<'_>,
-    mut src: StripSource<'_>,
-    out_all: &SharedSlice<'_, f32>,
-) {
+/// Runs loop L7 for one output strip, building each `kv` iteration's
+/// [`RowSource`] straight from the schedule's packing mode: under the
+/// per-strip modes the first iteration fills `bbuf` (fused gather or a
+/// sequential pack) and the rest read it back; under `Sliced` every
+/// iteration reads the slab the driver packed into `bbuf` for the current
+/// slice; under `None` every iteration reads the image.
+pub(crate) fn compute_strip(ctx: StripCtx<'_>, bbuf: &mut [f32], out_all: &SharedSlice<'_, f32>) {
     let shape = ctx.shape;
     let sched = ctx.sched;
     let kstride = ctx.p * ctx.q;
@@ -312,15 +306,15 @@ pub(crate) fn compute_strip(
             2 * ctx.valid_w as u64 * covered_k * ctx.tcb as u64 * shape.r as u64 * shape.s as u64,
         );
         let strip_bytes = (ctx.tcb * shape.r * ctx.geom.win * std::mem::size_of::<f32>()) as u64;
-        match &src {
-            StripSource::PerStrip(_) => {
-                ndirect_probe::add(ndirect_probe::Counter::BytesPacked, strip_bytes);
+        let counter = match sched.packing {
+            PackingMode::Fused | PackingMode::Sequential => ndirect_probe::Counter::BytesPacked,
+            PackingMode::None | PackingMode::Sliced { .. } => {
+                ndirect_probe::Counter::BytesPackSaved
             }
-            StripSource::Slab { .. } | StripSource::Direct => {
-                ndirect_probe::add(ndirect_probe::Counter::BytesPackSaved, strip_bytes);
-            }
-        }
+        };
+        ndirect_probe::add(counter, strip_bytes);
     }
+    let StripGeom { win, ih0, iw0 } = ctx.geom;
     for kv in 0..ctx.kv_blocks {
         let k0 = ctx.kt + kv * sched.vk;
         let valid_k = sched.vk.min(ctx.k_hi - k0);
@@ -340,118 +334,50 @@ pub(crate) fn compute_strip(
             valid_w: ctx.valid_w,
             valid_k,
         };
-        match &mut src {
-            StripSource::PerStrip(bbuf) => {
-                let bbuf = &mut **bbuf;
-                if kv == 0 {
-                    match sched.packing {
-                        PackingMode::Fused => {
-                            let mut rows = RowSource::Gather {
-                                image: ctx.image,
-                                ct: ctx.ct,
-                                h: shape.h,
-                                w: shape.w,
-                                ih0: ctx.geom.ih0,
-                                iw0: ctx.geom.iw0,
-                                buf: bbuf,
-                                win: ctx.geom.win,
-                                rdim: shape.r,
-                                prefetch: sched.prefetch,
-                            };
-                            // Fused mode gathers rows from inside the kernel
-                            // loop, so its packing cost is attributed to
-                            // MicroKernel.
-                            let _mk = ndirect_probe::probe_phase!(MicroKernel);
-                            run_tile(&mut rows, &args, sched.vw, out_all);
-                        }
-                        PackingMode::Sequential => {
-                            {
-                                let _pack = ndirect_probe::probe_phase!(Pack);
-                                pack_strip(
-                                    ctx.image, ctx.ct, ctx.tcb, shape.r, shape.h, shape.w,
-                                    ctx.geom, bbuf,
-                                );
-                            }
-                            let mut rows = RowSource::Packed {
-                                buf: bbuf,
-                                win: ctx.geom.win,
-                                rdim: shape.r,
-                            };
-                            let _mk = ndirect_probe::probe_phase!(MicroKernel);
-                            run_tile(&mut rows, &args, sched.vw, out_all);
-                        }
-                        // The drivers pair PerStrip sources only with the
-                        // two per-strip packing modes.
-                        PackingMode::None | PackingMode::Sliced { .. } => {
-                            // AUDIT: allow(hotpath-no-panic) planner
-                            // invariant; crashing loudly beats silently
-                            // corrupt output.
-                            unreachable!("per-strip source under a zero-copy packing mode")
-                        }
-                    }
-                } else {
-                    let mut rows = RowSource::Packed {
-                        buf: bbuf,
-                        win: ctx.geom.win,
-                        rdim: shape.r,
-                    };
-                    let _mk = ndirect_probe::probe_phase!(MicroKernel);
-                    run_tile(&mut rows, &args, sched.vw, out_all);
-                }
+        let mut rows = match (sched.packing, kv == 0) {
+            // The gather runs inside the kernel loop, so fused packing
+            // time is attributed to MicroKernel.
+            (PackingMode::Fused, true) => RowSource::Gather {
+                image: ctx.image,
+                ct: ctx.ct,
+                h: shape.h,
+                w: shape.w,
+                ih0,
+                iw0,
+                buf: &mut *bbuf,
+                win,
+                rdim: shape.r,
+                prefetch: sched.prefetch,
+            },
+            (PackingMode::Sequential, true) => {
+                let _pack = ndirect_probe::probe_phase!(Pack);
+                pack_strip(ctx.image, ctx.ct, ctx.tcb, shape.r, shape.h, shape.w, ctx.geom, bbuf);
+                RowSource::Packed { buf: &*bbuf, win, rdim: shape.r }
             }
-            StripSource::Slab {
-                buf,
-                rows_per_c,
-                row_stride,
-                row_off,
-            } => {
-                let mut rows = RowSource::Strided {
-                    buf,
-                    rows_per_c: *rows_per_c,
-                    row_stride: *row_stride,
-                    row_off: *row_off,
-                    col_off: ctx.wv * shape.stride,
-                    win: ctx.geom.win,
-                };
-                let _mk = ndirect_probe::probe_phase!(MicroKernel);
-                run_tile(&mut rows, &args, sched.vw, out_all);
+            (PackingMode::Fused | PackingMode::Sequential, false) => {
+                RowSource::Packed { buf: &*bbuf, win, rdim: shape.r }
             }
-            StripSource::Direct => {
-                let mut rows = RowSource::Direct {
-                    image: ctx.image,
-                    ct: ctx.ct,
-                    h: shape.h,
-                    w: shape.w,
-                    ih0: ctx.geom.ih0,
-                    iw0: ctx.geom.iw0,
-                    prefetch: sched.prefetch,
-                };
-                let _mk = ndirect_probe::probe_phase!(MicroKernel);
-                run_tile(&mut rows, &args, sched.vw, out_all);
-            }
-        }
+            (PackingMode::Sliced { .. }, _) => RowSource::Strided {
+                buf: &*bbuf,
+                rows_per_c: (ctx.slice.len() - 1) * shape.stride + shape.r,
+                row_stride: (ctx.q - 1) * shape.stride + shape.s,
+                row_off: (ctx.oh - ctx.slice.start) * shape.stride,
+                col_off: ctx.wv * shape.stride,
+                win,
+            },
+            (PackingMode::None, _) => RowSource::Direct {
+                image: ctx.image,
+                ct: ctx.ct,
+                h: shape.h,
+                w: shape.w,
+                ih0,
+                iw0,
+                prefetch: sched.prefetch,
+            },
+        };
+        let _mk = ndirect_probe::probe_phase!(MicroKernel);
+        run_tile(&mut rows, &args, out_all);
     }
-}
-
-/// nDirect for `NHWC` activations / `KRSC` filters — delegates to the
-/// native `NHWC` kernel ([`crate::nhwc`]), no layout conversion involved.
-pub fn conv_ndirect_nhwc(
-    pool: &StaticPool,
-    input: &Tensor4,
-    filter: &Filter,
-    shape: &ConvShape,
-) -> Tensor4 {
-    crate::nhwc::conv_ndirect_nhwc_native(pool, input, filter, shape)
-}
-
-/// Fallible form of [`conv_ndirect_nhwc`].
-pub fn try_conv_ndirect_nhwc(
-    pool: &StaticPool,
-    input: &Tensor4,
-    filter: &Filter,
-    shape: &ConvShape,
-) -> Result<Tensor4, Error> {
-    crate::nhwc::try_conv_ndirect_nhwc_native(pool, input, filter, shape)
 }
 
 #[cfg(test)]
@@ -651,7 +577,7 @@ mod tests {
         let (input, filter) = problem(&shape, 19);
         let expect = naive::conv_ref(&input, &filter, &shape);
         let pool = StaticPool::new(1);
-        let got = conv_ndirect_nhwc(
+        let got = crate::conv_ndirect_nhwc(
             &pool,
             &input.to_layout(ActLayout::Nhwc),
             &filter.to_layout(FilterLayout::Krsc),
@@ -684,6 +610,22 @@ mod tests {
         let mut sched = Schedule::minimal(&shape);
         sched.tc = usize::MAX / 2;
         assert!(try_alloc_scratch(&sched, &shape, 1).is_err());
+    }
+
+    #[test]
+    fn extension_scratch_overflow_is_an_error_not_an_abort() {
+        // The 3-D and inner-product drivers size their buffers through
+        // these helpers: a size that overflows (in the dims or across the
+        // per-thread copies) is a typed refusal, never a wrapped length.
+        // (The forced-refusal run through both entry points needs the
+        // process-global limit hook, so it lives under the hook lock in
+        // tests/robustness.rs.)
+        let overflow = Err(Error::ScratchAlloc { elements: usize::MAX });
+        let bufs = |len, count| try_scratch_bufs(len, count).map(|v| v.len());
+        assert_eq!(bufs(checked_product(&[usize::MAX / 2, 3]), 1), overflow);
+        assert_eq!(bufs(Some(usize::MAX / 2), 4), overflow);
+        assert_eq!(bufs(input_span(2, usize::MAX, 1), 1), overflow);
+        assert_eq!(bufs(Some(15), 2), Ok(2));
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! the gather (3-D addressing, here) and the filter transform
 //! ([`transform_filter3d_block`]) know the data is volumetric.
 
-use ndirect_tensor::{AlignedBuf, Filter5, Tensor5};
+use ndirect_tensor::{Filter5, Tensor5};
 use ndirect_threads::{split_static, SharedSlice, StaticPool};
 
+use crate::conv::{checked_product, input_span, try_scratch_bufs};
 use crate::error::Error;
 use crate::kernel::{run_tile, RowSource, TileArgs};
 
@@ -204,17 +205,24 @@ pub fn try_conv3d_ndirect(
     // Whole-filter transform once (K is typically small for 3-D nets; the
     // per-block on-the-fly variant works identically but obscures the
     // demonstration).
-    let mut tf = AlignedBuf::zeroed(kv_total * shape.c * rdim * shape.s * vk);
+    let mut tf = try_scratch_bufs(checked_product(&[kv_total, shape.c, rdim, shape.s, vk]), 1)?
+        .swap_remove(0)
+        .into_inner()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     transform_filter3d_block(filter, 0, shape.k, vk, &mut tf);
     let tf_block_len = shape.c * rdim * shape.s * vk;
+    // One strip buffer per thread, provisioned before the region so a
+    // refusal is an error here rather than an abort on a worker.
+    let strip_len = input_span(vw, shape.stride, shape.s)
+        .and_then(|win_max| checked_product(&[shape.c, rdim, win_max]));
+    let strips = try_scratch_bufs(strip_len, threads)?;
 
     let out_shared = SharedSlice::new(out.as_mut_slice());
     pool.try_run(|tid| {
         // Disjointness: threads own disjoint output rows (static split);
         // barrier before return.
         let out_all = &out_shared;
-        let win_max = (vw - 1) * shape.stride + shape.s;
-        let mut buf = AlignedBuf::zeroed(shape.c * rdim * win_max);
+        let mut buf = strips[tid].lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         for row in split_static(rows_total, threads, tid) {
             let n = row / (od * p);
             let odh = row % (od * p);
@@ -261,7 +269,7 @@ pub fn try_conv3d_ndirect(
                         win,
                         rdim,
                     };
-                    run_tile(&mut rows, &args, vw, out_all);
+                    run_tile(&mut rows, &args, out_all);
                 }
                 wv += vw;
             }

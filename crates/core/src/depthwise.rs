@@ -13,36 +13,11 @@
 //! that role).
 
 use ndirect_simd::{F32x4, SimdVec};
-use ndirect_tensor::{ActLayout, AlignedBuf, ConvShape, Filter, FilterLayout, Tensor4};
-use ndirect_threads::{SharedSlice, StaticPool};
+use ndirect_tensor::{ActLayout, ConvShape, Filter, Tensor4};
+use ndirect_threads::StaticPool;
 
 use crate::error::{check, Error};
 use crate::pack::gather_row;
-
-/// Shape check for depthwise problems: the filter is `(C, 1, R, S)` and
-/// the output has `C` channels (`shape.k == shape.c`, multiplier 1).
-fn validate(input: &Tensor4, filter: &Filter, shape: &ConvShape) -> Result<(), Error> {
-    shape.validate()?;
-    check::act_layout(input, ActLayout::Nchw, "depthwise takes NCHW")?;
-    if shape.k != shape.c {
-        return Err(Error::NotDepthwise {
-            k: shape.k,
-            c: shape.c,
-        });
-    }
-    check::dims(
-        "input dims",
-        (shape.n, shape.c, shape.h, shape.w),
-        input.dims(),
-    )?;
-    check::dims(
-        "filter dims",
-        (shape.c, 1, shape.r, shape.s),
-        filter.dims(),
-    )?;
-    check::filter_layout(filter, FilterLayout::Kcrs, "depthwise takes KCRS")?;
-    Ok(())
-}
 
 /// Depthwise convolution: `O[n][c] = I[n][c] ⊛ F[c]`, `NCHW` in and out.
 /// Panics on invalid inputs; see [`try_conv_depthwise`].
@@ -62,7 +37,15 @@ pub fn try_conv_depthwise(
     filter: &Filter,
     shape: &ConvShape,
 ) -> Result<Tensor4, Error> {
-    validate(input, filter, shape)?;
+    shape.validate()?;
+    check::act_layout(input, ActLayout::Nchw, "depthwise takes NCHW")?;
+    check::depthwise_shape(shape)?;
+    check::dims(
+        "input dims",
+        (shape.n, shape.c, shape.h, shape.w),
+        input.dims(),
+    )?;
+    check::depthwise_filter(shape, filter, "filter dims", "depthwise takes KCRS")?;
     let (p, q) = (shape.p(), shape.q());
     let mut out = Tensor4::zeros(shape.n, shape.c, p, q, ActLayout::Nchw);
 
@@ -74,29 +57,44 @@ pub fn try_conv_depthwise(
     Ok(out)
 }
 
-/// Computes four channels' output planes for one image.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn depthwise_plane(
+/// The depthwise register-tile width (pixels per strip).
+const DW_VW: usize = 8;
+
+/// Floats in one thread's gather strip: four channels' `R` rows of the
+/// widest strip window, `4 · R · ((DW_VW−1)·stride + S)`.
+pub(crate) fn gather_rows_len(shape: &ConvShape) -> Result<usize, Error> {
+    crate::conv::input_span(DW_VW, shape.stride, shape.s)
+        .and_then(|win_max| crate::conv::checked_product(&[4, shape.r, win_max]))
+        .ok_or(Error::ScratchAlloc {
+            elements: usize::MAX,
+        })
+}
+
+/// The depthwise kernel: output rows `ohs` of the (up to) four channels
+/// starting at `c0` of one image, each finished value handed to
+/// `store(channel, oh, ow, value)`. The plan stores into the `NCHW` output,
+/// the fused dw+pw path into its cache-resident slab; sharing the body is
+/// what keeps the two bitwise equal.
+#[inline(always)]
+pub(crate) fn depthwise_rows(
     image: &[f32],
     filter: &Filter,
     shape: &ConvShape,
-    n: usize,
     c0: usize,
-    lanes: usize,
-    vw: usize,
-    rows: &mut AlignedBuf,
-    out_all: &SharedSlice<'_, f32>,
-    p: usize,
-    q: usize,
+    ohs: std::ops::Range<usize>,
+    rows: &mut [f32],
+    mut store: impl FnMut(usize, usize, usize, f32),
 ) {
+    let lanes = 4.min(shape.c - c0);
+    let q = shape.q();
     let stride = shape.stride;
     let (r, s) = (shape.r, shape.s);
     let fdata = filter.as_slice(); // (C,1,R,S): channel-major taps
-    for oh in 0..p {
+    for oh in ohs {
         let ih0 = (oh * stride) as isize - shape.pad.h as isize;
         let mut wv = 0;
         while wv < q {
-            let valid_w = vw.min(q - wv);
+            let valid_w = DW_VW.min(q - wv);
             let win = (valid_w - 1) * stride + s;
             let iw0 = (wv * stride) as isize - shape.pad.w as isize;
             // Gather the strip rows for each of the 4 channels.
@@ -107,8 +105,7 @@ pub(crate) fn depthwise_plane(
                 }
             }
             // acc[wi] lanes = 4 channels of pixel wi.
-            let mut acc = [F32x4::zero(); 16];
-            debug_assert!(valid_w <= 16);
+            let mut acc = [F32x4::zero(); DW_VW];
             for rr in 0..r {
                 for ss in 0..s {
                     // Filter taps for the 4 channels at (rr, ss).
@@ -130,81 +127,8 @@ pub(crate) fn depthwise_plane(
                 }
             }
             for (wi, a) in acc.iter().enumerate().take(valid_w) {
-                let lanes_arr = a.to_array();
-                for (l, &v) in lanes_arr.iter().enumerate().take(lanes) {
-                    let off = ((n * shape.c + c0 + l) * p + oh) * q + wv + wi;
-                    // SAFETY: this (n, channel-group) plane has one owner.
-                    unsafe { out_all.write(off, v) };
-                }
-            }
-            wv += valid_w;
-        }
-    }
-}
-
-/// Computes four channels' output rows `[oh0, oh0 + len)` into a
-/// thread-private cache-resident slab laid out `[C][row][Q]` (row index
-/// relative to the slice). Same register tile as [`depthwise_plane`]; only
-/// the sink differs — the fused dw+pw path ([`crate::dwpw`]) fills the slab
-/// slice by slice and feeds it straight to the pointwise micro-kernel, so
-/// the depthwise intermediate never round-trips through memory.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn depthwise_slice_into_slab(
-    image: &[f32],
-    filter: &Filter,
-    shape: &ConvShape,
-    c0: usize,
-    lanes: usize,
-    vw: usize,
-    oh0: usize,
-    len: usize,
-    rows: &mut AlignedBuf,
-    slab: &mut [f32],
-) {
-    let q = shape.q();
-    let stride = shape.stride;
-    let (r, s) = (shape.r, shape.s);
-    let fdata = filter.as_slice(); // (C,1,R,S): channel-major taps
-    for oh in oh0..oh0 + len {
-        let ih0 = (oh * stride) as isize - shape.pad.h as isize;
-        let mut wv = 0;
-        while wv < q {
-            let valid_w = vw.min(q - wv);
-            let win = (valid_w - 1) * stride + s;
-            let iw0 = (wv * stride) as isize - shape.pad.w as isize;
-            for l in 0..lanes {
-                for rr in 0..r {
-                    let dst = &mut rows[(l * r + rr) * win..(l * r + rr + 1) * win];
-                    gather_row(image, c0 + l, ih0 + rr as isize, iw0, shape.h, shape.w, dst);
-                }
-            }
-            let mut acc = [F32x4::zero(); 16];
-            debug_assert!(valid_w <= 16);
-            for rr in 0..r {
-                for ss in 0..s {
-                    let mut taps = [0.0f32; 4];
-                    for (l, t) in taps.iter_mut().enumerate().take(lanes) {
-                        // INDEX: c0 + l < C (lanes clamp); rr < R, ss < S.
-                        *t = fdata[((c0 + l) * r + rr) * s + ss];
-                    }
-                    let fv = F32x4::from_array(taps);
-                    for (wi, a) in acc.iter_mut().enumerate().take(valid_w) {
-                        let mut xs = [0.0f32; 4];
-                        for (l, x) in xs.iter_mut().enumerate().take(lanes) {
-                            // INDEX: rows holds `lanes` windows of R*win
-                            // floats; wi*stride+ss < win (valid_w clamp).
-                            *x = rows[(l * r + rr) * win + wi * stride + ss];
-                        }
-                        *a = a.fma(fv, F32x4::from_array(xs));
-                    }
-                }
-            }
-            for (wi, a) in acc.iter().enumerate().take(valid_w) {
-                let lanes_arr = a.to_array();
-                for (l, &v) in lanes_arr.iter().enumerate().take(lanes) {
-                    // INDEX: slab is C×len×Q; c0+l < C, oh ∈ [oh0, oh0+len),
-                    // wv + wi < Q by the width-tile walk.
-                    slab[((c0 + l) * len + (oh - oh0)) * q + wv + wi] = v;
+                for (l, &v) in a.to_array().iter().enumerate().take(lanes) {
+                    store(c0 + l, oh, wv + wi, v);
                 }
             }
             wv += valid_w;
@@ -263,7 +187,7 @@ pub fn try_conv_depthwise_separable(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ndirect_tensor::{assert_close, fill, Padding};
+    use ndirect_tensor::{assert_close, fill, FilterLayout, Padding};
 
     /// Scalar depthwise oracle.
     fn depthwise_ref(input: &Tensor4, filter: &Filter, shape: &ConvShape) -> Tensor4 {

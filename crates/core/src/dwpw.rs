@@ -35,14 +35,14 @@ use std::sync::Mutex;
 use ndirect_platform::Platform;
 use ndirect_support::{Json, JsonError};
 use ndirect_tensor::{ActLayout, AlignedBuf, ConvShape, Filter, FilterLayout, Tensor4};
-use ndirect_threads::{split_static, SharedSlice, StaticPool};
+use ndirect_threads::{split_static, StaticPool};
 
-use crate::depthwise::depthwise_slice_into_slab;
+use crate::depthwise::{depthwise_rows, gather_rows_len};
 use crate::error::{check, Error};
 use crate::filter::TransformedFilter;
 use crate::kernel::{run_tile, RowSource, TileArgs};
 use crate::model;
-use crate::plan::{Arena, FilterRef, DW_VW};
+use crate::plan::{execute_frame, Arena, FilterRef, Operands};
 
 /// The tunable parameters of the fused dw+pw path. Deliberately smaller
 /// than [`crate::Schedule`]: the depthwise stage has no `K` reduction to
@@ -125,7 +125,7 @@ impl DwPwSchedule {
 struct FusedScratch {
     /// `C · slice_rows · Q` floats, laid out `[C][row][Q]`.
     slab: AlignedBuf,
-    /// `4 · R · ((DW_VW−1)·stride + S)` floats: the 4-lane gather strip.
+    /// The depthwise stage's 4-lane gather strip ([`gather_rows_len`]).
     rows: AlignedBuf,
 }
 
@@ -146,7 +146,7 @@ pub struct FusedDwPwPlan<'f> {
     dw_filter: FilterRef<'f>,
     pw: TransformedFilter,
     threads: usize,
-    arena: Arena<Vec<Mutex<FusedScratch>>>,
+    arena: Arena<FusedScratch>,
 }
 
 impl<'f> FusedDwPwPlan<'f> {
@@ -236,25 +236,17 @@ impl<'f> FusedDwPwPlan<'f> {
         self
     }
 
+    // AUDIT: cold — scratch provisioning; runs on arena miss, never per tile.
     fn alloc_set(
         dw_shape: &ConvShape,
         sched: &DwPwSchedule,
         threads: usize,
     ) -> Result<Vec<Mutex<FusedScratch>>, Error> {
-        let overflow = || Error::ScratchAlloc {
-            elements: usize::MAX,
-        };
-        let slab_len = dw_shape
-            .c
-            .checked_mul(sched.slice_rows)
-            .and_then(|x| x.checked_mul(dw_shape.q()))
-            .ok_or_else(overflow)?;
-        let rows_len = (DW_VW - 1)
-            .checked_mul(dw_shape.stride)
-            .and_then(|x| x.checked_add(dw_shape.s))
-            .and_then(|win_max| dw_shape.r.checked_mul(win_max))
-            .and_then(|x| x.checked_mul(4))
-            .ok_or_else(overflow)?;
+        let slab_len = crate::conv::checked_product(&[dw_shape.c, sched.slice_rows, dw_shape.q()])
+            .ok_or(Error::ScratchAlloc {
+                elements: usize::MAX,
+            })?;
+        let rows_len = gather_rows_len(dw_shape)?;
         (0..threads)
             .map(|_| {
                 let slab = AlignedBuf::try_zeroed(slab_len)
@@ -318,149 +310,118 @@ impl<'f> FusedDwPwPlan<'f> {
         let shape = &self.dw_shape;
         let (c, k) = (shape.c, self.k);
         let (p, q) = (shape.p(), shape.q());
-        check::act_layout(input, ActLayout::Nchw, "fused dw+pw takes NCHW")?;
-        check::dims(
-            "input dims",
-            (shape.n, shape.c, shape.h, shape.w),
-            input.dims(),
-        )?;
-        check::dims("output dims", (shape.n, k, p, q), out.dims())?;
-        check::act_layout(out, ActLayout::Nchw, "fused dw+pw writes NCHW")?;
-        if self.threads > pool.size() {
-            return Err(Error::GridExceedsPool {
-                needed: self.threads,
-                available: pool.size(),
-            });
-        }
-
-        let set = match self.arena.take() {
-            Some(s) => {
-                ndirect_probe::probe_count!(ScratchPoolHits, 1);
-                s
-            }
-            None => {
-                ndirect_probe::probe_count!(ScratchPoolMisses, 1);
-                Self::alloc_set(shape, &self.sched, self.threads)?
-            }
+        let operands = Operands {
+            layout: ActLayout::Nchw,
+            contexts: ("fused dw+pw takes NCHW", "fused dw+pw writes NCHW"),
+            in_dims: (shape.n, shape.c, shape.h, shape.w),
+            out_dims: (shape.n, k, p, q),
         };
         let sched = &self.sched;
         let dw_filter = self.dw_filter.get();
         let slices = p.div_ceil(sched.slice_rows);
-        let work = shape.n * slices;
         let threads = self.threads;
         let in_data = input.as_slice();
         let image_len = shape.c * shape.h * shape.w;
         let kv_blocks = self.pw.kv_blocks();
         let mid_relu = self.mid_relu;
+        // Disjointness: each (image, row-slice) item owns output rows
+        // [oh0, oh0+len) of *all* K channels of its image — the K and C
+        // dimensions are never split, so every output element has a single
+        // writer and the result is bitwise identical for any thread count.
+        execute_frame(
+            operands,
+            threads,
+            &self.arena,
+            || Self::alloc_set(shape, sched, threads),
+            pool,
+            input,
+            out,
+            |tid, scratch, out_all| {
+                for item in split_static(shape.n * slices, threads, tid) {
+                    let n_idx = item / slices;
+                    let oh0 = (item % slices) * sched.slice_rows;
+                    let len = sched.slice_rows.min(p - oh0);
+                    let image = &in_data[n_idx * image_len..(n_idx + 1) * image_len];
 
-        let out_shared = SharedSlice::new(out.as_mut_slice());
-        let result = pool.try_run(|tid| {
-            if tid >= threads {
-                return;
-            }
-            // Disjointness: each (image, row-slice) item owns output rows
-            // [oh0, oh0+len) of *all* K channels of its image — the K and
-            // C dimensions are never split, so every output element has a
-            // single writer and the result is bitwise identical for any
-            // thread count. The pool barrier orders writes before `run`
-            // returns.
-            let out_all = &out_shared;
-            // INDEX: tid < threads == set.len() — the pool contract.
-            let mut scratch = set[tid]
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            let scratch = &mut *scratch;
-            for item in split_static(work, threads, tid) {
-                let n_idx = item / slices;
-                let si = item % slices;
-                let oh0 = si * sched.slice_rows;
-                let len = sched.slice_rows.min(p - oh0);
-                let image = &in_data[n_idx * image_len..(n_idx + 1) * image_len];
-
-                // Stage 1: depthwise rows [oh0, oh0+len) of every channel
-                // into the thread-private slab ([C][row][Q]).
-                let slab = &mut scratch.slab[..c * len * q];
-                let mut c0 = 0;
-                while c0 < c {
-                    let lanes = 4.min(c - c0);
-                    depthwise_slice_into_slab(
-                        image,
-                        dw_filter,
-                        shape,
-                        c0,
-                        lanes,
-                        DW_VW,
-                        oh0,
-                        len,
-                        &mut scratch.rows,
-                        slab,
-                    );
-                    c0 += lanes;
-                }
-                if mid_relu {
-                    for v in slab.iter_mut() {
-                        *v = v.max(0.0);
+                    // Stage 1: depthwise rows [oh0, oh0+len) of every
+                    // channel into the thread-private slab ([C][row][Q]).
+                    let slab = &mut scratch.slab[..c * len * q];
+                    for c0 in (0..c).step_by(4) {
+                        depthwise_rows(
+                            image,
+                            dw_filter,
+                            shape,
+                            c0,
+                            oh0..oh0 + len,
+                            &mut scratch.rows,
+                            // INDEX: slab is C×len×Q; ch < C, oh ∈ [oh0,
+                            // oh0+len), ow < Q by the width-tile walk.
+                            |ch, oh, ow, v| slab[(ch * len + (oh - oh0)) * q + ow] = v,
+                        );
                     }
-                }
-
-                // Accounting: the unfused composition writes this slice to
-                // the intermediate tensor and reads it back — 2·C·len·Q·4
-                // bytes that never touch memory here. Summed over all
-                // slices this is exactly 2·N·C·P·Q·4 (the closed form in
-                // `predicted_intermediate_saved_bytes`). The FLOP count is
-                // the dw MACs plus the pw MACs of the slice, ×2.
-                if ndirect_probe::ENABLED {
-                    let slice_elems = (c * len * q) as u64;
-                    ndirect_probe::add(
-                        ndirect_probe::Counter::BytesIntermediateSaved,
-                        2 * slice_elems * 4,
-                    );
-                    ndirect_probe::add(
-                        ndirect_probe::Counter::FlopsIssued,
-                        2 * slice_elems * (shape.r * shape.s) as u64
-                            + 2 * (k * len * q) as u64 * c as u64,
-                    );
-                }
-
-                // Stage 2: pointwise over the cache-hot slab, accumulating
-                // into the final output.
-                let slab = &scratch.slab[..c * len * q];
-                for oh in 0..len {
-                    let mut wv = 0;
-                    while wv < q {
-                        let valid_w = sched.vw.min(q - wv);
-                        for kv in 0..kv_blocks {
-                            let k0 = kv * sched.vk;
-                            let valid_k = sched.vk.min(k - k0);
-                            let mut src = RowSource::Strided {
-                                buf: slab,
-                                rows_per_c: len,
-                                row_stride: q,
-                                row_off: oh,
-                                col_off: wv,
-                                win: valid_w,
-                            };
-                            let args = TileArgs {
-                                tcb: c,
-                                rdim: 1,
-                                sdim: 1,
-                                stride: 1,
-                                tf: self.pw.block(kv, 0, c),
-                                vk: sched.vk,
-                                obase: ((n_idx * k + k0) * p + oh0 + oh) * q + wv,
-                                kstride: p * q,
-                                valid_w,
-                                valid_k,
-                            };
-                            run_tile(&mut src, &args, sched.vw, out_all);
+                    if mid_relu {
+                        for v in slab.iter_mut() {
+                            *v = v.max(0.0);
                         }
-                        wv += valid_w;
+                    }
+
+                    // Accounting: the unfused composition writes this slice
+                    // to the intermediate tensor and reads it back —
+                    // 2·C·len·Q·4 bytes that never touch memory here. Summed
+                    // over all slices this is exactly 2·N·C·P·Q·4 (the
+                    // closed form in `predicted_intermediate_saved_bytes`).
+                    // The FLOP count is the dw MACs plus the pw MACs of the
+                    // slice, ×2.
+                    if ndirect_probe::ENABLED {
+                        let slice_elems = (c * len * q) as u64;
+                        ndirect_probe::add(
+                            ndirect_probe::Counter::BytesIntermediateSaved,
+                            2 * slice_elems * 4,
+                        );
+                        ndirect_probe::add(
+                            ndirect_probe::Counter::FlopsIssued,
+                            2 * slice_elems * (shape.r * shape.s) as u64
+                                + 2 * (k * len * q) as u64 * c as u64,
+                        );
+                    }
+
+                    // Stage 2: pointwise over the cache-hot slab,
+                    // accumulating into the final output.
+                    let slab = &*slab;
+                    for oh in 0..len {
+                        let mut wv = 0;
+                        while wv < q {
+                            let valid_w = sched.vw.min(q - wv);
+                            for kv in 0..kv_blocks {
+                                let k0 = kv * sched.vk;
+                                let mut src = RowSource::Strided {
+                                    buf: slab,
+                                    rows_per_c: len,
+                                    row_stride: q,
+                                    row_off: oh,
+                                    col_off: wv,
+                                    win: valid_w,
+                                };
+                                let args = TileArgs {
+                                    tcb: c,
+                                    rdim: 1,
+                                    sdim: 1,
+                                    stride: 1,
+                                    tf: self.pw.block(kv, 0, c),
+                                    vk: sched.vk,
+                                    obase: ((n_idx * k + k0) * p + oh0 + oh) * q + wv,
+                                    kstride: p * q,
+                                    valid_w,
+                                    valid_k: sched.vk.min(k - k0),
+                                };
+                                run_tile(&mut src, &args, out_all);
+                            }
+                            wv += valid_w;
+                        }
                     }
                 }
-            }
-        });
-        self.arena.put(set);
-        result.map_err(Error::from)
+            },
+        )
     }
 }
 
@@ -473,18 +434,13 @@ fn validate_filters(
 ) -> Result<(), Error> {
     check::isa()?;
     dw_shape.validate()?;
-    if dw_shape.k != dw_shape.c {
-        return Err(Error::NotDepthwise {
-            k: dw_shape.k,
-            c: dw_shape.c,
-        });
-    }
-    check::dims(
+    check::depthwise_shape(dw_shape)?;
+    check::depthwise_filter(
+        dw_shape,
+        dw_filter,
         "depthwise filter dims",
-        (dw_shape.c, 1, dw_shape.r, dw_shape.s),
-        dw_filter.dims(),
+        "fused dw+pw takes KCRS",
     )?;
-    check::filter_layout(dw_filter, FilterLayout::Kcrs, "fused dw+pw takes KCRS")?;
     let (k, c2, r1, s1) = pw_filter.dims();
     if (c2, r1, s1) != (dw_shape.c, 1, 1) {
         return Err(Error::DimMismatch {

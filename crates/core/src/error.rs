@@ -209,6 +209,29 @@ pub(crate) mod check {
         Ok(())
     }
 
+    /// A depthwise entry point needs `K == C` (channel multiplier 1).
+    pub(crate) fn depthwise_shape(shape: &ConvShape) -> Result<(), Error> {
+        if shape.k != shape.c {
+            return Err(Error::NotDepthwise {
+                k: shape.k,
+                c: shape.c,
+            });
+        }
+        Ok(())
+    }
+
+    /// A depthwise filter is `(C, 1, R, S)` in `KCRS`; `what` names the
+    /// operand in the [`Error::DimMismatch`].
+    pub(crate) fn depthwise_filter(
+        shape: &ConvShape,
+        filter: &Filter,
+        what: &'static str,
+        context: &'static str,
+    ) -> Result<(), Error> {
+        dims(what, (shape.c, 1, shape.r, shape.s), filter.dims())?;
+        filter_layout(filter, FilterLayout::Kcrs, context)
+    }
+
     /// The standard (input, filter) boundary check shared by the NCHW/KCRS
     /// entry points.
     pub(crate) fn standard_nchw(

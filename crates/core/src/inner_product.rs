@@ -16,9 +16,10 @@
 //! its register tile is absent by construction.
 
 use ndirect_simd::{F32x4, SimdVec};
-use ndirect_tensor::{ActLayout, AlignedBuf, ConvShape, Filter, Tensor4};
+use ndirect_tensor::{ActLayout, ConvShape, Filter, Tensor4};
 use ndirect_threads::{split_static, SharedSlice, StaticPool};
 
+use crate::conv::{checked_product, input_span, try_scratch_bufs};
 use crate::error::{check, Error};
 use crate::pack::{pack_strip, StripGeom};
 
@@ -52,13 +53,18 @@ pub fn try_conv_inner_product(
 
     const VW: usize = 8;
 
+    // One strip buffer per thread, provisioned before the region so a
+    // refusal is an error here rather than an abort on a worker.
+    let strip_len = input_span(VW, shape.stride, shape.s)
+        .and_then(|win_max| checked_product(&[shape.c, shape.r, win_max]));
+    let strips = try_scratch_bufs(strip_len, threads)?;
+
     let out_shared = SharedSlice::new(out.as_mut_slice());
     pool.try_run(|tid| {
         // Disjointness: threads own disjoint output rows; barrier before
         // return.
         let out_all = &out_shared;
-        let win_max = (VW - 1) * shape.stride + shape.s;
-        let mut buf = AlignedBuf::zeroed(shape.c * shape.r * win_max);
+        let mut buf = strips[tid].lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         for row in split_static(rows_total, threads, tid) {
             let n = row / p;
             let oh = row % p;

@@ -20,7 +20,7 @@
 //! before its FMA burst, so the buffer stores overlap with computation
 //! exactly as the paper interleaves `st` with `fma`.
 
-use ndirect_simd::{prefetch_read, F32x4, SimdVec};
+use ndirect_simd::{F32x4, SimdVec};
 use ndirect_threads::SharedSlice;
 
 use crate::pack::{gather_row, prefetch_row};
@@ -112,15 +112,59 @@ pub enum RowSource<'a> {
     },
 }
 
+/// One `(c, r)` input row as the row walk hands it to a kernel.
+enum Row<'a> {
+    /// A dense window of at least `win` floats: a packed, gathered or slab
+    /// row, or an interior slice of the image.
+    Window(&'a [f32]),
+    /// The full `W`-column image row of a zero-copy strip whose window
+    /// leaves the image; the kernel skips the taps that fall into padding.
+    Clipped {
+        /// The whole image row.
+        row: &'a [f32],
+        /// Signed image column of window column 0.
+        iw0: isize,
+    },
+}
+
 impl RowSource<'_> {
-    /// The `win`-element input row for tile channel `c`, kernel row `rr`
-    /// (used by the dynamic edge kernel; the monomorphized kernels stream
-    /// rows with `chunks_exact` instead).
+    /// The single row walk: visits the tile's `(c, r)` rows in reduction
+    /// order and hands `f` each row's filter taps (`[s][Vk]`) and input.
+    /// All source-specific addressing, the fused gather and the software
+    /// prefetch hint live here, so every kernel is this walk plus a per-row
+    /// body. `win` is the window the kernel reads,
+    /// `(valid_w − 1)·stride + S`. A `Direct` row that lies wholly in
+    /// padding is not visited: the packed path would stream zeros there,
+    /// which contribute nothing (see [`RowSource::Direct`]).
+    ///
+    /// Each source keeps a loop of its own, so that only the gathering one
+    /// has a call in it and the others hold the caller's accumulators in
+    /// registers. Callers mark `f` `#[inline(always)]` for the same reason:
+    /// with one call site per loop it would otherwise be outlined and the
+    /// accumulators would live in memory.
     #[inline(always)]
-    fn row(&mut self, c: usize, rr: usize) -> &[f32] {
+    fn for_each_row(
+        &mut self,
+        args: &TileArgs<'_>,
+        win: usize,
+        mut f: impl FnMut(&[f32], Row<'_>),
+    ) {
+        let (tcb, rdim) = (args.tcb, args.rdim);
+        let next = move |c: usize, rr: usize| if rr + 1 < rdim { (c, rr + 1) } else { (c + 1, 0) };
+        // (c, r, taps) in reduction order. Zipping the tap rows with the
+        // packed rows below keeps both iterations check-free.
+        let mut at = (0, 0);
+        let walk = args.tf.chunks_exact(args.sdim * args.vk).take(tcb * rdim).map(move |tfr| {
+            let (c, rr) = at;
+            at = next(c, rr);
+            (c, rr, tfr)
+        });
         match self {
-            RowSource::Packed { buf, win, rdim } => {
-                &buf[(c * *rdim + rr) * *win..(c * *rdim + rr + 1) * *win]
+            RowSource::Packed { buf, win: bwin, rdim: rd } => {
+                debug_assert!(*rd == rdim && *bwin >= win);
+                for ((_, _, tfr), brow) in walk.zip(buf.chunks_exact(*bwin)) {
+                    f(tfr, Row::Window(brow));
+                }
             }
             RowSource::Gather {
                 image,
@@ -130,13 +174,21 @@ impl RowSource<'_> {
                 ih0,
                 iw0,
                 buf,
-                win,
-                rdim,
-                ..
+                win: bwin,
+                rdim: rd,
+                prefetch,
             } => {
-                let dst = &mut buf[(c * *rdim + rr) * *win..(c * *rdim + rr + 1) * *win];
-                gather_row(image, *ct + c, *ih0 + rr as isize, *iw0, *h, *w, dst);
-                dst
+                debug_assert!(*rd == rdim && *bwin >= win);
+                for ((c, rr, tfr), brow) in walk.zip(buf.chunks_exact_mut(*bwin)) {
+                    let (nc, nr) = next(c, rr);
+                    if *prefetch && nc < tcb {
+                        // Touch the *next* row's source line now so its load
+                        // overlaps this row's gather + FMA burst.
+                        prefetch_row(image, *ct + nc, *ih0 + nr as isize, *iw0, *h, *w);
+                    }
+                    gather_row(image, *ct + c, *ih0 + rr as isize, *iw0, *h, *w, brow);
+                    f(tfr, Row::Window(brow));
+                }
             }
             RowSource::Strided {
                 buf,
@@ -144,17 +196,44 @@ impl RowSource<'_> {
                 row_stride,
                 row_off,
                 col_off,
-                win,
+                win: swin,
             } => {
-                let base = (c * *rows_per_c + *row_off + rr) * *row_stride + *col_off;
-                &buf[base..base + *win]
+                debug_assert!(*swin >= win);
+                for (c, rr, tfr) in walk {
+                    let base = (c * *rows_per_c + *row_off + rr) * *row_stride + *col_off;
+                    f(tfr, Row::Window(&buf[base..base + *swin]));
+                }
             }
-            // Padding rows have no backing storage to return; every kernel
-            // routes `Direct` through its dedicated edge-masked path before
-            // reaching here.
-            // AUDIT: allow(hotpath-no-panic) driver invariant — Direct
-            // sources take the edge-masked path; loud beats corrupt.
-            RowSource::Direct { .. } => unreachable!("Direct rows are edge-masked in the kernels"),
+            RowSource::Direct {
+                image,
+                ct,
+                h,
+                w,
+                ih0,
+                iw0,
+                prefetch,
+            } => {
+                // Interior strip: every window is a plain contiguous slice
+                // of its image row — the true zero-copy path.
+                let interior = *iw0 >= 0 && *iw0 as usize + win <= *w;
+                for (c, rr, tfr) in walk {
+                    let (nc, nr) = next(c, rr);
+                    if *prefetch && nc < tcb {
+                        prefetch_row(image, *ct + nc, *ih0 + nr as isize, *iw0, *h, *w);
+                    }
+                    let ih = *ih0 + rr as isize;
+                    if ih < 0 || ih as usize >= *h {
+                        continue;
+                    }
+                    let row0 = ((*ct + c) * *h + ih as usize) * *w;
+                    if interior {
+                        let lo = row0 + *iw0 as usize;
+                        f(tfr, Row::Window(&image[lo..lo + win]));
+                    } else {
+                        f(tfr, Row::Clipped { row: &image[row0..row0 + *w], iw0: *iw0 });
+                    }
+                }
+            }
         }
     }
 }
@@ -200,11 +279,9 @@ macro_rules! stride_dispatch {
 /// Dispatch is on the strip's *live* width (`valid_w`), so `Q`-tail strips
 /// run register-resident kernels too; `K`-tails are handled inside the
 /// kernel by masking the accumulator store (the zero-padded filter lanes
-/// compute zeros, which the mask discards). `vw` — the scheduled width — is
-/// unused beyond diagnostics now but kept so callers state their schedule.
-pub fn run_tile(rows: &mut RowSource<'_>, args: &TileArgs<'_>, vw: usize, out: &SharedSlice<'_, f32>) {
+/// compute zeros, which the mask discards).
+pub fn run_tile(rows: &mut RowSource<'_>, args: &TileArgs<'_>, out: &SharedSlice<'_, f32>) {
     debug_assert!(args.tf.len() >= args.tcb * args.rdim * args.sdim * args.vk);
-    debug_assert!(args.valid_w <= vw);
     match (args.valid_w, args.vk / 4) {
         (1, 1) => stride_dispatch!(rows, args, out, 1, 1),
         (1, 2) => stride_dispatch!(rows, args, out, 1, 2),
@@ -261,251 +338,73 @@ fn main_kernel<const VW: usize, const VKV: usize, const STRIDE: usize>(
     args: &TileArgs<'_>,
     out: &SharedSlice<'_, f32>,
 ) {
-    let vk = VKV * 4;
-    debug_assert_eq!(args.vk, vk);
-    debug_assert_eq!(args.stride, STRIDE);
-    let (rdim, sdim) = (args.rdim, args.sdim);
-    if rdim == 1 && sdim == 1 {
-        // Pointwise convolutions get a dedicated loop: one row per channel
-        // feeds only Vw·Vk/4 FMAs, so generic per-row machinery would
-        // dominate the kernel.
-        return main_kernel_1x1::<VW, VKV, STRIDE>(rows, args, out);
-    }
-    let mut acc = [[F32x4::zero(); VKV]; VW];
-    // Resolve the row source once, then stream rows with `chunks_exact`
-    // (check-free iteration).
-    match rows {
-        RowSource::Packed { buf, win, rdim: rd } => {
-            debug_assert_eq!(*rd, rdim);
-            let win = *win;
-            for (crow, tfc) in buf
-                .chunks_exact(rdim * win)
-                .zip(args.tf.chunks_exact(rdim * sdim * vk))
-                .take(args.tcb)
-            {
-                prefetch_read(tfc.as_ptr());
-                for (brow, tfr) in crow.chunks_exact(win).zip(tfc.chunks_exact(sdim * vk)) {
-                    kernel_row::<VW, VKV, STRIDE>(&mut acc, brow, tfr, sdim);
-                }
-            }
-        }
-        RowSource::Gather {
-            image,
-            ct,
-            h,
-            w,
-            ih0,
-            iw0,
-            buf,
-            win,
-            rdim: rd,
-            prefetch,
-        } => {
-            debug_assert_eq!(*rd, rdim);
-            let win = *win;
-            for ((c, crow), tfc) in buf
-                .chunks_exact_mut(rdim * win)
-                .enumerate()
-                .zip(args.tf.chunks_exact(rdim * sdim * vk))
-                .take(args.tcb)
-            {
-                for ((rr, brow), tfr) in crow
-                    .chunks_exact_mut(win)
-                    .enumerate()
-                    .zip(tfc.chunks_exact(sdim * vk))
-                {
-                    if *prefetch {
-                        // Touch the *next* row's source line now so its load
-                        // overlaps this row's gather + FMA burst.
-                        let (nc, nr) = if rr + 1 < rdim { (c, rr + 1) } else { (c + 1, 0) };
-                        if nc < args.tcb {
-                            prefetch_row(image, *ct + nc, *ih0 + nr as isize, *iw0, *h, *w);
-                        }
-                    }
-                    gather_row(image, *ct + c, *ih0 + rr as isize, *iw0, *h, *w, brow);
-                    kernel_row::<VW, VKV, STRIDE>(&mut acc, brow, tfr, sdim);
-                }
-            }
-        }
-        RowSource::Strided {
-            buf,
-            rows_per_c,
-            row_stride,
-            row_off,
-            col_off,
-            win,
-        } => {
-            debug_assert_eq!(*win, (VW - 1) * STRIDE + sdim);
-            for (c, tfc) in args.tf.chunks_exact(rdim * sdim * vk).enumerate().take(args.tcb) {
-                prefetch_read(tfc.as_ptr());
-                for (rr, tfr) in tfc.chunks_exact(sdim * vk).enumerate() {
-                    let base = (c * *rows_per_c + *row_off + rr) * *row_stride + *col_off;
-                    kernel_row::<VW, VKV, STRIDE>(&mut acc, &buf[base..base + *win], tfr, sdim);
-                }
-            }
-        }
-        RowSource::Direct {
-            image,
-            ct,
-            h,
-            w,
-            ih0,
-            iw0,
-            prefetch,
-        } => {
-            let win = (VW - 1) * STRIDE + sdim;
-            for (c, tfc) in args.tf.chunks_exact(rdim * sdim * vk).enumerate().take(args.tcb) {
-                prefetch_read(tfc.as_ptr());
-                for (rr, tfr) in tfc.chunks_exact(sdim * vk).enumerate() {
-                    if *prefetch {
-                        let (nc, nr) = if rr + 1 < rdim { (c, rr + 1) } else { (c + 1, 0) };
-                        if nc < args.tcb {
-                            prefetch_row(image, *ct + nc, *ih0 + nr as isize, *iw0, *h, *w);
-                        }
-                    }
-                    let ih = *ih0 + rr as isize;
-                    if ih < 0 || ih as usize >= *h {
-                        // The whole row is padding: the packed path would
-                        // multiply a zero-filled row, contributing nothing.
-                        continue;
-                    }
-                    let row0 = (*ct + c) * *h * *w + ih as usize * *w;
-                    if *iw0 >= 0 && *iw0 as usize + win <= *w {
-                        // Interior strip: the window is a plain contiguous
-                        // slice of the image row — the true zero-copy path.
-                        let lo = row0 + *iw0 as usize;
-                        kernel_row::<VW, VKV, STRIDE>(&mut acc, &image[lo..lo + win], tfr, sdim);
-                    } else {
-                        let row = &image[row0..row0 + *w];
-                        kernel_row_clipped::<VW, VKV, STRIDE>(&mut acc, row, *iw0, tfr, sdim);
-                    }
-                }
-            }
-        }
-    }
-    // Read-add-write scatter into NCHW: pixel wi is contiguous along Q,
-    // channel l is `kstride` apart. `valid_k` masks the zero-padded filter
-    // lanes of a K-tail block.
-    for (wi, accw) in acc.iter().enumerate() {
-        for (j, v) in accw.iter().enumerate() {
-            let lanes = v.to_array();
-            for (l, &x) in lanes.iter().enumerate() {
-                let k_local = j * 4 + l;
-                if k_local < args.valid_k {
-                    // SAFETY: the driver's thread grid gives this tile's
-                    // (K-range × output-row) region a single writer.
-                    unsafe { out.add_assign(args.obase + k_local * args.kstride + wi, x) };
-                }
-            }
-        }
+    debug_assert_eq!((args.vk, args.stride, args.valid_w), (VKV * 4, STRIDE, VW));
+    if args.rdim == 1 && args.sdim == 1 {
+        main_kernel_1x1::<VW, VKV, STRIDE>(rows, args, out);
+    } else {
+        reduce_tile::<VW, VKV, STRIDE>(rows, args, out);
     }
 }
 
-/// Pointwise (`R = S = 1`) kernel: both operands stream linearly — the
-/// packed input as `win`-float rows, the transformed filter as `Vk`-float
-/// vectors — with one zipped loop over the channel tile and no inner tap
-/// loop.
+/// Pointwise layers are the `R = S = 1` case of the same walk and scatter,
+/// instantiated a second time with those as constants: one single-tap row
+/// per channel feeds only `Vw·Vk/4` FMAs on a register tile sized to fill
+/// the file, and the runtime tap loop costs the accumulators their
+/// registers (`core.gflops_1x1` fell 29 % without this). Kept out of line
+/// so the two copies do not share a frame, which cost the general one its
+/// register allocation instead.
+#[inline(never)]
 fn main_kernel_1x1<const VW: usize, const VKV: usize, const STRIDE: usize>(
     rows: &mut RowSource<'_>,
     args: &TileArgs<'_>,
     out: &SharedSlice<'_, f32>,
 ) {
-    let vk = VKV * 4;
-    let win = (VW - 1) * STRIDE + 1;
+    let pointwise = TileArgs { rdim: 1, sdim: 1, vk: VKV * 4, ..*args };
+    reduce_tile::<VW, VKV, STRIDE>(rows, &pointwise, out);
+}
+
+/// [`main_kernel`]'s body: the row walk into register accumulators, then
+/// the scatter.
+#[inline(always)]
+fn reduce_tile<const VW: usize, const VKV: usize, const STRIDE: usize>(
+    rows: &mut RowSource<'_>,
+    args: &TileArgs<'_>,
+    out: &SharedSlice<'_, f32>,
+) {
+    let sdim = args.sdim;
     let mut acc = [[F32x4::zero(); VKV]; VW];
+    rows.for_each_row(args, (VW - 1) * STRIDE + sdim, #[inline(always)] |tfr, row| match row {
+        Row::Window(brow) => kernel_row::<VW, VKV, STRIDE>(&mut acc, brow, tfr, sdim),
+        Row::Clipped { row, iw0 } => {
+            kernel_row_clipped::<VW, VKV, STRIDE>(&mut acc, row, iw0, tfr, sdim)
+        }
+    });
+    scatter_add(&acc, VKV, args.valid_k, out, args.obase, args.kstride, 1);
+}
 
-    // A pointwise row is kernel_row with a single tap (sdim = 1); both
-    // operands stream linearly, one zipped pass over the channel tile.
-    match rows {
-        RowSource::Packed { buf, win: w_in, .. } => {
-            debug_assert_eq!(*w_in, win);
-            for (brow, frow) in buf
-                .chunks_exact(win)
-                .zip(args.tf.chunks_exact(vk))
-                .take(args.tcb)
-            {
-                kernel_row::<VW, VKV, STRIDE>(&mut acc, brow, frow, 1);
-            }
-        }
-        RowSource::Gather {
-            image,
-            ct,
-            h,
-            w,
-            ih0,
-            iw0,
-            buf,
-            win: w_in,
-            prefetch,
-            ..
-        } => {
-            debug_assert_eq!(*w_in, win);
-            for ((c, brow), frow) in buf
-                .chunks_exact_mut(win)
-                .enumerate()
-                .zip(args.tf.chunks_exact(vk))
-                .take(args.tcb)
-            {
-                if *prefetch && c + 1 < args.tcb {
-                    prefetch_row(image, *ct + c + 1, *ih0, *iw0, *h, *w);
-                }
-                gather_row(image, *ct + c, *ih0, *iw0, *h, *w, brow);
-                kernel_row::<VW, VKV, STRIDE>(&mut acc, brow, frow, 1);
-            }
-        }
-        RowSource::Strided {
-            buf,
-            rows_per_c,
-            row_stride,
-            row_off,
-            col_off,
-            win: w_in,
-        } => {
-            debug_assert_eq!(*w_in, win);
-            for (c, frow) in args.tf.chunks_exact(vk).enumerate().take(args.tcb) {
-                let base = (c * *rows_per_c + *row_off) * *row_stride + *col_off;
-                kernel_row::<VW, VKV, STRIDE>(&mut acc, &buf[base..base + win], frow, 1);
-            }
-        }
-        RowSource::Direct {
-            image,
-            ct,
-            h,
-            w,
-            ih0,
-            iw0,
-            prefetch,
-        } => {
-            // A 1×1 kernel has one (possibly padded) input row per channel;
-            // an out-of-image row contributes nothing, exactly like the
-            // zero-filled row the packed path would stream.
-            if *ih0 >= 0 && (*ih0 as usize) < *h {
-                let ih = *ih0 as usize;
-                for (c, frow) in args.tf.chunks_exact(vk).enumerate().take(args.tcb) {
-                    if *prefetch && c + 1 < args.tcb {
-                        prefetch_row(image, *ct + c + 1, *ih0, *iw0, *h, *w);
-                    }
-                    let row0 = (*ct + c) * *h * *w + ih * *w;
-                    if *iw0 >= 0 && *iw0 as usize + win <= *w {
-                        let lo = row0 + *iw0 as usize;
-                        kernel_row::<VW, VKV, STRIDE>(&mut acc, &image[lo..lo + win], frow, 1);
-                    } else {
-                        let row = &image[row0..row0 + *w];
-                        kernel_row_clipped::<VW, VKV, STRIDE>(&mut acc, row, *iw0, frow, 1);
-                    }
-                }
-            }
-        }
-    }
-
+/// The read-add-write scatter every f32 kernel ends with: accumulator
+/// `acc[wi]` vector `j` lane `l` is output channel `j·4 + l` of pixel `wi`,
+/// at `obase + channel·kstride + wi·wstride` (`NCHW`: pixels contiguous
+/// along `Q`, channels `P·Q` apart; `NHWC`: the transpose). `valid_k` masks
+/// the zero-padded filter lanes of a `K`-tail block.
+#[inline(always)]
+pub(crate) fn scatter_add<const J: usize>(
+    acc: &[[F32x4; J]],
+    vkv: usize,
+    valid_k: usize,
+    out: &SharedSlice<'_, f32>,
+    obase: usize,
+    kstride: usize,
+    wstride: usize,
+) {
     for (wi, accw) in acc.iter().enumerate() {
-        for (j, v) in accw.iter().enumerate() {
-            let lanes = v.to_array();
-            for (l, &x) in lanes.iter().enumerate() {
+        for (j, v) in accw.iter().enumerate().take(vkv) {
+            for (l, &x) in v.to_array().iter().enumerate() {
                 let k_local = j * 4 + l;
-                if k_local < args.valid_k {
-                    // SAFETY: single writer per tile region (see driver).
-                    unsafe { out.add_assign(args.obase + k_local * args.kstride + wi, x) };
+                if k_local < valid_k {
+                    // SAFETY: the driver's thread grid gives this tile's
+                    // (K-range × output-row) region a single writer.
+                    unsafe { out.add_assign(obase + k_local * kstride + wi * wstride, x) };
                 }
             }
         }
@@ -579,90 +478,39 @@ fn kernel_row_clipped<const VW: usize, const VKV: usize, const STRIDE: usize>(
 }
 
 /// The dynamic edge kernel: identical math with runtime tile bounds, used
-/// for `W`/`K` tails and for unusual schedules outside the monomorphized
-/// set. Accumulators may spill for large bounds; edges are a vanishing
-/// fraction of the iteration space.
+/// for unusual schedules outside the monomorphized set. Accumulators may
+/// spill for large bounds; edges are a vanishing fraction of the iteration
+/// space, so one row body serves both row kinds — a dense window is the
+/// clipped walk with nothing to clip. Tap order `(ss, wi, j)` matches
+/// [`kernel_row`].
 fn dyn_kernel(rows: &mut RowSource<'_>, args: &TileArgs<'_>, out: &SharedSlice<'_, f32>) {
     let vk = args.vk;
     let vkv = vk / 4;
     // AUDIT: allow(hotpath-no-panic) O(1) tile-entry guard sizing the
     // fixed accumulator array; every `acc` subscript below relies on it.
     assert!(args.valid_w <= VW_MAX && vkv <= VKV_MAX, "tile exceeds dyn kernel bounds");
-    let (rdim, sdim, stride) = (args.rdim, args.sdim, args.stride);
+    let (sdim, stride, valid_w) = (args.sdim, args.stride, args.valid_w);
     let mut acc = [[F32x4::zero(); VKV_MAX]; VW_MAX];
-    if let RowSource::Direct {
-        image,
-        ct,
-        h,
-        w,
-        ih0,
-        iw0,
-        ..
-    } = rows
-    {
-        // Zero-copy edge path: no row buffer exists, so clip at tap
-        // granularity against the image bounds. Loop order (c, rr, ss, wi,
-        // j) and the fv load inside the j loop mirror the packed branch
-        // below; skipped taps are the ones a packed row holds as zero.
-        for c in 0..args.tcb {
-            for rr in 0..rdim {
-                let ih = *ih0 + rr as isize;
-                if ih < 0 || ih as usize >= *h {
+    rows.for_each_row(args, (valid_w - 1) * stride + sdim, #[inline(always)] |tfr, row| {
+        let (row, iw0) = match row {
+            Row::Window(brow) => (brow, 0),
+            Row::Clipped { row, iw0 } => (row, iw0),
+        };
+        for ss in 0..sdim {
+            for (wi, accw) in acc.iter_mut().enumerate().take(valid_w) {
+                let col = iw0 + (wi * stride + ss) as isize;
+                if col < 0 || col >= row.len() as isize {
                     continue;
                 }
-                let row0 = (*ct + c) * *h * *w + ih as usize * *w;
-                let brow = &image[row0..row0 + *w];
-                let tfrow =
-                    &args.tf[((c * rdim + rr) * sdim) * vk..((c * rdim + rr) * sdim + sdim) * vk];
-                for ss in 0..sdim {
-                    for (wi, accw) in acc.iter_mut().enumerate().take(args.valid_w) {
-                        let col = *iw0 + (wi * stride + ss) as isize;
-                        if col < 0 || col >= *w as isize {
-                            continue;
-                        }
-                        // INDEX: col bounds-checked against [0, w) above.
-                        let x = F32x4::splat(brow[col as usize]);
-                        for j in 0..vkv {
-                            let fv = F32x4::load(&tfrow[ss * vk + j * 4..]);
-                            // INDEX: j < vkv ≤ VKV_MAX (tile-entry assert).
-                            accw[j] = accw[j].fma(fv, x);
-                        }
-                    }
+                // INDEX: col bounds-checked against [0, len) above.
+                let x = F32x4::splat(row[col as usize]);
+                for (j, a) in accw.iter_mut().enumerate().take(vkv) {
+                    *a = a.fma(F32x4::load(&tfr[ss * vk + j * 4..]), x);
                 }
             }
         }
-    } else {
-        for c in 0..args.tcb {
-            for rr in 0..rdim {
-                let brow = rows.row(c, rr);
-                let tfrow =
-                    &args.tf[((c * rdim + rr) * sdim) * vk..((c * rdim + rr) * sdim + sdim) * vk];
-                for ss in 0..sdim {
-                    for wi in 0..args.valid_w {
-                        // INDEX: packed rows span win ≥ (valid_w-1)*stride + sdim floats.
-                        let x = F32x4::splat(brow[wi * stride + ss]);
-                        for j in 0..vkv {
-                            let fv = F32x4::load(&tfrow[ss * vk + j * 4..]);
-                            // INDEX: wi < valid_w ≤ VW_MAX, j < vkv ≤ VKV_MAX (tile-entry assert).
-                            acc[wi][j] = acc[wi][j].fma(fv, x);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    for (wi, accw) in acc.iter().enumerate().take(args.valid_w) {
-        for (j, v) in accw.iter().enumerate().take(vkv) {
-            let lanes = v.to_array();
-            for (l, &x) in lanes.iter().enumerate() {
-                let k_local = j * 4 + l;
-                if k_local < args.valid_k {
-                    // SAFETY: single writer per tile region (see driver).
-                    unsafe { out.add_assign(args.obase + k_local * args.kstride + wi, x) };
-                }
-            }
-        }
-    }
+    });
+    scatter_add(&acc[..valid_w], vkv, args.valid_k, out, args.obase, args.kstride, 1);
 }
 
 #[cfg(test)]
@@ -761,7 +609,7 @@ mod tests {
                 // prefetch addressing on padded/strided shapes too.
                 prefetch: true,
             };
-            run_tile(&mut rows, &args, vw, &out);
+            run_tile(&mut rows, &args, &out);
         } else {
             pack_strip(image, ct, tcb, shape.r, shape.h, shape.w, geom, &mut buf);
             let mut rows = RowSource::Packed {
@@ -769,7 +617,7 @@ mod tests {
                 win: geom.win,
                 rdim: shape.r,
             };
-            run_tile(&mut rows, &args, vw, &out);
+            run_tile(&mut rows, &args, &out);
         }
 
         let expect = reference_tile(
@@ -832,7 +680,7 @@ mod tests {
                 let mut buf = vec![0.0; tcb * shape.r * geom.win];
                 pack_strip(image, ct, tcb, shape.r, shape.h, shape.w, geom, &mut buf);
                 let mut rows = RowSource::Packed { buf: &buf, win: geom.win, rdim: shape.r };
-                run_tile(&mut rows, &args, valid_w, &out);
+                run_tile(&mut rows, &args, &out);
             }
             1 => {
                 let mut rows = RowSource::Direct {
@@ -844,7 +692,7 @@ mod tests {
                     iw0: geom.iw0,
                     prefetch: true,
                 };
-                run_tile(&mut rows, &args, valid_w, &out);
+                run_tile(&mut rows, &args, &out);
             }
             _ => {
                 // A two-row slice ending at `oh` (one row when oh = 0), so
@@ -863,7 +711,7 @@ mod tests {
                     col_off: wv * shape.stride,
                     win: geom.win,
                 };
-                run_tile(&mut rows, &args, valid_w, &out);
+                run_tile(&mut rows, &args, &out);
             }
         }
         out_vec

@@ -63,8 +63,8 @@ pub mod sparse;
 pub mod schedule;
 
 pub use conv::{
-    conv_ndirect, conv_ndirect_into, conv_ndirect_nhwc, conv_ndirect_with, try_conv_ndirect,
-    try_conv_ndirect_into, try_conv_ndirect_nhwc, try_conv_ndirect_with,
+    conv_ndirect, conv_ndirect_into, conv_ndirect_with, try_conv_ndirect, try_conv_ndirect_into,
+    try_conv_ndirect_with,
 };
 pub use depthwise::{
     conv_depthwise, conv_depthwise_separable, try_conv_depthwise, try_conv_depthwise_separable,
@@ -80,8 +80,8 @@ pub use int16::{conv_int16, conv_int16_naive, try_conv_int16, Int16Filter, Int16
 pub use quantize::{conv_quantized, try_conv_quantized, QuantParams};
 pub use sparse::{conv_ndirect_pruned, prune_channels, try_conv_ndirect_pruned, ChannelMask};
 pub use nhwc::{
-    conv_ndirect_nhwc_native, conv_ndirect_nhwc_with, try_conv_ndirect_nhwc_native,
-    try_conv_ndirect_nhwc_with, TransformedFilterNhwc,
+    conv_ndirect_nhwc, conv_ndirect_nhwc_with, try_conv_ndirect_nhwc, try_conv_ndirect_nhwc_with,
+    TransformedFilterNhwc,
 };
 pub use filter::{transform_filter, transform_filter_block, TransformedFilter};
 pub use plan::{ConvPlan, DepthwisePlan};

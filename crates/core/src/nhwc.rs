@@ -23,6 +23,7 @@ use ndirect_tensor::{ActLayout, ConvShape, Filter, FilterLayout, Tensor4};
 use ndirect_threads::{SharedSlice, StaticPool};
 
 use crate::error::{check, Error};
+use crate::kernel::scatter_add;
 use crate::schedule::Schedule;
 
 /// Transforms the filter block `k ∈ [kt, kt+tkb)`, `c ∈ [ct, ct+tcb)` into
@@ -229,27 +230,19 @@ fn kernel_nhwc<const VW: usize, const VKV: usize, const STRIDE: usize>(
             }
         }
     }
-    // Contiguous vector read-add-write per pixel; K-tail masked.
+    if valid_k != vk {
+        // K-tail block: the masked scalar scatter.
+        return scatter_add(&acc, VKV, valid_k, out_row, obase, 1, kdim);
+    }
+    // Contiguous vector read-add-write per pixel.
     for (wi, accw) in acc.iter().enumerate() {
         let o = obase + wi * kdim;
-        if valid_k == vk {
-            for (j, v) in accw.iter().enumerate() {
-                // SAFETY: this (K-range × row) region has a single writer
-                // under the driver's thread grid.
-                let dst = unsafe { out_row.range_mut(o + j * 4, 4) };
-                let sum = F32x4::load(dst).add(*v);
-                sum.store(dst);
-            }
-        } else {
-            for (j, v) in accw.iter().enumerate() {
-                let lanes = v.to_array();
-                for (l, &x) in lanes.iter().enumerate() {
-                    if j * 4 + l < valid_k {
-                        // SAFETY: single writer (see above).
-                        unsafe { out_row.add_assign(o + j * 4 + l, x) };
-                    }
-                }
-            }
+        for (j, v) in accw.iter().enumerate() {
+            // SAFETY: this (K-range × row) region has a single writer
+            // under the driver's thread grid.
+            let dst = unsafe { out_row.range_mut(o + j * 4, 4) };
+            let sum = F32x4::load(dst).add(*v);
+            sum.store(dst);
         }
     }
 }
@@ -295,18 +288,7 @@ fn kernel_nhwc_dyn(
             }
         }
     }
-    for (wi, accw) in acc.iter().enumerate().take(valid_w) {
-        let o = obase + wi * kdim;
-        for (j, v) in accw.iter().enumerate().take(vkv) {
-            let lanes = v.to_array();
-            for (l, &x) in lanes.iter().enumerate() {
-                if j * 4 + l < valid_k {
-                    // SAFETY: single writer per (K-range × row) region.
-                    unsafe { out_row.add_assign(o + j * 4 + l, x) };
-                }
-            }
-        }
-    }
+    scatter_add(&acc[..valid_w], vkv, valid_k, out_row, obase, 1, kdim);
 }
 
 macro_rules! nhwc_dispatch {
@@ -413,23 +395,24 @@ pub fn try_conv_ndirect_nhwc_with(
     // Thin wrapper since the plan layer exists: build a throwaway plan
     // borrowing the filter (on-the-fly transform, zero-copy) and execute
     // it once. Repeated callers build a [`crate::ConvPlan`] themselves.
-    let plan = crate::plan::ConvPlan::try_borrowed_nhwc(shape, filter, schedule)?;
+    let plan = crate::plan::ConvPlan::try_borrowed(shape, filter, schedule, ActLayout::Nhwc)?;
     plan.execute(pool, input, &mut out)?;
     Ok(out)
 }
 
-/// Native-`NHWC` nDirect with a model-derived schedule.
-pub fn conv_ndirect_nhwc_native(
+/// nDirect for `NHWC` activations / `KRSC` filters with a model-derived
+/// schedule — the native `NHWC` kernel, no layout conversion involved.
+pub fn conv_ndirect_nhwc(
     pool: &StaticPool,
     input: &Tensor4,
     filter: &Filter,
     shape: &ConvShape,
 ) -> Tensor4 {
-    try_conv_ndirect_nhwc_native(pool, input, filter, shape).unwrap_or_else(|e| panic!("{e}"))
+    try_conv_ndirect_nhwc(pool, input, filter, shape).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible form of [`conv_ndirect_nhwc_native`].
-pub fn try_conv_ndirect_nhwc_native(
+/// Fallible form of [`conv_ndirect_nhwc`].
+pub fn try_conv_ndirect_nhwc(
     pool: &StaticPool,
     input: &Tensor4,
     filter: &Filter,
@@ -522,7 +505,7 @@ mod tests {
         let (input, filter) = problem(&shape, 31);
         let expect = naive::conv_ref(&input, &filter, &shape);
         let pool = StaticPool::new(2);
-        let got = conv_ndirect_nhwc_native(&pool, &input, &filter, &shape);
+        let got = conv_ndirect_nhwc(&pool, &input, &filter, &shape);
         assert_close(got.as_slice(), expect.as_slice(), 2e-4, "derived nhwc");
     }
 

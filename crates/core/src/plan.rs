@@ -37,17 +37,17 @@
 use std::sync::Mutex;
 
 use ndirect_platform::Platform;
-use ndirect_tensor::{ActLayout, AlignedBuf, ConvShape, Filter, FilterLayout, Tensor4};
+use ndirect_tensor::{ActLayout, AlignedBuf, ConvShape, Filter, Tensor4};
 use ndirect_threads::{split_static, SharedSlice, StaticPool};
 
-use crate::conv::{compute_strip, try_alloc_scratch, Scratch, StripCtx, StripSource};
+use crate::conv::{compute_strip, try_alloc_scratch, Scratch, StripCtx};
 use crate::error::{check, Error};
 use crate::filter::{transform_filter_block, TransformedFilter};
 use crate::nhwc::{
     pack_strip_nhwc, run_nhwc_tile, transform_filter_nhwc_block, TransformedFilterNhwc,
 };
 use crate::pack::{pack_slice_slab, StripGeom};
-use crate::schedule::{FilterState, PackingMode, Schedule};
+use crate::schedule::{image_rows, FilterState, PackingMode, Schedule};
 
 /// How many idle scratch sets a plan keeps for reuse. Leases beyond this
 /// (that many *concurrent* executes of one plan) allocate on the spot and
@@ -71,31 +71,42 @@ impl FilterRef<'_> {
     }
 }
 
-/// The plan's filter state: raw (transformed on the fly per cache block,
-/// the paper's default) or packed once at build time.
-enum PlanFilter<'f> {
+/// A plan's filter in one of its two states: raw (transformed on the fly
+/// per cache block, the paper's default) or packed once at build time
+/// into the form `P` its loop nest reads.
+enum FilterForm<'f, P> {
     Raw(FilterRef<'f>),
-    Packed(TransformedFilter),
-    PackedNhwc(TransformedFilterNhwc),
+    Packed(P),
 }
 
-/// Which driver the plan executes.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PlanLayout {
-    Nchw,
-    Nhwc,
+impl<P> FilterForm<'_, P> {
+    /// `(packed, raw)`: exactly one side is `Some`.
+    fn split(&self) -> (Option<&P>, Option<&Filter>) {
+        match self {
+            FilterForm::Raw(f) => (None, Some(f.get())),
+            FilterForm::Packed(p) => (Some(p), None),
+        }
+    }
 }
 
-/// A small pool of pre-allocated per-thread scratch sets. `take`/`put`
-/// never allocate: the backing `Vec` is created with
-/// [`CACHED_SETS_MAX`] capacity and `put` drops surplus sets instead of
-/// growing it.
+/// Which loop nest the plan runs, carrying the filter in the only packed
+/// form that nest can read — so a layout/filter mismatch is not
+/// representable.
+enum PlanFilter<'f> {
+    Nchw(FilterForm<'f, TransformedFilter>),
+    Nhwc(FilterForm<'f, TransformedFilterNhwc>),
+}
+
+/// A small pool of pre-allocated per-thread scratch sets (one `Mutex<S>`
+/// slot per worker thread). `take`/`put` never allocate: the backing `Vec`
+/// is created with [`CACHED_SETS_MAX`] capacity and `put` drops surplus
+/// sets instead of growing it.
 pub(crate) struct Arena<S> {
-    sets: Mutex<Vec<S>>,
+    sets: Mutex<Vec<Vec<Mutex<S>>>>,
 }
 
 impl<S> Arena<S> {
-    pub(crate) fn new(first: S) -> Self {
+    pub(crate) fn new(first: Vec<Mutex<S>>) -> Self {
         let mut v = Vec::with_capacity(CACHED_SETS_MAX);
         v.push(first);
         Arena {
@@ -103,17 +114,17 @@ impl<S> Arena<S> {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<S>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Vec<Mutex<S>>>> {
         self.sets
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    pub(crate) fn take(&self) -> Option<S> {
+    fn take(&self) -> Option<Vec<Mutex<S>>> {
         self.lock().pop()
     }
 
-    pub(crate) fn put(&self, s: S) {
+    fn put(&self, s: Vec<Mutex<S>>) {
         let mut g = self.lock();
         if g.len() < CACHED_SETS_MAX {
             // AUDIT: allow(hotpath-no-alloc) bounded arena return — at most
@@ -127,7 +138,70 @@ impl<S> Arena<S> {
     }
 }
 
-type NdirectSet = Vec<Mutex<Scratch>>;
+/// What a plan's `execute` holds its operands to: one activation layout
+/// for input and output (with the [`Error::Layout`] context of each) and
+/// the dimensions the planned shape implies.
+pub(crate) struct Operands {
+    pub(crate) layout: ActLayout,
+    pub(crate) contexts: (&'static str, &'static str),
+    pub(crate) in_dims: (usize, usize, usize, usize),
+    pub(crate) out_dims: (usize, usize, usize, usize),
+}
+
+/// The frame every plan's `execute` runs in: O(1) layout/dimension/pool
+/// checks — kept in release builds because the kernels write through
+/// [`SharedSlice`]'s unchecked accessors — a scratch-set lease from
+/// `arena` (`alloc` only on a miss: more concurrent executes than pooled
+/// sets), the parallel region with each worker's scratch slot locked, and
+/// the put-back. `body(tid, scratch, out)` runs on `threads` workers; it
+/// must give every output element a single writer, and the pool barrier
+/// orders all writes before this returns.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn execute_frame<S: Send>(
+    operands: Operands,
+    threads: usize,
+    arena: &Arena<S>,
+    alloc: impl FnOnce() -> Result<Vec<Mutex<S>>, Error>,
+    pool: &StaticPool,
+    input: &Tensor4,
+    out: &mut Tensor4,
+    body: impl Fn(usize, &mut S, &SharedSlice<'_, f32>) + Sync,
+) -> Result<(), Error> {
+    check::act_layout(input, operands.layout, operands.contexts.0)?;
+    check::dims("input dims", operands.in_dims, input.dims())?;
+    check::dims("output dims", operands.out_dims, out.dims())?;
+    check::act_layout(out, operands.layout, operands.contexts.1)?;
+    if threads > pool.size() {
+        return Err(Error::GridExceedsPool {
+            needed: threads,
+            available: pool.size(),
+        });
+    }
+    let set = match arena.take() {
+        Some(s) => {
+            ndirect_probe::probe_count!(ScratchPoolHits, 1);
+            s
+        }
+        None => {
+            ndirect_probe::probe_count!(ScratchPoolMisses, 1);
+            alloc()?
+        }
+    };
+    let out_shared = SharedSlice::new(out.as_mut_slice());
+    let result = pool.try_run(|tid| {
+        if tid >= threads {
+            return;
+        }
+        // The lock is uncontended: one thread per slot, once per region.
+        // INDEX: tid < threads == set.len() — every `alloc` sizes to it.
+        let mut scratch = set[tid]
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        body(tid, &mut scratch, &out_shared);
+    });
+    arena.put(set);
+    result.map_err(Error::from)
+}
 
 /// A pre-built nDirect convolution: sanitized [`Schedule`], transformed
 /// filter, and reusable per-thread scratch, ready to [`execute`] against
@@ -140,9 +214,8 @@ pub struct ConvPlan<'f> {
     shape: ConvShape,
     sched: Schedule,
     degraded: bool,
-    layout: PlanLayout,
     filter: PlanFilter<'f>,
-    arena: Arena<NdirectSet>,
+    arena: Arena<Scratch>,
 }
 
 impl<'f> ConvPlan<'f> {
@@ -157,12 +230,7 @@ impl<'f> ConvPlan<'f> {
         filter: &Filter,
         threads: usize,
     ) -> Result<ConvPlan<'static>, Error> {
-        validate_filter_nchw(shape, filter)?;
-        let sched = Schedule::derive(platform, shape, threads)
-            .with_filter_state(FilterState::PreTransformed);
-        ConvPlan::build(shape, &sched, PlanLayout::Nchw, |s| {
-            packed_nchw(filter, s)
-        })
+        ConvPlan::derived(platform, shape, filter, threads, ActLayout::Nchw)
     }
 
     /// Builds an `NCHW`/`KCRS` plan with an explicit schedule. The
@@ -174,11 +242,7 @@ impl<'f> ConvPlan<'f> {
         filter: &Filter,
         schedule: &Schedule,
     ) -> Result<ConvPlan<'static>, Error> {
-        validate_filter_nchw(shape, filter)?;
-        ConvPlan::build(shape, schedule, PlanLayout::Nchw, |s| match s.filter_state {
-            FilterState::PreTransformed => packed_nchw(filter, s),
-            FilterState::OnTheFly => Ok(PlanFilter::Raw(FilterRef::Owned(filter.clone()))),
-        })
+        ConvPlan::owned(shape, filter, schedule, ActLayout::Nchw)
     }
 
     /// Builds a native-`NHWC`/`KRSC` plan with the model-derived schedule,
@@ -189,12 +253,7 @@ impl<'f> ConvPlan<'f> {
         filter: &Filter,
         threads: usize,
     ) -> Result<ConvPlan<'static>, Error> {
-        validate_filter_nhwc(shape, filter)?;
-        let sched = Schedule::derive(platform, shape, threads)
-            .with_filter_state(FilterState::PreTransformed);
-        ConvPlan::build(shape, &sched, PlanLayout::Nhwc, |s| {
-            packed_nhwc(filter, s)
-        })
+        ConvPlan::derived(platform, shape, filter, threads, ActLayout::Nhwc)
     }
 
     /// Builds a native-`NHWC`/`KRSC` plan with an explicit schedule.
@@ -203,53 +262,59 @@ impl<'f> ConvPlan<'f> {
         filter: &Filter,
         schedule: &Schedule,
     ) -> Result<ConvPlan<'static>, Error> {
-        validate_filter_nhwc(shape, filter)?;
-        ConvPlan::build(shape, schedule, PlanLayout::Nhwc, |s| match s.filter_state {
-            FilterState::PreTransformed => packed_nhwc(filter, s),
-            FilterState::OnTheFly => Ok(PlanFilter::Raw(FilterRef::Owned(filter.clone()))),
-        })
+        ConvPlan::owned(shape, filter, schedule, ActLayout::Nhwc)
     }
 
-    /// The throwaway plan behind [`crate::try_conv_ndirect_into`]: borrows
-    /// the filter (zero-copy for on-the-fly schedules, exactly the
-    /// one-shot driver's cost model) and skips validation — the wrapper
-    /// already ran the boundary checks in the legacy order.
+    fn derived(
+        platform: &Platform,
+        shape: &ConvShape,
+        filter: &Filter,
+        threads: usize,
+        layout: ActLayout,
+    ) -> Result<ConvPlan<'static>, Error> {
+        validate_filter(shape, filter, layout)?;
+        let sched = Schedule::derive(platform, shape, threads)
+            .with_filter_state(FilterState::PreTransformed);
+        ConvPlan::build(shape, filter, &sched, layout, || FilterRef::Owned(filter.clone()))
+    }
+
+    fn owned(
+        shape: &ConvShape,
+        filter: &Filter,
+        schedule: &Schedule,
+        layout: ActLayout,
+    ) -> Result<ConvPlan<'static>, Error> {
+        validate_filter(shape, filter, layout)?;
+        ConvPlan::build(shape, filter, schedule, layout, || FilterRef::Owned(filter.clone()))
+    }
+
+    /// The throwaway plan behind [`crate::try_conv_ndirect_into`] and
+    /// [`crate::nhwc::try_conv_ndirect_nhwc_with`]: borrows the filter
+    /// (zero-copy for on-the-fly schedules, exactly the one-shot driver's
+    /// cost model) and skips validation — the wrappers already ran their
+    /// boundary checks in the legacy order (the `NHWC` entry's do not
+    /// include an ISA probe, and this preserves that).
     pub(crate) fn try_borrowed(
         shape: &ConvShape,
         filter: &'f Filter,
         schedule: &Schedule,
+        layout: ActLayout,
     ) -> Result<ConvPlan<'f>, Error> {
-        ConvPlan::build(shape, schedule, PlanLayout::Nchw, |s| match s.filter_state {
-            FilterState::PreTransformed => packed_nchw(filter, s),
-            FilterState::OnTheFly => Ok(PlanFilter::Raw(FilterRef::Borrowed(filter))),
-        })
-    }
-
-    /// The throwaway plan behind
-    /// [`crate::nhwc::try_conv_ndirect_nhwc_with`]. Skips validation (the
-    /// wrapper ran it; note the NHWC entry's legacy checks do not include
-    /// an ISA probe, and this preserves that).
-    pub(crate) fn try_borrowed_nhwc(
-        shape: &ConvShape,
-        filter: &'f Filter,
-        schedule: &Schedule,
-    ) -> Result<ConvPlan<'f>, Error> {
-        ConvPlan::build(shape, schedule, PlanLayout::Nhwc, |s| match s.filter_state {
-            FilterState::PreTransformed => packed_nhwc(filter, s),
-            FilterState::OnTheFly => Ok(PlanFilter::Raw(FilterRef::Borrowed(filter))),
-        })
+        ConvPlan::build(shape, filter, schedule, layout, || FilterRef::Borrowed(filter))
     }
 
     /// Shared build path: sanitize, allocate the first scratch set with
     /// the same graceful degradation as the one-shot drivers (fall back to
     /// the minimal-tile schedule on the same grid; [`Error::ScratchAlloc`]
-    /// only if even that fails), then pack the filter for the *final*
-    /// schedule.
+    /// only if even that fails), then put the filter into the form the
+    /// *final* schedule asks for — packed for `layout`'s loop nest, or
+    /// kept raw through `keep_raw` (a copy or a borrow).
     fn build(
         shape: &ConvShape,
+        filter: &Filter,
         schedule: &Schedule,
-        layout: PlanLayout,
-        make_filter: impl FnOnce(&Schedule) -> Result<PlanFilter<'f>, Error>,
+        layout: ActLayout,
+        keep_raw: impl FnOnce() -> FilterRef<'f>,
     ) -> Result<ConvPlan<'f>, Error> {
         let _build = ndirect_probe::probe_span!(PlanBuild, 0);
         let mut sched = schedule.sanitized(shape);
@@ -258,7 +323,7 @@ impl<'f> ConvPlan<'f> {
         // zero-copy packing variants coerce to Fused there, keeping
         // `schedule()` honest about what actually runs (and the
         // predicted == measured pack accounting exact).
-        if matches!(layout, PlanLayout::Nhwc)
+        if layout == ActLayout::Nhwc
             && matches!(sched.packing, PackingMode::None | PackingMode::Sliced { .. })
         {
             sched.packing = PackingMode::Fused;
@@ -287,15 +352,28 @@ impl<'f> ConvPlan<'f> {
         };
         // Pack for the schedule that will actually run (vk/tc may have
         // changed under degradation).
-        let filter = {
-            let _ft = ndirect_probe::probe_phase!(FilterTransform);
-            make_filter(&sched)?
+        let packed = sched.filter_state == FilterState::PreTransformed;
+        let _ft = ndirect_probe::probe_phase!(FilterTransform);
+        let alloc_err = |elements| Error::ScratchAlloc { elements };
+        let filter = match layout {
+            ActLayout::Nchw => PlanFilter::Nchw(if packed {
+                FilterForm::Packed(TransformedFilter::try_new(filter, sched.vk).map_err(alloc_err)?)
+            } else {
+                FilterForm::Raw(keep_raw())
+            }),
+            ActLayout::Nhwc => PlanFilter::Nhwc(if packed {
+                FilterForm::Packed(
+                    TransformedFilterNhwc::try_new(filter, sched.vk, sched.tc)
+                        .map_err(alloc_err)?,
+                )
+            } else {
+                FilterForm::Raw(keep_raw())
+            }),
         };
         Ok(ConvPlan {
             shape: *shape,
             sched,
             degraded,
-            layout,
             filter,
             arena: Arena::new(first),
         })
@@ -318,14 +396,18 @@ impl<'f> ConvPlan<'f> {
         self.degraded
     }
 
+    // AUDIT: cold — scratch provisioning; runs on arena miss, never per tile.
+    fn alloc_set(&self) -> Result<Vec<Mutex<Scratch>>, Error> {
+        try_alloc_scratch(&self.sched, &self.shape, self.sched.grid.threads())
+            .map_err(|elements| Error::ScratchAlloc { elements })
+    }
+
     /// Ensures at least `n` idle scratch sets are pooled (capped at the
     /// plan's internal maximum), so that up to `n` *concurrent*
     /// [`execute`](ConvPlan::execute) calls run allocation-free.
     pub fn reserve_scratch(&self, n: usize) -> Result<(), Error> {
         while self.arena.idle() < n.min(CACHED_SETS_MAX) {
-            let set = try_alloc_scratch(&self.sched, &self.shape, self.sched.grid.threads())
-                .map_err(|elements| Error::ScratchAlloc { elements })?;
-            self.arena.put(set);
+            self.arena.put(self.alloc_set()?);
         }
         Ok(())
     }
@@ -336,10 +418,10 @@ impl<'f> ConvPlan<'f> {
     ///
     /// The hot path: O(1) layout/dimension/grid checks — kept in release
     /// builds because the kernels write through unchecked accessors — a
-    /// scratch-set lease from the plan's pool, and the driver loop nest.
-    /// No heap allocation, no filter work beyond the schedule's own
-    /// on-the-fly blocks, results bitwise identical to the one-shot entry
-    /// points.
+    /// scratch-set lease from the plan's pool, and the driver loop nest
+    /// (the frame all three plans share). No heap allocation,
+    /// no filter work beyond the schedule's own on-the-fly blocks, results
+    /// bitwise identical to the one-shot entry points.
     // AUDIT: hotpath
     pub fn execute(
         &self,
@@ -348,406 +430,269 @@ impl<'f> ConvPlan<'f> {
         out: &mut Tensor4,
     ) -> Result<(), Error> {
         let shape = &self.shape;
-        let (p, q) = (shape.p(), shape.q());
-        let (in_layout, out_layout, in_ctx, out_ctx) = match self.layout {
-            PlanLayout::Nchw => (
-                ActLayout::Nchw,
-                ActLayout::Nchw,
-                "plan executes NCHW input",
-                "plan writes NCHW",
-            ),
-            PlanLayout::Nhwc => (
-                ActLayout::Nhwc,
-                ActLayout::Nhwc,
-                "plan executes NHWC input",
-                "plan writes NHWC",
-            ),
-        };
-        check::act_layout(input, in_layout, in_ctx)?;
-        check::dims(
-            "input dims",
-            (shape.n, shape.c, shape.h, shape.w),
-            input.dims(),
-        )?;
-        check::dims("output dims", (shape.n, shape.k, p, q), out.dims())?;
-        check::act_layout(out, out_layout, out_ctx)?;
-        if self.sched.grid.threads() > pool.size() {
-            return Err(Error::GridExceedsPool {
-                needed: self.sched.grid.threads(),
-                available: pool.size(),
-            });
-        }
-
-        let set = match self.arena.take() {
-            Some(s) => {
-                ndirect_probe::probe_count!(ScratchPoolHits, 1);
-                s
+        let (layout, contexts) = match self.filter {
+            PlanFilter::Nchw(_) => {
+                (ActLayout::Nchw, ("plan executes NCHW input", "plan writes NCHW"))
             }
-            // Cold path: more concurrent executes than reserved sets.
-            None => {
-                ndirect_probe::probe_count!(ScratchPoolMisses, 1);
-                try_alloc_scratch(&self.sched, shape, self.sched.grid.threads())
-                    .map_err(|elements| Error::ScratchAlloc { elements })?
+            PlanFilter::Nhwc(_) => {
+                (ActLayout::Nhwc, ("plan executes NHWC input", "plan writes NHWC"))
             }
         };
-        let result = match self.layout {
-            PlanLayout::Nchw => self.run_nchw(pool, input, out, &set),
-            PlanLayout::Nhwc => self.run_nhwc(pool, input, out, &set),
+        let operands = Operands {
+            layout,
+            contexts,
+            in_dims: (shape.n, shape.c, shape.h, shape.w),
+            out_dims: (shape.n, shape.k, shape.p(), shape.q()),
         };
-        self.arena.put(set);
-        result.map_err(Error::from)
+        let in_data = input.as_slice();
+        execute_frame(
+            operands,
+            self.sched.grid.threads(),
+            &self.arena,
+            || self.alloc_set(),
+            pool,
+            input,
+            out,
+            |tid, scratch, out_all| {
+                // Disjointness for the SharedSlice writes: K ranges are
+                // disjoint across `tk` and (n, oh) row ranges across `tn`,
+                // so each output element has exactly one writer.
+                let Some(region) = self.sched.partition(shape, tid) else {
+                    return;
+                };
+                match &self.filter {
+                    PlanFilter::Nchw(f) => self.run_nchw(f, region, scratch, in_data, out_all),
+                    PlanFilter::Nhwc(f) => self.run_nhwc(f, region, scratch, in_data, out_all),
+                }
+            },
+        )
     }
 
-    /// Algorithm 2's loop nest (see [`crate::conv`] for the loop-by-loop
-    /// commentary) against pre-leased scratch.
+    /// One thread's share of Algorithm 2's loop nest (see [`crate::conv`]
+    /// for the loop-by-loop commentary) against pre-leased scratch.
     fn run_nchw(
         &self,
-        pool: &StaticPool,
-        input: &Tensor4,
-        out: &mut Tensor4,
-        scratch: &NdirectSet,
-    ) -> Result<(), ndirect_threads::PoolError> {
+        filter: &FilterForm<'_, TransformedFilter>,
+        (k_lo, k_hi, rows): (usize, usize, std::ops::Range<usize>),
+        scratch: &mut Scratch,
+        in_data: &[f32],
+        out_all: &SharedSlice<'_, f32>,
+    ) {
         let shape = &self.shape;
         let sched = &self.sched;
-        let (pre_tf, raw_filter) = match &self.filter {
-            PlanFilter::Packed(tf) => (Some(tf), None),
-            PlanFilter::Raw(f) => (None, Some(f.get())),
-            // The constructors pair PlanLayout::Nchw only with the two
-            // arms above.
-            // AUDIT: allow(hotpath-no-panic) constructor invariant.
-            PlanFilter::PackedNhwc(_) => unreachable!("NHWC filter in an NCHW plan"),
-        };
+        let (pre_tf, raw_filter) = filter.split();
         let (p, q) = (shape.p(), shape.q());
-        let grid = sched.grid;
-        let kv_total = shape.k.div_ceil(sched.vk);
-        let out_shared = SharedSlice::new(out.as_mut_slice());
-        let in_data = input.as_slice();
         let image_len = shape.c * shape.h * shape.w;
-
-        pool.try_run(|tid| {
-            if tid >= grid.threads() {
-                return;
-            }
-            let (tn, tk) = grid.coords(tid);
-
-            // This thread's K range, at Vk granularity.
-            let kvr = split_static(kv_total, grid.ptk(), tk);
-            let k_lo = kvr.start * sched.vk;
-            let k_hi = (kvr.end * sched.vk).min(shape.k);
-            if k_lo >= k_hi {
-                return;
-            }
-            // This thread's slice of the flat N·P output-row space.
-            let rows = split_static(shape.n * p, grid.ptn(), tn);
-            if rows.is_empty() {
-                return;
-            }
-
-            // Disjointness for the SharedSlice writes below: K ranges are
-            // disjoint across `tk` and (n, oh) row ranges across `tn`, so
-            // each output element has exactly one writer; the pool barrier
-            // orders all writes before `run` returns.
-            let out_all = &out_shared;
-
-            // Per-thread scratch, leased by `execute`; the lock is
-            // uncontended (one thread per slot, taken once per region).
-            // INDEX: tid < threads == scratch.len() — the pool contract.
-            let mut guard = scratch[tid]
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            let Scratch {
-                ref mut bbuf,
-                ref mut tfbuf,
-            } = *guard;
-
-            let n_first = rows.start / p;
-            let n_last = (rows.end - 1) / p;
-            for n in n_first..=n_last {
-                let oh_lo = rows.start.saturating_sub(n * p).min(p);
-                let oh_hi = (rows.end - n * p).min(p);
-                let image = &in_data[n * image_len..(n + 1) * image_len];
-                let mut ht = oh_lo;
-                while ht < oh_hi {
-                    let ht_end = (ht + sched.th).min(oh_hi);
-                    let mut ct = 0;
-                    while ct < shape.c {
-                        let tcb = sched.tc.min(shape.c - ct);
-                        // `Sliced` packs one cache-resident slab per
-                        // `rows`-row slice of this `(ht, ct)` tile, hoisted
-                        // above the kt/oh/wv loops so every `Tk` tile and
-                        // strip of the slice reuses it; the other modes
-                        // take a single degenerate slice spanning the tile
-                        // with no slab work.
-                        let slice_step = match sched.packing {
-                            PackingMode::Sliced { rows } => rows.max(1),
-                            _ => ht_end - ht,
-                        };
-                        let row_win = (q - 1) * shape.stride + shape.s;
-                        let mut slab_rows = 0;
-                        let mut sl = ht;
-                        while sl < ht_end {
-                            let sl_end = (sl + slice_step).min(ht_end);
-                            if matches!(sched.packing, PackingMode::Sliced { .. }) {
-                                slab_rows = (sl_end - sl - 1) * shape.stride + shape.r;
-                                ndirect_probe::probe_count!(
-                                    BytesPacked,
-                                    tcb * slab_rows * row_win * std::mem::size_of::<f32>()
-                                );
-                                let _pack = ndirect_probe::probe_phase!(Pack);
-                                pack_slice_slab(image, ct, tcb, shape, sl, sl_end - sl, bbuf);
-                            }
-                            let mut kt = k_lo;
-                            while kt < k_hi {
-                                let tkb = sched.tk.min(k_hi - kt);
-                                let kv_blocks = tkb.div_ceil(sched.vk);
-                                // Per-kv block length in the transform
-                                // buffer uses the *live* channel count of
-                                // this tile.
-                                let tf_block_len = tcb * shape.r * shape.s * sched.vk;
-                                if let Some(f) = raw_filter {
-                                    let _ft = ndirect_probe::probe_phase!(FilterTransform);
-                                    ndirect_probe::probe_count!(
-                                        BytesTransformed,
-                                        kv_blocks * tf_block_len * std::mem::size_of::<f32>()
-                                    );
-                                    transform_filter_block(f, kt, tkb, ct, tcb, sched.vk, tfbuf);
-                                }
-                                for oh in sl..sl_end {
-                                    let mut wv = 0;
-                                    while wv < q {
-                                        let valid_w = sched.vw.min(q - wv);
-                                        let geom = StripGeom::new(shape, oh, wv, valid_w);
-                                        let src = match sched.packing {
-                                            PackingMode::Fused | PackingMode::Sequential => {
-                                                StripSource::PerStrip(&mut *bbuf)
-                                            }
-                                            PackingMode::None => StripSource::Direct,
-                                            PackingMode::Sliced { .. } => StripSource::Slab {
-                                                buf: &bbuf[..],
-                                                rows_per_c: slab_rows,
-                                                row_stride: row_win,
-                                                row_off: (oh - sl) * shape.stride,
-                                            },
-                                        };
-                                        compute_strip(
-                                            StripCtx {
-                                                image,
-                                                shape,
-                                                sched,
-                                                pre_tf,
-                                                tfbuf: &*tfbuf,
-                                                tf_block_len,
-                                                n,
-                                                ct,
-                                                tcb,
-                                                kt,
-                                                kv_blocks,
-                                                k_hi,
-                                                oh,
-                                                wv,
-                                                valid_w,
-                                                geom,
-                                                p,
-                                                q,
-                                            },
-                                            src,
-                                            out_all,
-                                        );
-                                        wv += sched.vw;
-                                    }
-                                }
-                                kt += sched.tk;
-                            }
-                            sl = sl_end;
+        let Scratch { bbuf, tfbuf } = scratch;
+        for (n, ohs) in image_rows(rows, p) {
+            let image = &in_data[n * image_len..(n + 1) * image_len];
+            let mut ht = ohs.start;
+            while ht < ohs.end {
+                let ht_end = (ht + sched.th).min(ohs.end);
+                let mut ct = 0;
+                while ct < shape.c {
+                    let tcb = sched.tc.min(shape.c - ct);
+                    // `Sliced` packs one cache-resident slab per
+                    // `rows`-row slice of this `(ht, ct)` tile, hoisted
+                    // above the kt/oh/wv loops so every `Tk` tile and
+                    // strip of the slice reuses it; the other modes
+                    // take a single degenerate slice spanning the tile
+                    // with no slab work.
+                    let slice_step = match sched.packing {
+                        PackingMode::Sliced { rows } => rows.max(1),
+                        _ => ht_end - ht,
+                    };
+                    let mut sl = ht;
+                    while sl < ht_end {
+                        let sl_end = (sl + slice_step).min(ht_end);
+                        if matches!(sched.packing, PackingMode::Sliced { .. }) {
+                            let slab_rows = (sl_end - sl - 1) * shape.stride + shape.r;
+                            let row_win = (q - 1) * shape.stride + shape.s;
+                            ndirect_probe::probe_count!(
+                                BytesPacked,
+                                tcb * slab_rows * row_win * std::mem::size_of::<f32>()
+                            );
+                            let _pack = ndirect_probe::probe_phase!(Pack);
+                            pack_slice_slab(image, ct, tcb, shape, sl, sl_end - sl, bbuf);
                         }
-                        ct += sched.tc;
+                        let mut kt = k_lo;
+                        while kt < k_hi {
+                            let tkb = sched.tk.min(k_hi - kt);
+                            let kv_blocks = tkb.div_ceil(sched.vk);
+                            // Per-kv block length in the transform
+                            // buffer uses the *live* channel count of
+                            // this tile.
+                            let tf_block_len = tcb * shape.r * shape.s * sched.vk;
+                            if let Some(f) = raw_filter {
+                                let _ft = ndirect_probe::probe_phase!(FilterTransform);
+                                ndirect_probe::probe_count!(
+                                    BytesTransformed,
+                                    kv_blocks * tf_block_len * std::mem::size_of::<f32>()
+                                );
+                                transform_filter_block(f, kt, tkb, ct, tcb, sched.vk, tfbuf);
+                            }
+                            for oh in sl..sl_end {
+                                let mut wv = 0;
+                                while wv < q {
+                                    let valid_w = sched.vw.min(q - wv);
+                                    compute_strip(
+                                        StripCtx {
+                                            image,
+                                            shape,
+                                            sched,
+                                            pre_tf,
+                                            tfbuf: &*tfbuf,
+                                            tf_block_len,
+                                            n,
+                                            ct,
+                                            tcb,
+                                            kt,
+                                            kv_blocks,
+                                            k_hi,
+                                            slice: sl..sl_end,
+                                            oh,
+                                            wv,
+                                            valid_w,
+                                            geom: StripGeom::new(shape, oh, wv, valid_w),
+                                            p,
+                                            q,
+                                        },
+                                        bbuf,
+                                        out_all,
+                                    );
+                                    wv += sched.vw;
+                                }
+                            }
+                            kt += sched.tk;
+                        }
+                        sl = sl_end;
                     }
-                    ht = ht_end;
+                    ct += sched.tc;
                 }
+                ht = ht_end;
             }
-        })
+        }
     }
 
-    /// The native-NHWC loop nest (see [`crate::nhwc`]) against pre-leased
-    /// scratch.
+    /// One thread's share of the native-NHWC loop nest (see
+    /// [`crate::nhwc`]) against pre-leased scratch. NHWC writes are
+    /// K-segments of pixels within the thread's own rows.
     fn run_nhwc(
         &self,
-        pool: &StaticPool,
-        input: &Tensor4,
-        out: &mut Tensor4,
-        scratch: &NdirectSet,
-    ) -> Result<(), ndirect_threads::PoolError> {
+        filter: &FilterForm<'_, TransformedFilterNhwc>,
+        (k_lo, k_hi, rows): (usize, usize, std::ops::Range<usize>),
+        scratch: &mut Scratch,
+        in_data: &[f32],
+        out_all: &SharedSlice<'_, f32>,
+    ) {
         let shape = &self.shape;
         let sched = &self.sched;
-        let (pre_tf, raw_filter) = match &self.filter {
-            PlanFilter::PackedNhwc(tf) => (Some(tf), None),
-            PlanFilter::Raw(f) => (None, Some(f.get())),
-            // The constructors pair PlanLayout::Nhwc only with the two
-            // arms above.
-            // AUDIT: allow(hotpath-no-panic) constructor invariant.
-            PlanFilter::Packed(_) => unreachable!("NCHW filter in an NHWC plan"),
-        };
+        let (pre_tf, raw_filter) = filter.split();
         let (p, q) = (shape.p(), shape.q());
-        let grid = sched.grid;
-        let kv_total = shape.k.div_ceil(sched.vk);
-        let in_data = input.as_slice();
         let image_len = shape.h * shape.w * shape.c;
         let kdim = shape.k;
+        let Scratch { bbuf: buf, tfbuf } = scratch;
 
-        let out_shared = SharedSlice::new(out.as_mut_slice());
-        pool.try_run(|tid| {
-            if tid >= grid.threads() {
-                return;
-            }
-            let (tn, tk) = grid.coords(tid);
-            let kvr = split_static(kv_total, grid.ptk(), tk);
-            let k_lo = kvr.start * sched.vk;
-            let k_hi = (kvr.end * sched.vk).min(shape.k);
-            if k_lo >= k_hi {
-                return;
-            }
-            let rows = split_static(shape.n * p, grid.ptn(), tn);
-            if rows.is_empty() {
-                return;
-            }
-            // Disjointness: (K-range × row-range) output regions are
-            // unique per thread; the pool barrier orders writes. NHWC
-            // writes are K-segments of pixels within the thread's own
-            // rows.
-            let out_all = &out_shared;
-
-            // INDEX: tid < threads == scratch.len() — the pool contract.
-            let mut guard = scratch[tid]
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            let Scratch {
-                bbuf: ref mut buf,
-                ref mut tfbuf,
-            } = *guard;
-
-            // Loop order mirrors Algorithm 2: cache tiles outermost so
-            // each filter-block transform amortizes over every row and
-            // strip the thread owns.
-            let mut ct = 0;
-            while ct < shape.c {
-                let tcb = sched.tc.min(shape.c - ct);
-                let tf_block_len = shape.r * shape.s * tcb * sched.vk;
-                let mut kt = k_lo;
-                while kt < k_hi {
-                    let tkb = sched.tk.min(k_hi - kt);
-                    let kv_blocks = tkb.div_ceil(sched.vk);
-                    if let Some(f) = raw_filter {
-                        let _ft = ndirect_probe::probe_phase!(FilterTransform);
-                        ndirect_probe::probe_count!(
-                            BytesTransformed,
-                            kv_blocks * tf_block_len * std::mem::size_of::<f32>()
-                        );
-                        transform_filter_nhwc_block(f, kt, tkb, ct, tcb, sched.vk, tfbuf);
-                    }
-                    // AUDIT: allow(hotpath-no-alloc) Range<usize> clone —
-                    // Copy-sized iterator state, no heap involved.
-                    for row in rows.clone() {
-                        let n = row / p;
-                        let oh = row % p;
-                        let image = &in_data[n * image_len..(n + 1) * image_len];
-                        let ih0 = (oh * shape.stride) as isize - shape.pad.h as isize;
-                        let mut wv = 0;
-                        while wv < q {
-                            let valid_w = sched.vw.min(q - wv);
-                            let win = (valid_w - 1) * shape.stride + shape.s;
-                            let iw0 = (wv * shape.stride) as isize - shape.pad.w as isize;
-                            // Same accounting as the NCHW strip driver:
-                            // one pack of `tcb·R·WIN` floats per strip,
-                            // 2 FLOPs per MAC over the tile's K coverage.
-                            if ndirect_probe::ENABLED {
-                                ndirect_probe::add(
-                                    ndirect_probe::Counter::BytesPacked,
-                                    (tcb * shape.r * win * std::mem::size_of::<f32>()) as u64,
-                                );
-                                ndirect_probe::add(
-                                    ndirect_probe::Counter::FlopsIssued,
-                                    2 * valid_w as u64
-                                        * tkb as u64
-                                        * tcb as u64
-                                        * shape.r as u64
-                                        * shape.s as u64,
-                                );
-                            }
-                            {
-                                let _pack = ndirect_probe::probe_phase!(Pack);
-                                pack_strip_nhwc(image, shape, ct, tcb, ih0, iw0, win, buf);
-                            }
-                            let _mk = ndirect_probe::probe_phase!(MicroKernel);
-                            for kv in 0..kv_blocks {
-                                let k0 = kt + kv * sched.vk;
-                                let valid_k = sched.vk.min(k_hi - k0);
-                                // Pre-transformed blocks are indexed by the
-                                // *global* kv group; K-tail lanes coincide
-                                // with the per-thread transform because
-                                // thread K ranges split at Vk granularity.
-                                let tf: &[f32] = match pre_tf {
-                                    Some(full) => full.block(ct, tcb, k0 / sched.vk),
-                                    None => &tfbuf[kv * tf_block_len..(kv + 1) * tf_block_len],
-                                };
-                                run_nhwc_tile(
-                                    buf,
-                                    tf,
-                                    shape,
-                                    tcb,
-                                    win,
-                                    out_all,
-                                    ((n * p + oh) * q + wv) * kdim + k0,
-                                    kdim,
-                                    valid_w,
-                                    sched.vk,
-                                    valid_k,
-                                );
-                            }
-                            wv += sched.vw;
-                        }
-                    }
-                    kt += sched.tk;
+        // Loop order mirrors Algorithm 2: cache tiles outermost so
+        // each filter-block transform amortizes over every row and
+        // strip the thread owns.
+        let mut ct = 0;
+        while ct < shape.c {
+            let tcb = sched.tc.min(shape.c - ct);
+            let tf_block_len = shape.r * shape.s * tcb * sched.vk;
+            let mut kt = k_lo;
+            while kt < k_hi {
+                let tkb = sched.tk.min(k_hi - kt);
+                let kv_blocks = tkb.div_ceil(sched.vk);
+                if let Some(f) = raw_filter {
+                    let _ft = ndirect_probe::probe_phase!(FilterTransform);
+                    ndirect_probe::probe_count!(
+                        BytesTransformed,
+                        kv_blocks * tf_block_len * std::mem::size_of::<f32>()
+                    );
+                    transform_filter_nhwc_block(f, kt, tkb, ct, tcb, sched.vk, tfbuf);
                 }
-                ct += sched.tc;
+                for row in rows.start..rows.end {
+                    let n = row / p;
+                    let oh = row % p;
+                    let image = &in_data[n * image_len..(n + 1) * image_len];
+                    let ih0 = (oh * shape.stride) as isize - shape.pad.h as isize;
+                    let mut wv = 0;
+                    while wv < q {
+                        let valid_w = sched.vw.min(q - wv);
+                        let win = (valid_w - 1) * shape.stride + shape.s;
+                        let iw0 = (wv * shape.stride) as isize - shape.pad.w as isize;
+                        // Same accounting as the NCHW strip driver:
+                        // one pack of `tcb·R·WIN` floats per strip,
+                        // 2 FLOPs per MAC over the tile's K coverage.
+                        if ndirect_probe::ENABLED {
+                            ndirect_probe::add(
+                                ndirect_probe::Counter::BytesPacked,
+                                (tcb * shape.r * win * std::mem::size_of::<f32>()) as u64,
+                            );
+                            ndirect_probe::add(
+                                ndirect_probe::Counter::FlopsIssued,
+                                2 * valid_w as u64
+                                    * tkb as u64
+                                    * tcb as u64
+                                    * shape.r as u64
+                                    * shape.s as u64,
+                            );
+                        }
+                        {
+                            let _pack = ndirect_probe::probe_phase!(Pack);
+                            pack_strip_nhwc(image, shape, ct, tcb, ih0, iw0, win, buf);
+                        }
+                        let _mk = ndirect_probe::probe_phase!(MicroKernel);
+                        for kv in 0..kv_blocks {
+                            let k0 = kt + kv * sched.vk;
+                            let valid_k = sched.vk.min(k_hi - k0);
+                            // Pre-transformed blocks are indexed by the
+                            // *global* kv group; K-tail lanes coincide
+                            // with the per-thread transform because
+                            // thread K ranges split at Vk granularity.
+                            let tf: &[f32] = match pre_tf {
+                                Some(full) => full.block(ct, tcb, k0 / sched.vk),
+                                None => &tfbuf[kv * tf_block_len..(kv + 1) * tf_block_len],
+                            };
+                            run_nhwc_tile(
+                                buf,
+                                tf,
+                                shape,
+                                tcb,
+                                win,
+                                out_all,
+                                ((n * p + oh) * q + wv) * kdim + k0,
+                                kdim,
+                                valid_w,
+                                sched.vk,
+                                valid_k,
+                            );
+                        }
+                        wv += sched.vw;
+                    }
+                }
+                kt += sched.tk;
             }
-        })
+            ct += sched.tc;
+        }
     }
 }
 
-/// NCHW-plan build-time filter checks (the input is checked at execute).
-fn validate_filter_nchw(shape: &ConvShape, filter: &Filter) -> Result<(), Error> {
+/// Plan build-time filter checks (the input is checked at execute).
+fn validate_filter(shape: &ConvShape, filter: &Filter, layout: ActLayout) -> Result<(), Error> {
     check::isa()?;
     shape.validate()?;
-    check::filter_layout(filter, FilterLayout::Kcrs, "NCHW plan takes KCRS")?;
+    let (want, context) = match layout {
+        ActLayout::Nchw => (ndirect_tensor::FilterLayout::Kcrs, "NCHW plan takes KCRS"),
+        ActLayout::Nhwc => (ndirect_tensor::FilterLayout::Krsc, "NHWC plan takes KRSC"),
+    };
+    check::filter_layout(filter, want, context)?;
     check::dims(
         "filter dims",
         (shape.k, shape.c, shape.r, shape.s),
         filter.dims(),
     )
-}
-
-/// NHWC-plan build-time filter checks.
-fn validate_filter_nhwc(shape: &ConvShape, filter: &Filter) -> Result<(), Error> {
-    check::isa()?;
-    shape.validate()?;
-    check::filter_layout(filter, FilterLayout::Krsc, "NHWC plan takes KRSC")?;
-    check::dims(
-        "filter dims",
-        (shape.k, shape.c, shape.r, shape.s),
-        filter.dims(),
-    )
-}
-
-fn packed_nchw<'f>(filter: &Filter, sched: &Schedule) -> Result<PlanFilter<'f>, Error> {
-    TransformedFilter::try_new(filter, sched.vk)
-        .map(PlanFilter::Packed)
-        .map_err(|elements| Error::ScratchAlloc { elements })
-}
-
-fn packed_nhwc<'f>(filter: &Filter, sched: &Schedule) -> Result<PlanFilter<'f>, Error> {
-    TransformedFilterNhwc::try_new(filter, sched.vk, sched.tc)
-        .map(PlanFilter::PackedNhwc)
-        .map_err(|elements| Error::ScratchAlloc { elements })
 }
 
 /// A pre-built depthwise convolution (`K == C`, channel multiplier 1):
@@ -762,12 +707,8 @@ pub struct DepthwisePlan<'f> {
     shape: ConvShape,
     filter: FilterRef<'f>,
     threads: usize,
-    arena: Arena<Vec<Mutex<AlignedBuf>>>,
+    arena: Arena<AlignedBuf>,
 }
-
-/// The depthwise register-tile width (pixels per strip); matches the
-/// one-shot driver and the fused dw+pw plan's depthwise stage.
-pub(crate) const DW_VW: usize = 8;
 
 impl<'f> DepthwisePlan<'f> {
     /// Builds a depthwise plan for `threads` worker threads, copying the
@@ -778,18 +719,8 @@ impl<'f> DepthwisePlan<'f> {
         threads: usize,
     ) -> Result<DepthwisePlan<'static>, Error> {
         shape.validate()?;
-        if shape.k != shape.c {
-            return Err(Error::NotDepthwise {
-                k: shape.k,
-                c: shape.c,
-            });
-        }
-        check::dims(
-            "filter dims",
-            (shape.c, 1, shape.r, shape.s),
-            filter.dims(),
-        )?;
-        check::filter_layout(filter, FilterLayout::Kcrs, "depthwise takes KCRS")?;
+        check::depthwise_shape(shape)?;
+        check::depthwise_filter(shape, filter, "filter dims", "depthwise takes KCRS")?;
         DepthwisePlan::build(shape, FilterRef::Owned(filter.clone()), threads)
     }
 
@@ -818,15 +749,9 @@ impl<'f> DepthwisePlan<'f> {
         })
     }
 
+    // AUDIT: cold — scratch provisioning; runs on arena miss, never per tile.
     fn alloc_set(shape: &ConvShape, threads: usize) -> Result<Vec<Mutex<AlignedBuf>>, Error> {
-        let len = (DW_VW - 1)
-            .checked_mul(shape.stride)
-            .and_then(|x| x.checked_add(shape.s))
-            .and_then(|win_max| shape.r.checked_mul(win_max))
-            .and_then(|x| x.checked_mul(4))
-            .ok_or(Error::ScratchAlloc {
-                elements: usize::MAX,
-            })?;
+        let len = crate::depthwise::gather_rows_len(shape)?;
         (0..threads)
             .map(|_| {
                 AlignedBuf::try_zeroed(len)
@@ -857,62 +782,46 @@ impl<'f> DepthwisePlan<'f> {
     ) -> Result<(), Error> {
         let shape = &self.shape;
         let (p, q) = (shape.p(), shape.q());
-        check::act_layout(input, ActLayout::Nchw, "depthwise takes NCHW")?;
-        check::dims(
-            "input dims",
-            (shape.n, shape.c, shape.h, shape.w),
-            input.dims(),
-        )?;
-        check::dims("output dims", (shape.n, shape.c, p, q), out.dims())?;
-        check::act_layout(out, ActLayout::Nchw, "depthwise writes NCHW")?;
-        if self.threads > pool.size() {
-            return Err(Error::GridExceedsPool {
-                needed: self.threads,
-                available: pool.size(),
-            });
-        }
-
-        let set = match self.arena.take() {
-            Some(s) => {
-                ndirect_probe::probe_count!(ScratchPoolHits, 1);
-                s
-            }
-            None => {
-                ndirect_probe::probe_count!(ScratchPoolMisses, 1);
-                Self::alloc_set(shape, self.threads)?
-            }
+        let operands = Operands {
+            layout: ActLayout::Nchw,
+            contexts: ("depthwise takes NCHW", "depthwise writes NCHW"),
+            in_dims: (shape.n, shape.c, shape.h, shape.w),
+            out_dims: (shape.n, shape.c, p, q),
         };
         let filter = self.filter.get();
         let cgroups = shape.c.div_ceil(4);
-        let work = shape.n * cgroups;
         let threads = self.threads;
         let in_data = input.as_slice();
         let image_len = shape.c * shape.h * shape.w;
-
-        let out_shared = SharedSlice::new(out.as_mut_slice());
-        let result = pool.try_run(|tid| {
-            if tid >= threads {
-                return;
-            }
-            // Disjointness: each (n, cgroup) item owns its own 4 output
-            // planes; the pool barrier orders writes before `run` returns.
-            let out_all = &out_shared;
-            // INDEX: tid < threads == set.len() — the pool contract.
-            let mut rows = set[tid]
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            for item in split_static(work, threads, tid) {
-                let n = item / cgroups;
-                let c0 = (item % cgroups) * 4;
-                let lanes = 4.min(shape.c - c0);
-                let image = &in_data[n * image_len..(n + 1) * image_len];
-                crate::depthwise::depthwise_plane(
-                    image, filter, shape, n, c0, lanes, DW_VW, &mut rows, out_all, p, q,
-                );
-            }
-        });
-        self.arena.put(set);
-        result.map_err(Error::from)
+        execute_frame(
+            operands,
+            threads,
+            &self.arena,
+            || Self::alloc_set(shape, threads),
+            pool,
+            input,
+            out,
+            |tid, rows, out_all| {
+                for item in split_static(shape.n * cgroups, threads, tid) {
+                    let n = item / cgroups;
+                    let c0 = (item % cgroups) * 4;
+                    let image = &in_data[n * image_len..(n + 1) * image_len];
+                    crate::depthwise::depthwise_rows(
+                        image,
+                        filter,
+                        shape,
+                        c0,
+                        0..p,
+                        rows,
+                        |c, oh, ow, v| {
+                            // SAFETY: each (n, channel-group) item owns its
+                            // own 4 output planes — a single writer.
+                            unsafe { out_all.write(((n * shape.c + c) * p + oh) * q + ow, v) }
+                        },
+                    );
+                }
+            },
+        )
     }
 }
 
@@ -929,7 +838,7 @@ mod tests {
     use super::*;
     use crate::conv::conv_ndirect_with;
     use crate::schedule::PackingMode;
-    use ndirect_tensor::{fill, Padding};
+    use ndirect_tensor::{fill, FilterLayout, Padding};
     use ndirect_threads::Grid2;
 
     fn problem(shape: &ConvShape, layout: ActLayout, seed: u64) -> (Tensor4, Filter) {
@@ -1048,7 +957,7 @@ mod tests {
         let mut sched = Schedule::minimal(&shape);
         sched.tc = shape.c; // survives sanitize: tc is clamped to C
         let filter = Filter::zeros(4, 1, 3, 3, FilterLayout::Kcrs);
-        let plan = ConvPlan::try_borrowed(&shape, &filter, &sched).unwrap();
+        let plan = ConvPlan::try_borrowed(&shape, &filter, &sched, ActLayout::Nchw).unwrap();
         assert!(plan.degraded());
         assert!(plan.schedule().tc < shape.c);
     }

@@ -89,23 +89,57 @@ impl PlanKey {
     }
 }
 
+/// One plan family's build-once map. The mutex is held only around the
+/// map access, never across a plan build or an execution: a miss releases
+/// the lock, builds outside it, and re-checks on insert (first build wins;
+/// a concurrent duplicate build is discarded). Plans come out as `Arc`s so
+/// executions proceed lock-free on the shared plan.
+struct Cache<P>(Mutex<HashMap<PlanKey, Arc<P>>>);
+
+impl<P> Default for Cache<P> {
+    fn default() -> Self {
+        Cache(Mutex::new(HashMap::new()))
+    }
+}
+
+impl<P> Cache<P> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<PlanKey, Arc<P>>> {
+        self.0.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    fn get(&self, key: &PlanKey) -> Option<Arc<P>> {
+        let hit = self.lock().get(key).map(Arc::clone);
+        if hit.is_some() {
+            ndirect_probe::probe_count!(PlanCacheHits, 1);
+        }
+        hit
+    }
+
+    fn get_or_try_build(
+        &self,
+        key: PlanKey,
+        build: impl FnOnce() -> Result<P, Error>,
+    ) -> Result<Arc<P>, Error> {
+        if let Some(plan) = self.get(&key) {
+            return Ok(plan);
+        }
+        ndirect_probe::probe_count!(PlanCacheMisses, 1);
+        let built = Arc::new(build()?);
+        Ok(Arc::clone(self.lock().entry(key).or_insert(built)))
+    }
+}
+
 /// A concurrent build-once cache of planned layers, shared across worker
 /// threads via `Arc`. Three plan families live side by side — standard
 /// [`ConvPlan`]s, [`DepthwisePlan`]s, and fused [`FusedDwPwPlan`]s — each
 /// in its own typed map under the same [`PlanKey`] identity scheme, so the
 /// serving layer and the model backends resolve every layer kind through
 /// one registry.
-///
-/// The mutexes are held only around the map access, never across a plan
-/// build or an execution: a miss releases the lock, builds outside it,
-/// and re-checks on insert (first build wins; a concurrent duplicate
-/// build is discarded). Plans come out as `Arc`s so executions proceed
-/// lock-free on the shared plan.
 #[derive(Default)]
 pub struct PlanRegistry {
-    map: Mutex<HashMap<PlanKey, Arc<ConvPlan<'static>>>>,
-    dw: Mutex<HashMap<PlanKey, Arc<DepthwisePlan<'static>>>>,
-    fused: Mutex<HashMap<PlanKey, Arc<FusedDwPwPlan<'static>>>>,
+    map: Cache<ConvPlan<'static>>,
+    dw: Cache<DepthwisePlan<'static>>,
+    fused: Cache<FusedDwPwPlan<'static>>,
 }
 
 impl std::fmt::Debug for PlanRegistry {
@@ -136,23 +170,12 @@ impl PlanRegistry {
         key: PlanKey,
         build: impl FnOnce() -> Result<ConvPlan<'static>, Error>,
     ) -> Result<Arc<ConvPlan<'static>>, Error> {
-        if let Some(plan) = self.get(&key) {
-            return Ok(plan);
-        }
-        ndirect_probe::probe_count!(PlanCacheMisses, 1);
-        let built = Arc::new(build()?);
-        let mut map = lock_unpoisoned(&self.map);
-        Ok(Arc::clone(map.entry(key).or_insert(built)))
+        self.map.get_or_try_build(key, build)
     }
 
     /// Returns the cached plan for `key` without building.
     pub fn get(&self, key: &PlanKey) -> Option<Arc<ConvPlan<'static>>> {
-        let map = lock_unpoisoned(&self.map);
-        let hit = map.get(key).map(Arc::clone);
-        if hit.is_some() {
-            ndirect_probe::probe_count!(PlanCacheHits, 1);
-        }
-        hit
+        self.map.get(key)
     }
 
     /// Returns the cached depthwise plan for `key`, or builds, caches, and
@@ -163,23 +186,12 @@ impl PlanRegistry {
         key: PlanKey,
         build: impl FnOnce() -> Result<DepthwisePlan<'static>, Error>,
     ) -> Result<Arc<DepthwisePlan<'static>>, Error> {
-        if let Some(plan) = self.get_depthwise(&key) {
-            return Ok(plan);
-        }
-        ndirect_probe::probe_count!(PlanCacheMisses, 1);
-        let built = Arc::new(build()?);
-        let mut map = lock_unpoisoned(&self.dw);
-        Ok(Arc::clone(map.entry(key).or_insert(built)))
+        self.dw.get_or_try_build(key, build)
     }
 
     /// Returns the cached depthwise plan for `key` without building.
     pub fn get_depthwise(&self, key: &PlanKey) -> Option<Arc<DepthwisePlan<'static>>> {
-        let map = lock_unpoisoned(&self.dw);
-        let hit = map.get(key).map(Arc::clone);
-        if hit.is_some() {
-            ndirect_probe::probe_count!(PlanCacheHits, 1);
-        }
-        hit
+        self.dw.get(key)
     }
 
     /// Returns the cached fused dw+pw plan for `key` (built with
@@ -190,30 +202,17 @@ impl PlanRegistry {
         key: PlanKey,
         build: impl FnOnce() -> Result<FusedDwPwPlan<'static>, Error>,
     ) -> Result<Arc<FusedDwPwPlan<'static>>, Error> {
-        if let Some(plan) = self.get_fused(&key) {
-            return Ok(plan);
-        }
-        ndirect_probe::probe_count!(PlanCacheMisses, 1);
-        let built = Arc::new(build()?);
-        let mut map = lock_unpoisoned(&self.fused);
-        Ok(Arc::clone(map.entry(key).or_insert(built)))
+        self.fused.get_or_try_build(key, build)
     }
 
     /// Returns the cached fused dw+pw plan for `key` without building.
     pub fn get_fused(&self, key: &PlanKey) -> Option<Arc<FusedDwPwPlan<'static>>> {
-        let map = lock_unpoisoned(&self.fused);
-        let hit = map.get(key).map(Arc::clone);
-        if hit.is_some() {
-            ndirect_probe::probe_count!(PlanCacheHits, 1);
-        }
-        hit
+        self.fused.get(key)
     }
 
     /// Number of distinct plans cached, across all three families.
     pub fn len(&self) -> usize {
-        lock_unpoisoned(&self.map).len()
-            + lock_unpoisoned(&self.dw).len()
-            + lock_unpoisoned(&self.fused).len()
+        self.map.lock().len() + self.dw.lock().len() + self.fused.lock().len()
     }
 
     /// Whether the registry holds no plans.
@@ -224,14 +223,10 @@ impl PlanRegistry {
     /// Drops every cached plan (e.g. after a weight reload invalidated
     /// the filter identities).
     pub fn clear(&self) {
-        lock_unpoisoned(&self.map).clear();
-        lock_unpoisoned(&self.dw).clear();
-        lock_unpoisoned(&self.fused).clear();
+        self.map.lock().clear();
+        self.dw.lock().clear();
+        self.fused.lock().clear();
     }
-}
-
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 #[cfg(test)]

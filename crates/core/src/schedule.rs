@@ -144,98 +144,79 @@ impl Schedule {
         self.grid.threads()
     }
 
+    /// The output region grid thread `tid` owns under this (sanitized)
+    /// schedule: its `K` range `[k_lo, k_hi)`, split across `PTk` at `Vk`
+    /// granularity, and its slice of the flat `N·P` output-row space, split
+    /// across `PTn`. `None` when either is empty. The one partition both
+    /// drivers run and [`Schedule::predicted_pack_bytes`] mirrors.
+    pub(crate) fn partition(
+        &self,
+        shape: &ConvShape,
+        tid: usize,
+    ) -> Option<(usize, usize, std::ops::Range<usize>)> {
+        let (tn, tk) = self.grid.coords(tid);
+        let kvr = split_static(shape.k.div_ceil(self.vk), self.grid.ptk(), tk);
+        let k_lo = kvr.start * self.vk;
+        let k_hi = (kvr.end * self.vk).min(shape.k);
+        let rows = split_static(shape.n * shape.p(), self.grid.ptn(), tn);
+        (k_lo < k_hi && !rows.is_empty()).then_some((k_lo, k_hi, rows))
+    }
+
     /// Cache-model prediction of the bytes the drivers pack for one full
     /// convolution under this schedule: the analytic mirror of the loop
     /// nest, against which the probe's `bytes_packed` counter is asserted.
     ///
-    /// Each `(output row, Tc tile, Tk tile, Vw strip)` packs
-    /// `tcb·R·WIN` floats (`WIN = (valid_w−1)·stride + S`), in fused and
-    /// sequential mode alike and for both layouts. Summing `tcb` over the
-    /// `Tc` tiles gives `C`, so per thread the total is
+    /// Per-strip modes: each `(output row, Tc tile, Tk tile, Vw strip)`
+    /// packs `tcb·R·WIN` floats (`WIN = (valid_w−1)·stride + S`), in fused
+    /// and sequential mode alike and for both layouts. Summing `tcb` over
+    /// the `Tc` tiles gives `C`, so per thread the total is
     /// `|rows| · #Tk-tiles · C · R · Σ_strips WIN`; `#Tk-tiles` depends on
-    /// the thread's K range (ranges split at `Vk` granularity across
-    /// `PTk`), which is why the count is grid-dependent while the FLOP
-    /// count ([`ConvShape::flops`]) is not.
+    /// the thread's K range, which is why the count is grid-dependent while
+    /// the FLOP count ([`ConvShape::flops`]) is not.
+    ///
+    /// `Sliced` packs one slab per (image, `Th` tile, slice) on each
+    /// thread: `C · slab_rows · row_win` floats, with `row_win =
+    /// (Q−1)·stride + S` spanning the whole output row and `slab_rows =
+    /// (slice_len−1)·stride + R` the slice's input rows. There is no
+    /// `#Tk-tiles` factor: the slab is packed above loop L4 and reused by
+    /// every `Tk` tile and strip of the slice. `None` never materializes
+    /// an input copy.
     pub fn predicted_pack_bytes(&self, shape: &ConvShape) -> u128 {
         let s = self.sanitized(shape);
         let (p, q) = (shape.p(), shape.q());
-        let kv_total = shape.k.div_ceil(s.vk);
-
-        match s.packing {
-            // The zero-overhead path never materializes an input copy.
-            PackingMode::None => return 0,
-            // Slicing packs one slab per (image, Th tile, slice) on each
-            // thread with a non-empty K range: `C · slab_rows · row_win`
-            // floats, with `row_win = (Q−1)·stride + S` spanning the whole
-            // output row and `slab_rows = (slice_len−1)·stride + R` the
-            // slice's input rows. Unlike the per-strip modes there is no
-            // `#Tk-tiles` factor: the slab is packed above loop L4 and
-            // reused by every `Tk` tile and strip of the slice.
-            PackingMode::Sliced { rows: srows } => {
-                let row_win = ((q - 1) * shape.stride + shape.s) as u128;
-                let mut total_floats: u128 = 0;
-                for tid in 0..s.grid.threads() {
-                    let (tn, tk) = s.grid.coords(tid);
-                    let kvr = split_static(kv_total, s.grid.ptk(), tk);
-                    let k_lo = kvr.start * s.vk;
-                    let k_hi = (kvr.end * s.vk).min(shape.k);
-                    if k_lo >= k_hi {
-                        continue;
-                    }
-                    let rows = split_static(shape.n * p, s.grid.ptn(), tn);
-                    if rows.is_empty() {
-                        continue;
-                    }
-                    let n_first = rows.start / p;
-                    let n_last = (rows.end - 1) / p;
-                    for n in n_first..=n_last {
-                        let oh_lo = rows.start.saturating_sub(n * p).min(p);
-                        let oh_hi = (rows.end - n * p).min(p);
-                        let mut ht = oh_lo;
-                        while ht < oh_hi {
-                            let ht_end = (ht + s.th).min(oh_hi);
-                            let mut sl = ht;
-                            while sl < ht_end {
-                                let sl_end = (sl + srows).min(ht_end);
-                                let slab_rows =
-                                    ((sl_end - sl - 1) * shape.stride + shape.r) as u128;
-                                total_floats += shape.c as u128 * slab_rows * row_win;
-                                sl = sl_end;
-                            }
-                            ht = ht_end;
-                        }
-                    }
-                }
-                return total_floats * std::mem::size_of::<f32>() as u128;
-            }
-            PackingMode::Fused | PackingMode::Sequential => {}
-        }
-
         // Window widths summed over one row's strips.
-        let mut win_sum: u128 = 0;
-        let mut wv = 0;
-        while wv < q {
-            let valid_w = s.vw.min(q - wv);
-            win_sum += ((valid_w - 1) * shape.stride + shape.s) as u128;
-            wv += s.vw;
-        }
+        let win_sum: u128 = (0..q)
+            .step_by(s.vw)
+            .map(|wv| ((s.vw.min(q - wv) - 1) * shape.stride + shape.s) as u128)
+            .sum();
+        let row_win = ((q - 1) * shape.stride + shape.s) as u128;
 
         let mut total_floats: u128 = 0;
         for tid in 0..s.grid.threads() {
-            let (tn, tk) = s.grid.coords(tid);
-            let kvr = split_static(kv_total, s.grid.ptk(), tk);
-            let k_lo = kvr.start * s.vk;
-            let k_hi = (kvr.end * s.vk).min(shape.k);
-            if k_lo >= k_hi {
+            let Some((k_lo, k_hi, rows)) = s.partition(shape, tid) else {
                 continue;
-            }
-            let rows = split_static(shape.n * p, s.grid.ptn(), tn);
-            let kt_tiles = (k_hi - k_lo).div_ceil(s.tk) as u128;
-            total_floats += rows.len() as u128
-                * kt_tiles
-                * shape.c as u128
-                * shape.r as u128
-                * win_sum;
+            };
+            total_floats += shape.c as u128
+                * match s.packing {
+                    PackingMode::None => 0,
+                    PackingMode::Fused | PackingMode::Sequential => {
+                        let kt_tiles = (k_hi - k_lo).div_ceil(s.tk) as u128;
+                        rows.len() as u128 * kt_tiles * shape.r as u128 * win_sum
+                    }
+                    PackingMode::Sliced { rows: srows } => {
+                        let mut slab_rows: u128 = 0;
+                        for (_, ohs) in image_rows(rows, p) {
+                            for ht in ohs.clone().step_by(s.th) {
+                                let ht_end = (ht + s.th).min(ohs.end);
+                                for sl in (ht..ht_end).step_by(srows) {
+                                    let len = srows.min(ht_end - sl);
+                                    slab_rows += ((len - 1) * shape.stride + shape.r) as u128;
+                                }
+                            }
+                        }
+                        slab_rows * row_win
+                    }
+                };
         }
         total_floats * std::mem::size_of::<f32>() as u128
     }
@@ -313,6 +294,16 @@ impl Schedule {
         }
         Ok(s)
     }
+}
+
+/// Splits a range of the flat `N·P` output-row space into per-image
+/// pieces: `(n, oh range)` for every image the range touches.
+pub(crate) fn image_rows(
+    rows: std::ops::Range<usize>,
+    p: usize,
+) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> {
+    (rows.start / p..rows.end.div_ceil(p))
+        .map(move |n| (n, rows.start.max(n * p) - n * p..rows.end.min((n + 1) * p) - n * p))
 }
 
 impl PackingMode {

@@ -4,14 +4,16 @@
 
 use ndirect_baselines::{blocked, im2col, indirect, naive};
 use ndirect_core::{
-    conv_ndirect_with, fused_pair_flops, try_compose_shapes, try_conv_depthwise_separable,
-    try_conv_dwpw_fused, DwPwSchedule, Schedule,
+    conv_depthwise, conv_ndirect_nhwc_with, conv_ndirect_with, fused_pair_flops,
+    try_compose_shapes, try_conv_depthwise_separable, try_conv_dwpw_fused,
+    try_conv_dwpw_fused_with, ConvPlan, DepthwisePlan, DwPwSchedule, FusedDwPwPlan, PackingMode,
+    Schedule,
 };
 use ndirect_support::Rng64;
 use ndirect_tensor::{
     assert_close, fill, ActLayout, ConvShape, Filter, FilterLayout, Padding, Tensor4,
 };
-use ndirect_threads::StaticPool;
+use ndirect_threads::{Grid2, StaticPool};
 
 /// Random-but-small convolution shapes: kernels 1–5, strides 1–2,
 /// padding 0–2, channels/outputs 1–20, spatial 1–16 (subject to fitting).
@@ -384,5 +386,187 @@ fn dwpw_fused_matches_unfused_on_random_shapes() {
             2e-4,
             &format!("case {case}: {shape} -> K={k}"),
         );
+    }
+}
+
+// ------------------------------------------- generated differential suite
+//
+// ROADMAP item 2's safety net in its minimal form: every f32 path of
+// `ndirect-core` over a *generated* shape space instead of hand-picked
+// grids. Per seed: one dense shape and one depthwise-separable pair, each
+// run under every packing mode × two thread grids × plan and one-shot
+// (and NHWC for the dense shape), held bitwise equal to each other and
+// within the conformance ULP budget of `baselines::naive`. A failure
+// prints the seed and the shape; add the seed to `REGRESSION_SEEDS`.
+
+/// Seeds that run first: each pins a corner the generator reaches rarely.
+const REGRESSION_SEEDS: [u64; 6] = [
+    0xd1ff_105e, // 7x3 over H = 1, pad 3x0: six of seven kernel rows are pure padding
+    0xd1ff_1004, // 1x1 stride 3 pad 3x2: whole strips lie outside the image
+    0xd1ff_1236, // Vw = 13 (no monomorphized kernel), N = 2, Th = 1
+    0xd1ff_1000, // C = 1, K = 1, 7x7 stride 3 over 3x7: every tile is a tail
+    0xd1ff_100d, // 5x7 kernel wider and taller than the 1x3 input
+    0xd1ff_104f, // Vw = 1, Th = 1, N = 2: the row grid splits mid-image
+];
+const GENERATED_CASES: u64 = 200;
+
+/// ULP distance via the lexicographic order of IEEE bits (as in
+/// `crates/baselines/tests/conformance.rs`; integration tests are separate
+/// binaries, so the helper is restated).
+fn ulp_distance(a: f32, b: f32) -> u64 {
+    let order = |x: f32| {
+        let bits = x.to_bits() as i32;
+        if bits < 0 { -i64::from(bits & i32::MAX) } else { i64::from(bits) }
+    };
+    order(a).abs_diff(order(b))
+}
+
+/// The conformance budget between the naive oracle and a direct path: 4096
+/// ULP, with differences under `1e-5 · max|want|` forgiven (cancellation
+/// can park a sum of O(1) products on either side of zero).
+fn assert_conforms(got: &[f32], want: &[f32], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    let floor = 1e-5 * want.iter().fold(0.0f32, |m, w| m.max(w.abs()));
+    for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            g.is_finite() && ((g - w).abs() <= floor || ulp_distance(g, w) <= 4096),
+            "{what}: [{i}] got {g}, oracle {w}"
+        );
+    }
+}
+
+/// Stride 1–3, pad 0–3, `R`/`S` ∈ {1, 3, 5, 7} independently, odd `H`/`W`.
+fn diff_shape(rng: &mut Rng64, depthwise: bool) -> ConvShape {
+    loop {
+        let (r, s) = (*rng.choose(&[1, 3, 5, 7]), *rng.choose(&[1, 3, 5, 7]));
+        let (h, w) = (2 * rng.gen_range_usize(0, 8) + 1, 2 * rng.gen_range_usize(0, 8) + 1);
+        let pad = Padding { h: rng.gen_range_usize(0, 4), w: rng.gen_range_usize(0, 4) };
+        if h + 2 * pad.h < r || w + 2 * pad.w < s {
+            continue;
+        }
+        let n = rng.gen_range_usize(1, 3);
+        let c = rng.gen_range_usize(1, 14);
+        let k = if depthwise { c } else { rng.gen_range_usize(1, 22) };
+        return ConvShape::new(n, c, h, w, k, r, s, rng.gen_range_usize(1, 4), pad);
+    }
+}
+
+/// Tiles drawn so that every tiled dimension usually ends in a tail.
+fn diff_schedule(rng: &mut Rng64, shape: &ConvShape) -> Schedule {
+    let mut s = Schedule::minimal(shape);
+    s.vw = rng.gen_range_usize(1, 14);
+    s.vk = *rng.choose(&[4, 8, 12]);
+    s.tc = rng.gen_range_usize(1, shape.c + 1);
+    s.tk = s.vk * rng.gen_range_usize(1, 3);
+    s.th = rng.gen_range_usize(1, shape.p() + 1);
+    s.prefetch = rng.gen_bool(0.5);
+    s
+}
+
+fn dense_case(seed: u64, rng: &mut Rng64, pool: &StaticPool) {
+    let shape = diff_shape(rng, false);
+    let base = diff_schedule(rng, &shape);
+    let what = format!("seed {seed:#x}: {shape} with {base:?}");
+    let (input, filter) = problem(&shape, seed);
+    let want = naive::conv_ref(&input, &filter, &shape);
+    let grids = [(1, 1), *rng.choose(&[(2, 1), (1, 2), (2, 2)])];
+    let sliced = PackingMode::Sliced { rows: rng.gen_range_usize(1, 4) };
+
+    let mut reference: Option<Tensor4> = None;
+    for mode in [PackingMode::Fused, PackingMode::Sequential, PackingMode::None, sliced] {
+        for (ptn, ptk) in grids {
+            let sched = base.with_packing(mode).with_grid(Grid2::new(ptn, ptk));
+            let at = format!("{what}: {mode:?} on {ptn}x{ptk}");
+            let oneshot = conv_ndirect_with(pool, &input, &filter, &shape, &sched);
+            let plan = ConvPlan::try_with_schedule(&shape, &filter, &sched)
+                .unwrap_or_else(|e| panic!("{at}: {e}"));
+            let mut planned = Tensor4::output_for(&shape, ActLayout::Nchw);
+            plan.execute(pool, &input, &mut planned).unwrap_or_else(|e| panic!("{at}: {e}"));
+            assert_eq!(oneshot.as_slice(), planned.as_slice(), "{at}: plan vs one-shot");
+            let first = reference.get_or_insert(oneshot);
+            assert_eq!(planned.as_slice(), first.as_slice(), "{at}: vs Fused on 1x1");
+        }
+    }
+    assert_conforms(reference.expect("ran").as_slice(), want.as_slice(), &what);
+
+    let (input, filter) = (input.to_layout(ActLayout::Nhwc), filter.to_layout(FilterLayout::Krsc));
+    let want = want.to_layout(ActLayout::Nhwc);
+    let mut reference: Option<Tensor4> = None;
+    for (ptn, ptk) in grids {
+        let sched = base.with_grid(Grid2::new(ptn, ptk));
+        let at = format!("{what}: NHWC on {ptn}x{ptk}");
+        let oneshot = conv_ndirect_nhwc_with(pool, &input, &filter, &shape, &sched);
+        let plan = ConvPlan::try_with_schedule_nhwc(&shape, &filter, &sched)
+            .unwrap_or_else(|e| panic!("{at}: {e}"));
+        let mut planned = Tensor4::output_for(&shape, ActLayout::Nhwc);
+        plan.execute(pool, &input, &mut planned).unwrap_or_else(|e| panic!("{at}: {e}"));
+        assert_eq!(oneshot.as_slice(), planned.as_slice(), "{at}: plan vs one-shot");
+        let first = reference.get_or_insert(oneshot);
+        assert_eq!(planned.as_slice(), first.as_slice(), "{at}: vs 1x1");
+    }
+    assert_conforms(reference.expect("ran").as_slice(), want.as_slice(), &format!("{what}: NHWC"));
+}
+
+fn separable_case(seed: u64, rng: &mut Rng64, pool: &StaticPool) {
+    let shape = diff_shape(rng, true);
+    let k = rng.gen_range_usize(1, 18);
+    let mid_relu = rng.gen_bool(0.5);
+    let what = format!("seed {seed:#x}: depthwise {shape} -> K={k}, mid_relu {mid_relu}");
+    let input = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nchw), seed);
+    let dwf = fill::random_filter(
+        Filter::zeros(shape.c, 1, shape.r, shape.s, FilterLayout::Kcrs),
+        seed ^ 1,
+    );
+    let pwf = fill::random_filter(Filter::zeros(k, shape.c, 1, 1, FilterLayout::Kcrs), seed ^ 2);
+
+    // Oracle: a depthwise conv is the dense conv whose filter is diagonal
+    // in channels; the pointwise stage is a plain 1x1.
+    let mut diagonal = Filter::for_shape(&shape, FilterLayout::Kcrs);
+    for c in 0..shape.c {
+        for (r, s) in (0..shape.r).flat_map(|r| (0..shape.s).map(move |s| (r, s))) {
+            *diagonal.at_mut(c, c, r, s) = dwf.at(c, 0, r, s);
+        }
+    }
+    let mut mid = naive::conv_ref(&input, &diagonal, &shape);
+    let dw_out = conv_depthwise(pool, &input, &dwf, &shape);
+    assert_conforms(dw_out.as_slice(), mid.as_slice(), &what);
+    for threads in [1, 3] {
+        let plan = DepthwisePlan::try_new(&shape, &dwf, threads)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let mut planned = Tensor4::output_for(&shape, ActLayout::Nchw);
+        plan.execute(pool, &input, &mut planned).unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(planned.as_slice(), dw_out.as_slice(), "{what}: dw plan on {threads}");
+    }
+
+    if mid_relu {
+        mid.as_mut_slice().iter_mut().for_each(|v| *v = v.max(0.0));
+    }
+    let (_, pw_shape) = try_compose_shapes(&shape, k).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let want = naive::conv_ref(&mid, &pwf, &pw_shape);
+    let fused = try_conv_dwpw_fused_with(pool, &input, &dwf, &pwf, &shape, mid_relu)
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_conforms(fused.as_slice(), want.as_slice(), &what);
+    let sched = DwPwSchedule {
+        slice_rows: rng.gen_range_usize(1, shape.p() + 2),
+        vw: rng.gen_range_usize(1, 13),
+        vk: *rng.choose(&[4, 8, 12]),
+    };
+    let threads = rng.gen_range_usize(1, 4);
+    let plan = FusedDwPwPlan::try_with_schedule(&shape, &dwf, &pwf, &sched, threads)
+        .unwrap_or_else(|e| panic!("{what}: {e}"))
+        .with_mid_relu(mid_relu);
+    let mut planned = Tensor4::zeros(shape.n, k, shape.p(), shape.q(), ActLayout::Nchw);
+    plan.execute(pool, &input, &mut planned).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_eq!(planned.as_slice(), fused.as_slice(), "{what}: {sched:?} on {threads}");
+}
+
+#[test]
+fn generated_differential_suite() {
+    let pool = StaticPool::new(4);
+    let generated = (0..GENERATED_CASES).map(|i| 0xd1ff_0000 + i);
+    for seed in REGRESSION_SEEDS.into_iter().chain(generated) {
+        let mut rng = Rng64::seed_from_u64(seed);
+        dense_case(seed, &mut rng, &pool);
+        separable_case(seed, &mut rng, &pool);
     }
 }

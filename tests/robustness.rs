@@ -308,6 +308,34 @@ fn scratch_elements(sched: &Schedule, shape: &ConvShape) -> usize {
 }
 
 #[test]
+fn forced_scratch_refusal_in_extension_drivers_is_a_typed_error() {
+    // The 3-D and inner-product drivers have no smaller schedule to fall
+    // back to, so a refused scratch request must come back as
+    // `ScratchAlloc` from the `try_` entry point, never an allocator abort
+    // on a worker thread. Write lock: the limit hook is process-global.
+    let _g = ISA_HOOK.write().unwrap_or_else(|p| p.into_inner());
+    let (shape, input, filter) = small_problem();
+    let pool = StaticPool::new(2);
+    let shape3 = ndirect_core::Conv3dShape {
+        n: 1, c: 2, d: 4, h: 5, w: 6, k: 4, t: 3, r: 3, s: 3,
+        stride: 1, pad_d: 1, pad_h: 1, pad_w: 1,
+    };
+    let input3 = ndirect_tensor::Tensor5::zeros(1, 2, 4, 5, 6);
+    let filter3 = ndirect_tensor::Filter5::zeros(4, 2, 3, 3, 3);
+
+    ndirect_core::conv::__set_scratch_element_limit(0);
+    let ip = ndirect_core::try_conv_inner_product(&pool, &input, &filter, &shape);
+    let c3 = ndirect_core::try_conv3d_ndirect(&pool, &input3, &filter3, &shape3);
+    ndirect_core::conv::__set_scratch_element_limit(usize::MAX);
+
+    assert!(matches!(ip, Err(Error::ScratchAlloc { elements }) if elements > 0), "{ip:?}");
+    assert!(matches!(c3, Err(Error::ScratchAlloc { elements }) if elements > 0), "{c3:?}");
+    // With the cap lifted both run.
+    ndirect_core::try_conv_inner_product(&pool, &input, &filter, &shape).expect("no cap");
+    ndirect_core::try_conv3d_ndirect(&pool, &input3, &filter3, &shape3).expect("no cap");
+}
+
+#[test]
 fn forced_scratch_refusal_degrades_once_and_preserves_bits() {
     // The limit hook is process-global like the ISA hook, so this test
     // takes the write lock: no other conv may run (and possibly trip the
