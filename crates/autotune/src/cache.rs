@@ -105,7 +105,7 @@ impl ScheduleCache {
     }
 
     /// Converts into the `(shape, schedule)` table the engine's
-    /// `TunedBackend` consumes, given the shapes of interest (the cache
+    /// `NDirectBackend::tuned` consumes, given the shapes of interest (the cache
     /// stores string keys; shapes not present are skipped).
     pub fn table_for(&self, shapes: &[ConvShape]) -> HashMap<ConvShape, Schedule> {
         shapes

@@ -24,7 +24,7 @@ use ndirect_autotune::tune;
 use ndirect_baselines::{blocked, im2col, Im2colBackend};
 use ndirect_bench::{format_table, run_method, tune_settings_for_budget, Measurement, Method, ToJson};
 use ndirect_core::{conv_ndirect_with, PackingMode, Schedule};
-use ndirect_models::{resnet101, resnet50, vgg16, vgg19, Engine, NDirectBackend, TunedBackend};
+use ndirect_models::{resnet101, resnet50, vgg16, vgg19, Engine, NDirectBackend};
 use ndirect_platform::{host, kp920, measure_alpha, phytium_2000p, rpi4, thunderx2, Platform};
 use ndirect_tensor::{ActLayout, ConvShape, FilterLayout, Tensor4};
 use ndirect_threads::StaticPool;
@@ -559,7 +559,7 @@ fn fig7(opts: &Opts) {
                 eprintln!("  !! cannot write schedule cache {path}: {e}");
             }
         }
-        let tuned = TunedBackend::new(table, "Ansor-like");
+        let tuned = NDirectBackend::tuned(table, "Ansor-like");
         let ndirect = NDirectBackend::host();
 
         let time_backend = |backend: &dyn ndirect_baselines::Convolution, fuse: bool| {

@@ -37,6 +37,7 @@ pub fn try_conv_depthwise(
     filter: &Filter,
     shape: &ConvShape,
 ) -> Result<Tensor4, Error> {
+    check::isa()?;
     shape.validate()?;
     check::act_layout(input, ActLayout::Nchw, "depthwise takes NCHW")?;
     check::depthwise_shape(shape)?;

@@ -718,6 +718,7 @@ impl<'f> DepthwisePlan<'f> {
         filter: &Filter,
         threads: usize,
     ) -> Result<DepthwisePlan<'static>, Error> {
+        check::isa()?;
         shape.validate()?;
         check::depthwise_shape(shape)?;
         check::depthwise_filter(shape, filter, "filter dims", "depthwise takes KCRS")?;
@@ -752,13 +753,7 @@ impl<'f> DepthwisePlan<'f> {
     // AUDIT: cold — scratch provisioning; runs on arena miss, never per tile.
     fn alloc_set(shape: &ConvShape, threads: usize) -> Result<Vec<Mutex<AlignedBuf>>, Error> {
         let len = crate::depthwise::gather_rows_len(shape)?;
-        (0..threads)
-            .map(|_| {
-                AlignedBuf::try_zeroed(len)
-                    .map(Mutex::new)
-                    .map_err(|elements| Error::ScratchAlloc { elements })
-            })
-            .collect()
+        crate::conv::try_scratch_bufs(Some(len), threads)
     }
 
     /// The shape the plan was built for.

@@ -1,13 +1,13 @@
 //! Convolution backends for the engine, beyond the baseline set.
 //!
 //! The baselines crate defines the [`Convolution`] interface and implements
-//! it for naive / im2col / blocked / indirect. Here we add the two nDirect
-//! flavours the end-to-end figures need: model-scheduled nDirect (what
-//! "MXNet+NDIRECT" measures) and per-shape autotuned nDirect (the Ansor
-//! proxy, with the search cost paid offline exactly as the paper excludes
-//! Ansor's tuning time).
+//! it for naive / im2col / blocked / indirect. Here we add nDirect in the
+//! two flavours the end-to-end figures need: model-scheduled (what
+//! "MXNet+NDIRECT" measures) and, given a schedule table, per-shape
+//! autotuned (the Ansor proxy, with the search cost paid offline exactly
+//! as the paper excludes Ansor's tuning time).
 //!
-//! Both backends are built on the plan layer: the first call for a layer
+//! The backend is built on the plan layer: the first call for a layer
 //! builds a [`ConvPlan`] (schedule derivation, filter packing, scratch
 //! allocation, all paid once) and every later call is the allocation-free
 //! [`ConvPlan::execute`] hot path — the same amortization a framework
@@ -23,26 +23,14 @@ use ndirect_platform::Platform;
 use ndirect_tensor::{ConvShape, Filter, Tensor4};
 use ndirect_threads::StaticPool;
 
-/// Looks up (or builds and caches) the plan for a layer; the registry
-/// tracks the shape + frozen-filter identity so a rebuilt weight buffer
-/// gets a fresh plan. A build failure at this level is a caller bug (bad
-/// shape), so the backends keep their seed panic behaviour; the fallible
-/// path lives in [`PlanRegistry::get_or_try_build`] for callers (the
-/// serving layer) that handle refusals.
-fn plan_for(
-    cache: &PlanRegistry,
-    key: PlanKey,
-    build: impl FnOnce() -> Result<ConvPlan<'static>, ndirect_core::Error>,
-) -> Arc<ConvPlan<'static>> {
-    cache
-        .get_or_try_build(key, build)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// nDirect with schedules derived from the analytic models, executed
-/// through per-layer [`ConvPlan`]s (derived + packed once, reused).
+/// nDirect executed through per-layer [`ConvPlan`]s (scheduled + packed
+/// once, reused). A shape found in the schedule table runs that (e.g.
+/// autotuned) schedule, its own [`ndirect_core::FilterState`] honored;
+/// every other shape runs the schedule the analytic models derive.
 pub struct NDirectBackend {
     platform: Platform,
+    schedules: HashMap<ConvShape, Schedule>,
+    name: &'static str,
     cache: PlanRegistry,
 }
 
@@ -51,6 +39,8 @@ impl NDirectBackend {
     pub fn new(platform: Platform) -> Self {
         Self {
             platform,
+            schedules: HashMap::new(),
+            name: "nDirect",
             cache: PlanRegistry::new(),
         }
     }
@@ -60,18 +50,45 @@ impl NDirectBackend {
         Self::new(ndirect_platform::host())
     }
 
+    /// Host backend that runs the externally supplied per-shape
+    /// `schedules`, under its own display `name`.
+    pub fn tuned(schedules: HashMap<ConvShape, Schedule>, name: &'static str) -> Self {
+        Self {
+            schedules,
+            name,
+            ..Self::host()
+        }
+    }
+
+    /// Number of tuned shapes.
+    pub fn tuned_shapes(&self) -> usize {
+        self.schedules.len()
+    }
+
     /// Eagerly builds (and caches) the plan for a layer, so the first
     /// timed call doesn't pay schedule derivation + filter packing.
     /// Returns the plan for callers that want to execute it directly.
+    ///
+    /// The registry tracks the shape + frozen-filter identity so a rebuilt
+    /// weight buffer gets a fresh plan. A build failure at this level is a
+    /// caller bug (bad shape), so the backend keeps its seed panic
+    /// behaviour; the fallible path lives in
+    /// [`PlanRegistry::get_or_try_build`] for callers (the serving layer)
+    /// that handle refusals.
     pub fn prepare(
         &self,
         shape: &ConvShape,
         filter: &Filter,
         threads: usize,
     ) -> Arc<ConvPlan<'static>> {
-        plan_for(&self.cache, PlanKey::new(shape, filter, threads), || {
-            ConvPlan::try_new(&self.platform, shape, filter, threads)
-        })
+        self.cache
+            .get_or_try_build(PlanKey::new(shape, filter, threads), || {
+                match self.schedules.get(shape) {
+                    Some(schedule) => ConvPlan::try_with_schedule(shape, filter, schedule),
+                    None => ConvPlan::try_new(&self.platform, shape, filter, threads),
+                }
+            })
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Eagerly builds (and caches) the plan for a depthwise layer, keyed
@@ -119,7 +136,7 @@ impl NDirectBackend {
 
 impl Convolution for NDirectBackend {
     fn name(&self) -> &'static str {
-        "nDirect"
+        self.name
     }
 
     fn accumulates(&self) -> bool {
@@ -137,64 +154,6 @@ impl Convolution for NDirectBackend {
         let plan = self.prepare(shape, filter, pool.size());
         plan.execute(pool, input, output)
             .unwrap_or_else(|e| panic!("{e}"));
-    }
-}
-
-/// nDirect with externally supplied (e.g. autotuned) per-shape schedules;
-/// shapes without an entry fall back to the analytic model. Tuned layers
-/// are planned on first use too (the tuned schedule's own
-/// [`ndirect_core::FilterState`] is honored).
-pub struct TunedBackend {
-    fallback: NDirectBackend,
-    schedules: HashMap<ConvShape, Schedule>,
-    cache: PlanRegistry,
-    name: &'static str,
-}
-
-impl TunedBackend {
-    /// Builds a tuned backend from a schedule table.
-    pub fn new(schedules: HashMap<ConvShape, Schedule>, name: &'static str) -> Self {
-        Self {
-            fallback: NDirectBackend::host(),
-            schedules,
-            cache: PlanRegistry::new(),
-            name,
-        }
-    }
-
-    /// Number of tuned shapes.
-    pub fn tuned_shapes(&self) -> usize {
-        self.schedules.len()
-    }
-}
-
-impl Convolution for TunedBackend {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn accumulates(&self) -> bool {
-        true
-    }
-
-    fn conv(
-        &self,
-        pool: &StaticPool,
-        input: &Tensor4,
-        filter: &Filter,
-        shape: &ConvShape,
-        output: &mut Tensor4,
-    ) {
-        match self.schedules.get(shape) {
-            Some(schedule) => {
-                let plan = plan_for(&self.cache, PlanKey::new(shape, filter, pool.size()), || {
-                    ConvPlan::try_with_schedule(shape, filter, schedule)
-                });
-                plan.execute(pool, input, output)
-                    .unwrap_or_else(|e| panic!("{e}"));
-            }
-            None => self.fallback.conv(pool, input, filter, shape, output),
-        }
     }
 }
 
@@ -325,7 +284,7 @@ mod tests {
         let pool = StaticPool::new(1);
         let mut table = HashMap::new();
         table.insert(shape, Schedule::minimal(&shape));
-        let backend = TunedBackend::new(table, "tuned");
+        let backend = NDirectBackend::tuned(table, "tuned");
         assert_eq!(backend.tuned_shapes(), 1);
         let got = ndirect_baselines::run_backend(&backend, &pool, &input, &filter, &shape);
         let expect = naive::conv_ref(&input, &filter, &shape);

@@ -135,30 +135,17 @@ impl<'a> Engine<'a> {
                         && self.backend.accumulates()
                         && matches!(model.nodes.get(i + 1), Some(Node::ResidualJoin(None)))
                         && !layer.relu // the add must precede any ReLU
-                        && layer.scale.iter().all(|&s| s == 1.0)
-                        && layer.shift.iter().all(|&b| b == 0.0);
+                        && identity_affine(layer);
                     if fusable {
-                        let (n, c, h, w) = act.dims();
-                        let shape = layer.try_shape_for(n, c, h, w)?;
                         let shortcut = saved.take().ok_or(ModelError::MissingSave)?;
-                        if shortcut.dims() != (n, layer.k, shape.p(), shape.q()) {
-                            return Err(ModelError::ShortcutMismatch {
-                                expected: (n, layer.k, shape.p(), shape.q()),
-                                got: shortcut.dims(),
-                            });
-                        }
-                        let t0 = Instant::now();
-                        let mut out = shortcut;
-                        self.backend
-                            .conv(self.pool, &act, &layer.filter, &shape, &mut out);
-                        stats.conv_time += t0.elapsed();
-                        stats.convs += 1;
+                        let seeded = ConvKind::Standard(Some(shortcut));
+                        act = self.conv(layer, &act, seeded, &mut stats)?;
                         // The join this fusion replaces always ends in ReLU.
-                        ops::relu(&mut out);
-                        act = out;
+                        ops::relu(&mut act);
                         skip_next_join = true;
                     } else {
-                        act = self.conv_node(layer, &act, &mut stats)?;
+                        act = self.conv(layer, &act, ConvKind::Standard(None), &mut stats)?;
+                        finish(layer, &mut act);
                     }
                 }
                 Node::DepthwiseConv(layer) => {
@@ -166,40 +153,20 @@ impl<'a> Engine<'a> {
                     // 1×1 conv as one cache-resident block when the
                     // depthwise post-affine is the identity (its ReLU, if
                     // any, is applied in-slab between the stages).
-                    let fusable = self.fuse_dwpw
-                        && layer.scale.iter().all(|&s| s == 1.0)
-                        && layer.shift.iter().all(|&b| b == 0.0)
-                        && matches!(
-                            model.nodes.get(i + 1),
-                            Some(Node::Conv(pw)) if pw.rs == 1 && pw.stride == 1 && pw.pad == 0
-                        );
-                    if fusable {
-                        let Some(Node::Conv(pw)) = model.nodes.get(i + 1) else {
-                            unreachable!("fusable checked the next node is a Conv");
-                        };
-                        let (n, c, h, w) = act.dims();
-                        let shape = layer.try_depthwise_shape_for(n, c, h, w)?;
-                        let t0 = Instant::now();
-                        let mut out = ndirect_core::try_conv_dwpw_fused_with(
-                            self.pool,
-                            &act,
-                            &layer.filter,
-                            &pw.filter,
-                            &shape,
-                            layer.relu,
-                        )
-                        .unwrap_or_else(|e| panic!("{e}"));
-                        stats.conv_time += t0.elapsed();
-                        stats.convs += 2; // dw + pw, same count as unfused
-                        ops::scale_shift(&mut out, &pw.scale, &pw.shift);
-                        if pw.relu {
-                            ops::relu(&mut out);
+                    let fused_pw = match model.nodes.get(i + 1) {
+                        Some(Node::Conv(pw))
+                            if self.fuse_dwpw
+                                && identity_affine(layer)
+                                && (pw.rs, pw.stride, pw.pad) == (1, 1, 0) =>
+                        {
+                            Some(pw)
                         }
-                        act = out;
-                        skip_next_conv = true;
-                    } else {
-                        act = self.depthwise_node(layer, &act, &mut stats)?;
-                    }
+                        _ => None,
+                    };
+                    act = self.conv(layer, &act, ConvKind::Depthwise(fused_pw), &mut stats)?;
+                    // Fused, the block's output is the pointwise layer's.
+                    finish(fused_pw.unwrap_or(layer), &mut act);
+                    skip_next_conv = fused_pw.is_some();
                 }
                 Node::MaxPool(k, s, p) => act = ops::max_pool(&act, *k, *s, *p),
                 Node::GlobalAvgPool => act = ops::global_avg_pool(&act),
@@ -218,11 +185,12 @@ impl<'a> Engine<'a> {
                         skip_next_join = false;
                         continue;
                     }
-                    let shortcut_in = saved.take().ok_or(ModelError::MissingSave)?;
-                    let shortcut = match proj {
-                        Some(layer) => self.conv_node(layer, &shortcut_in, &mut stats)?,
-                        None => shortcut_in,
-                    };
+                    let mut shortcut = saved.take().ok_or(ModelError::MissingSave)?;
+                    if let Some(layer) = proj {
+                        shortcut =
+                            self.conv(layer, &shortcut, ConvKind::Standard(None), &mut stats)?;
+                        finish(layer, &mut shortcut);
+                    }
                     ops::add_inplace(&mut act, &shortcut);
                     ops::relu(&mut act);
                 }
@@ -232,48 +200,84 @@ impl<'a> Engine<'a> {
         Ok((act, stats))
     }
 
-    /// Depthwise layers always run nDirect's depthwise kernel — none of
-    /// the baseline libraries implement depthwise, so (as in real
-    /// frameworks) the operator is routed to the dedicated implementation
-    /// regardless of the standard-conv backend.
-    fn depthwise_node(
+    /// Runs one convolution node's kernel on `act` — shape derivation,
+    /// output allocation (or the shortcut as the seed), the timed call and
+    /// the `stats` update — and returns the raw output; the affine and
+    /// ReLU are [`finish`]'s.
+    fn conv(
         &self,
         layer: &ConvLayer,
         act: &Tensor4,
+        kind: ConvKind<'_>,
         stats: &mut InferenceStats,
     ) -> Result<Tensor4, ModelError> {
         let (n, c, h, w) = act.dims();
-        let shape = layer.try_depthwise_shape_for(n, c, h, w)?;
+        let shape = match kind {
+            ConvKind::Standard(_) => layer.try_shape_for(n, c, h, w)?,
+            ConvKind::Depthwise(_) => layer.try_depthwise_shape_for(n, c, h, w)?,
+        };
+        // A fused dw+pw block counts both its convolutions, as unfused.
+        let convs = if matches!(kind, ConvKind::Depthwise(Some(_))) { 2 } else { 1 };
         let t0 = Instant::now();
-        let mut out = ndirect_core::conv_depthwise(self.pool, act, &layer.filter, &shape);
+        let out = match kind {
+            ConvKind::Standard(seed) => {
+                let expected = (n, layer.k, shape.p(), shape.q());
+                let mut out = match seed {
+                    Some(shortcut) if shortcut.dims() != expected => {
+                        return Err(ModelError::ShortcutMismatch {
+                            expected,
+                            got: shortcut.dims(),
+                        });
+                    }
+                    Some(shortcut) => shortcut,
+                    None => Tensor4::output_for(&shape, ActLayout::Nchw),
+                };
+                self.backend
+                    .conv(self.pool, act, &layer.filter, &shape, &mut out);
+                out
+            }
+            ConvKind::Depthwise(None) => {
+                ndirect_core::try_conv_depthwise(self.pool, act, &layer.filter, &shape)?
+            }
+            ConvKind::Depthwise(Some(pw)) => ndirect_core::try_conv_dwpw_fused_with(
+                self.pool,
+                act,
+                &layer.filter,
+                &pw.filter,
+                &shape,
+                layer.relu,
+            )?,
+        };
         stats.conv_time += t0.elapsed();
-        stats.convs += 1;
-        ops::scale_shift(&mut out, &layer.scale, &layer.shift);
-        if layer.relu {
-            ops::relu(&mut out);
-        }
+        stats.convs += convs;
         Ok(out)
     }
+}
 
-    fn conv_node(
-        &self,
-        layer: &ConvLayer,
-        act: &Tensor4,
-        stats: &mut InferenceStats,
-    ) -> Result<Tensor4, ModelError> {
-        let (n, c, h, w) = act.dims();
-        let shape = layer.try_shape_for(n, c, h, w)?;
-        let t0 = Instant::now();
-        let mut out = Tensor4::output_for(&shape, ActLayout::Nchw);
-        self.backend
-            .conv(self.pool, act, &layer.filter, &shape, &mut out);
-        stats.conv_time += t0.elapsed();
-        stats.convs += 1;
-        ops::scale_shift(&mut out, &layer.scale, &layer.shift);
-        if layer.relu {
-            ops::relu(&mut out);
-        }
-        Ok(out)
+/// Which kernel a convolution node runs, and what its output starts from.
+enum ConvKind<'m> {
+    /// The backend's convolution, accumulating onto the given seed (the
+    /// saved shortcut, under residual fusion) or else into a fresh zeroed
+    /// output.
+    Standard(Option<Tensor4>),
+    /// nDirect's depthwise kernel — none of the baseline libraries
+    /// implement depthwise, so (as in real frameworks) the operator is
+    /// routed to the dedicated implementation regardless of the
+    /// standard-conv backend — fused with the given pointwise layer when
+    /// there is one.
+    Depthwise(Option<&'m ConvLayer>),
+}
+
+/// Whether the layer's post-affine is the identity.
+fn identity_affine(layer: &ConvLayer) -> bool {
+    layer.scale.iter().all(|&s| s == 1.0) && layer.shift.iter().all(|&b| b == 0.0)
+}
+
+/// The layer's folded batch-norm affine and optional ReLU, on its output.
+fn finish(layer: &ConvLayer, out: &mut Tensor4) {
+    ops::scale_shift(out, &layer.scale, &layer.shift);
+    if layer.relu {
+        ops::relu(out);
     }
 }
 

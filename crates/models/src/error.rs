@@ -40,6 +40,9 @@ pub enum ModelError {
     },
     /// A layer induced an invalid convolution shape.
     Shape(ShapeError),
+    /// A convolution the engine itself dispatches (depthwise, fused
+    /// dw+pw) refused to run: unsupported ISA, scratch refusal, pool fault.
+    Conv(ndirect_core::Error),
 }
 
 impl std::fmt::Display for ModelError {
@@ -65,6 +68,7 @@ impl std::fmt::Display for ModelError {
                 "identity shortcut must match conv output {expected:?}, got {got:?}"
             ),
             ModelError::Shape(e) => write!(f, "{e}"),
+            ModelError::Conv(e) => write!(f, "{e}"),
         }
     }
 }
@@ -73,6 +77,7 @@ impl std::error::Error for ModelError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ModelError::Shape(e) => Some(e),
+            ModelError::Conv(e) => Some(e),
             _ => None,
         }
     }
@@ -81,5 +86,11 @@ impl std::error::Error for ModelError {
 impl From<ShapeError> for ModelError {
     fn from(e: ShapeError) -> Self {
         ModelError::Shape(e)
+    }
+}
+
+impl From<ndirect_core::Error> for ModelError {
+    fn from(e: ndirect_core::Error) -> Self {
+        ModelError::Conv(e)
     }
 }

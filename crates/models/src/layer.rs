@@ -3,6 +3,7 @@
 use ndirect_tensor::{ConvShape, Filter, Padding};
 
 use crate::error::ModelError;
+use crate::ops::pooled_extent;
 
 /// A convolution layer with folded batch-norm and optional ReLU.
 #[derive(Debug, Clone)]
@@ -210,94 +211,65 @@ impl Model {
             .count()
     }
 
-    /// Every convolution's [`ConvShape`] for batch size `n`, in execution
-    /// order (projection shortcuts included) — what a per-shape tuner needs.
-    pub fn conv_shapes(&self, n: usize) -> Vec<ConvShape> {
+    /// The one geometry walk: carries `(c, h, w)` and the save slot down
+    /// the node list and returns every convolution's [`ConvShape`] for
+    /// batch size `n` in execution order (projection shortcuts included),
+    /// flagged `true` when it is depthwise.
+    fn walk_convs(&self, n: usize) -> Vec<(ConvShape, bool)> {
         let (mut c, mut h, mut w) = self.input;
         let mut saved: Option<(usize, usize, usize)> = None;
-        let mut shapes = Vec::new();
+        let mut convs = Vec::new();
         for node in &self.nodes {
             match node {
                 Node::Conv(l) => {
                     let s = l.shape_for(n, c, h, w);
-                    shapes.push(s);
-                    c = l.k;
-                    h = s.p();
-                    w = s.q();
+                    convs.push((s, false));
+                    (c, h, w) = (l.k, s.p(), s.q());
                 }
                 Node::DepthwiseConv(l) => {
-                    // Depthwise layers run a dedicated kernel; they update
-                    // geometry but are not candidates for the standard-conv
-                    // tuner.
                     let s = l.depthwise_shape_for(n, c, h, w);
-                    h = s.p();
-                    w = s.q();
+                    convs.push((s, true));
+                    (h, w) = (s.p(), s.q());
                 }
                 Node::MaxPool(k, st, p) => {
-                    h = (h + 2 * p - k) / st + 1;
-                    w = (w + 2 * p - k) / st + 1;
+                    (h, w) = (pooled_extent(h, *k, *st, *p), pooled_extent(w, *k, *st, *p));
                 }
-                Node::GlobalAvgPool => {
-                    h = 1;
-                    w = 1;
-                }
-                Node::Fc(f) => {
-                    c = f.out;
-                    h = 1;
-                    w = 1;
-                }
+                Node::GlobalAvgPool => (h, w) = (1, 1),
+                Node::Fc(f) => (c, h, w) = (f.out, 1, 1),
                 Node::Softmax => {}
                 Node::Save => saved = Some((c, h, w)),
                 Node::ResidualJoin(proj) => {
                     if let (Some(l), Some((sc, sh, sw))) = (proj, saved) {
-                        shapes.push(l.shape_for(n, sc, sh, sw));
+                        convs.push((l.shape_for(n, sc, sh, sw), false));
                     }
                     saved = None;
                 }
             }
         }
-        shapes
+        convs
+    }
+
+    /// Every standard convolution's [`ConvShape`] for batch size `n`, in
+    /// execution order (projection shortcuts included) — what a per-shape
+    /// tuner needs. Depthwise layers run a dedicated kernel and are not
+    /// candidates for the standard-conv tuner.
+    pub fn conv_shapes(&self, n: usize) -> Vec<ConvShape> {
+        let convs = self.walk_convs(n).into_iter();
+        convs.filter_map(|(shape, depthwise)| (!depthwise).then_some(shape)).collect()
     }
 
     /// Total convolution FLOPs for batch size `n` (the >90% the paper
     /// attributes to conv), including depthwise layers
     /// (`2·N·C·P·Q·R·S` each — no channel reduction).
     pub fn conv_flops(&self, n: usize) -> u64 {
-        let standard: u64 = self.conv_shapes(n).iter().map(|s| s.flops()).sum();
-        // Re-walk for the depthwise contribution.
-        let (mut c, mut h, mut w) = self.input;
-        let mut dw = 0u64;
-        for node in &self.nodes {
-            match node {
-                Node::Conv(l) => {
-                    let s = l.shape_for(n, c, h, w);
-                    c = l.k;
-                    h = s.p();
-                    w = s.q();
-                }
-                Node::DepthwiseConv(l) => {
-                    let s = l.depthwise_shape_for(n, c, h, w);
-                    dw += 2 * (n * c * s.p() * s.q()) as u64 * (l.rs * l.rs) as u64;
-                    h = s.p();
-                    w = s.q();
-                }
-                Node::MaxPool(k, st, p) => {
-                    h = (h + 2 * p - k) / st + 1;
-                    w = (w + 2 * p - k) / st + 1;
-                }
-                Node::GlobalAvgPool => {
-                    h = 1;
-                    w = 1;
-                }
-                Node::Fc(f) => {
-                    c = f.out;
-                    h = 1;
-                    w = 1;
-                }
-                _ => {}
+        let flops = |&(s, depthwise): &(ConvShape, bool)| {
+            if depthwise {
+                2 * (s.n * s.c * s.p() * s.q()) as u64 * (s.r * s.s) as u64
+            } else {
+                s.flops()
             }
-        }
-        standard + dw
+        };
+        self.walk_convs(n).iter().map(flops).sum()
     }
 }
 

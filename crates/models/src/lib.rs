@@ -32,7 +32,7 @@ pub mod layer;
 pub mod ops;
 pub mod zoo;
 
-pub use backend::{NDirectBackend, TunedBackend};
+pub use backend::NDirectBackend;
 pub use engine::{Engine, InferenceStats};
 pub use error::ModelError;
 pub use layer::{ConvLayer, FcLayer, Model, Node};

@@ -4,7 +4,7 @@
 //! convolutions dominate CNN inference (>90% per the paper's §1), so these
 //! only need to be correct and not embarrassing.
 
-use ndirect_gemm::{gemm, BlockSizes};
+use ndirect_gemm::{par_gemm, BlockSizes};
 use ndirect_tensor::Tensor4;
 use ndirect_threads::StaticPool;
 
@@ -52,12 +52,17 @@ pub fn add_inplace(dst: &mut Tensor4, src: &Tensor4) {
     }
 }
 
+/// Output extent of a `k`-wide pooling window at `stride` over `extent`
+/// inputs padded by `pad` on both sides.
+pub(crate) fn pooled_extent(extent: usize, k: usize, stride: usize, pad: usize) -> usize {
+    (extent + 2 * pad - k) / stride + 1
+}
+
 /// Max pooling with square window `k`, stride `s`, symmetric padding `p`
 /// (padding contributes `-inf`, i.e. never wins).
 pub fn max_pool(t: &Tensor4, k: usize, stride: usize, pad: usize) -> Tensor4 {
     let (n, c, h, w) = t.dims();
-    let ph = (h + 2 * pad - k) / stride + 1;
-    let pw = (w + 2 * pad - k) / stride + 1;
+    let (ph, pw) = (pooled_extent(h, k, stride, pad), pooled_extent(w, k, stride, pad));
     let mut out = Tensor4::zeros(n, c, ph, pw, t.layout());
     for ni in 0..n {
         for ci in 0..c {
@@ -102,6 +107,12 @@ pub fn global_avg_pool(t: &Tensor4) -> Tensor4 {
 
 /// Fully-connected layer: flattens `(N, C, H, W)` to `N × (C·H·W)` and
 /// computes `Y = X·Wᵀ + b` with the workspace GEMM. Returns `(N, out, 1, 1)`.
+///
+/// The GEMM runs as `Yᵀ (out×N) = W (out×in) · Xᵀ (in×N)`, so the weights
+/// are operand `A` exactly as stored and only activation-sized buffers are
+/// staged; `M = out` also gives the thread team row stripes to split at
+/// batch 1. Each output element is the same `KC`-blocked sum over `in` in
+/// either operand order.
 pub fn fully_connected(
     pool: &StaticPool,
     t: &Tensor4,
@@ -112,26 +123,19 @@ pub fn fully_connected(
     let in_dim = c * h * w;
     let out_dim = bias.len();
     assert_eq!(weight.len(), out_dim * in_dim, "FC weight size");
-    // Y[n][o] = Σ_i X[n][i]·W[o][i]: compute as (W · Xᵀ)ᵀ per sample to
-    // reuse the row-major GEMM — for inference sizes, loop samples and do
-    // GEMV-ish via gemm with m=out, n=1 is wasteful; instead transpose W
-    // once into in×out and run X(n×in) · Wt(in×out).
-    let mut wt = vec![0.0f32; in_dim * out_dim];
-    for o in 0..out_dim {
+    let x = t.as_slice();
+    let mut xt = vec![0.0f32; in_dim * n];
+    for ni in 0..n {
         for i in 0..in_dim {
-            wt[i * out_dim + o] = weight[o * in_dim + i];
+            xt[i * n + ni] = x[ni * in_dim + i];
         }
     }
-    let mut y = vec![0.0f32; n * out_dim];
-    if pool.size() > 1 && n >= 2 {
-        ndirect_gemm::par_gemm(pool, n, out_dim, in_dim, t.as_slice(), &wt, &mut y, BlockSizes::default());
-    } else {
-        gemm(n, out_dim, in_dim, t.as_slice(), &wt, &mut y);
-    }
+    let mut yt = vec![0.0f32; out_dim * n];
+    par_gemm(pool, out_dim, n, in_dim, weight, &xt, &mut yt, BlockSizes::default());
     let mut out = Tensor4::zeros(n, out_dim, 1, 1, t.layout());
     for ni in 0..n {
         for o in 0..out_dim {
-            *out.at_mut(ni, o, 0, 0) = y[ni * out_dim + o] + bias[o];
+            *out.at_mut(ni, o, 0, 0) = yt[o * n + ni] + bias[o];
         }
     }
     out
@@ -234,6 +238,32 @@ mod tests {
         let y = fully_connected(&pool, &t, &weight, &bias);
         assert_eq!(y.dims(), (2, 2, 1, 1));
         assert_eq!(y.as_slice(), &[10.0, 23.0, 13.0, 29.0]);
+    }
+
+    #[test]
+    fn fully_connected_matches_naive_matmul_off_the_block_sizes() {
+        // 1000 → 37: multiples of neither the GEMM's MR = 6 nor its
+        // KC = 256, so the edge tile and the short last K block both run.
+        let (in_dim, out_dim) = (1000, 37);
+        let mut weight = vec![0.0; out_dim * in_dim];
+        fill::fill_random(&mut weight, 1);
+        let mut bias = vec![0.0; out_dim];
+        fill::fill_random(&mut bias, 2);
+        for n in [1, 2, 3] {
+            let t = fill::random_tensor(Tensor4::zeros(n, 10, 10, 10, ActLayout::Nchw), 3);
+            // Yᵀ = W·Xᵀ by the reference, one sample (= one column) at a time.
+            let mut expect = Vec::new();
+            for x in t.as_slice().chunks(in_dim) {
+                let mut y = bias.clone();
+                ndirect_gemm::naive::matmul(out_dim, 1, in_dim, &weight, x, &mut y);
+                expect.extend(y);
+            }
+            let serial = fully_connected(&StaticPool::new(1), &t, &weight, &bias);
+            assert_eq!(serial.dims(), (n, out_dim, 1, 1));
+            ndirect_tensor::assert_close(serial.as_slice(), &expect, 1e-4, "fc vs naive");
+            let team = fully_connected(&StaticPool::new(3), &t, &weight, &bias);
+            assert_eq!(team.as_slice(), serial.as_slice(), "n={n}: 3 threads vs 1, bitwise");
+        }
     }
 
     #[test]

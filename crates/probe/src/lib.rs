@@ -107,24 +107,6 @@ pub enum Counter {
     Regions,
     /// Timeline events discarded because a per-thread buffer was full.
     EventsDropped,
-    /// Requests admitted into the serving queue.
-    ServeEnqueued,
-    /// Requests pulled off the serving queue by the batcher (includes
-    /// requests later found expired; excludes shed ones).
-    ServeDequeued,
-    /// Requests refused admission (queue past the high-water mark,
-    /// expired on arrival, or server draining).
-    ServeShed,
-    /// Requests whose deadline expired after admission — cancelled in
-    /// queue, or delivered late from an in-flight batch.
-    ServeDeadlineMisses,
-    /// Batches dispatched to a worker shard.
-    ServeBatches,
-    /// Requests carried inside dispatched batches (mean batch size is
-    /// `ServeBatchedRequests / ServeBatches`).
-    ServeBatchedRequests,
-    /// Transient-failure retries performed by the serving executor.
-    ServeRetries,
     /// Bytes of per-strip packing traffic the zero-copy schedule variants
     /// (`PackingMode::None` / `PackingMode::Sliced`) *avoided*: for every
     /// strip served without its own packed buffer, the `Tc·R·WIN·4` bytes
@@ -141,7 +123,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants.
-pub const NUM_COUNTERS: usize = 19;
+pub const NUM_COUNTERS: usize = 12;
 
 impl Counter {
     /// All counters, in declaration (= serialization) order.
@@ -156,13 +138,6 @@ impl Counter {
         Counter::PlanCacheMisses,
         Counter::Regions,
         Counter::EventsDropped,
-        Counter::ServeEnqueued,
-        Counter::ServeDequeued,
-        Counter::ServeShed,
-        Counter::ServeDeadlineMisses,
-        Counter::ServeBatches,
-        Counter::ServeBatchedRequests,
-        Counter::ServeRetries,
         Counter::BytesPackSaved,
         Counter::BytesIntermediateSaved,
     ];
@@ -180,13 +155,6 @@ impl Counter {
             Counter::PlanCacheMisses => "plan_cache_misses",
             Counter::Regions => "regions",
             Counter::EventsDropped => "events_dropped",
-            Counter::ServeEnqueued => "serve_enqueued",
-            Counter::ServeDequeued => "serve_dequeued",
-            Counter::ServeShed => "serve_shed",
-            Counter::ServeDeadlineMisses => "serve_deadline_misses",
-            Counter::ServeBatches => "serve_batches",
-            Counter::ServeBatchedRequests => "serve_batched_requests",
-            Counter::ServeRetries => "serve_retries",
             Counter::BytesPackSaved => "bytes_pack_saved",
             Counter::BytesIntermediateSaved => "bytes_intermediate_saved",
         }

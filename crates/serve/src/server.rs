@@ -416,7 +416,6 @@ impl Server {
                 s.expired_arrival.add(1);
             }
             inner.metrics.shed_rps.record(1);
-            ndirect_probe::probe_count!(ServeShed, 1);
             return Err(ServeError::DeadlineExpired { at: ExpiredAt::Arrival });
         }
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed); // ORDERING: Relaxed — ticket id allocation; only uniqueness matters
@@ -439,7 +438,6 @@ impl Server {
                 }
                 inner.metrics.queue_depth.set(depth as u64);
                 inner.metrics.queue_high_water.set_max(depth as u64);
-                ndirect_probe::probe_count!(ServeEnqueued, 1);
                 Ok(Ticket { slot, id })
             }
             Err(boxed) => {
@@ -455,7 +453,6 @@ impl Server {
                     }
                 }
                 inner.metrics.shed_rps.record(1);
-                ndirect_probe::probe_count!(ServeShed, 1);
                 Err(match error {
                     ServeError::Overloaded { depth, .. } => ServeError::Overloaded {
                         depth,
@@ -567,8 +564,6 @@ fn batcher_loop(inner: &Arc<ServerInner>) {
                     s.failed.add(1);
                 }
             }
-            ndirect_probe::probe_count!(ServeDeadlineMisses, expired.len() as u64);
-            ndirect_probe::probe_count!(ServeDequeued, expired.len() as u64);
         }
         match outcome {
             BatchPlanOutcome::Batch(requests) => {
@@ -603,9 +598,6 @@ fn batcher_loop(inner: &Arc<ServerInner>) {
                     s.batched_requests.add(n);
                     s.batch_size.record(n);
                 }
-                ndirect_probe::probe_count!(ServeDequeued, n);
-                ndirect_probe::probe_count!(ServeBatches, 1);
-                ndirect_probe::probe_count!(ServeBatchedRequests, n);
                 // AUDIT: allow(hotpath-no-alloc) per-batch handoff to the
                 // shard queue; one enqueue per formed batch.
                 inner.dispatch.push(Batch { model, requests, t_formed_ns });
@@ -848,9 +840,6 @@ fn deliver(
         exec_end_ns,
         delivery_ns,
     );
-    if late {
-        ndirect_probe::probe_count!(ServeDeadlineMisses, 1);
-    }
     r.slot.resolve(Ok(InferResponse { output, late, degraded, batch }));
 }
 
@@ -915,7 +904,6 @@ fn backoff(inner: &Arc<ServerInner>, model_idx: usize, attempt: usize) {
     for s in inner.metrics.sets(model_idx) {
         s.retries.add(1);
     }
-    ndirect_probe::probe_count!(ServeRetries, 1);
     let factor = 1u32 << (attempt - 1).min(10) as u32;
     std::thread::sleep(inner.config.retry_backoff.saturating_mul(factor));
 }

@@ -24,6 +24,7 @@ use ndirect_core::{
     conv_depthwise, conv_ndirect_with, nhwc::conv_ndirect_nhwc_with, try_conv_dwpw_fused_with,
     ConvPlan, DepthwisePlan, DwPwSchedule, FusedDwPwPlan, PackingMode, Schedule,
 };
+use ndirect_models::{zoo, ConvLayer, Engine, FcLayer, Model, NDirectBackend, Node};
 use ndirect_tensor::{fill, ActLayout, ConvShape, Filter, FilterLayout, Padding, Tensor4};
 use ndirect_threads::{Grid2, StaticPool};
 
@@ -58,8 +59,8 @@ fn fnv1a(data: &[f32]) -> u64 {
     h
 }
 
-/// Compares `actual` with the table, entry by entry and in order.
-fn check_golden(actual: &[(&str, u64)]) {
+/// Compares `actual` with `table`, entry by entry.
+fn check_golden(table: &[(&str, u64)], actual: &[(&str, u64)]) {
     let backend = ndirect_simd::backend_name();
     if !matches!(backend, "sse" | "scalar") {
         println!("golden_bits: no table for backend {backend:?}; in-build equalities only");
@@ -67,7 +68,7 @@ fn check_golden(actual: &[(&str, u64)]) {
     }
     let stale: Vec<_> = actual
         .iter()
-        .filter(|(name, hash)| GOLDEN.iter().find(|(n, _)| n == name) != Some(&(*name, *hash)))
+        .filter(|(name, hash)| table.iter().find(|(n, _)| n == name) != Some(&(*name, *hash)))
         .collect();
     let listing: String =
         actual.iter().map(|(n, h)| format!("    ({n:?}, {h:#018x}),\n")).collect();
@@ -141,7 +142,7 @@ fn nchw_bits_are_stable() {
     ];
     let actual: Vec<_> =
         cases.into_iter().map(|(name, shape, tiles)| (name, nchw_case(name, shape, tiles))).collect();
-    check_golden(&actual);
+    check_golden(GOLDEN, &actual);
 }
 
 #[test]
@@ -169,7 +170,7 @@ fn nhwc_bits_are_stable() {
         }
         actual.push((name, fnv1a(reference.expect("a grid ran").as_slice())));
     }
-    check_golden(&actual);
+    check_golden(GOLDEN, &actual);
 }
 
 fn dw_problem(shape: &ConvShape, k: usize, seed: u64) -> (Tensor4, Filter, Filter) {
@@ -199,7 +200,7 @@ fn depthwise_bits_are_stable() {
         }
         actual.push((name, fnv1a(reference.as_slice())));
     }
-    check_golden(&actual);
+    check_golden(GOLDEN, &actual);
 }
 
 #[test]
@@ -225,5 +226,72 @@ fn dwpw_bits_are_stable() {
         }
         actual.push((name, fnv1a(reference.as_slice())));
     }
-    check_golden(&actual);
+    check_golden(GOLDEN, &actual);
+}
+
+/// Hashes of `Engine::run`'s batch-1 output, same backends as [`GOLDEN`].
+/// The standard convolutions run plans derived for a fixed preset platform
+/// (not the host), so the channel tile — and with it the bits — is the
+/// same everywhere.
+const GOLDEN_ENGINE: &[(&str, u64)] = &[
+    ("engine tiny_resnet", 0xebea_b277_f2d6_d621),
+    ("engine mobilenet_lite", 0x3530_16d1_0db0_c760),
+    ("engine fc head", 0x4f6d_0ecd_b4ff_a7d7),
+    ("engine fc head n3", 0x6247_afb7_df6e_81b1),
+];
+
+/// Conv → pool → two FC layers, logits out (no softmax to blur the bits).
+/// The FC dimensions are multiples of neither the GEMM's `MR = 6` nor its
+/// `KC = 256`: 288 → 37 → 10.
+fn fc_headed_model(seed: u64) -> Model {
+    let fc = |input: usize, out: usize, relu: bool, seed: u64| {
+        let mut weight = vec![0.0; out * input];
+        fill::fill_random(&mut weight, seed);
+        let mut bias = vec![0.0; out];
+        fill::fill_random(&mut bias, seed ^ 0xb1a5);
+        Node::Fc(FcLayer { out, weight, bias, relu })
+    };
+    Model {
+        name: "fc-headed".into(),
+        input: (3, 12, 12),
+        nodes: vec![
+            Node::Conv(ConvLayer {
+                k: 8,
+                rs: 3,
+                stride: 1,
+                pad: 1,
+                filter: fill::random_filter(Filter::zeros(8, 3, 3, 3, FilterLayout::Kcrs), seed),
+                scale: vec![0.5; 8],
+                shift: vec![0.1; 8],
+                relu: true,
+            }),
+            Node::MaxPool(2, 2, 0),
+            fc(288, 37, true, seed ^ 1),
+            fc(37, 10, false, seed ^ 2),
+        ],
+    }
+}
+
+#[test]
+fn engine_bits_are_stable() {
+    let models = [
+        ("engine tiny_resnet", 1, zoo::tiny_resnet(0x6021)),
+        ("engine mobilenet_lite", 1, zoo::mobilenet_lite(0x6022)),
+        ("engine fc head", 1, fc_headed_model(0x6023)),
+        ("engine fc head n3", 3, fc_headed_model(0x6023)),
+    ];
+    let pool = StaticPool::new(1);
+    let backend = NDirectBackend::new(ndirect_platform::kp920());
+    let engine = Engine::new(&backend, &pool);
+    let mut actual = Vec::new();
+    for (name, n, model) in &models {
+        let (c, h, w) = model.input;
+        let input = fill::random_tensor(Tensor4::zeros(*n, c, h, w, ActLayout::Nchw), 0x6024);
+        let (first, stats) = engine.run(model, &input);
+        assert_eq!(stats.convs, model.conv_count(), "{name}");
+        let (again, _) = engine.run(model, &input);
+        assert_eq!(first.as_slice(), again.as_slice(), "{name}: warm plans, same bits");
+        actual.push((*name, fnv1a(first.as_slice())));
+    }
+    check_golden(GOLDEN_ENGINE, &actual);
 }

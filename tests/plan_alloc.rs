@@ -2,7 +2,8 @@
 //! and warmed, `execute` never touches the global allocator — not on the
 //! single-thread inline path, not on the threaded path (whose job
 //! dispatch reuses the pool's latch and pre-sized queue), and not for a
-//! warmed [`DepthwisePlan`].
+//! warmed [`DepthwisePlan`]. The same allocator holds
+//! `ops::fully_connected` to staging nothing the size of its weights.
 //!
 //! This file is its own test binary with exactly one `#[test]` so the
 //! counting allocator below sees no interference from parallel tests.
@@ -21,33 +22,35 @@ struct CountingAlloc;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+
+fn count(bytes: usize) {
+    if ARMED.load(Ordering::Relaxed) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(bytes, Ordering::Relaxed);
+    }
+}
 
 // SAFETY: pure pass-through to `System`; the counters are atomics, so the
 // allocator imposes no extra synchronization or aliasing requirements.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: same contract as `System::alloc`, to which this forwards.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(layout.size());
         // SAFETY: `layout` is forwarded unchanged from our own contract.
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: same contract as `System::alloc_zeroed`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(layout.size());
         // SAFETY: `layout` is forwarded unchanged from our own contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     // SAFETY: same contract as `System::realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(new_size);
         // SAFETY: all arguments forwarded unchanged from our own contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -64,6 +67,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs_during(f: impl FnOnce()) -> usize {
     ALLOCS.store(0, Ordering::SeqCst);
+    BYTES.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
     f();
     ARMED.store(false, Ordering::SeqCst);
@@ -115,4 +119,21 @@ fn warmed_plan_execute_never_allocates() {
         }
     });
     assert_eq!(n, 0, "depthwise steady-state execute hit the allocator {n}x");
+
+    // The FC layer reads its weights where they lie: one call allocates
+    // the GEMM's fixed pack buffers (~2.4 MB) and activation-sized
+    // vectors, never a copy of the `out × in` weights (8.2 MB here).
+    let (in_dim, out_dim) = (2048, 1000);
+    let x = fill::random_tensor(Tensor4::zeros(1, in_dim, 1, 1, ActLayout::Nchw), 8);
+    let mut weight = vec![0.0f32; out_dim * in_dim];
+    fill::fill_random(&mut weight, 9);
+    let bias = vec![0.0f32; out_dim];
+    allocs_during(|| {
+        std::hint::black_box(ndirect_models::ops::fully_connected(&pool1, &x, &weight, &bias));
+    });
+    let (allocated, weights) = (BYTES.load(Ordering::SeqCst), 4 * out_dim * in_dim);
+    assert!(
+        allocated < weights,
+        "fully_connected allocated {allocated} B, its weights are {weights} B"
+    );
 }

@@ -11,10 +11,10 @@ use std::sync::RwLock;
 
 use ndirect_baselines::{naive, winograd, BaselineError};
 use ndirect_core::{
-    try_conv_depthwise, try_conv_ndirect, try_conv_ndirect_with, Error, Schedule,
+    try_conv_depthwise, try_conv_ndirect, try_conv_ndirect_with, DepthwisePlan, Error, Schedule,
 };
 use ndirect_gemm::GemmError;
-use ndirect_models::{zoo, Engine, ModelError, NDirectBackend};
+use ndirect_models::{zoo, ConvLayer, Engine, Model, ModelError, NDirectBackend, Node};
 use ndirect_support::Rng64;
 use ndirect_tensor::{
     fill, ActLayout, ConvShape, Filter, FilterLayout, Padding, ShapeError, Tensor4,
@@ -32,6 +32,38 @@ fn small_problem() -> (ConvShape, Tensor4, Filter) {
     let input = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nchw), 1);
     let filter = fill::random_filter(Filter::for_shape(&shape, FilterLayout::Kcrs), 2);
     (shape, input, filter)
+}
+
+/// A 6-channel 3×3 depthwise problem on a 9×9 image.
+fn depthwise_problem() -> (ConvShape, Tensor4, Filter) {
+    let shape = ConvShape::new(1, 6, 9, 9, 6, 3, 3, 1, Padding::same(1));
+    let input = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nchw), 3);
+    let filter = fill::random_filter(Filter::zeros(6, 1, 3, 3, FilterLayout::Kcrs), 4);
+    (shape, input, filter)
+}
+
+/// `DepthwiseConv → Conv(1×1)` over [`depthwise_problem`]'s input, the
+/// depthwise affine the identity so the pair is fusable.
+fn dw_then_pw_model() -> Model {
+    let layer = |k: usize, rs: usize, pad: usize, filter: Filter| ConvLayer {
+        k,
+        rs,
+        stride: 1,
+        pad,
+        filter,
+        scale: vec![1.0; k],
+        shift: vec![0.0; k],
+        relu: true,
+    };
+    let pw = fill::random_filter(Filter::zeros(8, 6, 1, 1, FilterLayout::Kcrs), 5);
+    Model {
+        name: "dw-pw".into(),
+        input: (6, 9, 9),
+        nodes: vec![
+            Node::DepthwiseConv(layer(6, 3, 1, depthwise_problem().2)),
+            Node::Conv(layer(8, 1, 0, pw)),
+        ],
+    }
 }
 
 // ------------------------------------------------------------- shapes
@@ -309,8 +341,8 @@ fn scratch_elements(sched: &Schedule, shape: &ConvShape) -> usize {
 
 #[test]
 fn forced_scratch_refusal_in_extension_drivers_is_a_typed_error() {
-    // The 3-D and inner-product drivers have no smaller schedule to fall
-    // back to, so a refused scratch request must come back as
+    // The 3-D, inner-product and depthwise drivers have no smaller schedule
+    // to fall back to, so a refused scratch request must come back as
     // `ScratchAlloc` from the `try_` entry point, never an allocator abort
     // on a worker thread. Write lock: the limit hook is process-global.
     let _g = ISA_HOOK.write().unwrap_or_else(|p| p.into_inner());
@@ -323,16 +355,26 @@ fn forced_scratch_refusal_in_extension_drivers_is_a_typed_error() {
     let input3 = ndirect_tensor::Tensor5::zeros(1, 2, 4, 5, 6);
     let filter3 = ndirect_tensor::Filter5::zeros(4, 2, 3, 3, 3);
 
+    let (dw_shape, dw_input, dw_filter) = depthwise_problem();
+
     ndirect_core::conv::__set_scratch_element_limit(0);
     let ip = ndirect_core::try_conv_inner_product(&pool, &input, &filter, &shape);
     let c3 = ndirect_core::try_conv3d_ndirect(&pool, &input3, &filter3, &shape3);
+    let dw = try_conv_depthwise(&pool, &dw_input, &dw_filter, &dw_shape);
+    let dw_plan = DepthwisePlan::try_new(&dw_shape, &dw_filter, 2).map(|_| ());
     ndirect_core::conv::__set_scratch_element_limit(usize::MAX);
 
     assert!(matches!(ip, Err(Error::ScratchAlloc { elements }) if elements > 0), "{ip:?}");
     assert!(matches!(c3, Err(Error::ScratchAlloc { elements }) if elements > 0), "{c3:?}");
-    // With the cap lifted both run.
+    assert!(matches!(dw, Err(Error::ScratchAlloc { elements }) if elements > 0), "{dw:?}");
+    assert!(
+        matches!(dw_plan, Err(Error::ScratchAlloc { elements }) if elements > 0),
+        "{dw_plan:?}"
+    );
+    // With the cap lifted all run.
     ndirect_core::try_conv_inner_product(&pool, &input, &filter, &shape).expect("no cap");
     ndirect_core::try_conv3d_ndirect(&pool, &input3, &filter3, &shape3).expect("no cap");
+    try_conv_depthwise(&pool, &dw_input, &dw_filter, &dw_shape).expect("no cap");
 }
 
 #[test]
@@ -416,13 +458,30 @@ fn unsupported_isa_degrades_to_typed_error() {
     let (shape, input, filter) = small_problem();
     let pool = StaticPool::new(1);
 
+    let (dw_shape, dw_input, dw_filter) = depthwise_problem();
+    // Depthwise first, so no backend plan is built (and refused by its own
+    // ISA check) before the engine's own depthwise dispatch runs.
+    let model = dw_then_pw_model();
+    let backend = NDirectBackend::host();
+
     ndirect_simd::force_unsupported(true);
     let err = try_conv_ndirect(&pool, &input, &filter, &shape).expect_err("forced ISA miss");
+    let dw = try_conv_depthwise(&pool, &dw_input, &dw_filter, &dw_shape);
+    let dw_plan = DepthwisePlan::try_new(&dw_shape, &dw_filter, 1).map(|_| ());
+    let engine = Engine::new(&backend, &pool);
+    let plain = engine.try_run(&model, &dw_input).map(|_| ());
+    let engine = Engine::new(&backend, &pool).with_dwpw_fusion(true);
+    let fused = engine.try_run(&model, &dw_input).map(|_| ());
     ndirect_simd::force_unsupported(false);
     match &err {
         Error::Isa(e) => assert!(e.to_string().contains("host CPU only supports"), "{e}"),
         other => panic!("expected Error::Isa, got {other}"),
     }
+    assert!(matches!(dw, Err(Error::Isa(_))), "{dw:?}");
+    assert!(matches!(dw_plan, Err(Error::Isa(_))), "{dw_plan:?}");
+    assert!(matches!(plain, Err(ModelError::Conv(Error::Isa(_)))), "{plain:?}");
+    assert!(matches!(fused, Err(ModelError::Conv(Error::Isa(_)))), "{fused:?}");
+    Engine::new(&backend, &pool).try_run(&model, &dw_input).expect("supported host");
 
     // With the hook released, the same problem runs and matches the oracle.
     let got = try_conv_ndirect(&pool, &input, &filter, &shape).expect("supported host");
