@@ -2,26 +2,22 @@
 //! or re-export it for machines.
 //!
 //! ```text
-//! cargo run -p ndirect-bench --bin servestat -- <METRICS_serve_*.json> [mode]
+//! cargo run -p ndirect-serve --example snapshot > results/metrics.json
+//! cargo run -p ndirect-bench --bin servestat -- results/metrics.json [mode]
 //!
 //!   (no mode)   ASCII dashboard: per-stage latency quantiles, outcome
 //!               counters, gauges, and a per-model breakdown
 //!   --json      re-emit the snapshot as canonical snapshot JSON
 //!   --prom      emit Prometheus text exposition format
-//!   --check     validate the snapshot: every family in
-//!               ndirect_serve::METRIC_CATALOG present with an aggregate
-//!               sample, JSON round-trip lossless, Prometheus exposition
-//!               parseable and non-empty; exits non-zero on any failure
 //! ```
 //!
-//! The input is the artifact `servebench` writes next to its BENCH suite
-//! (or any `MetricsSnapshot::to_json` dump, e.g. from
-//! `Server::metrics_snapshot`). The CI telemetry step runs `--check`
-//! against a fresh servebench run so the export surface can't silently
-//! drift from the catalog.
+//! The input is any `MetricsSnapshot::to_json` dump of
+//! `Server::metrics_snapshot`; the `snapshot` example of `ndirect-serve`
+//! prints one from a live server. That the export surface matches
+//! `ndirect_serve::METRIC_CATALOG` is asserted by the chaos suite
+//! (`crates/serve/tests/chaos.rs`), not here.
 
-use ndirect_probe::metrics::{parse_prometheus, HistogramSnapshot, MetricKind, MetricsSnapshot};
-use ndirect_serve::METRIC_CATALOG;
+use ndirect_probe::metrics::{HistogramSnapshot, MetricKind, MetricsSnapshot};
 use ndirect_support::Json;
 
 /// Stage histogram families in pipeline order, with display names.
@@ -36,7 +32,7 @@ const STAGES: [(&str, &str); 7] = [
 ];
 
 fn usage_exit() -> ! {
-    eprintln!("usage: servestat <METRICS_serve_*.json> [--json | --prom | --check]");
+    eprintln!("usage: servestat <metrics.json> [--json | --prom]");
     std::process::exit(2);
 }
 
@@ -66,13 +62,6 @@ fn main() {
         None => dashboard(&path, &snap),
         Some("--json") => format!("{}\n", snap.to_json().pretty()),
         Some("--prom") => snap.to_prometheus(),
-        Some("--check") => match check(&snap) {
-            Ok(summary) => format!("servestat --check: ok ({summary})\n"),
-            Err(msg) => {
-                eprintln!("servestat --check: FAIL: {msg}");
-                std::process::exit(1);
-            }
-        },
         Some(other) => {
             eprintln!("servestat: unknown mode {other:?}");
             usage_exit();
@@ -84,37 +73,6 @@ fn main() {
     if std::io::stdout().write_all(rendered.as_bytes()).is_err() {
         std::process::exit(0);
     }
-}
-
-/// Validates the snapshot against the serve metric catalog and both
-/// export round-trips. Returns a one-line summary on success.
-fn check(snap: &MetricsSnapshot) -> Result<String, String> {
-    for name in METRIC_CATALOG {
-        let family = snap
-            .family(name)
-            .ok_or_else(|| format!("catalog family {name} missing from snapshot"))?;
-        if family.sample(&[]).is_none() {
-            return Err(format!(
-                "family {name} lacks its aggregate (unlabeled) sample"
-            ));
-        }
-    }
-    let round = MetricsSnapshot::from_json(&snap.to_json())
-        .map_err(|e| format!("JSON round-trip failed to parse: {e}"))?;
-    if round != *snap {
-        return Err("JSON round-trip is lossy".into());
-    }
-    let samples = parse_prometheus(&snap.to_prometheus())
-        .map_err(|e| format!("Prometheus exposition does not parse: {e}"))?;
-    if samples.is_empty() {
-        return Err("Prometheus exposition is empty".into());
-    }
-    Ok(format!(
-        "{} catalog families, {} total, {} prometheus samples",
-        METRIC_CATALOG.len(),
-        snap.families.len(),
-        samples.len()
-    ))
 }
 
 fn quantile_ms(h: &HistogramSnapshot, q: f64) -> f64 {
@@ -235,4 +193,53 @@ fn model_names(snap: &MetricsSnapshot) -> Vec<String> {
         }
     }
     names
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ndirect_serve::{ModelDef, ServeConfig, Server};
+    use ndirect_tensor::{fill, ActLayout, ConvShape, Filter, FilterLayout, Tensor4};
+
+    #[test]
+    fn live_snapshot_renders_every_stage_row() {
+        let shape = ConvShape::square(1, 4, 8, 6, 3, 1);
+        let filter = fill::random_filter(Filter::for_shape(&shape, FilterLayout::Kcrs), 3);
+        let config = ServeConfig {
+            shards: 1,
+            ..ServeConfig::default()
+        };
+        let model = ModelDef {
+            name: "tiny".into(),
+            shape,
+            filter,
+        };
+        let server = Server::try_new(config, vec![model]).expect("server");
+        for seed in 0..4 {
+            let input = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nchw), seed);
+            let ticket = server.submit("tiny", input, None).expect("admitted");
+            ticket.wait().expect("completed");
+        }
+        let snap = server.metrics_snapshot();
+        server.shutdown();
+
+        let board = dashboard("live", &snap);
+        let prom = snap.to_prometheus();
+        for (family, label) in STAGES {
+            let row = board
+                .lines()
+                .find_map(|l| l.trim_start().strip_prefix(label))
+                .unwrap_or_else(|| panic!("no dashboard row for {label}:\n{board}"));
+            let count = row.split_whitespace().next();
+            assert_eq!(count, Some("4"), "{label}: one sample per request");
+            assert!(
+                prom.contains(&format!("{family}_count")),
+                "{family} exported"
+            );
+        }
+        assert!(
+            board.contains("tiny"),
+            "per-model table names the model:\n{board}"
+        );
+    }
 }

@@ -7,29 +7,8 @@
 //! report the minimum). Bench files register their entry points with the
 //! [`bench_group!`](crate::bench_group) / [`bench_main!`](crate::bench_main)
 //! macros and run under `cargo bench` exactly as before.
-//!
-//! Setting `NDIRECT_BENCH_JSON=<path>` additionally appends one JSON line
-//! per measured case to `<path>` (creating it on first write), so a bench
-//! sweep can be post-processed without scraping the human-readable table.
-//! Each line is a self-contained object:
-//!
-//! ```json
-//! {"schema_version": 1, "kind": "ndirect-bench-case", "group": "...",
-//!  "case": "...", "secs": 1.2e-3, "elements": 1000, "gelem_s": 0.83}
-//! ```
-//!
-//! (`elements`/`gelem_s` become `bytes`/`gib_s` for byte throughput, and
-//! are omitted when the group declared no throughput.)
-
-use std::io::Write;
 
 use crate::best_seconds;
-use ndirect_support::Json;
-
-/// Schema stamp on every `NDIRECT_BENCH_JSON` line; the `kind` field is
-/// `"ndirect-bench-case"` so the lines are distinguishable from BENCH
-/// suites if files get mixed up.
-pub const BENCH_CASE_SCHEMA_VERSION: usize = 1;
 
 /// How a measured time is converted into a rate for the report line.
 pub enum Throughput {
@@ -169,62 +148,6 @@ impl BenchmarkGroup {
             None => {}
         }
         println!("{line}");
-        if let Ok(path) = std::env::var("NDIRECT_BENCH_JSON") {
-            if !path.is_empty() {
-                append_json_line(&path, self.case_json(label, secs));
-            }
-        }
-    }
-
-    /// One measured case as a self-contained JSON object (one line of the
-    /// `NDIRECT_BENCH_JSON` sidecar).
-    fn case_json(&self, label: &str, secs: f64) -> Json {
-        let mut members = vec![
-            (
-                "schema_version".to_owned(),
-                Json::usize(BENCH_CASE_SCHEMA_VERSION),
-            ),
-            ("kind".to_owned(), Json::str("ndirect-bench-case")),
-            ("group".to_owned(), Json::str(self.name.clone())),
-            ("case".to_owned(), Json::str(label)),
-            ("secs".to_owned(), Json::num(secs)),
-        ];
-        match self.throughput {
-            Some(Throughput::Elements(n)) => {
-                members.push(("elements".to_owned(), Json::num(n as f64)));
-                members.push(("gelem_s".to_owned(), Json::num(n as f64 / secs / 1e9)));
-            }
-            Some(Throughput::Bytes(n)) => {
-                members.push(("bytes".to_owned(), Json::num(n as f64)));
-                members.push((
-                    "gib_s".to_owned(),
-                    Json::num(n as f64 / secs / (1u64 << 30) as f64),
-                ));
-            }
-            None => {}
-        }
-        Json::Obj(members)
-    }
-}
-
-/// Appends `value` as one compact line to `path`, creating parent
-/// directories and the file as needed. Failures are reported to stderr
-/// but never abort a bench run — the sidecar is an optional convenience.
-fn append_json_line(path: &str, value: Json) {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    let result = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        // One `write` per line: appends from concurrent cases must not
-        // interleave mid-line.
-        .and_then(|mut f| f.write_all(format!("{}\n", value.compact()).as_bytes()));
-    if let Err(e) = result {
-        eprintln!("NDIRECT_BENCH_JSON: cannot append to {path}: {e}");
     }
 }
 
@@ -299,56 +222,6 @@ mod tests {
         g.finish();
         // One warm-up + three samples.
         assert_eq!(ran, 4);
-    }
-
-    #[test]
-    fn json_sidecar_appends_one_wellformed_line_per_case() {
-        let path = std::env::temp_dir().join(format!(
-            "ndirect_bench_json_sidecar_{}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        std::env::set_var("NDIRECT_BENCH_JSON", &path);
-        let mut c = Criterion::default();
-        let mut g = c.benchmark_group("sidecar_selftest");
-        g.sample_size(2);
-        g.throughput(Throughput::Bytes(1 << 20));
-        g.bench_function("copy", |b| b.iter(|| std::hint::black_box(vec![0u8; 64])));
-        g.bench_function("fill", |b| b.iter(|| std::hint::black_box([1u8; 64])));
-        g.finish();
-        std::env::remove_var("NDIRECT_BENCH_JSON");
-
-        let text = std::fs::read_to_string(&path).expect("sidecar written");
-        let _ = std::fs::remove_file(&path);
-        // Other tests in this process may interleave lines while the env
-        // var is set; key on this test's unique group name.
-        let mine: Vec<Json> = text
-            .lines()
-            .map(|l| Json::parse(l).expect("every line parses standalone"))
-            .filter(|j| j.get("group").and_then(Json::as_str) == Some("sidecar_selftest"))
-            .collect();
-        assert_eq!(mine.len(), 2);
-        for line in &mine {
-            assert_eq!(
-                line.get("kind").and_then(Json::as_str),
-                Some("ndirect-bench-case")
-            );
-            assert_eq!(
-                line.usize_field("schema_version").unwrap(),
-                BENCH_CASE_SCHEMA_VERSION
-            );
-            assert!(line.require("secs").unwrap().as_f64().unwrap() > 0.0);
-            assert!(line.require("gib_s").unwrap().as_f64().unwrap() > 0.0);
-            assert_eq!(
-                line.require("bytes").unwrap().as_f64().unwrap(),
-                (1u64 << 20) as f64
-            );
-        }
-        let cases: Vec<&str> = mine
-            .iter()
-            .map(|l| l.get("case").and_then(Json::as_str).unwrap())
-            .collect();
-        assert_eq!(cases, ["copy", "fill"]);
     }
 
     #[test]

@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 
 pub mod harness;
-pub mod perf;
 
 use std::time::Instant;
 

@@ -15,8 +15,7 @@
 //! * [`timer`] — a tiny wall-clock scope timer used by every per-phase
 //!   breakdown in the workspace;
 //! * [`roofline`] — achieved-GFLOPS / %-of-peak / arithmetic-intensity
-//!   attribution against the machine's compute and bandwidth ceilings,
-//!   used by the `perfreport` observatory in `ndirect-bench`.
+//!   attribution against the machine's compute and bandwidth ceilings.
 
 // This crate has no business touching raw pointers; the auditor's
 // lint-header rule holds that line at compile time.

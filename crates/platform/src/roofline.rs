@@ -11,8 +11,7 @@
 //! work can help (compute-bound: yes, chase the FMA pipes) or whether
 //! the schedule is already paying for DRAM (memory-bound: reduce
 //! traffic, not instructions). [`Roofline`] is built from a
-//! [`Platform`]'s Table 3 numbers; the `perfreport` binary in
-//! `ndirect-bench` feeds it measured layer times.
+//! [`Platform`]'s Table 3 numbers.
 
 use crate::Platform;
 

@@ -21,11 +21,6 @@
 //!   ([`TraceReport::since`]), and exports the span timelines as Chrome
 //!   trace-event JSON ([`TraceReport::to_chrome_trace`]) for
 //!   `chrome://tracing` / Perfetto.
-//! * **Hardware counters** ([`hwc`]): a Linux `perf_event_open` backend
-//!   (cycles, instructions, L1d/LLC loads and misses, raw syscalls, zero
-//!   dependencies) with graceful degradation everywhere the kernel or
-//!   target cannot provide it. Unlike the rest of the crate it is not
-//!   feature-gated — it costs nothing unless explicitly opened.
 //!
 //! # Zero cost when disabled
 //!
@@ -49,13 +44,16 @@
 //! snapshots, which is fine for monitoring and wrong for assertions; the
 //! accounting tests serialize themselves accordingly.
 
+// This crate has no business touching raw pointers; the auditor's
+// lint-header rule holds that line at compile time.
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use ndirect_support::Json;
 
-pub mod hwc;
 pub mod metrics;
 
 /// `true` iff this crate was built with its `probe` feature.

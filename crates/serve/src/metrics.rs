@@ -25,9 +25,9 @@ use ndirect_probe::metrics::{
     Counter, Gauge, LogHistogram, MetricsRegistry, MetricsSnapshot, RateWindow,
 };
 
-/// Every metric family the serving plane registers, by name; the CI
-/// telemetry step and `servestat --check` assert that a snapshot carries
-/// all of them. Types and units are catalogued in DESIGN.md §16.
+/// Every metric family the serving plane registers, by name; the chaos
+/// suite asserts that a snapshot carries all of them. Types and units are
+/// catalogued in DESIGN.md §16.
 pub const METRIC_CATALOG: &[&str] = &[
     // Counters (per model and aggregate).
     "serve_enqueued_total",

@@ -51,7 +51,7 @@ pub fn pinned_schedule(platform: &Platform, shape1: &ConvShape, threads: usize) 
 }
 
 /// Serving-engine knobs. [`ServeConfig::default`] is sized for tests and
-/// small deployments; `servebench` overrides per experiment.
+/// small deployments.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Submit-queue allocation (upper bound on queued requests).

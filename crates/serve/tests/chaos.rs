@@ -523,10 +523,14 @@ fn metrics_snapshot_accounts_for_every_injected_fault() {
             assert!(latency.quantile(pair.0) <= latency.quantile(pair.1), "quantiles monotone");
         }
 
-        // Export surface: every catalogued family is present, the JSON
-        // round-trips losslessly, and the Prometheus text parses back.
+        // Export surface: every catalogued family is present with its
+        // unlabeled aggregate sample, the JSON round-trips losslessly, and
+        // the Prometheus text parses back.
         for name in METRIC_CATALOG {
-            assert!(snap.family(name).is_some(), "catalog family {name} missing from snapshot");
+            let family = snap
+                .family(name)
+                .unwrap_or_else(|| panic!("catalog family {name} missing from snapshot"));
+            assert!(family.sample(&[]).is_some(), "family {name} lacks its aggregate sample");
         }
         let rt = MetricsSnapshot::from_json(&snap.to_json()).expect("json round-trip");
         assert_eq!(rt, snap, "JSON serialization is lossless");
