@@ -33,10 +33,10 @@ impl ScheduleSpace {
     /// The space for a problem and a fixed thread count.
     pub fn for_shape(shape: &ConvShape, threads: usize) -> Self {
         let p = shape.p();
-        // Zero-copy and sliced variants join the search alongside the two
-        // packed baselines; the sliced slice length comes from the host's
-        // analytic slab model so the candidate is cache-resident by
-        // construction (search can still reject it on measurement).
+        // The sliced variant joins the search alongside the two packed
+        // baselines; its slice length comes from the host's analytic slab
+        // model so the candidate is cache-resident by construction (search
+        // can still reject it on measurement).
         let model_rows = ndirect_core::model::slicing::slab_rows(
             &ndirect_platform::host(),
             shape,
@@ -69,7 +69,6 @@ impl ScheduleSpace {
             packing: vec![
                 PackingMode::Fused,
                 PackingMode::Sequential,
-                PackingMode::None,
                 PackingMode::Sliced { rows: model_rows },
             ],
             grids: Grid2::factorizations(threads),
@@ -101,7 +100,6 @@ pub fn random_schedule(space: &ScheduleSpace, shape: &ConvShape, rng: &mut Rng64
         grid: space.grids[rng.gen_range_usize(0, space.grids.len())],
         packing: space.packing[rng.gen_range_usize(0, space.packing.len())],
         filter_state: ndirect_core::FilterState::OnTheFly,
-        prefetch: false,
     };
     sched.sanitized(shape)
 }

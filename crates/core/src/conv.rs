@@ -166,11 +166,9 @@ pub(crate) fn try_alloc_scratch(
 ) -> Result<Vec<Mutex<Scratch>>, usize> {
     // The input-side buffer is packing-mode dependent: the per-strip modes
     // hold one `Tc·R·win` strip, `Sliced` holds one cache-resident slab
-    // (`Tc·slab_rows·row_win`), and the zero-copy mode holds nothing at
-    // all (a zero-length `AlignedBuf` performs no allocation).
+    // (`Tc·slab_rows·row_win`).
     let lens = || {
         let bbuf_len = match sched.packing {
-            PackingMode::None => 0,
             PackingMode::Sliced { rows } => checked_product(&[
                 sched.tc,
                 input_span(rows, shape.stride, shape.r)?,
@@ -211,16 +209,36 @@ pub(crate) fn try_scratch_bufs(
     len: Option<usize>,
     count: usize,
 ) -> Result<Vec<Mutex<AlignedBuf>>, Error> {
+    let len = scratch_len(len, count)?;
+    (0..count)
+        .map(|_| AlignedBuf::try_zeroed(len).map(Mutex::new))
+        .collect::<Result<_, _>>()
+        .map_err(|elements| Error::ScratchAlloc { elements })
+}
+
+/// Admits a request for `count` buffers of `len` elements each: `len`
+/// back, or [`Error::ScratchAlloc`] when the size arithmetic overflowed
+/// (`None`), the total does, or the total is over the
+/// [`__set_scratch_element_limit`] ceiling.
+pub(crate) fn scratch_len(len: Option<usize>, count: usize) -> Result<usize, Error> {
     let (Some(len), Some(total)) = (len, len.and_then(|l| l.checked_mul(count))) else {
         return Err(Error::ScratchAlloc { elements: usize::MAX });
     };
     if !within_limit(total) {
         return Err(Error::ScratchAlloc { elements: total });
     }
-    (0..count)
-        .map(|_| AlignedBuf::try_zeroed(len).map(Mutex::new))
-        .collect::<Result<_, _>>()
-        .map_err(|elements| Error::ScratchAlloc { elements })
+    Ok(len)
+}
+
+/// A zeroed `Vec` of `len` elements (admitted by [`scratch_len`]) for the
+/// drivers whose buffers are not `f32`; allocator refusal is
+/// [`Error::ScratchAlloc`], not an abort.
+// AUDIT: cold — scratch provisioning, once per call before the region.
+pub(crate) fn try_zeroed_vec<T: Clone + Default>(len: usize) -> Result<Vec<T>, Error> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len).map_err(|_| Error::ScratchAlloc { elements: len })?;
+    v.resize(len, T::default());
+    Ok(v)
 }
 
 /// Fallible form of [`conv_ndirect_into`]. Validation happens here, once,
@@ -288,15 +306,15 @@ pub(crate) struct StripCtx<'a> {
 /// per-strip modes the first iteration fills `bbuf` (fused gather or a
 /// sequential pack) and the rest read it back; under `Sliced` every
 /// iteration reads the slab the driver packed into `bbuf` for the current
-/// slice; under `None` every iteration reads the image.
+/// slice.
 pub(crate) fn compute_strip(ctx: StripCtx<'_>, bbuf: &mut [f32], out_all: &SharedSlice<'_, f32>) {
     let shape = ctx.shape;
     let sched = ctx.sched;
     let kstride = ctx.p * ctx.q;
     // Accounting: a per-strip mode packs `tcb·R·WIN` floats once here
-    // (fused gather and sequential packing move the same data) — the
-    // zero-copy modes instead book those bytes as *saved* (the slab pack,
-    // when there is one, adds its own `BytesPacked` at the slice level).
+    // (fused gather and sequential packing move the same data) — `Sliced`
+    // instead books those bytes as *saved* (its slab pack adds its own
+    // `BytesPacked` at the slice level).
     // Either way the strip issues 2 FLOPs per MAC over `valid_w` output
     // pixels × the K channels this tile covers.
     if ndirect_probe::ENABLED {
@@ -308,9 +326,7 @@ pub(crate) fn compute_strip(ctx: StripCtx<'_>, bbuf: &mut [f32], out_all: &Share
         let strip_bytes = (ctx.tcb * shape.r * ctx.geom.win * std::mem::size_of::<f32>()) as u64;
         let counter = match sched.packing {
             PackingMode::Fused | PackingMode::Sequential => ndirect_probe::Counter::BytesPacked,
-            PackingMode::None | PackingMode::Sliced { .. } => {
-                ndirect_probe::Counter::BytesPackSaved
-            }
+            PackingMode::Sliced { .. } => ndirect_probe::Counter::BytesPackSaved,
         };
         ndirect_probe::add(counter, strip_bytes);
     }
@@ -347,7 +363,6 @@ pub(crate) fn compute_strip(ctx: StripCtx<'_>, bbuf: &mut [f32], out_all: &Share
                 buf: &mut *bbuf,
                 win,
                 rdim: shape.r,
-                prefetch: sched.prefetch,
             },
             (PackingMode::Sequential, true) => {
                 let _pack = ndirect_probe::probe_phase!(Pack);
@@ -364,15 +379,6 @@ pub(crate) fn compute_strip(ctx: StripCtx<'_>, bbuf: &mut [f32], out_all: &Share
                 row_off: (ctx.oh - ctx.slice.start) * shape.stride,
                 col_off: ctx.wv * shape.stride,
                 win,
-            },
-            (PackingMode::None, _) => RowSource::Direct {
-                image: ctx.image,
-                ct: ctx.ct,
-                h: shape.h,
-                w: shape.w,
-                ih0,
-                iw0,
-                prefetch: sched.prefetch,
             },
         };
         let _mk = ndirect_probe::probe_phase!(MicroKernel);
@@ -467,9 +473,9 @@ mod tests {
 
     #[test]
     fn zero_copy_modes_match_fused_bitwise() {
-        // The zero-overhead direct path and the sliced path must be
-        // bitwise-identical to the packed path — including stride 2,
-        // heavy padding, a pointwise layer, and every tail kind.
+        // The sliced path reads its strips out of a shared slab and must be
+        // bitwise-identical to the per-strip packed path — including
+        // stride 2, heavy padding, a pointwise layer, and every tail kind.
         let shapes = [
             ConvShape::square(1, 8, 16, 12, 3, 1),
             ConvShape::new(2, 5, 9, 17, 13, 3, 3, 2, Padding::same(1)),
@@ -485,7 +491,6 @@ mod tests {
                 &base.with_packing(PackingMode::Fused),
             );
             for mode in [
-                PackingMode::None,
                 PackingMode::Sliced { rows: 1 },
                 PackingMode::Sliced { rows: 3 },
                 PackingMode::Sliced { rows: 1000 }, // sanitize clamps to Th
@@ -502,15 +507,11 @@ mod tests {
     }
 
     #[test]
-    fn none_mode_allocates_no_strip_buffer() {
-        let shape = ConvShape::square(1, 8, 16, 12, 3, 1);
-        let sched = Schedule::minimal(&shape).with_packing(PackingMode::None).sanitized(&shape);
-        let scratch = try_alloc_scratch(&sched, &shape, 1).unwrap();
-        let guard = scratch[0].lock().unwrap();
-        assert_eq!(guard.bbuf.len(), 0, "zero-copy mode must not allocate a strip buffer");
-
+    fn sliced_slab_is_bounded_by_rows() {
         // The sliced slab is bounded by rows, not by the full image.
-        let sliced = sched.with_packing(PackingMode::Sliced { rows: 2 }).sanitized(&shape);
+        let shape = ConvShape::square(1, 8, 16, 12, 3, 1);
+        let sliced = Schedule::minimal(&shape).with_packing(PackingMode::Sliced { rows: 2 });
+        let sliced = sliced.sanitized(&shape);
         let scratch = try_alloc_scratch(&sliced, &shape, 1).unwrap();
         let guard = scratch[0].lock().unwrap();
         let row_win = (shape.q() - 1) * shape.stride + shape.s;

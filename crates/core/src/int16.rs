@@ -15,10 +15,13 @@
 //! `C·R·S·max|x|·max|w|` must stay inside i32 (accumulation wraps
 //! otherwise, as it does in every production int kernel).
 
+use std::sync::Mutex;
+
 use ndirect_simd::{I16x8, I32x4};
 use ndirect_tensor::ConvShape;
 use ndirect_threads::{split_static, SharedSlice, StaticPool};
 
+use crate::conv::{checked_product, input_span, scratch_len, try_zeroed_vec};
 use crate::error::{check, Error};
 
 /// A dense `NCHW` i16 activation tensor.
@@ -149,13 +152,18 @@ pub fn try_conv_int16(
 ) -> Result<Vec<i32>, Error> {
     validate(input, filter, shape)?;
     let (p, q) = (shape.p(), shape.q());
-    let mut out = vec![0i32; shape.n * shape.k * p * q];
-
     let cpairs = shape.c.div_ceil(2);
     let kv_total = shape.k.div_ceil(VK);
+    let threads = pool.size();
+    // Every buffer is sized with checked arithmetic and provisioned before
+    // the region, so a refusal is an error here rather than an abort on a
+    // worker.
+    let out_len = checked_product(&[shape.n, shape.k, p, q]);
+    let mut out = try_zeroed_vec::<i32>(scratch_len(out_len, 1)?)?;
     // Filter transform: [kv][cpair][r][s][VK][2], zero-padded in both the
     // K remainder and the odd-C pad channel.
-    let mut tf = vec![0i16; kv_total * cpairs * shape.r * shape.s * VK * 2];
+    let tf_len = checked_product(&[kv_total, cpairs, shape.r, shape.s, VK, 2]);
+    let mut tf = try_zeroed_vec::<i16>(scratch_len(tf_len, 1)?)?;
     for kv in 0..kv_total {
         for cp in 0..cpairs {
             for r in 0..shape.r {
@@ -177,8 +185,14 @@ pub fn try_conv_int16(
         }
     }
     let tf_kv_len = cpairs * shape.r * shape.s * VK * 2;
-
-    let threads = pool.size();
+    // One packed strip per thread: [cpair][r][win][2], channel pairs
+    // interleaved so the kernel broadcasts one 32-bit pair per (pixel, tap).
+    let strip_len = input_span(VW, shape.stride, shape.s)
+        .and_then(|win_max| checked_product(&[cpairs, shape.r, win_max, 2]));
+    let strip_len = scratch_len(strip_len, threads)?;
+    let strips = (0..threads)
+        .map(|_| try_zeroed_vec::<i16>(strip_len).map(Mutex::new))
+        .collect::<Result<Vec<_>, _>>()?;
     let rows_total = shape.n * p;
 
     let out_shared = SharedSlice::new(&mut out);
@@ -186,10 +200,7 @@ pub fn try_conv_int16(
         // Disjointness: output rows are statically split per thread;
         // barrier before return.
         let out_all = &out_shared;
-        let win_max = (VW - 1) * shape.stride + shape.s;
-        // Packed strip: [cpair][r][win][2] — channel pairs interleaved so
-        // the kernel broadcasts one 32-bit pair per (pixel, tap).
-        let mut buf = vec![0i16; cpairs * shape.r * win_max * 2];
+        let mut buf = strips[tid].lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         for row in split_static(rows_total, threads, tid) {
             let n = row / p;
             let oh = row % p;

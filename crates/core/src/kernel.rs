@@ -23,7 +23,7 @@
 use ndirect_simd::{F32x4, SimdVec};
 use ndirect_threads::SharedSlice;
 
-use crate::pack::{gather_row, prefetch_row};
+use crate::pack::gather_row;
 
 /// Upper bound on `Vw` the dynamic kernel supports.
 pub const VW_MAX: usize = 32;
@@ -63,9 +63,6 @@ pub enum RowSource<'a> {
         win: usize,
         /// Rows per channel.
         rdim: usize,
-        /// Software-prefetch the next `(c, r)` row before gathering the
-        /// current one (see [`Schedule::prefetch`](crate::Schedule)).
-        prefetch: bool,
     },
     /// Read rows out of a cache-resident slice slab packed by
     /// [`crate::pack::pack_slice_slab`] (`[c][ih_rel][row_stride]` layout):
@@ -87,55 +84,14 @@ pub enum RowSource<'a> {
         /// Elements per strip row (`(valid_w−1)·stride + S`).
         win: usize,
     },
-    /// Zero memory overhead ([`crate::PackingMode::None`]): read rows
-    /// straight from the `NCHW` image, no buffer anywhere. Interior strips
-    /// are plain contiguous slices; strips touching padding run the
-    /// edge-masked `kernel_row_clipped`, which skips exactly the taps the
-    /// packed path would have multiplied by zero (bitwise-identical: the
-    /// accumulators start at `+0.0` and never become `-0.0`, so
-    /// `fma(f, ±0.0, acc) == acc` for the finite data we compute on).
-    Direct {
-        /// One image's `C·H·W` data.
-        image: &'a [f32],
-        /// First channel of the tile.
-        ct: usize,
-        /// Input height.
-        h: usize,
-        /// Input width.
-        w: usize,
-        /// Strip origin row (`oh·str − pad.h`).
-        ih0: isize,
-        /// Strip origin column (`wv·str − pad.w`).
-        iw0: isize,
-        /// Software-prefetch the next `(c, r)` row (same hint as `Gather`).
-        prefetch: bool,
-    },
-}
-
-/// One `(c, r)` input row as the row walk hands it to a kernel.
-enum Row<'a> {
-    /// A dense window of at least `win` floats: a packed, gathered or slab
-    /// row, or an interior slice of the image.
-    Window(&'a [f32]),
-    /// The full `W`-column image row of a zero-copy strip whose window
-    /// leaves the image; the kernel skips the taps that fall into padding.
-    Clipped {
-        /// The whole image row.
-        row: &'a [f32],
-        /// Signed image column of window column 0.
-        iw0: isize,
-    },
 }
 
 impl RowSource<'_> {
     /// The single row walk: visits the tile's `(c, r)` rows in reduction
     /// order and hands `f` each row's filter taps (`[s][Vk]`) and input.
-    /// All source-specific addressing, the fused gather and the software
-    /// prefetch hint live here, so every kernel is this walk plus a per-row
-    /// body. `win` is the window the kernel reads,
-    /// `(valid_w − 1)·stride + S`. A `Direct` row that lies wholly in
-    /// padding is not visited: the packed path would stream zeros there,
-    /// which contribute nothing (see [`RowSource::Direct`]).
+    /// All source-specific addressing and the fused gather live here, so
+    /// every kernel is this walk plus a per-row body. `win` is the window
+    /// the kernel reads, `(valid_w − 1)·stride + S`.
     ///
     /// Each source keeps a loop of its own, so that only the gathering one
     /// has a call in it and the others hold the caller's accumulators in
@@ -147,23 +103,22 @@ impl RowSource<'_> {
         &mut self,
         args: &TileArgs<'_>,
         win: usize,
-        mut f: impl FnMut(&[f32], Row<'_>),
+        mut f: impl FnMut(&[f32], &[f32]),
     ) {
-        let (tcb, rdim) = (args.tcb, args.rdim);
-        let next = move |c: usize, rr: usize| if rr + 1 < rdim { (c, rr + 1) } else { (c + 1, 0) };
+        let rdim = args.rdim;
         // (c, r, taps) in reduction order. Zipping the tap rows with the
         // packed rows below keeps both iterations check-free.
         let mut at = (0, 0);
-        let walk = args.tf.chunks_exact(args.sdim * args.vk).take(tcb * rdim).map(move |tfr| {
+        let walk = args.tf.chunks_exact(args.sdim * args.vk).take(args.tcb * rdim).map(move |tfr| {
             let (c, rr) = at;
-            at = next(c, rr);
+            at = if rr + 1 < rdim { (c, rr + 1) } else { (c + 1, 0) };
             (c, rr, tfr)
         });
         match self {
             RowSource::Packed { buf, win: bwin, rdim: rd } => {
                 debug_assert!(*rd == rdim && *bwin >= win);
                 for ((_, _, tfr), brow) in walk.zip(buf.chunks_exact(*bwin)) {
-                    f(tfr, Row::Window(brow));
+                    f(tfr, brow);
                 }
             }
             RowSource::Gather {
@@ -176,18 +131,11 @@ impl RowSource<'_> {
                 buf,
                 win: bwin,
                 rdim: rd,
-                prefetch,
             } => {
                 debug_assert!(*rd == rdim && *bwin >= win);
                 for ((c, rr, tfr), brow) in walk.zip(buf.chunks_exact_mut(*bwin)) {
-                    let (nc, nr) = next(c, rr);
-                    if *prefetch && nc < tcb {
-                        // Touch the *next* row's source line now so its load
-                        // overlaps this row's gather + FMA burst.
-                        prefetch_row(image, *ct + nc, *ih0 + nr as isize, *iw0, *h, *w);
-                    }
                     gather_row(image, *ct + c, *ih0 + rr as isize, *iw0, *h, *w, brow);
-                    f(tfr, Row::Window(brow));
+                    f(tfr, brow);
                 }
             }
             RowSource::Strided {
@@ -201,37 +149,7 @@ impl RowSource<'_> {
                 debug_assert!(*swin >= win);
                 for (c, rr, tfr) in walk {
                     let base = (c * *rows_per_c + *row_off + rr) * *row_stride + *col_off;
-                    f(tfr, Row::Window(&buf[base..base + *swin]));
-                }
-            }
-            RowSource::Direct {
-                image,
-                ct,
-                h,
-                w,
-                ih0,
-                iw0,
-                prefetch,
-            } => {
-                // Interior strip: every window is a plain contiguous slice
-                // of its image row — the true zero-copy path.
-                let interior = *iw0 >= 0 && *iw0 as usize + win <= *w;
-                for (c, rr, tfr) in walk {
-                    let (nc, nr) = next(c, rr);
-                    if *prefetch && nc < tcb {
-                        prefetch_row(image, *ct + nc, *ih0 + nr as isize, *iw0, *h, *w);
-                    }
-                    let ih = *ih0 + rr as isize;
-                    if ih < 0 || ih as usize >= *h {
-                        continue;
-                    }
-                    let row0 = ((*ct + c) * *h + ih as usize) * *w;
-                    if interior {
-                        let lo = row0 + *iw0 as usize;
-                        f(tfr, Row::Window(&image[lo..lo + win]));
-                    } else {
-                        f(tfr, Row::Clipped { row: &image[row0..row0 + *w], iw0: *iw0 });
-                    }
+                    f(tfr, &buf[base..base + *swin]);
                 }
             }
         }
@@ -373,11 +291,8 @@ fn reduce_tile<const VW: usize, const VKV: usize, const STRIDE: usize>(
 ) {
     let sdim = args.sdim;
     let mut acc = [[F32x4::zero(); VKV]; VW];
-    rows.for_each_row(args, (VW - 1) * STRIDE + sdim, #[inline(always)] |tfr, row| match row {
-        Row::Window(brow) => kernel_row::<VW, VKV, STRIDE>(&mut acc, brow, tfr, sdim),
-        Row::Clipped { row, iw0 } => {
-            kernel_row_clipped::<VW, VKV, STRIDE>(&mut acc, row, iw0, tfr, sdim)
-        }
+    rows.for_each_row(args, (VW - 1) * STRIDE + sdim, #[inline(always)] |tfr, brow| {
+        kernel_row::<VW, VKV, STRIDE>(&mut acc, brow, tfr, sdim)
     });
     scatter_add(&acc, VKV, args.valid_k, out, args.obase, args.kstride, 1);
 }
@@ -440,49 +355,10 @@ fn kernel_row<const VW: usize, const VKV: usize, const STRIDE: usize>(
     }
 }
 
-/// [`kernel_row`] for a strip window that leaves the image: reads the full
-/// `W`-column input row and skips every tap whose column falls into
-/// padding. Bitwise-identical to streaming the zero-filled packed row: the
-/// skipped FMAs multiply by `+0.0`/`−0.0` against accumulators that start
-/// at `+0.0` and never become `−0.0` (exact cancellation rounds to `+0.0`
-/// in round-to-nearest), so `fma(f, ±0.0, acc) == acc` for finite `f`. Tap
-/// order (`ss` outer, `wi` middle, `j` inner) matches [`kernel_row`]
-/// exactly.
-#[inline(always)]
-fn kernel_row_clipped<const VW: usize, const VKV: usize, const STRIDE: usize>(
-    acc: &mut [[F32x4; VKV]; VW],
-    row: &[f32],
-    iw0: isize,
-    tfr: &[f32],
-    sdim: usize,
-) {
-    let vk = VKV * 4;
-    let w = row.len() as isize;
-    for ss in 0..sdim {
-        let frow = &tfr[ss * vk..(ss + 1) * vk];
-        let mut fv = [F32x4::zero(); VKV];
-        for (j, v) in fv.iter_mut().enumerate() {
-            *v = F32x4::load(&frow[j * 4..]);
-        }
-        for (wi, accw) in acc.iter_mut().enumerate() {
-            let col = iw0 + (wi * STRIDE + ss) as isize;
-            if col < 0 || col >= w {
-                continue;
-            }
-            let x = F32x4::splat(row[col as usize]);
-            for j in 0..VKV {
-                accw[j] = accw[j].fma(fv[j], x);
-            }
-        }
-    }
-}
-
 /// The dynamic edge kernel: identical math with runtime tile bounds, used
 /// for unusual schedules outside the monomorphized set. Accumulators may
 /// spill for large bounds; edges are a vanishing fraction of the iteration
-/// space, so one row body serves both row kinds — a dense window is the
-/// clipped walk with nothing to clip. Tap order `(ss, wi, j)` matches
-/// [`kernel_row`].
+/// space. Tap order `(ss, wi, j)` matches [`kernel_row`].
 fn dyn_kernel(rows: &mut RowSource<'_>, args: &TileArgs<'_>, out: &SharedSlice<'_, f32>) {
     let vk = args.vk;
     let vkv = vk / 4;
@@ -491,19 +367,12 @@ fn dyn_kernel(rows: &mut RowSource<'_>, args: &TileArgs<'_>, out: &SharedSlice<'
     assert!(args.valid_w <= VW_MAX && vkv <= VKV_MAX, "tile exceeds dyn kernel bounds");
     let (sdim, stride, valid_w) = (args.sdim, args.stride, args.valid_w);
     let mut acc = [[F32x4::zero(); VKV_MAX]; VW_MAX];
-    rows.for_each_row(args, (valid_w - 1) * stride + sdim, #[inline(always)] |tfr, row| {
-        let (row, iw0) = match row {
-            Row::Window(brow) => (brow, 0),
-            Row::Clipped { row, iw0 } => (row, iw0),
-        };
+    rows.for_each_row(args, (valid_w - 1) * stride + sdim, #[inline(always)] |tfr, brow| {
         for ss in 0..sdim {
             for (wi, accw) in acc.iter_mut().enumerate().take(valid_w) {
-                let col = iw0 + (wi * stride + ss) as isize;
-                if col < 0 || col >= row.len() as isize {
-                    continue;
-                }
-                // INDEX: col bounds-checked against [0, len) above.
-                let x = F32x4::splat(row[col as usize]);
+                // INDEX: wi·stride + ss < win ≤ brow.len(), the window the
+                // walk was asked for.
+                let x = F32x4::splat(brow[wi * stride + ss]);
                 for (j, a) in accw.iter_mut().enumerate().take(vkv) {
                     *a = a.fma(F32x4::load(&tfr[ss * vk + j * 4..]), x);
                 }
@@ -605,9 +474,6 @@ mod tests {
                 buf: &mut buf,
                 win: geom.win,
                 rdim: shape.r,
-                // Always on in the gather tests: exercises the clamped
-                // prefetch addressing on padded/strided shapes too.
-                prefetch: true,
             };
             run_tile(&mut rows, &args, &out);
         } else {
@@ -639,9 +505,9 @@ mod tests {
         }
     }
 
-    /// Runs one tile with the given row source (0 = `Packed`, 1 = `Direct`,
-    /// 2 = `Strided` out of a slice slab) and returns the whole output
-    /// plane, for bitwise comparison across sources.
+    /// Runs one tile from a `Packed` strip, or `strided` out of a slice
+    /// slab, and returns the whole output plane, for bitwise comparison
+    /// across sources.
     #[allow(clippy::too_many_arguments)]
     fn run_with_source(
         input: &Tensor4,
@@ -651,7 +517,7 @@ mod tests {
         valid_w: usize,
         oh: usize,
         wv: usize,
-        kind: u8,
+        strided: bool,
     ) -> Vec<f32> {
         let (k0, ct) = (0, 0);
         let tcb = shape.c;
@@ -675,50 +541,35 @@ mod tests {
             valid_k,
         };
         let image = input.as_slice();
-        match kind {
-            0 => {
-                let mut buf = vec![0.0; tcb * shape.r * geom.win];
-                pack_strip(image, ct, tcb, shape.r, shape.h, shape.w, geom, &mut buf);
-                let mut rows = RowSource::Packed { buf: &buf, win: geom.win, rdim: shape.r };
-                run_tile(&mut rows, &args, &out);
-            }
-            1 => {
-                let mut rows = RowSource::Direct {
-                    image,
-                    ct,
-                    h: shape.h,
-                    w: shape.w,
-                    ih0: geom.ih0,
-                    iw0: geom.iw0,
-                    prefetch: true,
-                };
-                run_tile(&mut rows, &args, &out);
-            }
-            _ => {
-                // A two-row slice ending at `oh` (one row when oh = 0), so
-                // `row_off` is exercised, not just a zero offset.
-                let slice_oh0 = oh.saturating_sub(1);
-                let slice_len = oh - slice_oh0 + 1;
-                let row_win = (q - 1) * shape.stride + shape.s;
-                let slab_rows = (slice_len - 1) * shape.stride + shape.r;
-                let mut slab = vec![0.0; tcb * slab_rows * row_win];
-                crate::pack::pack_slice_slab(image, ct, tcb, shape, slice_oh0, slice_len, &mut slab);
-                let mut rows = RowSource::Strided {
-                    buf: &slab,
-                    rows_per_c: slab_rows,
-                    row_stride: row_win,
-                    row_off: (oh - slice_oh0) * shape.stride,
-                    col_off: wv * shape.stride,
-                    win: geom.win,
-                };
-                run_tile(&mut rows, &args, &out);
-            }
+        if strided {
+            // A two-row slice ending at `oh` (one row when oh = 0), so
+            // `row_off` is exercised, not just a zero offset.
+            let slice_oh0 = oh.saturating_sub(1);
+            let slice_len = oh - slice_oh0 + 1;
+            let row_win = (q - 1) * shape.stride + shape.s;
+            let slab_rows = (slice_len - 1) * shape.stride + shape.r;
+            let mut slab = vec![0.0; tcb * slab_rows * row_win];
+            crate::pack::pack_slice_slab(image, ct, tcb, shape, slice_oh0, slice_len, &mut slab);
+            let mut rows = RowSource::Strided {
+                buf: &slab,
+                rows_per_c: slab_rows,
+                row_stride: row_win,
+                row_off: (oh - slice_oh0) * shape.stride,
+                col_off: wv * shape.stride,
+                win: geom.win,
+            };
+            run_tile(&mut rows, &args, &out);
+        } else {
+            let mut buf = vec![0.0; tcb * shape.r * geom.win];
+            pack_strip(image, ct, tcb, shape.r, shape.h, shape.w, geom, &mut buf);
+            let mut rows = RowSource::Packed { buf: &buf, win: geom.win, rdim: shape.r };
+            run_tile(&mut rows, &args, &out);
         }
         out_vec
     }
 
     #[test]
-    fn direct_and_strided_sources_match_packed_bitwise() {
+    fn strided_source_matches_packed_bitwise() {
         // (shape, vk, valid_w, oh, wv): interior and boundary strips,
         // stride 1 and 2, pointwise, a 7x7, and a dyn-kernel width.
         let cases = [
@@ -735,10 +586,8 @@ mod tests {
             let input = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nchw), seed);
             let filter =
                 fill::random_filter(Filter::for_shape(&shape, FilterLayout::Kcrs), seed ^ 1);
-            let packed = run_with_source(&input, &filter, &shape, vk, valid_w, oh, wv, 0);
-            let direct = run_with_source(&input, &filter, &shape, vk, valid_w, oh, wv, 1);
-            let strided = run_with_source(&input, &filter, &shape, vk, valid_w, oh, wv, 2);
-            assert_eq!(packed, direct, "case {i}: Direct differs from Packed");
+            let packed = run_with_source(&input, &filter, &shape, vk, valid_w, oh, wv, false);
+            let strided = run_with_source(&input, &filter, &shape, vk, valid_w, oh, wv, true);
             assert_eq!(packed, strided, "case {i}: Strided differs from Packed");
         }
     }

@@ -82,21 +82,6 @@ pub fn gather_row(
     fill_row_clipped(&image[row0..row0 + w], iw0, w, 1, dst);
 }
 
-/// Issues a software prefetch for the `(c, ih)` input row that a later
-/// [`gather_row`] with the same geometry will read. Clamps the start
-/// column into `[0, w)` so the touched address is always in-bounds; rows
-/// that fall entirely into padding (no source bytes) are skipped. Pure
-/// hint: no-op on targets without a prefetch instruction.
-#[inline]
-pub fn prefetch_row(image: &[f32], c: usize, ih: isize, iw0: isize, h: usize, w: usize) {
-    if ih < 0 || ih as usize >= h {
-        return;
-    }
-    let col = iw0.clamp(0, w as isize - 1) as usize;
-    let idx = c * h * w + ih as usize * w + col;
-    ndirect_simd::prefetch_read(image[idx..].as_ptr());
-}
-
 /// Packs a whole strip (`tcb` channels × `R` rows) into `buf` — the
 /// [`crate::PackingMode::Sequential`] path and the pre-pass for testing.
 ///

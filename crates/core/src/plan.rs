@@ -319,13 +319,10 @@ impl<'f> ConvPlan<'f> {
         let _build = ndirect_probe::probe_span!(PlanBuild, 0);
         let mut sched = schedule.sanitized(shape);
         // The NHWC driver packs pixel-interleaved strips (`[r][win][Tc]`),
-        // so no contiguous per-channel row exists to read zero-copy; the
-        // zero-copy packing variants coerce to Fused there, keeping
-        // `schedule()` honest about what actually runs (and the
-        // predicted == measured pack accounting exact).
-        if layout == ActLayout::Nhwc
-            && matches!(sched.packing, PackingMode::None | PackingMode::Sliced { .. })
-        {
+        // so no contiguous per-channel slab row exists; `Sliced` coerces to
+        // Fused there, keeping `schedule()` honest about what actually runs
+        // (and the predicted == measured pack accounting exact).
+        if layout == ActLayout::Nhwc && matches!(sched.packing, PackingMode::Sliced { .. }) {
             sched.packing = PackingMode::Fused;
         }
         let mut degraded = false;
@@ -338,7 +335,6 @@ impl<'f> ConvPlan<'f> {
                     .with_filter_state(sched.filter_state)
                     .sanitized(shape);
                 fallback.vw = fallback.vw.min(sched.vw);
-                fallback.prefetch = sched.prefetch;
                 match try_alloc_scratch(&fallback, shape, fallback.grid.threads()) {
                     Ok(s) => {
                         ndirect_probe::probe_count!(MinimalScheduleDegradations, 1);
@@ -832,7 +828,6 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::conv::conv_ndirect_with;
-    use crate::schedule::PackingMode;
     use ndirect_tensor::{fill, FilterLayout, Padding};
     use ndirect_threads::Grid2;
 
@@ -984,19 +979,5 @@ mod tests {
             plan.execute(&pool, &input, &mut out).unwrap();
             assert_eq!(out.as_slice(), oneshot.as_slice(), "depthwise plan bitwise");
         }
-    }
-
-    #[test]
-    fn prefetch_schedules_are_bitwise_identical() {
-        let shape = ConvShape::new(1, 5, 9, 11, 8, 3, 3, 1, Padding::same(1));
-        let (input, filter) = problem(&shape, ActLayout::Nchw, 61);
-        let pool = StaticPool::new(1);
-        let mut on = Schedule::minimal(&shape).with_packing(PackingMode::Fused);
-        on.prefetch = true;
-        let mut off = on.clone();
-        off.prefetch = false;
-        let a = conv_ndirect_with(&pool, &input, &filter, &shape, &on);
-        let b = conv_ndirect_with(&pool, &input, &filter, &shape, &off);
-        assert_eq!(a.as_slice(), b.as_slice(), "prefetch is a pure hint");
     }
 }

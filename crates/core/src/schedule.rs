@@ -8,9 +8,8 @@ use ndirect_threads::{split_static, Grid2};
 use crate::model;
 
 /// How input packing interacts with computation (§5.3, Figure 5), extended
-/// with the two zero-copy-leaning variants from the related work: the
-/// zero-memory-overhead direct path (arXiv 1809.10170) and cache-resident
-/// convolution slicing (arXiv 2303.04739).
+/// with cache-resident convolution slicing from the related work (arXiv
+/// 2303.04739).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PackingMode {
     /// The paper's optimization: the packing gather for each `(c, r)` row is
@@ -20,12 +19,6 @@ pub enum PackingMode {
     /// The conventional strategy (im2col-style): pack the whole strip into
     /// the buffer, then start computing. The Figure 5 ablation baseline.
     Sequential,
-    /// Zero memory overhead: every `kv` iteration reads `NCHW` rows straight
-    /// from the input tensor (rows are contiguous along `W`, so interior
-    /// strips are plain slices; boundary strips run edge-masked kernels
-    /// that skip out-of-image taps). `bytes_packed` is exactly 0 and no
-    /// strip buffer is allocated.
-    None,
     /// Convolution slicing: pack one cache-resident slab per `rows`-row
     /// slice of the `Th` tile (all strips and `Tk` tiles of the slice reuse
     /// it), instead of re-packing every strip per `Tk` tile. `rows` is the
@@ -73,11 +66,6 @@ pub struct Schedule {
     pub packing: PackingMode,
     /// Filter transform strategy.
     pub filter_state: FilterState,
-    /// Software-prefetch the *next* `(c, r)` input row while the fused
-    /// gather works on the current one. A pure latency hint: results are
-    /// bitwise identical either way, and the scalar backend compiles the
-    /// prefetch to a no-op, so the flag only changes timing.
-    pub prefetch: bool,
 }
 
 impl Schedule {
@@ -97,7 +85,6 @@ impl Schedule {
             grid,
             packing: PackingMode::Fused,
             filter_state: FilterState::OnTheFly,
-            prefetch: true,
         }
     }
 
@@ -113,7 +100,6 @@ impl Schedule {
             grid: Grid2::sequential(),
             packing: PackingMode::Fused,
             filter_state: FilterState::OnTheFly,
-            prefetch: false,
         }
     }
 
@@ -179,8 +165,7 @@ impl Schedule {
     /// (Q−1)·stride + S` spanning the whole output row and `slab_rows =
     /// (slice_len−1)·stride + R` the slice's input rows. There is no
     /// `#Tk-tiles` factor: the slab is packed above loop L4 and reused by
-    /// every `Tk` tile and strip of the slice. `None` never materializes
-    /// an input copy.
+    /// every `Tk` tile and strip of the slice.
     pub fn predicted_pack_bytes(&self, shape: &ConvShape) -> u128 {
         let s = self.sanitized(shape);
         let (p, q) = (shape.p(), shape.q());
@@ -198,7 +183,6 @@ impl Schedule {
             };
             total_floats += shape.c as u128
                 * match s.packing {
-                    PackingMode::None => 0,
                     PackingMode::Fused | PackingMode::Sequential => {
                         let kt_tiles = (k_hi - k_lo).div_ceil(s.tk) as u128;
                         rows.len() as u128 * kt_tiles * shape.r as u128 * win_sum
@@ -261,12 +245,12 @@ impl Schedule {
             ("grid".into(), self.grid.to_json()),
             ("packing".into(), Json::str(self.packing.encode())),
             ("filter_state".into(), Json::str(self.filter_state.as_str())),
-            ("prefetch".into(), Json::Bool(self.prefetch)),
         ])
     }
 
     /// Parses the [`Schedule::to_json`] form; malformed or degenerate
-    /// fields are typed errors, never panics.
+    /// fields are typed errors, never panics. Fields it does not know (the
+    /// `prefetch` flag older caches carry) are ignored.
     pub fn from_json(v: &Json) -> Result<Schedule, JsonError> {
         let field_err = |msg: String| JsonError { msg, at: 0 };
         let s = Schedule {
@@ -280,14 +264,6 @@ impl Schedule {
                 .ok_or_else(|| field_err("unknown packing mode".into()))?,
             filter_state: FilterState::parse(v.str_field("filter_state")?)
                 .ok_or_else(|| field_err("unknown filter state".into()))?,
-            // Optional for back-compat: caches written before the field
-            // existed parse as prefetch-off.
-            prefetch: match v.get("prefetch") {
-                None => false,
-                Some(f) => f
-                    .as_bool()
-                    .ok_or_else(|| field_err("prefetch must be a bool".into()))?,
-            },
         };
         if s.vw == 0 || s.vk == 0 || s.tc == 0 || s.tk == 0 || s.th == 0 {
             return Err(field_err("schedule tiles must be >= 1".into()));
@@ -312,7 +288,6 @@ impl PackingMode {
         match self {
             PackingMode::Fused => "fused",
             PackingMode::Sequential => "sequential",
-            PackingMode::None => "none",
             PackingMode::Sliced { .. } => "sliced",
         }
     }
@@ -333,7 +308,6 @@ impl PackingMode {
         match s {
             "fused" => Some(PackingMode::Fused),
             "sequential" => Some(PackingMode::Sequential),
-            "none" => Some(PackingMode::None),
             _ => {
                 let rows = s.strip_prefix("sliced:")?.parse::<usize>().ok()?;
                 if rows == 0 {
@@ -437,26 +411,25 @@ mod tests {
     }
 
     #[test]
-    fn json_without_prefetch_field_defaults_off() {
-        // Autotune caches written before the flag existed must still parse.
-        let shape = ConvShape::square(1, 8, 8, 8, 3, 1);
-        let mut j = Schedule::minimal(&shape).to_json();
-        if let Json::Obj(fields) = &mut j {
-            fields.retain(|(k, _)| k != "prefetch");
-        }
-        let parsed = Schedule::from_json(&j).unwrap();
-        assert!(!parsed.prefetch);
-
-        // A present-but-mistyped field is a typed error, not a default.
-        let mut bad = Schedule::minimal(&shape).to_json();
-        if let Json::Obj(fields) = &mut bad {
-            for (k, v) in fields.iter_mut() {
-                if k == "prefetch" {
-                    *v = Json::str("yes");
-                }
-            }
-        }
-        assert!(Schedule::from_json(&bad).is_err());
+    fn json_with_legacy_prefetch_field_still_parses() {
+        // An autotune cache entry written while schedules carried a
+        // `prefetch` flag parses to the same schedule, the flag dropped.
+        let entry = r#"{"vw": 12, "vk": 8, "tc": 16, "tk": 64, "th": 7,
+            "grid": {"ptn": 2, "ptk": 1}, "packing": "sliced:3",
+            "filter_state": "on_the_fly", "prefetch": true}"#;
+        let parsed = Schedule::from_json(&Json::parse(entry).unwrap()).unwrap();
+        let want = Schedule {
+            vw: 12,
+            vk: 8,
+            tc: 16,
+            tk: 64,
+            th: 7,
+            grid: Grid2::new(2, 1),
+            packing: PackingMode::Sliced { rows: 3 },
+            filter_state: FilterState::OnTheFly,
+        };
+        assert_eq!(parsed, want);
+        assert!(!parsed.to_json().pretty().contains("prefetch"));
     }
 
     #[test]
@@ -472,7 +445,9 @@ mod tests {
     #[test]
     fn json_rejects_unknown_packing() {
         let shape = ConvShape::square(1, 8, 8, 8, 3, 1);
-        for bad in ["vectorized-harder", "sliced", "sliced:", "sliced:abc", "sliced:0", "none:4"] {
+        let bad_modes =
+            ["vectorized-harder", "none", "sliced", "sliced:", "sliced:abc", "sliced:0", "none:4"];
+        for bad in bad_modes {
             let mut j = Schedule::minimal(&shape).to_json();
             if let Json::Obj(fields) = &mut j {
                 for (k, v) in fields.iter_mut() {
@@ -488,15 +463,10 @@ mod tests {
 
     #[test]
     fn json_accepts_every_packing_variant() {
-        // The positive polarity of `json_rejects_unknown_packing`: all four
-        // modes round-trip through the cache encoding, rows included.
+        // The positive polarity of `json_rejects_unknown_packing`: every
+        // mode round-trips through the cache encoding, rows included.
         let shape = ConvShape::square(1, 8, 8, 8, 3, 1);
-        for mode in [
-            PackingMode::Fused,
-            PackingMode::Sequential,
-            PackingMode::None,
-            PackingMode::Sliced { rows: 6 },
-        ] {
+        for mode in [PackingMode::Fused, PackingMode::Sequential, PackingMode::Sliced { rows: 6 }] {
             let s = Schedule::minimal(&shape).with_packing(mode);
             let parsed =
                 Schedule::from_json(&Json::parse(&s.to_json().pretty()).unwrap()).unwrap();
@@ -519,8 +489,6 @@ mod tests {
     fn predicted_pack_bytes_by_mode() {
         let shape = ConvShape::square(2, 8, 16, 10, 3, 1);
         let base = Schedule::minimal(&shape);
-        assert_eq!(base.with_packing(PackingMode::None).predicted_pack_bytes(&shape), 0);
-
         // One slab per (image, slice): slices of 4 output rows over P=10
         // give [4, 4, 2] per image; slab_rows = (len−1)·stride + R.
         let sliced = base.with_packing(PackingMode::Sliced { rows: 4 });

@@ -105,12 +105,12 @@ pub enum Counter {
     Regions,
     /// Timeline events discarded because a per-thread buffer was full.
     EventsDropped,
-    /// Bytes of per-strip packing traffic the zero-copy schedule variants
-    /// (`PackingMode::None` / `PackingMode::Sliced`) *avoided*: for every
-    /// strip served without its own packed buffer, the `Tc·R·WIN·4` bytes
-    /// the fused/sequential modes would have written. On the same layer and
-    /// schedule, `bytes_pack_saved` under a zero-copy mode equals
-    /// `bytes_packed` under `Fused`.
+    /// Bytes of per-strip packing traffic the slab-sharing schedule variant
+    /// (`PackingMode::Sliced`) *avoided*: for every strip served without
+    /// its own packed buffer, the `Tc·R·WIN·4` bytes the fused/sequential
+    /// modes would have written. On the same layer and schedule,
+    /// `bytes_pack_saved` under `Sliced` equals `bytes_packed` under
+    /// `Fused`.
     BytesPackSaved,
     /// Bytes of depthwise-intermediate round-trip traffic the fused
     /// dw+pw path *avoided*: for every row-slice consumed straight out

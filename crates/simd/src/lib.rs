@@ -76,23 +76,6 @@ pub fn backend_name() -> &'static str {
     }
 }
 
-/// Issues a read prefetch for `ptr` into all cache levels where supported.
-///
-/// Micro-kernels use this to mirror the paper's software prefetch of the next
-/// filter slice; it is a correctness no-op everywhere.
-#[inline(always)]
-pub fn prefetch_read(ptr: *const f32) {
-    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-    // SAFETY: prefetch has no memory effects and tolerates any address.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch(ptr as *const i8, core::arch::x86_64::_MM_HINT_T0);
-    }
-    #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
-    {
-        let _ = ptr;
-    }
-}
-
 /// The trait all backends implement, so differential tests can run the same
 /// generic kernel against [`F32x4`] and [`F32x4Scalar`].
 pub trait SimdVec: Copy + core::fmt::Debug {
@@ -204,12 +187,6 @@ mod tests {
             (native - scalar).abs() <= 1e-5 * scalar.abs().max(1.0),
             "native={native} scalar={scalar}"
         );
-    }
-
-    #[test]
-    fn prefetch_is_harmless() {
-        let data = [0.0f32; 16];
-        prefetch_read(data.as_ptr());
     }
 
     #[test]

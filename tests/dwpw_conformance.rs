@@ -3,10 +3,9 @@
 //! Every grid pair runs twice: fused ([`ndirect_core::FusedDwPwPlan`], one
 //! pass, slab-resident intermediate) and unfused (`conv_depthwise` into a
 //! materialized tensor, then the standard nDirect 1×1), and the outputs are
-//! diffed in max-ULP terms. The unfused pointwise stage honors
-//! `NDIRECT_FORCE_PACKING`, so CI's packing matrix re-runs the whole table
-//! against each packing variant of the reference — the fusion must agree
-//! with all of them.
+//! diffed in max-ULP terms. The unfused pointwise stage runs under every
+//! packing variant, which must agree bitwise, so the fusion is held to all
+//! of them.
 //!
 //! The grid deliberately walks the boundary machinery: stride 1 and 2,
 //! same and valid padding, channel counts off the 4-lane grid (dw) and
@@ -23,17 +22,6 @@ use ndirect_threads::StaticPool;
 // --- ULP harness (mirrors crates/baselines/tests/conformance.rs; Cargo
 // --- integration tests are separate binaries, so the ~30 lines are
 // --- restated rather than shared).
-
-/// Packing override for the unfused pointwise reference, from
-/// `NDIRECT_FORCE_PACKING` (`fused` / `sequential` / `none` /
-/// `sliced:<rows>`). An unrecognized value is a test bug, not a skip.
-fn forced_packing() -> Option<PackingMode> {
-    let raw = std::env::var("NDIRECT_FORCE_PACKING").ok()?;
-    Some(
-        PackingMode::parse(&raw)
-            .unwrap_or_else(|| panic!("NDIRECT_FORCE_PACKING={raw:?} is not a packing mode")),
-    )
-}
 
 /// ULP distance between two finite f32s via the lexicographic-order
 /// mapping of IEEE bits; values straddling zero are charged the sum of
@@ -73,6 +61,15 @@ fn max_ulp(got: &[f32], want: &[f32], abs_floor: f32) -> u64 {
 /// band of the baselines' conformance table.
 const BUDGET_ULP: u64 = 4096;
 const ABS_FLOOR: f32 = 1e-6;
+
+/// The packing variants the unfused pointwise reference must reproduce
+/// bitwise, besides `Fused`.
+const OTHER_PACKINGS: [PackingMode; 4] = [
+    PackingMode::Sequential,
+    PackingMode::Sliced { rows: 1 },
+    PackingMode::Sliced { rows: 3 },
+    PackingMode::Sliced { rows: usize::MAX },
+];
 
 /// One grid pair: `(label, N, C, K, H, W, stride, pad)` for a `3×3`
 /// depthwise stage feeding a `1×1` pointwise `C → K`.
@@ -143,8 +140,8 @@ fn seeded_pair(dw_shape: &ConvShape, k: usize, seed: u64) -> (Tensor4, Filter, F
 }
 
 /// The unfused reference: depthwise into a materialized intermediate, then
-/// the standard nDirect 1×1 with the host schedule — packing overridden
-/// when the CI matrix forces a mode.
+/// the standard nDirect 1×1 with the host schedule under every packing
+/// variant, which must agree bitwise.
 fn unfused_reference(
     pool: &StaticPool,
     input: &Tensor4,
@@ -171,12 +168,18 @@ fn unfused_reference(
         1,
         Padding::NONE,
     );
-    let mut sched = Schedule::derive(&ndirect_platform::host(), &pw_shape, pool.size());
-    if let Some(mode) = forced_packing() {
-        sched.packing = mode;
-        sched = sched.sanitized(&pw_shape);
+    let base = Schedule::derive(&ndirect_platform::host(), &pw_shape, pool.size());
+    let run = |mode| conv_ndirect_with(pool, &mid, pw_filter, &pw_shape, &base.with_packing(mode));
+    let want = run(PackingMode::Fused);
+    for mode in OTHER_PACKINGS {
+        let got = run(mode);
+        assert_eq!(
+            got.as_slice(),
+            want.as_slice(),
+            "{pw_shape} under {mode:?} differs from Fused"
+        );
     }
-    conv_ndirect_with(pool, &mid, pw_filter, &pw_shape, &sched)
+    want
 }
 
 /// The headline table: fused vs. unfused over the whole grid, within the

@@ -93,12 +93,8 @@ fn schedule(shape: &ConvShape, tiles: (usize, usize, usize, usize, usize)) -> Sc
     s
 }
 
-const MODES: [PackingMode; 4] = [
-    PackingMode::Fused,
-    PackingMode::Sequential,
-    PackingMode::None,
-    PackingMode::Sliced { rows: 2 },
-];
+const MODES: [PackingMode; 3] =
+    [PackingMode::Fused, PackingMode::Sequential, PackingMode::Sliced { rows: 2 }];
 const GRIDS: [(usize, usize); 3] = [(1, 1), (2, 1), (1, 2)];
 
 /// One `NCHW` case: every mode × grid, one-shot and planned, must agree

@@ -99,9 +99,8 @@ fn packed_bytes_match_schedule_prediction() {
     }
 }
 
-/// The zero-copy schedule variants: `None` must pack exactly zero bytes
-/// (and predict zero), `Sliced` must pack exactly what the analytic slab
-/// model predicts, and both must record in `bytes_pack_saved` precisely
+/// The slab-sharing schedule variant: `Sliced` must pack exactly what the
+/// analytic slab model predicts and record in `bytes_pack_saved` precisely
 /// the per-strip traffic a `Fused` run of the same layer pays in
 /// `bytes_packed` — all while staying bitwise identical to `Fused`.
 #[test]
@@ -133,29 +132,23 @@ fn zero_copy_variants_account_exactly_and_match_fused_bitwise() {
         if ndirect_probe::ENABLED {
             assert_eq!(fused_d[1], 0, "layer {id}: Fused saves nothing");
         }
-        for mode in [PackingMode::None, PackingMode::Sliced { rows: model_rows }] {
-            let (out, d, predicted) = run(mode);
+        let (out, d, predicted) = run(PackingMode::Sliced { rows: model_rows });
+        assert_eq!(
+            out.as_slice(),
+            fused_out.as_slice(),
+            "layer {id}: Sliced must be bitwise identical to Fused"
+        );
+        if ndirect_probe::ENABLED {
             assert_eq!(
-                out.as_slice(),
-                fused_out.as_slice(),
-                "layer {id}: {mode:?} must be bitwise identical to Fused"
+                d[0] as u128, predicted,
+                "layer {id}: Sliced bytes_packed must match the prediction"
             );
-            if ndirect_probe::ENABLED {
-                assert_eq!(
-                    d[0] as u128, predicted,
-                    "layer {id}: {mode:?} bytes_packed must match the prediction"
-                );
-                if mode == PackingMode::None {
-                    assert_eq!(d[0], 0, "layer {id}: the zero-copy mode packs nothing");
-                    assert_eq!(predicted, 0);
-                }
-                assert_eq!(
-                    d[1], fused_d[0],
-                    "layer {id}: {mode:?} bytes_pack_saved must equal Fused's bytes_packed"
-                );
-            } else {
-                assert_eq!(d, vec![0, 0]);
-            }
+            assert_eq!(
+                d[1], fused_d[0],
+                "layer {id}: Sliced bytes_pack_saved must equal Fused's bytes_packed"
+            );
+        } else {
+            assert_eq!(d, vec![0, 0]);
         }
     }
 }

@@ -459,7 +459,6 @@ fn diff_schedule(rng: &mut Rng64, shape: &ConvShape) -> Schedule {
     s.tc = rng.gen_range_usize(1, shape.c + 1);
     s.tk = s.vk * rng.gen_range_usize(1, 3);
     s.th = rng.gen_range_usize(1, shape.p() + 1);
-    s.prefetch = rng.gen_bool(0.5);
     s
 }
 
@@ -473,7 +472,7 @@ fn dense_case(seed: u64, rng: &mut Rng64, pool: &StaticPool) {
     let sliced = PackingMode::Sliced { rows: rng.gen_range_usize(1, 4) };
 
     let mut reference: Option<Tensor4> = None;
-    for mode in [PackingMode::Fused, PackingMode::Sequential, PackingMode::None, sliced] {
+    for mode in [PackingMode::Fused, PackingMode::Sequential, sliced] {
         for (ptn, ptk) in grids {
             let sched = base.with_packing(mode).with_grid(Grid2::new(ptn, ptk));
             let at = format!("{what}: {mode:?} on {ptn}x{ptk}");

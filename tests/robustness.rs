@@ -341,8 +341,8 @@ fn scratch_elements(sched: &Schedule, shape: &ConvShape) -> usize {
 
 #[test]
 fn forced_scratch_refusal_in_extension_drivers_is_a_typed_error() {
-    // The 3-D, inner-product and depthwise drivers have no smaller schedule
-    // to fall back to, so a refused scratch request must come back as
+    // The 3-D, inner-product, depthwise and INT16 drivers have no smaller
+    // schedule to fall back to, so a refused scratch request must come back as
     // `ScratchAlloc` from the `try_` entry point, never an allocator abort
     // on a worker thread. Write lock: the limit hook is process-global.
     let _g = ISA_HOOK.write().unwrap_or_else(|p| p.into_inner());
@@ -356,12 +356,15 @@ fn forced_scratch_refusal_in_extension_drivers_is_a_typed_error() {
     let filter3 = ndirect_tensor::Filter5::zeros(4, 2, 3, 3, 3);
 
     let (dw_shape, dw_input, dw_filter) = depthwise_problem();
+    let input16 = ndirect_core::Int16Tensor::zeros(shape.n, shape.c, shape.h, shape.w);
+    let filter16 = ndirect_core::Int16Filter::zeros(shape.k, shape.c, shape.r, shape.s);
 
     ndirect_core::conv::__set_scratch_element_limit(0);
     let ip = ndirect_core::try_conv_inner_product(&pool, &input, &filter, &shape);
     let c3 = ndirect_core::try_conv3d_ndirect(&pool, &input3, &filter3, &shape3);
     let dw = try_conv_depthwise(&pool, &dw_input, &dw_filter, &dw_shape);
     let dw_plan = DepthwisePlan::try_new(&dw_shape, &dw_filter, 2).map(|_| ());
+    let i16 = ndirect_core::try_conv_int16(&pool, &input16, &filter16, &shape);
     ndirect_core::conv::__set_scratch_element_limit(usize::MAX);
 
     assert!(matches!(ip, Err(Error::ScratchAlloc { elements }) if elements > 0), "{ip:?}");
@@ -371,10 +374,12 @@ fn forced_scratch_refusal_in_extension_drivers_is_a_typed_error() {
         matches!(dw_plan, Err(Error::ScratchAlloc { elements }) if elements > 0),
         "{dw_plan:?}"
     );
+    assert!(matches!(i16, Err(Error::ScratchAlloc { elements }) if elements > 0), "{i16:?}");
     // With the cap lifted all run.
     ndirect_core::try_conv_inner_product(&pool, &input, &filter, &shape).expect("no cap");
     ndirect_core::try_conv3d_ndirect(&pool, &input3, &filter3, &shape3).expect("no cap");
     try_conv_depthwise(&pool, &dw_input, &dw_filter, &dw_shape).expect("no cap");
+    ndirect_core::try_conv_int16(&pool, &input16, &filter16, &shape).expect("no cap");
 }
 
 #[test]
