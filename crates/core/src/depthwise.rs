@@ -6,18 +6,34 @@
 //! (a 1×1 standard convolution, which [`crate::conv_ndirect`] already
 //! handles with its dedicated pointwise kernel). The paper notes the
 //! depthwise stage falls out of nDirect by "removing the reduction
-//! operations of dimension C in micro-kernels" — which is exactly what
-//! this module does: the same strip packing (`gather_row`), a register
-//! tile of `Vw` pixels × 4 channels, and the same static `PTn`-style row
-//! parallelization (there is no `K` dimension to split; channels play
-//! that role).
+//! operations of dimension C in micro-kernels". With no `C` to reduce,
+//! the only axis left to vectorise is the output pixel, which is what this
+//! module's one kernel, `depthwise_channel`, does (the dataflow of arXiv
+//! 2206.12124, with the row reuse of arXiv 2001.02504):
+//!
+//! 1. the input rows one channel's output rows need are zero-padded into
+//!    thread scratch once, each split into its `stride` phases, so that
+//!    every tap of every output vector is one contiguous vector load —
+//!    for strided layers too;
+//! 2. each output row is swept in chunks of up to 8 accumulator
+//!    vectors held in registers; every padded input row is reused by the
+//!    `R` output rows and `S` taps that read it;
+//! 3. whole vectors are stored into the caller's destination rows: the
+//!    `NCHW` output plane ([`crate::DepthwisePlan`]) or the fused dw+pw
+//!    path's slab ([`crate::dwpw`]).
+//!
+//! Every output starts from zero and adds its taps in `(r, s)` order, one
+//! multiply-add each, so the two callers agree bitwise with each other and
+//! with a scalar loop that does the same.
 
-use ndirect_simd::{F32x4, SimdVec};
+use std::ops::Range;
+
+use ndirect_simd::{F32x4, SimdVec, LANES};
 use ndirect_tensor::{ActLayout, ConvShape, Filter, Tensor4};
 use ndirect_threads::StaticPool;
 
+use crate::conv::{checked_product, input_span};
 use crate::error::{check, Error};
-use crate::pack::gather_row;
 
 /// Depthwise convolution: `O[n][c] = I[n][c] ⊛ F[c]`, `NCHW` in and out.
 /// Panics on invalid inputs; see [`try_conv_depthwise`].
@@ -52,87 +68,164 @@ pub fn try_conv_depthwise(
 
     // Thin wrapper since the plan layer exists: build a throwaway plan
     // borrowing the filter and execute it once. Repeated callers build a
-    // [`crate::DepthwisePlan`] themselves to reuse the gather buffers.
+    // [`crate::DepthwisePlan`] themselves to reuse the padded-row scratch.
     let plan = crate::plan::DepthwisePlan::borrowed(shape, filter, pool.size())?;
     plan.execute(pool, input, &mut out)?;
     Ok(out)
 }
 
-/// The depthwise register-tile width (pixels per strip).
-const DW_VW: usize = 8;
+/// Accumulator vectors per chunk of an output row: the register tile.
+const CHUNK: usize = 8;
 
-/// Floats in one thread's gather strip: four channels' `R` rows of the
-/// widest strip window, `4 · R · ((DW_VW−1)·stride + S)`.
-pub(crate) fn gather_rows_len(shape: &ConvShape) -> Result<usize, Error> {
-    crate::conv::input_span(DW_VW, shape.stride, shape.s)
-        .and_then(|win_max| crate::conv::checked_product(&[4, shape.r, win_max]))
-        .ok_or(Error::ScratchAlloc {
-            elements: usize::MAX,
-        })
+/// Floats in one stride phase of a padded input row: the output row
+/// rounded up to whole vectors, plus the `(S−1)/stride` columns the last
+/// taps reach past it.
+fn phase_len(shape: &ConvShape) -> usize {
+    shape.q().div_ceil(LANES) * LANES + (shape.s - 1) / shape.stride
 }
 
-/// The depthwise kernel: output rows `ohs` of the (up to) four channels
-/// starting at `c0` of one image, each finished value handed to
-/// `store(channel, oh, ow, value)`. The plan stores into the `NCHW` output,
-/// the fused dw+pw path into its cache-resident slab; sharing the body is
-/// what keeps the two bitwise equal.
-#[inline(always)]
-pub(crate) fn depthwise_rows(
-    image: &[f32],
-    filter: &Filter,
+/// Floats of scratch [`depthwise_channel`] needs for up to `rows` output
+/// rows: the `(rows−1)·stride + R` input rows they read, each as
+/// `min(stride, S)` phases of [`phase_len`] floats (phases no tap reads
+/// are not stored). `None` on overflow.
+pub(crate) fn padded_len(shape: &ConvShape, rows: usize) -> Option<usize> {
+    let in_rows = input_span(rows, shape.stride, shape.r)?;
+    checked_product(&[in_rows, shape.stride.min(shape.s), phase_len(shape)])
+}
+
+/// The depthwise kernel: output rows `ohs` of one channel, written to
+/// `dst` as `ohs.len()` rows of `Q` floats. `plane` is the channel's
+/// `H×W` input, `taps` its `R·S` filter taps in `(r, s)` order, and
+/// `scratch` holds at least [`padded_len`]`(shape, ohs.len())` floats.
+/// Monomorphised on the stride (1, 2, any other at run time).
+pub(crate) fn depthwise_channel(
+    plane: &[f32],
+    taps: &[f32],
     shape: &ConvShape,
-    c0: usize,
-    ohs: std::ops::Range<usize>,
-    rows: &mut [f32],
-    mut store: impl FnMut(usize, usize, usize, f32),
+    ohs: Range<usize>,
+    scratch: &mut [f32],
+    dst: &mut [f32],
 ) {
-    let lanes = 4.min(shape.c - c0);
-    let q = shape.q();
-    let stride = shape.stride;
-    let (r, s) = (shape.r, shape.s);
-    let fdata = filter.as_slice(); // (C,1,R,S): channel-major taps
-    for oh in ohs {
-        let ih0 = (oh * stride) as isize - shape.pad.h as isize;
-        let mut wv = 0;
-        while wv < q {
-            let valid_w = DW_VW.min(q - wv);
-            let win = (valid_w - 1) * stride + s;
-            let iw0 = (wv * stride) as isize - shape.pad.w as isize;
-            // Gather the strip rows for each of the 4 channels.
-            for l in 0..lanes {
-                for rr in 0..r {
-                    let dst = &mut rows[(l * r + rr) * win..(l * r + rr + 1) * win];
-                    gather_row(image, c0 + l, ih0 + rr as isize, iw0, shape.h, shape.w, dst);
-                }
+    match shape.stride {
+        1 => channel_rows::<1>(plane, taps, shape, ohs, scratch, dst),
+        2 => channel_rows::<2>(plane, taps, shape, ohs, scratch, dst),
+        _ => channel_rows::<0>(plane, taps, shape, ohs, scratch, dst),
+    }
+}
+
+/// How a call's padded rows are laid out: `(stride, phase_len, row_len, S)`.
+type Layout = (usize, usize, usize, usize);
+
+/// [`depthwise_channel`] at a compile-time stride (`STRIDE == 0`: read
+/// `shape.stride`).
+#[inline(always)]
+fn channel_rows<const STRIDE: usize>(
+    plane: &[f32],
+    taps: &[f32],
+    shape: &ConvShape,
+    ohs: Range<usize>,
+    scratch: &mut [f32],
+    dst: &mut [f32],
+) {
+    let stride = if STRIDE == 0 { shape.stride } else { STRIDE };
+    let (q, w, pad, phase_len) = (shape.q(), shape.w, shape.pad.w, phase_len(shape));
+    let row_len = stride.min(shape.s) * phase_len;
+    let in_rows = ohs.len().saturating_sub(1) * stride + shape.r;
+    let ih0 = (ohs.start * stride) as isize - shape.pad.h as isize;
+    let padded = &mut scratch[..in_rows * row_len];
+    padded.fill(0.0);
+    for (ih, row) in (ih0..).zip(padded.chunks_exact_mut(row_len)) {
+        // Rows outside the image stay zero.
+        if (0..shape.h as isize).contains(&ih) {
+            pad_row(&plane[ih as usize * w..][..w], pad, stride, phase_len, row);
+        }
+    }
+    debug_assert_eq!(dst.len(), ohs.len() * q);
+    let layout = (stride, phase_len, row_len, shape.s);
+    for (i, out_row) in dst.chunks_exact_mut(q).enumerate() {
+        let rows = &padded[i * stride * row_len..];
+        let mut ow = 0;
+        while ow < q {
+            let vecs = (q - ow).div_ceil(LANES).min(CHUNK);
+            match vecs {
+                1 => chunk::<1>(rows, layout, taps, ow, out_row),
+                2 => chunk::<2>(rows, layout, taps, ow, out_row),
+                3 => chunk::<3>(rows, layout, taps, ow, out_row),
+                4 => chunk::<4>(rows, layout, taps, ow, out_row),
+                5 => chunk::<5>(rows, layout, taps, ow, out_row),
+                6 => chunk::<6>(rows, layout, taps, ow, out_row),
+                7 => chunk::<7>(rows, layout, taps, ow, out_row),
+                _ => chunk::<CHUNK>(rows, layout, taps, ow, out_row),
             }
-            // acc[wi] lanes = 4 channels of pixel wi.
-            let mut acc = [F32x4::zero(); DW_VW];
-            for rr in 0..r {
-                for ss in 0..s {
-                    // Filter taps for the 4 channels at (rr, ss).
-                    let mut taps = [0.0f32; 4];
-                    for (l, t) in taps.iter_mut().enumerate().take(lanes) {
-                        // INDEX: c0 + l < C (lanes clamp); rr < R, ss < S.
-                        *t = fdata[((c0 + l) * r + rr) * s + ss];
-                    }
-                    let fv = F32x4::from_array(taps);
-                    for (wi, a) in acc.iter_mut().enumerate().take(valid_w) {
-                        let mut xs = [0.0f32; 4];
-                        for (l, x) in xs.iter_mut().enumerate().take(lanes) {
-                            // INDEX: rows holds `lanes` windows of R*win
-                            // floats; wi*stride+ss < win (valid_w clamp).
-                            *x = rows[(l * r + rr) * win + wi * stride + ss];
-                        }
-                        *a = a.fma(fv, F32x4::from_array(xs));
-                    }
-                }
+            ow += vecs * LANES;
+        }
+    }
+}
+
+/// Copies one input row `src` into `dst`, its zeroed padded row split into
+/// stride phases: column `col` is padded column `x = col + pad`, stored in
+/// phase `x % stride` at column `x / stride`.
+#[inline(always)]
+fn pad_row(src: &[f32], pad: usize, stride: usize, phase_len: usize, dst: &mut [f32]) {
+    if stride == 1 {
+        let (lo, hi) = (pad.min(phase_len), (src.len() + pad).min(phase_len));
+        dst[lo..hi].copy_from_slice(&src[..hi - lo]);
+        return;
+    }
+    let mut done = 0;
+    if stride == 2 && dst.len() == 2 * phase_len {
+        // Consecutive column pairs land side by side in the two phases.
+        let (p0, p1) = dst.split_at_mut(phase_len);
+        let (a, b) = if pad % 2 == 0 { (p0, p1) } else { (p1, p0) };
+        let a = &mut a[(pad / 2).min(phase_len)..];
+        let b = &mut b[pad.div_ceil(2).min(phase_len)..];
+        done = 2 * (src.len() / 2).min(a.len()).min(b.len());
+        for ((x, y), pair) in a.iter_mut().zip(b).zip(src.chunks_exact(2)) {
+            // INDEX: `chunks_exact(2)` yields two-float pairs.
+            (*x, *y) = (pair[0], pair[1]);
+        }
+    }
+    // Any other stride, and what the pairs left: one column at a time.
+    let phases = dst.len() / phase_len;
+    for (x, &v) in (pad + done..).zip(&src[done..]) {
+        let (phase, j) = (x % stride, x / stride);
+        if j >= phase_len {
+            break;
+        }
+        if phase < phases {
+            // INDEX: phase < phases and j < phase_len just checked.
+            dst[phase * phase_len + j] = v;
+        }
+    }
+}
+
+/// `V` output vectors of one row, starting at column `ow`: every tap is a
+/// broadcast filter value times one contiguous load per vector, added in
+/// `(r, s)` order to accumulators that start at zero. Lanes past `Q` are
+/// computed from padding and not stored. `rows` starts at the row's first
+/// padded input row.
+#[inline(always)]
+fn chunk<const V: usize>(rows: &[f32], lay: Layout, taps: &[f32], ow: usize, out: &mut [f32]) {
+    let (stride, phase_len, row_len, s) = lay;
+    let mut acc = [F32x4::zero(); V];
+    for (rr, row_taps) in taps.chunks_exact(s).enumerate() {
+        let row = &rows[rr * row_len..][..row_len];
+        for (ss, &t) in row_taps.iter().enumerate() {
+            let w = F32x4::splat(t);
+            let base = (ss % stride) * phase_len + ow + ss / stride;
+            let xs = &row[base..base + V * LANES];
+            for (v, a) in acc.iter_mut().enumerate() {
+                *a = a.fma(w, F32x4::load(&xs[v * LANES..]));
             }
-            for (wi, a) in acc.iter().enumerate().take(valid_w) {
-                for (l, &v) in a.to_array().iter().enumerate().take(lanes) {
-                    store(c0 + l, oh, wv + wi, v);
-                }
-            }
-            wv += valid_w;
+        }
+    }
+    let live = (out.len() - ow).min(V * LANES);
+    for (v, a) in acc.iter().enumerate() {
+        let (at, n) = (ow + v * LANES, LANES.min(live - v * LANES));
+        if n == LANES {
+            a.store(&mut out[at..]);
+        } else {
+            out[at..at + n].copy_from_slice(&a.to_array()[..n]);
         }
     }
 }
@@ -159,11 +252,9 @@ pub fn try_conv_depthwise_separable(
     pw_filter: &Filter,
     shape: &ConvShape,
 ) -> Result<Tensor4, Error> {
-    let dw_shape = ConvShape::try_new(
-        shape.n, shape.c, shape.h, shape.w, shape.c, shape.r, shape.s, shape.stride, shape.pad,
-    )?;
-    let mid = try_conv_depthwise(pool, input, dw_filter, &dw_shape)?;
     let (k, c, r1, s1) = pw_filter.dims();
+    let (dw_shape, pw_shape) = crate::dwpw::try_compose_shapes(shape, k)?;
+    let mid = try_conv_depthwise(pool, input, dw_filter, &dw_shape)?;
     if (c, r1, s1) != (shape.c, 1, 1) {
         return Err(Error::DimMismatch {
             what: "filter dims",
@@ -171,26 +262,18 @@ pub fn try_conv_depthwise_separable(
             got: pw_filter.dims(),
         });
     }
-    let pw_shape = ConvShape::try_new(
-        shape.n,
-        shape.c,
-        dw_shape.p(),
-        dw_shape.q(),
-        k,
-        1,
-        1,
-        1,
-        ndirect_tensor::Padding::NONE,
-    )?;
     crate::conv::try_conv_ndirect(pool, &mid, pw_filter, &pw_shape)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DepthwisePlan;
     use ndirect_tensor::{assert_close, fill, FilterLayout, Padding};
 
-    /// Scalar depthwise oracle.
+    /// Scalar depthwise oracle: every output sums its taps from `0.0` in
+    /// `(r, s)` order, a separate multiply and add each — the lane sequence
+    /// of the SSE and scalar backends.
     fn depthwise_ref(input: &Tensor4, filter: &Filter, shape: &ConvShape) -> Tensor4 {
         let (p, q) = (shape.p(), shape.q());
         let mut out = Tensor4::zeros(shape.n, shape.c, p, q, ActLayout::Nchw);
@@ -229,6 +312,17 @@ mod tests {
         ConvShape::new(n, c, hw, hw, c, rs, rs, stride, Padding::same(pad))
     }
 
+    /// `got` against the oracle: bit for bit on the backends whose lanes
+    /// multiply and add separately (as `tests/golden_bits.rs` keys its
+    /// table), within a tolerance where the multiply-add is fused.
+    fn assert_oracle(got: &[f32], want: &[f32], what: &str) {
+        if matches!(ndirect_simd::backend_name(), "sse" | "scalar") {
+            assert_eq!(got, want, "{what}");
+        } else {
+            assert_close(got, want, 1e-5, what);
+        }
+    }
+
     #[test]
     fn matches_oracle_basic() {
         let shape = dw_shape(1, 8, 10, 3, 1, 1);
@@ -236,18 +330,19 @@ mod tests {
         let pool = StaticPool::new(1);
         let got = conv_depthwise(&pool, &input, &filter, &shape);
         let expect = depthwise_ref(&input, &filter, &shape);
-        assert_close(got.as_slice(), expect.as_slice(), 1e-5, "depthwise");
+        assert_oracle(got.as_slice(), expect.as_slice(), "depthwise");
     }
 
     #[test]
     fn matches_oracle_channel_tail() {
-        // C = 6: one full channel group + a 2-lane tail.
+        // C = 6 over N = 2: planes after the first image's, and a Q = 9
+        // row that ends in a one-lane vector.
         let shape = dw_shape(2, 6, 9, 3, 1, 1);
         let (input, filter) = problem(&shape, 2);
         let pool = StaticPool::new(1);
         let got = conv_depthwise(&pool, &input, &filter, &shape);
         let expect = depthwise_ref(&input, &filter, &shape);
-        assert_close(got.as_slice(), expect.as_slice(), 1e-5, "channel tail");
+        assert_oracle(got.as_slice(), expect.as_slice(), "channel tail");
     }
 
     #[test]
@@ -258,7 +353,70 @@ mod tests {
             let pool = StaticPool::new(1);
             let got = conv_depthwise(&pool, &input, &filter, &shape);
             let expect = depthwise_ref(&input, &filter, &shape);
-            assert_close(got.as_slice(), expect.as_slice(), 1e-5, "strided dw");
+            assert_oracle(got.as_slice(), expect.as_slice(), "strided dw");
+        }
+    }
+
+    /// A generated sweep: `R = S ∈ {1, 3, 5, 7}` × stride `{1, 2, 3}` ×
+    /// pad `{0, R/2}` × every `Q` in `1..=40` (every chunk width and
+    /// lane tail) × `C ∈ {1, 5}`, `N = 2`, through `DepthwisePlan` on 1
+    /// and 3 threads, and through the kernel one output row at a time (the
+    /// fused path's slices). `P` cycles through 2–4 and the input is up to
+    /// `stride − 1` columns wider than the window reaches. Under Miri a
+    /// subset runs.
+    #[test]
+    fn generated_sweep_matches_oracle_bitwise() {
+        let pools = [StaticPool::new(1), StaticPool::new(3)];
+        let (kernels, qs): (&[usize], Vec<usize>) = if cfg!(miri) {
+            (&[1, 3], vec![1, 6, 33])
+        } else {
+            (&[1, 3, 5, 7], (1..=40).collect())
+        };
+        for &rs in kernels {
+            for stride in 1..=3 {
+                for pad in [0, rs / 2] {
+                    for &q in &qs {
+                        for c in [1, 5] {
+                            let (p, extra) = (2 + q % 3, q % stride);
+                            let h = (p - 1) * stride + rs + extra - 2 * pad;
+                            let w = (q - 1) * stride + rs + extra - 2 * pad;
+                            let shape =
+                                ConvShape::new(2, c, h, w, c, rs, rs, stride, Padding::same(pad));
+                            assert_eq!((shape.p(), shape.q()), (p, q));
+                            sweep_case(&shape, &pools);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn sweep_case(shape: &ConvShape, pools: &[StaticPool]) {
+        let what = format!("{shape:?}");
+        let (input, filter) = problem(shape, (shape.w * 131 + shape.c) as u64);
+        let want = depthwise_ref(&input, &filter, shape);
+        for pool in pools {
+            let plan = DepthwisePlan::try_new(shape, &filter, pool.size()).unwrap();
+            let mut got = Tensor4::output_for(shape, ActLayout::Nchw);
+            plan.execute(pool, &input, &mut got).unwrap();
+            assert_oracle(got.as_slice(), want.as_slice(), &what);
+        }
+        // The last plane, one output row per call.
+        let (plane_in, q, rs) = (shape.h * shape.w, shape.q(), shape.r * shape.s);
+        let last = shape.n * shape.c - 1;
+        let mut scratch = vec![0.0; padded_len(shape, 1).unwrap()];
+        let mut row = vec![0.0; q];
+        for oh in 0..shape.p() {
+            depthwise_channel(
+                &input.as_slice()[last * plane_in..][..plane_in],
+                &filter.as_slice()[(shape.c - 1) * rs..][..rs],
+                shape,
+                oh..oh + 1,
+                &mut scratch,
+                &mut row,
+            );
+            let want_row = &want.as_slice()[(last * shape.p() + oh) * q..][..q];
+            assert_oracle(&row, want_row, &format!("{what} row {oh}"));
         }
     }
 

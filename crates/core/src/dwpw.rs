@@ -37,7 +37,7 @@ use ndirect_support::{Json, JsonError};
 use ndirect_tensor::{ActLayout, AlignedBuf, ConvShape, Filter, FilterLayout, Tensor4};
 use ndirect_threads::{split_static, StaticPool};
 
-use crate::depthwise::{depthwise_rows, gather_rows_len};
+use crate::depthwise::{depthwise_channel, padded_len};
 use crate::error::{check, Error};
 use crate::filter::TransformedFilter;
 use crate::kernel::{run_tile, RowSource, TileArgs};
@@ -121,11 +121,11 @@ impl DwPwSchedule {
 }
 
 /// Per-thread scratch of the fused plan: the cache-resident depthwise
-/// output slab plus the depthwise stage's gather rows.
+/// output slab plus the depthwise stage's padded input rows.
 struct FusedScratch {
     /// `C · slice_rows · Q` floats, laid out `[C][row][Q]`.
     slab: AlignedBuf,
-    /// The depthwise stage's 4-lane gather strip ([`gather_rows_len`]).
+    /// One channel's padded input rows for a slice ([`padded_len`]).
     rows: AlignedBuf,
 }
 
@@ -242,11 +242,11 @@ impl<'f> FusedDwPwPlan<'f> {
         sched: &DwPwSchedule,
         threads: usize,
     ) -> Result<Vec<Mutex<FusedScratch>>, Error> {
-        let slab_len = crate::conv::checked_product(&[dw_shape.c, sched.slice_rows, dw_shape.q()])
-            .ok_or(Error::ScratchAlloc {
-                elements: usize::MAX,
-            })?;
-        let rows_len = gather_rows_len(dw_shape)?;
+        let slab_len = crate::conv::scratch_len(
+            crate::conv::checked_product(&[dw_shape.c, sched.slice_rows, dw_shape.q()]),
+            threads,
+        )?;
+        let rows_len = crate::conv::scratch_len(padded_len(dw_shape, sched.slice_rows), threads)?;
         (0..threads)
             .map(|_| {
                 let slab = AlignedBuf::try_zeroed(slab_len)
@@ -317,11 +317,12 @@ impl<'f> FusedDwPwPlan<'f> {
             out_dims: (shape.n, k, p, q),
         };
         let sched = &self.sched;
-        let dw_filter = self.dw_filter.get();
+        let taps = self.dw_filter.get().as_slice(); // (C,1,R,S): channel-major
+        let (rs, plane_in) = (shape.r * shape.s, shape.h * shape.w);
         let slices = p.div_ceil(sched.slice_rows);
         let threads = self.threads;
         let in_data = input.as_slice();
-        let image_len = shape.c * shape.h * shape.w;
+        let image_len = shape.c * plane_in;
         let kv_blocks = self.pw.kv_blocks();
         let mid_relu = self.mid_relu;
         // Disjointness: each (image, row-slice) item owns output rows
@@ -346,17 +347,14 @@ impl<'f> FusedDwPwPlan<'f> {
                     // Stage 1: depthwise rows [oh0, oh0+len) of every
                     // channel into the thread-private slab ([C][row][Q]).
                     let slab = &mut scratch.slab[..c * len * q];
-                    for c0 in (0..c).step_by(4) {
-                        depthwise_rows(
-                            image,
-                            dw_filter,
+                    for (ch, rows) in slab.chunks_exact_mut(len * q).enumerate() {
+                        depthwise_channel(
+                            &image[ch * plane_in..][..plane_in],
+                            &taps[ch * rs..][..rs],
                             shape,
-                            c0,
                             oh0..oh0 + len,
                             &mut scratch.rows,
-                            // INDEX: slab is C×len×Q; ch < C, oh ∈ [oh0,
-                            // oh0+len), ow < Q by the width-tile walk.
-                            |ch, oh, ow, v| slab[(ch * len + (oh - oh0)) * q + ow] = v,
+                            rows,
                         );
                     }
                     if mid_relu {

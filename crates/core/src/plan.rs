@@ -696,9 +696,9 @@ fn validate_filter(shape: &ConvShape, filter: &Filter, layout: ActLayout) -> Res
 /// [`execute`](DepthwisePlan::execute) calls are allocation-free.
 ///
 /// Unlike [`ConvPlan`] there is no filter transform (depthwise reads taps
-/// directly) and no thread grid — work is `(n, channel-group)` items split
-/// over a fixed thread count chosen at build; every item writes its own
-/// output planes, so results are bitwise identical for any thread count.
+/// directly) and no thread grid — work is `(n, c)` items split over a
+/// fixed thread count chosen at build; every item writes its own output
+/// plane, so results are bitwise identical for any thread count.
 pub struct DepthwisePlan<'f> {
     shape: ConvShape,
     filter: FilterRef<'f>,
@@ -748,8 +748,7 @@ impl<'f> DepthwisePlan<'f> {
 
     // AUDIT: cold — scratch provisioning; runs on arena miss, never per tile.
     fn alloc_set(shape: &ConvShape, threads: usize) -> Result<Vec<Mutex<AlignedBuf>>, Error> {
-        let len = crate::depthwise::gather_rows_len(shape)?;
-        crate::conv::try_scratch_bufs(Some(len), threads)
+        crate::conv::try_scratch_bufs(crate::depthwise::padded_len(shape, shape.p()), threads)
     }
 
     /// The shape the plan was built for.
@@ -779,11 +778,10 @@ impl<'f> DepthwisePlan<'f> {
             in_dims: (shape.n, shape.c, shape.h, shape.w),
             out_dims: (shape.n, shape.c, p, q),
         };
-        let filter = self.filter.get();
-        let cgroups = shape.c.div_ceil(4);
+        let taps = self.filter.get().as_slice(); // (C,1,R,S): channel-major
+        let (rs, plane_in, plane_out) = (shape.r * shape.s, shape.h * shape.w, p * q);
         let threads = self.threads;
         let in_data = input.as_slice();
-        let image_len = shape.c * shape.h * shape.w;
         execute_frame(
             operands,
             threads,
@@ -792,23 +790,21 @@ impl<'f> DepthwisePlan<'f> {
             pool,
             input,
             out,
-            |tid, rows, out_all| {
-                for item in split_static(shape.n * cgroups, threads, tid) {
-                    let n = item / cgroups;
-                    let c0 = (item % cgroups) * 4;
-                    let image = &in_data[n * image_len..(n + 1) * image_len];
-                    crate::depthwise::depthwise_rows(
-                        image,
-                        filter,
+            |tid, scratch, out_all| {
+                // In NCHW, item `n·C + c` indexes both its input and its
+                // output plane; `c` picks the taps.
+                for item in split_static(shape.n * shape.c, threads, tid) {
+                    let c = item % shape.c;
+                    // SAFETY: each (n, c) item owns output plane `item`
+                    // alone, and `execute_frame` checked `out`'s dims.
+                    let dst = unsafe { out_all.range_mut(item * plane_out, plane_out) };
+                    crate::depthwise::depthwise_channel(
+                        &in_data[item * plane_in..][..plane_in],
+                        &taps[c * rs..][..rs],
                         shape,
-                        c0,
                         0..p,
-                        rows,
-                        |c, oh, ow, v| {
-                            // SAFETY: each (n, channel-group) item owns its
-                            // own 4 output planes — a single writer.
-                            unsafe { out_all.write(((n * shape.c + c) * p + oh) * q + ow, v) }
-                        },
+                        scratch,
+                        dst,
                     );
                 }
             },

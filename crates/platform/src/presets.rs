@@ -141,8 +141,9 @@ pub fn hpc_platforms() -> Vec<Platform> {
 ///
 /// Core count comes from the OS; cache sizes from sysfs where available,
 /// with conservative defaults (32 KB L1 / 512 KB L2 / 8 MB L3) otherwise.
-/// The peak-GFLOPS estimate assumes one 4-lane FMA pipe per core at a
-/// nominal 2 GHz unless the frequency can be read — measured *efficiency*
+/// The peak-GFLOPS estimate assumes two 4-lane (128-bit) FMA pipes per
+/// core, 16 flops/cycle, at a nominal 2 GHz unless the frequency can be
+/// read — measured *efficiency*
 /// numbers against this synthetic peak are indicative only, which
 /// EXPERIMENTS.md discusses.
 pub fn host() -> Platform {

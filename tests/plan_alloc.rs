@@ -2,7 +2,7 @@
 //! and warmed, `execute` never touches the global allocator — not on the
 //! single-thread inline path, not on the threaded path (whose job
 //! dispatch reuses the pool's latch and pre-sized queue), and not for a
-//! warmed [`DepthwisePlan`]. The same allocator holds
+//! warmed [`DepthwisePlan`] or [`FusedDwPwPlan`]. The same allocator holds
 //! `ops::fully_connected` to staging nothing the size of its weights.
 //!
 //! This file is its own test binary with exactly one `#[test]` so the
@@ -11,8 +11,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use ndirect_core::{ConvPlan, DepthwisePlan};
-use ndirect_tensor::{fill, ActLayout, ConvShape, Filter, FilterLayout, Tensor4};
+use ndirect_core::{ConvPlan, DepthwisePlan, DwPwSchedule, FusedDwPwPlan};
+use ndirect_tensor::{fill, ActLayout, ConvShape, Filter, FilterLayout, Padding, Tensor4};
 use ndirect_threads::StaticPool;
 
 /// Forwards to [`System`], counting allocation events (alloc,
@@ -119,6 +119,28 @@ fn warmed_plan_execute_never_allocates() {
         }
     });
     assert_eq!(n, 0, "depthwise steady-state execute hit the allocator {n}x");
+
+    // So do fused dw+pw plans, stride 2 included, on both pools.
+    let pw_filter = fill::random_filter(Filter::zeros(10, 6, 1, 1, FilterLayout::Kcrs), 8);
+    for (stride, pool) in [(1, &pool1), (2, &pool2)] {
+        let shape = ConvShape::new(1, 6, 12, 12, 6, 3, 3, stride, Padding::same(1));
+        let sched = DwPwSchedule {
+            slice_rows: 2,
+            vw: 8,
+            vk: 8,
+        };
+        let fused =
+            FusedDwPwPlan::try_with_schedule(&shape, &dw_filter, &pw_filter, &sched, pool.size())
+                .unwrap();
+        let mut out = Tensor4::zeros(1, 10, shape.p(), shape.q(), ActLayout::Nchw);
+        fused.execute(pool, &dw_input, &mut out).unwrap();
+        let n = allocs_during(|| {
+            for _ in 0..8 {
+                fused.execute(pool, &dw_input, &mut out).unwrap();
+            }
+        });
+        assert_eq!(n, 0, "fused dw+pw (stride {stride}) hit the allocator {n}x");
+    }
 
     // The FC layer reads its weights where they lie: one call allocates
     // the GEMM's fixed pack buffers (~2.4 MB) and activation-sized
