@@ -40,6 +40,7 @@ use ndirect_threads::{SharedSlice, StaticPool};
 use crate::error::{check, Error};
 use crate::filter::TransformedFilter;
 use crate::kernel::{run_tile, RowSource, TileArgs};
+use crate::microkernel::Kernel;
 use crate::pack::{pack_strip, StripGeom};
 use crate::schedule::{PackingMode, Schedule};
 
@@ -279,6 +280,7 @@ pub fn try_conv_ndirect_into(
 
 /// Everything one `(oh, wv)` strip needs.
 pub(crate) struct StripCtx<'a> {
+    pub(crate) kernel: Kernel,
     pub(crate) image: &'a [f32],
     pub(crate) shape: &'a ConvShape,
     pub(crate) sched: &'a Schedule,
@@ -382,7 +384,7 @@ pub(crate) fn compute_strip(ctx: StripCtx<'_>, bbuf: &mut [f32], out_all: &Share
             },
         };
         let _mk = ndirect_probe::probe_phase!(MicroKernel);
-        run_tile(&mut rows, &args, out_all);
+        run_tile(ctx.kernel, &mut rows, &args, out_all);
     }
 }
 

@@ -17,6 +17,7 @@ use ndirect_threads::{split_static, SharedSlice, StaticPool};
 use crate::conv::{checked_product, input_span, try_scratch_bufs};
 use crate::error::Error;
 use crate::kernel::{run_tile, RowSource, TileArgs};
+use crate::microkernel::Kernel;
 
 /// A 3-D convolution problem: `NCDHW` input, `KCTRS` filter, symmetric
 /// zero padding per spatial axis, one stride for all three.
@@ -198,6 +199,7 @@ pub fn try_conv3d_ndirect(
     let kv_total = shape.k.div_ceil(vk);
 
     let threads = pool.size();
+    let kernel = Kernel::best();
     let rows_total = shape.n * od * p;
     let in_data = input.as_slice();
     let image_len = shape.c * shape.d * shape.h * shape.w;
@@ -269,7 +271,7 @@ pub fn try_conv3d_ndirect(
                         win,
                         rdim,
                     };
-                    run_tile(&mut rows, &args, out_all);
+                    run_tile(kernel, &mut rows, &args, out_all);
                 }
                 wv += vw;
             }

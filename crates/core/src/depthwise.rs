@@ -34,6 +34,7 @@ use ndirect_threads::StaticPool;
 
 use crate::conv::{checked_product, input_span};
 use crate::error::{check, Error};
+use crate::microkernel::Kernel;
 
 /// Depthwise convolution: `O[n][c] = I[n][c] ⊛ F[c]`, `NCHW` in and out.
 /// Panics on invalid inputs; see [`try_conv_depthwise`].
@@ -97,8 +98,10 @@ pub(crate) fn padded_len(shape: &ConvShape, rows: usize) -> Option<usize> {
 /// `dst` as `ohs.len()` rows of `Q` floats. `plane` is the channel's
 /// `H×W` input, `taps` its `R·S` filter taps in `(r, s)` order, and
 /// `scratch` holds at least [`padded_len`]`(shape, ohs.len())` floats.
-/// Monomorphised on the stride (1, 2, any other at run time).
+/// Monomorphised on the stride (1, 2, any other at run time), each compiled
+/// for `kernel`, the registry entry the caller's plan chose.
 pub(crate) fn depthwise_channel(
+    kernel: Kernel,
     plane: &[f32],
     taps: &[f32],
     shape: &ConvShape,
@@ -106,10 +109,11 @@ pub(crate) fn depthwise_channel(
     scratch: &mut [f32],
     dst: &mut [f32],
 ) {
+    let (p, t, sh) = (plane, taps, shape);
     match shape.stride {
-        1 => channel_rows::<1>(plane, taps, shape, ohs, scratch, dst),
-        2 => channel_rows::<2>(plane, taps, shape, ohs, scratch, dst),
-        _ => channel_rows::<0>(plane, taps, shape, ohs, scratch, dst),
+        1 => kernel.run(#[inline(always)] || channel_rows::<1>(p, t, sh, ohs, scratch, dst)),
+        2 => kernel.run(#[inline(always)] || channel_rows::<2>(p, t, sh, ohs, scratch, dst)),
+        _ => kernel.run(#[inline(always)] || channel_rows::<0>(p, t, sh, ohs, scratch, dst)),
     }
 }
 
@@ -361,9 +365,9 @@ mod tests {
     /// pad `{0, R/2}` × every `Q` in `1..=40` (every chunk width and
     /// lane tail) × `C ∈ {1, 5}`, `N = 2`, through `DepthwisePlan` on 1
     /// and 3 threads, and through the kernel one output row at a time (the
-    /// fused path's slices). `P` cycles through 2–4 and the input is up to
-    /// `stride − 1` columns wider than the window reaches. Under Miri a
-    /// subset runs.
+    /// fused path's slices), each under every registry entry. `P` cycles
+    /// through 2–4 and the input is up to `stride − 1` columns wider than
+    /// the window reaches. Under Miri a subset runs.
     #[test]
     fn generated_sweep_matches_oracle_bitwise() {
         let pools = [StaticPool::new(1), StaticPool::new(3)];
@@ -395,28 +399,32 @@ mod tests {
         let what = format!("{shape:?}");
         let (input, filter) = problem(shape, (shape.w * 131 + shape.c) as u64);
         let want = depthwise_ref(&input, &filter, shape);
-        for pool in pools {
-            let plan = DepthwisePlan::try_new(shape, &filter, pool.size()).unwrap();
-            let mut got = Tensor4::output_for(shape, ActLayout::Nchw);
-            plan.execute(pool, &input, &mut got).unwrap();
-            assert_oracle(got.as_slice(), want.as_slice(), &what);
-        }
-        // The last plane, one output row per call.
-        let (plane_in, q, rs) = (shape.h * shape.w, shape.q(), shape.r * shape.s);
-        let last = shape.n * shape.c - 1;
-        let mut scratch = vec![0.0; padded_len(shape, 1).unwrap()];
-        let mut row = vec![0.0; q];
-        for oh in 0..shape.p() {
-            depthwise_channel(
-                &input.as_slice()[last * plane_in..][..plane_in],
-                &filter.as_slice()[(shape.c - 1) * rs..][..rs],
-                shape,
-                oh..oh + 1,
-                &mut scratch,
-                &mut row,
-            );
-            let want_row = &want.as_slice()[(last * shape.p() + oh) * q..][..q];
-            assert_oracle(&row, want_row, &format!("{what} row {oh}"));
+        for kernel in Kernel::supported() {
+            let what = format!("{what} on {}", kernel.name());
+            for pool in pools {
+                let plan = DepthwisePlan::try_new(shape, &filter, pool.size()).unwrap();
+                let mut got = Tensor4::output_for(shape, ActLayout::Nchw);
+                plan.with_kernel(kernel).execute(pool, &input, &mut got).unwrap();
+                assert_oracle(got.as_slice(), want.as_slice(), &what);
+            }
+            // The last plane, one output row per call.
+            let (plane_in, q, rs) = (shape.h * shape.w, shape.q(), shape.r * shape.s);
+            let last = shape.n * shape.c - 1;
+            let mut scratch = vec![0.0; padded_len(shape, 1).unwrap()];
+            let mut row = vec![0.0; q];
+            for oh in 0..shape.p() {
+                depthwise_channel(
+                    kernel,
+                    &input.as_slice()[last * plane_in..][..plane_in],
+                    &filter.as_slice()[(shape.c - 1) * rs..][..rs],
+                    shape,
+                    oh..oh + 1,
+                    &mut scratch,
+                    &mut row,
+                );
+                let want_row = &want.as_slice()[(last * shape.p() + oh) * q..][..q];
+                assert_oracle(&row, want_row, &format!("{what} row {oh}"));
+            }
         }
     }
 

@@ -41,6 +41,7 @@ use crate::depthwise::{depthwise_channel, padded_len};
 use crate::error::{check, Error};
 use crate::filter::TransformedFilter;
 use crate::kernel::{run_tile, RowSource, TileArgs};
+use crate::microkernel::Kernel;
 use crate::model;
 use crate::plan::{execute_frame, Arena, FilterRef, Operands};
 
@@ -146,6 +147,7 @@ pub struct FusedDwPwPlan<'f> {
     dw_filter: FilterRef<'f>,
     pw: TransformedFilter,
     threads: usize,
+    kernel: Kernel,
     arena: Arena<FusedScratch>,
 }
 
@@ -223,6 +225,7 @@ impl<'f> FusedDwPwPlan<'f> {
             dw_filter,
             pw,
             threads,
+            kernel: Kernel::best(),
             arena: Arena::new(first),
         })
     }
@@ -281,6 +284,18 @@ impl<'f> FusedDwPwPlan<'f> {
     /// Whether the depthwise intermediate gets an in-slab ReLU.
     pub fn mid_relu(&self) -> bool {
         self.mid_relu
+    }
+
+    /// The tile-kernel encoding both stages run (see
+    /// [`crate::ConvPlan::kernel_name`]).
+    pub fn kernel_name(&self) -> &'static str {
+        self.kernel.name()
+    }
+
+    /// The plan running `kernel` instead of the detected best entry.
+    #[doc(hidden)]
+    pub fn with_kernel(self, kernel: Kernel) -> Self {
+        FusedDwPwPlan { kernel, ..self }
     }
 
     /// Bytes one thread's slab occupies — held within the half-L2 budget
@@ -349,6 +364,7 @@ impl<'f> FusedDwPwPlan<'f> {
                     let slab = &mut scratch.slab[..c * len * q];
                     for (ch, rows) in slab.chunks_exact_mut(len * q).enumerate() {
                         depthwise_channel(
+                            self.kernel,
                             &image[ch * plane_in..][..plane_in],
                             &taps[ch * rs..][..rs],
                             shape,
@@ -412,7 +428,7 @@ impl<'f> FusedDwPwPlan<'f> {
                                     valid_w,
                                     valid_k: sched.vk.min(k - k0),
                                 };
-                                run_tile(&mut src, &args, out_all);
+                                run_tile(self.kernel, &mut src, &args, out_all);
                             }
                             wv += valid_w;
                         }

@@ -9,7 +9,8 @@
 //!   layout (`[c][r][s][Vk]`), the streaming operand;
 //! * the **input** is read as broadcast scalars from the packed strip
 //!   buffer `B` (lane-indexed registers in the paper; `splat` here, which
-//!   LLVM lowers to `ld1r`/lane-`fmla` on NEON) — the outer-product
+//!   LLVM lowers to `ld1r`/lane-`fmla` on NEON and, under the `avx2`
+//!   registry entry, to a load-port `vbroadcastss`) — the outer-product
 //!   update that gives direct convolution a higher FAI than a GEMM-shaped
 //!   inner product;
 //! * the **output** tile lives entirely in `Vw · Vk/4` accumulator
@@ -23,6 +24,7 @@
 use ndirect_simd::{F32x4, SimdVec};
 use ndirect_threads::SharedSlice;
 
+use crate::microkernel::Kernel;
 use crate::pack::gather_row;
 
 /// Upper bound on `Vw` the dynamic kernel supports.
@@ -182,10 +184,10 @@ pub struct TileArgs<'a> {
 
 /// Expands to the stride dispatch for one `(VW, VKV)` instantiation.
 macro_rules! stride_dispatch {
-    ($rows:expr, $args:expr, $out:expr, $vw:literal, $vkv:literal) => {
+    ($kernel:expr, $rows:expr, $args:expr, $out:expr, $vw:literal, $vkv:literal) => {
         match $args.stride {
-            1 => return main_kernel::<$vw, $vkv, 1>($rows, $args, $out),
-            2 => return main_kernel::<$vw, $vkv, 2>($rows, $args, $out),
+            1 => return main_kernel::<$vw, $vkv, 1>($kernel, $rows, $args, $out),
+            2 => return main_kernel::<$vw, $vkv, 2>($kernel, $rows, $args, $out),
             _ => {}
         }
     };
@@ -197,70 +199,82 @@ macro_rules! stride_dispatch {
 /// Dispatch is on the strip's *live* width (`valid_w`), so `Q`-tail strips
 /// run register-resident kernels too; `K`-tails are handled inside the
 /// kernel by masking the accumulator store (the zero-padded filter lanes
-/// compute zeros, which the mask discards).
-pub fn run_tile(rows: &mut RowSource<'_>, args: &TileArgs<'_>, out: &SharedSlice<'_, f32>) {
+/// compute zeros, which the mask discards). Each kernel runs compiled for
+/// `kernel`, the registry entry the caller's plan chose.
+pub fn run_tile(
+    kernel: Kernel,
+    rows: &mut RowSource<'_>,
+    args: &TileArgs<'_>,
+    out: &SharedSlice<'_, f32>,
+) {
     debug_assert!(args.tf.len() >= args.tcb * args.rdim * args.sdim * args.vk);
     match (args.valid_w, args.vk / 4) {
-        (1, 1) => stride_dispatch!(rows, args, out, 1, 1),
-        (1, 2) => stride_dispatch!(rows, args, out, 1, 2),
-        (1, 3) => stride_dispatch!(rows, args, out, 1, 3),
-        (2, 1) => stride_dispatch!(rows, args, out, 2, 1),
-        (2, 2) => stride_dispatch!(rows, args, out, 2, 2),
-        (2, 3) => stride_dispatch!(rows, args, out, 2, 3),
-        (3, 1) => stride_dispatch!(rows, args, out, 3, 1),
-        (3, 2) => stride_dispatch!(rows, args, out, 3, 2),
-        (3, 3) => stride_dispatch!(rows, args, out, 3, 3),
-        (4, 1) => stride_dispatch!(rows, args, out, 4, 1),
-        (4, 2) => stride_dispatch!(rows, args, out, 4, 2),
-        (4, 3) => stride_dispatch!(rows, args, out, 4, 3),
-        (5, 1) => stride_dispatch!(rows, args, out, 5, 1),
-        (5, 2) => stride_dispatch!(rows, args, out, 5, 2),
-        (5, 3) => stride_dispatch!(rows, args, out, 5, 3),
-        (6, 1) => stride_dispatch!(rows, args, out, 6, 1),
-        (6, 2) => stride_dispatch!(rows, args, out, 6, 2),
-        (6, 3) => stride_dispatch!(rows, args, out, 6, 3),
-        (7, 1) => stride_dispatch!(rows, args, out, 7, 1),
-        (7, 2) => stride_dispatch!(rows, args, out, 7, 2),
-        (7, 3) => stride_dispatch!(rows, args, out, 7, 3),
-        (8, 1) => stride_dispatch!(rows, args, out, 8, 1),
-        (8, 2) => stride_dispatch!(rows, args, out, 8, 2),
-        (8, 3) => stride_dispatch!(rows, args, out, 8, 3),
-        (9, 1) => stride_dispatch!(rows, args, out, 9, 1),
-        (9, 2) => stride_dispatch!(rows, args, out, 9, 2),
-        (9, 3) => stride_dispatch!(rows, args, out, 9, 3),
-        (10, 1) => stride_dispatch!(rows, args, out, 10, 1),
-        (10, 2) => stride_dispatch!(rows, args, out, 10, 2),
-        (10, 3) => stride_dispatch!(rows, args, out, 10, 3),
-        (11, 1) => stride_dispatch!(rows, args, out, 11, 1),
-        (11, 2) => stride_dispatch!(rows, args, out, 11, 2),
-        (11, 3) => stride_dispatch!(rows, args, out, 11, 3),
-        (12, 1) => stride_dispatch!(rows, args, out, 12, 1),
-        (12, 2) => stride_dispatch!(rows, args, out, 12, 2),
-        (12, 3) => stride_dispatch!(rows, args, out, 12, 3),
+        (1, 1) => stride_dispatch!(kernel, rows, args, out, 1, 1),
+        (1, 2) => stride_dispatch!(kernel, rows, args, out, 1, 2),
+        (1, 3) => stride_dispatch!(kernel, rows, args, out, 1, 3),
+        (2, 1) => stride_dispatch!(kernel, rows, args, out, 2, 1),
+        (2, 2) => stride_dispatch!(kernel, rows, args, out, 2, 2),
+        (2, 3) => stride_dispatch!(kernel, rows, args, out, 2, 3),
+        (3, 1) => stride_dispatch!(kernel, rows, args, out, 3, 1),
+        (3, 2) => stride_dispatch!(kernel, rows, args, out, 3, 2),
+        (3, 3) => stride_dispatch!(kernel, rows, args, out, 3, 3),
+        (4, 1) => stride_dispatch!(kernel, rows, args, out, 4, 1),
+        (4, 2) => stride_dispatch!(kernel, rows, args, out, 4, 2),
+        (4, 3) => stride_dispatch!(kernel, rows, args, out, 4, 3),
+        (5, 1) => stride_dispatch!(kernel, rows, args, out, 5, 1),
+        (5, 2) => stride_dispatch!(kernel, rows, args, out, 5, 2),
+        (5, 3) => stride_dispatch!(kernel, rows, args, out, 5, 3),
+        (6, 1) => stride_dispatch!(kernel, rows, args, out, 6, 1),
+        (6, 2) => stride_dispatch!(kernel, rows, args, out, 6, 2),
+        (6, 3) => stride_dispatch!(kernel, rows, args, out, 6, 3),
+        (7, 1) => stride_dispatch!(kernel, rows, args, out, 7, 1),
+        (7, 2) => stride_dispatch!(kernel, rows, args, out, 7, 2),
+        (7, 3) => stride_dispatch!(kernel, rows, args, out, 7, 3),
+        (8, 1) => stride_dispatch!(kernel, rows, args, out, 8, 1),
+        (8, 2) => stride_dispatch!(kernel, rows, args, out, 8, 2),
+        (8, 3) => stride_dispatch!(kernel, rows, args, out, 8, 3),
+        (9, 1) => stride_dispatch!(kernel, rows, args, out, 9, 1),
+        (9, 2) => stride_dispatch!(kernel, rows, args, out, 9, 2),
+        (9, 3) => stride_dispatch!(kernel, rows, args, out, 9, 3),
+        (10, 1) => stride_dispatch!(kernel, rows, args, out, 10, 1),
+        (10, 2) => stride_dispatch!(kernel, rows, args, out, 10, 2),
+        (10, 3) => stride_dispatch!(kernel, rows, args, out, 10, 3),
+        (11, 1) => stride_dispatch!(kernel, rows, args, out, 11, 1),
+        (11, 2) => stride_dispatch!(kernel, rows, args, out, 11, 2),
+        (11, 3) => stride_dispatch!(kernel, rows, args, out, 11, 3),
+        (12, 1) => stride_dispatch!(kernel, rows, args, out, 12, 1),
+        (12, 2) => stride_dispatch!(kernel, rows, args, out, 12, 2),
+        (12, 3) => stride_dispatch!(kernel, rows, args, out, 12, 3),
         // Wide, shallow tiles the Eq. 4 model picks for 5x5/7x7 kernels on
         // 32-register ISAs (Vk = 4 only — deeper tiles with these widths
         // exceed every register file we target).
-        (16, 1) => stride_dispatch!(rows, args, out, 16, 1),
-        (20, 1) => stride_dispatch!(rows, args, out, 20, 1),
-        (24, 1) => stride_dispatch!(rows, args, out, 24, 1),
+        (16, 1) => stride_dispatch!(kernel, rows, args, out, 16, 1),
+        (20, 1) => stride_dispatch!(kernel, rows, args, out, 20, 1),
+        (24, 1) => stride_dispatch!(kernel, rows, args, out, 24, 1),
         _ => {}
     }
-    dyn_kernel(rows, args, out);
+    kernel.run(#[inline(always)] || dyn_kernel(rows, args, out));
 }
 
 /// The monomorphized Algorithm 3 kernel: `VW` pixels × `VKV·4` channels,
 /// accumulators pinned in registers for the whole `(c, r, s)` reduction.
 /// `STRIDE` is also a const so every input index is a compile-time offset.
+///
+/// Each branch is one out-of-line frame per registry entry. With the
+/// entry's frame around all of [`run_tile`] instead, or around a plan's
+/// whole loop nest, `avx2` measured 0.96–1.09× of `sse`; here 3×3
+/// stride-1 layers run 1.38–1.44× faster.
 fn main_kernel<const VW: usize, const VKV: usize, const STRIDE: usize>(
+    kernel: Kernel,
     rows: &mut RowSource<'_>,
     args: &TileArgs<'_>,
     out: &SharedSlice<'_, f32>,
 ) {
     debug_assert_eq!((args.vk, args.stride, args.valid_w), (VKV * 4, STRIDE, VW));
     if args.rdim == 1 && args.sdim == 1 {
-        main_kernel_1x1::<VW, VKV, STRIDE>(rows, args, out);
+        kernel.run(#[inline(always)] || main_kernel_1x1::<VW, VKV, STRIDE>(rows, args, out));
     } else {
-        reduce_tile::<VW, VKV, STRIDE>(rows, args, out);
+        kernel.run(#[inline(always)] || reduce_tile::<VW, VKV, STRIDE>(rows, args, out));
     }
 }
 
@@ -268,10 +282,10 @@ fn main_kernel<const VW: usize, const VKV: usize, const STRIDE: usize>(
 /// instantiated a second time with those as constants: one single-tap row
 /// per channel feeds only `Vw·Vk/4` FMAs on a register tile sized to fill
 /// the file, and the runtime tap loop costs the accumulators their
-/// registers (`core.gflops_1x1` fell 29 % without this). Kept out of line
-/// so the two copies do not share a frame, which cost the general one its
-/// register allocation instead.
-#[inline(never)]
+/// registers (`core.gflops_1x1` fell 29 % without this). It gets a frame
+/// of its own so the two copies do not share one, which cost the general
+/// one its register allocation instead.
+#[inline(always)]
 fn main_kernel_1x1<const VW: usize, const VKV: usize, const STRIDE: usize>(
     rows: &mut RowSource<'_>,
     args: &TileArgs<'_>,
@@ -359,6 +373,7 @@ fn kernel_row<const VW: usize, const VKV: usize, const STRIDE: usize>(
 /// for unusual schedules outside the monomorphized set. Accumulators may
 /// spill for large bounds; edges are a vanishing fraction of the iteration
 /// space. Tap order `(ss, wi, j)` matches [`kernel_row`].
+#[inline(always)]
 fn dyn_kernel(rows: &mut RowSource<'_>, args: &TileArgs<'_>, out: &SharedSlice<'_, f32>) {
     let vk = args.vk;
     let vkv = vk / 4;
@@ -449,47 +464,57 @@ mod tests {
         let image = input.as_slice();
 
         let (p, q) = (shape.p(), shape.q());
-        let mut out_vec = vec![0.0; shape.k * p * q];
-        let out = SharedSlice::new(&mut out_vec);
-        let args = TileArgs {
-            tcb,
-            rdim: shape.r,
-            sdim: shape.s,
-            stride: shape.stride,
-            tf: &tf,
-            vk,
-            obase: (k0 * p + oh) * q + wv,
-            kstride: p * q,
-            valid_w,
-            valid_k: valid_k.min(vk),
+        let valid_k = valid_k.min(vk);
+        // Every registry entry, held bitwise to the baseline (the first).
+        let mut run = |kernel| {
+            let mut out_vec = vec![0.0; shape.k * p * q];
+            let out = SharedSlice::new(&mut out_vec);
+            let args = TileArgs {
+                tcb,
+                rdim: shape.r,
+                sdim: shape.s,
+                stride: shape.stride,
+                tf: &tf,
+                vk,
+                obase: (k0 * p + oh) * q + wv,
+                kstride: p * q,
+                valid_w,
+                valid_k,
+            };
+            if fused {
+                let mut rows = RowSource::Gather {
+                    image,
+                    ct,
+                    h: shape.h,
+                    w: shape.w,
+                    ih0: geom.ih0,
+                    iw0: geom.iw0,
+                    buf: &mut buf,
+                    win: geom.win,
+                    rdim: shape.r,
+                };
+                run_tile(kernel, &mut rows, &args, &out);
+            } else {
+                pack_strip(image, ct, tcb, shape.r, shape.h, shape.w, geom, &mut buf);
+                let mut rows = RowSource::Packed {
+                    buf: &buf,
+                    win: geom.win,
+                    rdim: shape.r,
+                };
+                run_tile(kernel, &mut rows, &args, &out);
+            }
+            out_vec
         };
-        if fused {
-            let mut rows = RowSource::Gather {
-                image,
-                ct,
-                h: shape.h,
-                w: shape.w,
-                ih0: geom.ih0,
-                iw0: geom.iw0,
-                buf: &mut buf,
-                win: geom.win,
-                rdim: shape.r,
-            };
-            run_tile(&mut rows, &args, &out);
-        } else {
-            pack_strip(image, ct, tcb, shape.r, shape.h, shape.w, geom, &mut buf);
-            let mut rows = RowSource::Packed {
-                buf: &buf,
-                win: geom.win,
-                rdim: shape.r,
-            };
-            run_tile(&mut rows, &args, &out);
+        let outs: Vec<_> = Kernel::supported().map(|k| (k, run(k))).collect();
+        let out_vec = &outs[0].1;
+        for (kernel, got) in &outs {
+            assert_eq!(got, out_vec, "{} vs {}", kernel.name(), outs[0].0.name());
         }
 
         let expect = reference_tile(
-            &input, &filter, &shape, n, k0, oh, wv, valid_w, args.valid_k, ct, tcb,
+            &input, &filter, &shape, n, k0, oh, wv, valid_w, valid_k, ct, tcb,
         );
-        for kk in 0..args.valid_k {
+        for kk in 0..valid_k {
             for wi in 0..valid_w {
                 let got = out_vec[(k0 + kk) * p * q + oh * q + wv + wi];
                 let want = expect[kk * valid_w + wi];
@@ -510,6 +535,7 @@ mod tests {
     /// across sources.
     #[allow(clippy::too_many_arguments)]
     fn run_with_source(
+        kernel: Kernel,
         input: &Tensor4,
         filter: &Filter,
         shape: &ConvShape,
@@ -558,12 +584,12 @@ mod tests {
                 col_off: wv * shape.stride,
                 win: geom.win,
             };
-            run_tile(&mut rows, &args, &out);
+            run_tile(kernel, &mut rows, &args, &out);
         } else {
             let mut buf = vec![0.0; tcb * shape.r * geom.win];
             pack_strip(image, ct, tcb, shape.r, shape.h, shape.w, geom, &mut buf);
             let mut rows = RowSource::Packed { buf: &buf, win: geom.win, rdim: shape.r };
-            run_tile(&mut rows, &args, &out);
+            run_tile(kernel, &mut rows, &args, &out);
         }
         out_vec
     }
@@ -572,6 +598,9 @@ mod tests {
     fn strided_source_matches_packed_bitwise() {
         // (shape, vk, valid_w, oh, wv): interior and boundary strips,
         // stride 1 and 2, pointwise, a 7x7, and a dyn-kernel width.
+        if Kernel::supported().count() == 1 {
+            println!("kernel axis: only {} runs on this host", Kernel::best().name());
+        }
         let cases = [
             (ConvShape::new(1, 3, 10, 16, 8, 3, 3, 1, Padding::same(1)), 8, 8, 0, 0),
             (ConvShape::new(1, 3, 10, 16, 8, 3, 3, 1, Padding::same(1)), 8, 8, 5, 8),
@@ -586,9 +615,16 @@ mod tests {
             let input = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nchw), seed);
             let filter =
                 fill::random_filter(Filter::for_shape(&shape, FilterLayout::Kcrs), seed ^ 1);
-            let packed = run_with_source(&input, &filter, &shape, vk, valid_w, oh, wv, false);
-            let strided = run_with_source(&input, &filter, &shape, vk, valid_w, oh, wv, true);
-            assert_eq!(packed, strided, "case {i}: Strided differs from Packed");
+            let run = |kernel, strided| {
+                run_with_source(kernel, &input, &filter, &shape, vk, valid_w, oh, wv, strided)
+            };
+            let packed = run(Kernel::supported().next().expect("the baseline runs"), false);
+            // Both sources under every registry entry, bitwise.
+            for kernel in Kernel::supported() {
+                let what = format!("case {i} on {}", kernel.name());
+                assert_eq!(run(kernel, false), packed, "{what}: Packed differs");
+                assert_eq!(run(kernel, true), packed, "{what}: Strided differs from Packed");
+            }
         }
     }
 

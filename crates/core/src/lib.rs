@@ -53,6 +53,7 @@ pub mod filter;
 pub mod inner_product;
 pub mod int16;
 pub mod kernel;
+mod microkernel;
 pub mod model;
 pub mod nhwc;
 pub mod pack;
@@ -76,6 +77,8 @@ pub use dwpw::{
 pub use conv3d::{conv3d_naive, conv3d_ndirect, try_conv3d_ndirect, Conv3dShape};
 pub use error::Error;
 pub use inner_product::{conv_inner_product, try_conv_inner_product};
+#[doc(hidden)]
+pub use microkernel::Kernel;
 pub use int16::{conv_int16, conv_int16_naive, try_conv_int16, Int16Filter, Int16Tensor};
 pub use quantize::{conv_quantized, try_conv_quantized, QuantParams};
 pub use sparse::{conv_ndirect_pruned, prune_channels, try_conv_ndirect_pruned, ChannelMask};

@@ -24,6 +24,7 @@ use ndirect_threads::{SharedSlice, StaticPool};
 
 use crate::error::{check, Error};
 use crate::kernel::scatter_add;
+use crate::microkernel::Kernel;
 use crate::schedule::Schedule;
 
 /// Transforms the filter block `k ∈ [kt, kt+tkb)`, `c ∈ [ct, ct+tcb)` into
@@ -197,6 +198,7 @@ pub(crate) fn pack_strip_nhwc(
 /// The NHWC micro-kernel: `VW` pixels × `VKV·4` channels. Both operands
 /// stream linearly per tap; the output is stored as contiguous vectors.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn kernel_nhwc<const VW: usize, const VKV: usize, const STRIDE: usize>(
     buf: &[f32],
     tf: &[f32],
@@ -249,6 +251,7 @@ fn kernel_nhwc<const VW: usize, const VKV: usize, const STRIDE: usize>(
 
 /// Dynamic-width fallback for `Q` tails and exotic schedules.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn kernel_nhwc_dyn(
     buf: &[f32],
     tf: &[f32],
@@ -292,15 +295,19 @@ fn kernel_nhwc_dyn(
 }
 
 macro_rules! nhwc_dispatch {
-    ($vw:literal, $vkv:literal, $args:expr) => {{
+    ($kernel:expr, $vw:literal, $vkv:literal, $args:expr) => {{
         let (buf, tf, r, s, stride, tcb, win, out, obase, kdim, vk_valid) = $args;
         match stride {
             1 => {
-                kernel_nhwc::<$vw, $vkv, 1>(buf, tf, r, s, tcb, win, out, obase, kdim, vk_valid);
+                $kernel.run(#[inline(always)] || {
+                    kernel_nhwc::<$vw, $vkv, 1>(buf, tf, r, s, tcb, win, out, obase, kdim, vk_valid)
+                });
                 return;
             }
             2 => {
-                kernel_nhwc::<$vw, $vkv, 2>(buf, tf, r, s, tcb, win, out, obase, kdim, vk_valid);
+                $kernel.run(#[inline(always)] || {
+                    kernel_nhwc::<$vw, $vkv, 2>(buf, tf, r, s, tcb, win, out, obase, kdim, vk_valid)
+                });
                 return;
             }
             _ => {}
@@ -308,8 +315,10 @@ macro_rules! nhwc_dispatch {
     }};
 }
 
+/// Runs one `NHWC` tile compiled for `kernel`, the plan's registry entry.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_nhwc_tile(
+    kernel: Kernel,
     buf: &[f32],
     tf: &[f32],
     shape: &ConvShape,
@@ -326,22 +335,24 @@ pub(crate) fn run_nhwc_tile(
     if valid_k <= vk {
         let args = (buf, tf, r, s, stride, tcb, win, out_row, obase, kdim, valid_k);
         match (valid_w, vk / 4) {
-            (4, 1) => nhwc_dispatch!(4, 1, args),
-            (4, 2) => nhwc_dispatch!(4, 2, args),
-            (4, 3) => nhwc_dispatch!(4, 3, args),
-            (8, 1) => nhwc_dispatch!(8, 1, args),
-            (8, 2) => nhwc_dispatch!(8, 2, args),
-            (8, 3) => nhwc_dispatch!(8, 3, args),
-            (12, 1) => nhwc_dispatch!(12, 1, args),
-            (12, 2) => nhwc_dispatch!(12, 2, args),
-            (12, 3) => nhwc_dispatch!(12, 3, args),
+            (4, 1) => nhwc_dispatch!(kernel, 4, 1, args),
+            (4, 2) => nhwc_dispatch!(kernel, 4, 2, args),
+            (4, 3) => nhwc_dispatch!(kernel, 4, 3, args),
+            (8, 1) => nhwc_dispatch!(kernel, 8, 1, args),
+            (8, 2) => nhwc_dispatch!(kernel, 8, 2, args),
+            (8, 3) => nhwc_dispatch!(kernel, 8, 3, args),
+            (12, 1) => nhwc_dispatch!(kernel, 12, 1, args),
+            (12, 2) => nhwc_dispatch!(kernel, 12, 2, args),
+            (12, 3) => nhwc_dispatch!(kernel, 12, 3, args),
             _ => {}
         }
     }
-    kernel_nhwc_dyn(
-        buf, tf, shape.r, shape.s, shape.stride, tcb, win, out_row, obase, kdim, valid_w, vk,
-        valid_k,
-    );
+    kernel.run(#[inline(always)] || {
+        kernel_nhwc_dyn(
+            buf, tf, shape.r, shape.s, shape.stride, tcb, win, out_row, obase, kdim, valid_w, vk,
+            valid_k,
+        )
+    });
 }
 
 /// Native-`NHWC` nDirect convolution with an explicit schedule.

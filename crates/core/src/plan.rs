@@ -43,6 +43,7 @@ use ndirect_threads::{split_static, SharedSlice, StaticPool};
 use crate::conv::{compute_strip, try_alloc_scratch, Scratch, StripCtx};
 use crate::error::{check, Error};
 use crate::filter::{transform_filter_block, TransformedFilter};
+use crate::microkernel::Kernel;
 use crate::nhwc::{
     pack_strip_nhwc, run_nhwc_tile, transform_filter_nhwc_block, TransformedFilterNhwc,
 };
@@ -214,6 +215,7 @@ pub struct ConvPlan<'f> {
     shape: ConvShape,
     sched: Schedule,
     degraded: bool,
+    kernel: Kernel,
     filter: PlanFilter<'f>,
     arena: Arena<Scratch>,
 }
@@ -370,6 +372,7 @@ impl<'f> ConvPlan<'f> {
             shape: *shape,
             sched,
             degraded,
+            kernel: Kernel::best(),
             filter,
             arena: Arena::new(first),
         })
@@ -390,6 +393,19 @@ impl<'f> ConvPlan<'f> {
     /// at build time.
     pub fn degraded(&self) -> bool {
         self.degraded
+    }
+
+    /// The tile-kernel encoding the plan runs, chosen at build by runtime
+    /// detection: `"avx2"` where the CPU has it over an SSE2 build, else
+    /// the build's baseline (`"sse"`, `"sse+fma"`, `"neon"`, `"scalar"`).
+    pub fn kernel_name(&self) -> &'static str {
+        self.kernel.name()
+    }
+
+    /// The plan running `kernel` instead of the detected best entry.
+    #[doc(hidden)]
+    pub fn with_kernel(self, kernel: Kernel) -> Self {
+        ConvPlan { kernel, ..self }
     }
 
     // AUDIT: cold — scratch provisioning; runs on arena miss, never per tile.
@@ -533,6 +549,7 @@ impl<'f> ConvPlan<'f> {
                                     let valid_w = sched.vw.min(q - wv);
                                     compute_strip(
                                         StripCtx {
+                                            kernel: self.kernel,
                                             image,
                                             shape,
                                             sched,
@@ -652,6 +669,7 @@ impl<'f> ConvPlan<'f> {
                                 None => &tfbuf[kv * tf_block_len..(kv + 1) * tf_block_len],
                             };
                             run_nhwc_tile(
+                                self.kernel,
                                 buf,
                                 tf,
                                 shape,
@@ -703,6 +721,7 @@ pub struct DepthwisePlan<'f> {
     shape: ConvShape,
     filter: FilterRef<'f>,
     threads: usize,
+    kernel: Kernel,
     arena: Arena<AlignedBuf>,
 }
 
@@ -742,6 +761,7 @@ impl<'f> DepthwisePlan<'f> {
             shape: *shape,
             filter,
             threads,
+            kernel: Kernel::best(),
             arena: Arena::new(first),
         })
     }
@@ -759,6 +779,18 @@ impl<'f> DepthwisePlan<'f> {
     /// The worker-thread count the plan splits work over.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// The tile-kernel encoding the plan runs (see
+    /// [`ConvPlan::kernel_name`]).
+    pub fn kernel_name(&self) -> &'static str {
+        self.kernel.name()
+    }
+
+    /// The plan running `kernel` instead of the detected best entry.
+    #[doc(hidden)]
+    pub fn with_kernel(self, kernel: Kernel) -> Self {
+        DepthwisePlan { kernel, ..self }
     }
 
     /// Runs the planned depthwise convolution, writing (not accumulating)
@@ -799,6 +831,7 @@ impl<'f> DepthwisePlan<'f> {
                     // alone, and `execute_frame` checked `out`'s dims.
                     let dst = unsafe { out_all.range_mut(item * plane_out, plane_out) };
                     crate::depthwise::depthwise_channel(
+                        self.kernel,
                         &in_data[item * plane_in..][..plane_in],
                         &taps[c * rs..][..rs],
                         shape,
@@ -906,6 +939,7 @@ mod tests {
         let (input, filter) = problem(&shape, ActLayout::Nchw, 51);
         let pool = StaticPool::new(2);
         let plan = ConvPlan::try_new(&ndirect_platform::host(), &shape, &filter, 2).unwrap();
+        assert_eq!(plan.kernel_name(), Kernel::best().name(), "plans run the best entry");
         let mut out = Tensor4::output_for(&shape, ActLayout::Nchw);
         plan.execute(&pool, &input, &mut out).unwrap();
         let expect = ndirect_baselines::naive::conv_ref(&input, &filter, &shape);

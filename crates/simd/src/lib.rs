@@ -7,8 +7,11 @@
 //! operation set:
 //!
 //! * on **aarch64** it lowers to NEON intrinsics (the paper's target);
-//! * on **x86_64** it lowers to SSE (plus FMA when compiled with
-//!   `-C target-feature=+fma`, e.g. via `RUSTFLAGS=-Ctarget-cpu=native`);
+//! * on **x86_64** it lowers to SSE2, the baseline every x86-64 CPU has.
+//!   `ndirect-core`'s kernel registry runs the same code under AVX2
+//!   encoding, selected per plan at run time when the CPU has it; FMA and
+//!   8- or 16-lane vectors are not there yet (a build whose `RUSTFLAGS`
+//!   enable `fma` fuses the multiply-add everywhere instead);
 //! * elsewhere (or with the `force-scalar` feature) it is a `[f32; 4]` that
 //!   LLVM autovectorizes.
 //!

@@ -1,6 +1,9 @@
 //! Runtime ISA capability detection and graceful degradation.
 //!
-//! The [`crate::F32x4`] backend is chosen at *compile* time, so a binary
+//! The [`crate::F32x4`] backend is the target's compiled-in baseline (SSE2
+//! on x86-64); `ndirect-core`'s kernel registry adds wider encodings per
+//! plan by runtime detection, and names them itself, so [`compiled_isa`]
+//! and [`detected_isa`] describe the build and the CPU only. A binary
 //! built with `-C target-feature=+fma` (or any feature beyond the target's
 //! baseline) can land on a machine whose CPU lacks that extension — where
 //! the first vector instruction dies with an illegal-instruction fault,

@@ -1,9 +1,10 @@
 //! x86_64 SSE backend (`__m128`).
 //!
 //! SSE2 is part of the x86_64 baseline, so no runtime feature detection is
-//! needed. When the crate is compiled with `+fma` (e.g.
-//! `RUSTFLAGS=-Ctarget-cpu=native`), [`SimdVec::fma`] lowers to `vfmadd`;
-//! otherwise to `mulps` + `addps`.
+//! needed here. [`SimdVec::fma`] is `mulps` + `addps`, also when
+//! `ndirect-core` runs these methods inlined under its runtime-selected
+//! `avx2` entry (`vmulps` + `vaddps`: the same bits). Only a build whose
+//! `RUSTFLAGS` enable `fma` lowers it to `vfmadd`.
 
 use core::arch::x86_64::*;
 

@@ -9,20 +9,23 @@
 //! drivers is held to the outputs of the commit before it.
 //!
 //! Each case first asserts the in-build equalities (every packing mode ×
-//! every grid × planned and one-shot produce one bit pattern) and then
-//! compares that pattern's FNV-1a hash with the table. All schedules are
-//! spelled out: the channel tile `Tc` groups the reduction, so a
-//! host-derived schedule would make the bits host-dependent.
+//! every grid × one-shot and planned, the plans under every tile-kernel
+//! entry the host supports, produce one bit pattern) and then compares
+//! that pattern's FNV-1a hash with the table. All schedules are spelled
+//! out: the channel tile `Tc` groups the reduction, so a host-derived
+//! schedule would make the bits host-dependent.
 //!
 //! The table is keyed on [`ndirect_simd::backend_name`]: `"sse"` and
 //! `"scalar"` share it (the scalar backend mirrors SSE's unfused
 //! multiply-add lane for lane); any other backend (`"sse+fma"`, `"neon"`)
 //! contracts the multiply-add, so it prints a notice, skips the table and
-//! still asserts the in-build equalities.
+//! still asserts the in-build equalities. The kernel entries (`sse` and
+//! `avx2` on x86-64) share the table: `avx2` is the same unfused code under
+//! AVX2 encoding. The engine cases run whichever entry the host selects.
 
 use ndirect_core::{
     conv_depthwise, conv_ndirect_with, nhwc::conv_ndirect_nhwc_with, try_conv_dwpw_fused_with,
-    ConvPlan, DepthwisePlan, DwPwSchedule, FusedDwPwPlan, PackingMode, Schedule,
+    ConvPlan, DepthwisePlan, DwPwSchedule, FusedDwPwPlan, Kernel, PackingMode, Schedule,
 };
 use ndirect_models::{zoo, ConvLayer, Engine, FcLayer, Model, NDirectBackend, Node};
 use ndirect_tensor::{fill, ActLayout, ConvShape, Filter, FilterLayout, Padding, Tensor4};
@@ -75,6 +78,16 @@ fn check_golden(table: &[(&str, u64)], actual: &[(&str, u64)]) {
     assert!(stale.is_empty(), "output bits moved for {stale:x?}; computed entries:\n{listing}");
 }
 
+/// Every tile-kernel registry entry this host runs, the baseline first.
+fn kernels() -> Vec<Kernel> {
+    static NOTICE: std::sync::Once = std::sync::Once::new();
+    let kernels: Vec<_> = Kernel::supported().collect();
+    if kernels.len() == 1 {
+        NOTICE.call_once(|| println!("golden_bits: kernel axis covers {:?} only", kernels[0].name()));
+    }
+    kernels
+}
+
 fn problem(shape: &ConvShape, layout: ActLayout, seed: u64) -> (Tensor4, Filter) {
     let flayout = match layout {
         ActLayout::Nchw => FilterLayout::Kcrs,
@@ -108,13 +121,15 @@ fn nchw_case(name: &str, shape: ConvShape, tiles: (usize, usize, usize, usize, u
             let pool = StaticPool::new(ptn * ptk);
             let sched = base.with_packing(mode).with_grid(Grid2::new(ptn, ptk));
             let oneshot = conv_ndirect_with(&pool, &input, &filter, &shape, &sched);
-            let plan = ConvPlan::try_with_schedule(&shape, &filter, &sched).expect("valid case");
-            let mut planned = Tensor4::output_for(&shape, ActLayout::Nchw);
-            plan.execute(&pool, &input, &mut planned).expect("valid case");
-            let what = format!("{name}: {mode:?} on {ptn}x{ptk}");
-            assert_eq!(oneshot.as_slice(), planned.as_slice(), "{what}: plan vs one-shot");
-            let want = reference.get_or_insert(oneshot);
-            assert_eq!(planned.as_slice(), want.as_slice(), "{what}: vs Fused on 1x1");
+            let want = reference.get_or_insert_with(|| oneshot.clone());
+            assert_eq!(oneshot.as_slice(), want.as_slice(), "{name}: {mode:?} on {ptn}x{ptk}");
+            for kernel in kernels() {
+                let plan = ConvPlan::try_with_schedule(&shape, &filter, &sched).expect("valid case");
+                let mut planned = Tensor4::output_for(&shape, ActLayout::Nchw);
+                plan.with_kernel(kernel).execute(&pool, &input, &mut planned).expect("valid case");
+                let what = format!("{name}: {mode:?} on {ptn}x{ptk}, planned on {}", kernel.name());
+                assert_eq!(planned.as_slice(), want.as_slice(), "{what}");
+            }
         }
     }
     fnv1a(reference.expect("at least one mode ran").as_slice())
@@ -156,13 +171,16 @@ fn nhwc_bits_are_stable() {
             let pool = StaticPool::new(ptn * ptk);
             let sched = base.with_grid(Grid2::new(ptn, ptk));
             let oneshot = conv_ndirect_nhwc_with(&pool, &input, &filter, &shape, &sched);
-            let plan =
-                ConvPlan::try_with_schedule_nhwc(&shape, &filter, &sched).expect("valid case");
-            let mut planned = Tensor4::output_for(&shape, ActLayout::Nhwc);
-            plan.execute(&pool, &input, &mut planned).expect("valid case");
-            assert_eq!(oneshot.as_slice(), planned.as_slice(), "{name}: plan vs one-shot");
-            let want = reference.get_or_insert(oneshot);
-            assert_eq!(planned.as_slice(), want.as_slice(), "{name}: {ptn}x{ptk} vs 1x1");
+            let want = reference.get_or_insert_with(|| oneshot.clone());
+            assert_eq!(oneshot.as_slice(), want.as_slice(), "{name}: one-shot on {ptn}x{ptk}");
+            for kernel in kernels() {
+                let plan =
+                    ConvPlan::try_with_schedule_nhwc(&shape, &filter, &sched).expect("valid case");
+                let mut planned = Tensor4::output_for(&shape, ActLayout::Nhwc);
+                plan.with_kernel(kernel).execute(&pool, &input, &mut planned).expect("valid case");
+                let what = format!("{name}: {ptn}x{ptk}, planned on {}", kernel.name());
+                assert_eq!(planned.as_slice(), want.as_slice(), "{what}");
+            }
         }
         actual.push((name, fnv1a(reference.expect("a grid ran").as_slice())));
     }
@@ -189,10 +207,13 @@ fn depthwise_bits_are_stable() {
         let reference = conv_depthwise(&StaticPool::new(1), &input, &filter, &shape);
         for threads in [1, 2] {
             let pool = StaticPool::new(threads);
-            let plan = DepthwisePlan::try_new(&shape, &filter, threads).expect("valid case");
-            let mut planned = Tensor4::output_for(&shape, ActLayout::Nchw);
-            plan.execute(&pool, &input, &mut planned).expect("valid case");
-            assert_eq!(planned.as_slice(), reference.as_slice(), "{name}: plan on {threads}");
+            for kernel in kernels() {
+                let plan = DepthwisePlan::try_new(&shape, &filter, threads).expect("valid case");
+                let mut planned = Tensor4::output_for(&shape, ActLayout::Nchw);
+                plan.with_kernel(kernel).execute(&pool, &input, &mut planned).expect("valid case");
+                let what = format!("{name}: plan on {threads}, {}", kernel.name());
+                assert_eq!(planned.as_slice(), reference.as_slice(), "{what}");
+            }
         }
         actual.push((name, fnv1a(reference.as_slice())));
     }
@@ -213,12 +234,16 @@ fn dwpw_bits_are_stable() {
         for (threads, slice_rows, vw, vk) in [(1, 1, 4, 4), (2, 3, 12, 8), (2, 100, 5, 12)] {
             let pool = StaticPool::new(threads);
             let sched = DwPwSchedule { slice_rows, vw, vk };
-            let plan = FusedDwPwPlan::try_with_schedule(&shape, &dwf, &pwf, &sched, threads)
-                .expect("valid case")
-                .with_mid_relu(mid_relu);
-            let mut planned = Tensor4::zeros(shape.n, k, shape.p(), shape.q(), ActLayout::Nchw);
-            plan.execute(&pool, &input, &mut planned).expect("valid case");
-            assert_eq!(planned.as_slice(), reference.as_slice(), "{name}: {sched:?} on {threads}");
+            for kernel in kernels() {
+                let plan = FusedDwPwPlan::try_with_schedule(&shape, &dwf, &pwf, &sched, threads)
+                    .expect("valid case")
+                    .with_mid_relu(mid_relu)
+                    .with_kernel(kernel);
+                let mut planned = Tensor4::zeros(shape.n, k, shape.p(), shape.q(), ActLayout::Nchw);
+                plan.execute(&pool, &input, &mut planned).expect("valid case");
+                let what = format!("{name}: {sched:?} on {threads}, {}", kernel.name());
+                assert_eq!(planned.as_slice(), reference.as_slice(), "{what}");
+            }
         }
         actual.push((name, fnv1a(reference.as_slice())));
     }

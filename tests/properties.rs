@@ -6,8 +6,8 @@ use ndirect_baselines::{blocked, im2col, indirect, naive};
 use ndirect_core::{
     conv_depthwise, conv_ndirect_nhwc_with, conv_ndirect_with, fused_pair_flops,
     try_compose_shapes, try_conv_depthwise_separable, try_conv_dwpw_fused,
-    try_conv_dwpw_fused_with, ConvPlan, DepthwisePlan, DwPwSchedule, FusedDwPwPlan, PackingMode,
-    Schedule,
+    try_conv_dwpw_fused_with, ConvPlan, DepthwisePlan, DwPwSchedule, FusedDwPwPlan, Kernel,
+    PackingMode, Schedule,
 };
 use ndirect_support::Rng64;
 use ndirect_tensor::{
@@ -395,8 +395,9 @@ fn dwpw_fused_matches_unfused_on_random_shapes() {
 // `ndirect-core` over a *generated* shape space instead of hand-picked
 // grids. Per seed: one dense shape and one depthwise-separable pair, each
 // run under every packing mode × two thread grids × plan and one-shot
-// (and NHWC for the dense shape), held bitwise equal to each other and
-// within the conformance ULP budget of `baselines::naive`. A failure
+// (and NHWC for the dense shape), the plans under every tile-kernel entry
+// the host supports, held bitwise equal to each other and within the
+// conformance ULP budget of `baselines::naive`. A failure
 // prints the seed and the shape; add the seed to `REGRESSION_SEEDS`.
 
 /// Seeds that run first: each pins a corner the generator reaches rarely.
@@ -477,13 +478,16 @@ fn dense_case(seed: u64, rng: &mut Rng64, pool: &StaticPool) {
             let sched = base.with_packing(mode).with_grid(Grid2::new(ptn, ptk));
             let at = format!("{what}: {mode:?} on {ptn}x{ptk}");
             let oneshot = conv_ndirect_with(pool, &input, &filter, &shape, &sched);
-            let plan = ConvPlan::try_with_schedule(&shape, &filter, &sched)
-                .unwrap_or_else(|e| panic!("{at}: {e}"));
-            let mut planned = Tensor4::output_for(&shape, ActLayout::Nchw);
-            plan.execute(pool, &input, &mut planned).unwrap_or_else(|e| panic!("{at}: {e}"));
-            assert_eq!(oneshot.as_slice(), planned.as_slice(), "{at}: plan vs one-shot");
-            let first = reference.get_or_insert(oneshot);
-            assert_eq!(planned.as_slice(), first.as_slice(), "{at}: vs Fused on 1x1");
+            let first = reference.get_or_insert_with(|| oneshot.clone());
+            assert_eq!(oneshot.as_slice(), first.as_slice(), "{at}: vs Fused on 1x1");
+            for kernel in Kernel::supported() {
+                let plan = ConvPlan::try_with_schedule(&shape, &filter, &sched)
+                    .unwrap_or_else(|e| panic!("{at}: {e}"))
+                    .with_kernel(kernel);
+                let mut planned = Tensor4::output_for(&shape, ActLayout::Nchw);
+                plan.execute(pool, &input, &mut planned).unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert_eq!(planned.as_slice(), first.as_slice(), "{at}: plan on {}", kernel.name());
+            }
         }
     }
     assert_conforms(reference.expect("ran").as_slice(), want.as_slice(), &what);
@@ -495,13 +499,16 @@ fn dense_case(seed: u64, rng: &mut Rng64, pool: &StaticPool) {
         let sched = base.with_grid(Grid2::new(ptn, ptk));
         let at = format!("{what}: NHWC on {ptn}x{ptk}");
         let oneshot = conv_ndirect_nhwc_with(pool, &input, &filter, &shape, &sched);
-        let plan = ConvPlan::try_with_schedule_nhwc(&shape, &filter, &sched)
-            .unwrap_or_else(|e| panic!("{at}: {e}"));
-        let mut planned = Tensor4::output_for(&shape, ActLayout::Nhwc);
-        plan.execute(pool, &input, &mut planned).unwrap_or_else(|e| panic!("{at}: {e}"));
-        assert_eq!(oneshot.as_slice(), planned.as_slice(), "{at}: plan vs one-shot");
-        let first = reference.get_or_insert(oneshot);
-        assert_eq!(planned.as_slice(), first.as_slice(), "{at}: vs 1x1");
+        let first = reference.get_or_insert_with(|| oneshot.clone());
+        assert_eq!(oneshot.as_slice(), first.as_slice(), "{at}: vs 1x1");
+        for kernel in Kernel::supported() {
+            let plan = ConvPlan::try_with_schedule_nhwc(&shape, &filter, &sched)
+                .unwrap_or_else(|e| panic!("{at}: {e}"))
+                .with_kernel(kernel);
+            let mut planned = Tensor4::output_for(&shape, ActLayout::Nhwc);
+            plan.execute(pool, &input, &mut planned).unwrap_or_else(|e| panic!("{at}: {e}"));
+            assert_eq!(planned.as_slice(), first.as_slice(), "{at}: plan on {}", kernel.name());
+        }
     }
     assert_conforms(reference.expect("ran").as_slice(), want.as_slice(), &format!("{what}: NHWC"));
 }
@@ -530,11 +537,15 @@ fn separable_case(seed: u64, rng: &mut Rng64, pool: &StaticPool) {
     let dw_out = conv_depthwise(pool, &input, &dwf, &shape);
     assert_conforms(dw_out.as_slice(), mid.as_slice(), &what);
     for threads in [1, 3] {
-        let plan = DepthwisePlan::try_new(&shape, &dwf, threads)
-            .unwrap_or_else(|e| panic!("{what}: {e}"));
-        let mut planned = Tensor4::output_for(&shape, ActLayout::Nchw);
-        plan.execute(pool, &input, &mut planned).unwrap_or_else(|e| panic!("{what}: {e}"));
-        assert_eq!(planned.as_slice(), dw_out.as_slice(), "{what}: dw plan on {threads}");
+        for kernel in Kernel::supported() {
+            let plan = DepthwisePlan::try_new(&shape, &dwf, threads)
+                .unwrap_or_else(|e| panic!("{what}: {e}"))
+                .with_kernel(kernel);
+            let mut planned = Tensor4::output_for(&shape, ActLayout::Nchw);
+            plan.execute(pool, &input, &mut planned).unwrap_or_else(|e| panic!("{what}: {e}"));
+            let at = format!("{what}: dw plan on {threads}, {}", kernel.name());
+            assert_eq!(planned.as_slice(), dw_out.as_slice(), "{at}");
+        }
     }
 
     if mid_relu {
@@ -551,16 +562,22 @@ fn separable_case(seed: u64, rng: &mut Rng64, pool: &StaticPool) {
         vk: *rng.choose(&[4, 8, 12]),
     };
     let threads = rng.gen_range_usize(1, 4);
-    let plan = FusedDwPwPlan::try_with_schedule(&shape, &dwf, &pwf, &sched, threads)
-        .unwrap_or_else(|e| panic!("{what}: {e}"))
-        .with_mid_relu(mid_relu);
-    let mut planned = Tensor4::zeros(shape.n, k, shape.p(), shape.q(), ActLayout::Nchw);
-    plan.execute(pool, &input, &mut planned).unwrap_or_else(|e| panic!("{what}: {e}"));
-    assert_eq!(planned.as_slice(), fused.as_slice(), "{what}: {sched:?} on {threads}");
+    for kernel in Kernel::supported() {
+        let plan = FusedDwPwPlan::try_with_schedule(&shape, &dwf, &pwf, &sched, threads)
+            .unwrap_or_else(|e| panic!("{what}: {e}"))
+            .with_mid_relu(mid_relu)
+            .with_kernel(kernel);
+        let mut planned = Tensor4::zeros(shape.n, k, shape.p(), shape.q(), ActLayout::Nchw);
+        plan.execute(pool, &input, &mut planned).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let at = format!("{what}: {sched:?} on {threads}, {}", kernel.name());
+        assert_eq!(planned.as_slice(), fused.as_slice(), "{at}");
+    }
 }
 
 #[test]
 fn generated_differential_suite() {
+    let kernels: Vec<_> = Kernel::supported().map(|k| k.name()).collect();
+    println!("generated_differential_suite: plans run on kernel entries {kernels:?}");
     let pool = StaticPool::new(4);
     let generated = (0..GENERATED_CASES).map(|i| 0xd1ff_0000 + i);
     for seed in REGRESSION_SEEDS.into_iter().chain(generated) {
