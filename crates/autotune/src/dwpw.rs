@@ -1,7 +1,8 @@
 //! Measured search over the fused dw+pw schedule space.
 //!
 //! The fused path's space is tiny compared to the full [`crate::space`]
-//! hierarchy — three knobs ([`DwPwSchedule`]: slice length, `Vw`, `Vk`) —
+//! hierarchy — two knobs ([`DwPwSchedule`]: slice length and the `(Vw, Vk)`
+//! register tile) —
 //! so no evolutionary machinery is needed: we enumerate every point and
 //! measure each one, Ansor's "measure the whole space" degenerate case.
 //! The model-derived slice length anchors the candidate set the same way
@@ -18,17 +19,15 @@ use std::time::Instant;
 pub struct DwPwSpace {
     /// Slab slice-length candidates (rows of depthwise output per slice).
     pub slice_rows: Vec<usize>,
-    /// Pointwise register-tile width candidates.
-    pub vw: Vec<usize>,
-    /// Pointwise register-tile depth candidates.
-    pub vk: Vec<usize>,
+    /// Pointwise register-tile `(Vw, Vk)` candidates.
+    pub tiles: Vec<(usize, usize)>,
 }
 
 impl DwPwSpace {
     /// The space for one depthwise stage. Slice-length candidates bracket
     /// the host's analytic half-L2 value (half, 1×, 2×) plus the
-    /// single-row and whole-plane extremes; register tiles cover the
-    /// monomorphized kernel set, as in [`crate::space::ScheduleSpace`].
+    /// single-row and whole-plane extremes; register tiles are the declared
+    /// pointwise tiles, as in [`crate::space::ScheduleSpace`].
     pub fn for_shape(dw_shape: &ConvShape) -> Self {
         let p = dw_shape.p();
         let model_rows =
@@ -48,14 +47,13 @@ impl DwPwSpace {
         .collect();
         DwPwSpace {
             slice_rows,
-            vw: vec![4, 8, 12],
-            vk: vec![4, 8, 12],
+            tiles: ndirect_core::kernel::tiles_for(1, 1).collect(),
         }
     }
 
     /// Number of distinct points before sanitization (for reporting).
     pub fn size(&self) -> usize {
-        self.slice_rows.len() * self.vw.len() * self.vk.len()
+        self.slice_rows.len() * self.tiles.len()
     }
 
     /// Enumerates every schedule in the space, sanitized to the problem
@@ -63,17 +61,10 @@ impl DwPwSpace {
     pub fn candidates(&self, dw_shape: &ConvShape) -> Vec<DwPwSchedule> {
         let mut out: Vec<DwPwSchedule> = Vec::with_capacity(self.size());
         for &rows in &self.slice_rows {
-            for &vw in &self.vw {
-                for &vk in &self.vk {
-                    let s = DwPwSchedule {
-                        slice_rows: rows,
-                        vw,
-                        vk,
-                    }
-                    .sanitized(dw_shape);
-                    if !out.contains(&s) {
-                        out.push(s);
-                    }
+            for &(vw, vk) in &self.tiles {
+                let s = DwPwSchedule { slice_rows: rows, vw, vk }.sanitized(dw_shape);
+                if !out.contains(&s) {
+                    out.push(s);
                 }
             }
         }
@@ -165,8 +156,13 @@ mod tests {
         assert!(space.slice_rows.contains(&model_rows));
         assert!(space.slice_rows.contains(&1));
         assert!(space.slice_rows.iter().all(|&r| r >= 1 && r <= shape.p()));
-        assert_eq!(space.vw, vec![4, 8, 12]);
-        assert_eq!(space.vk, vec![4, 8, 12]);
+        let declared: Vec<_> = ndirect_core::kernel::TILES
+            .iter()
+            .filter(|t| t.body == ndirect_core::kernel::Body::Pointwise)
+            .map(|t| (t.vw, t.vk))
+            .collect();
+        assert!(!declared.is_empty());
+        assert_eq!(space.tiles, declared);
     }
 
     #[test]

@@ -9,14 +9,13 @@ use ndirect_support::Rng64;
 ///
 /// The space mirrors what Ansor explores for a conv2d subgraph: tile sizes
 /// at every loop level plus the parallel split. Register-tile candidates
-/// stay within the monomorphized kernel set (`Vw ≤ 12`, `Vk ≤ 12`), which
-/// is also what a JIT would emit.
+/// are the `(Vw, Vk)` pairs the build's kernel table declares for the
+/// shape's body ([`ndirect_core::kernel::tiles_for`]): the kernels that
+/// exist, where any other tile would run on the dynamic kernel.
 #[derive(Debug, Clone)]
 pub struct ScheduleSpace {
-    /// Register-tile width candidates.
-    pub vw: Vec<usize>,
-    /// Register-tile depth candidates.
-    pub vk: Vec<usize>,
+    /// Register-tile `(Vw, Vk)` candidates.
+    pub tiles: Vec<(usize, usize)>,
     /// Channel cache-tile candidates.
     pub tc: Vec<usize>,
     /// `Tk` expressed as multiples of `Vk`.
@@ -60,8 +59,7 @@ impl ScheduleSpace {
             .into_iter()
             .collect();
         ScheduleSpace {
-            vw: vec![4, 8, 12],
-            vk: vec![4, 8, 12],
+            tiles: ndirect_core::kernel::tiles_for(shape.r, shape.s).collect(),
             tc,
             // Tk = multiplier × Vk, capped later by sanitize.
             tk_multiplier: vec![1, 2, 4, 8, 16, 32, 64],
@@ -77,8 +75,7 @@ impl ScheduleSpace {
 
     /// Number of distinct points (for reporting).
     pub fn size(&self) -> usize {
-        self.vw.len()
-            * self.vk.len()
+        self.tiles.len()
             * self.tc.len()
             * self.tk_multiplier.len()
             * self.th.len()
@@ -90,9 +87,9 @@ impl ScheduleSpace {
 /// Draws a uniformly random schedule from the space.
 pub fn random_schedule(space: &ScheduleSpace, shape: &ConvShape, rng: &mut Rng64) -> Schedule {
     let pick = |v: &Vec<usize>, rng: &mut Rng64| v[rng.gen_range_usize(0, v.len())];
-    let vk = pick(&space.vk, rng);
+    let (vw, vk) = space.tiles[rng.gen_range_usize(0, space.tiles.len())];
     let sched = Schedule {
-        vw: pick(&space.vw, rng),
+        vw,
         vk,
         tc: pick(&space.tc, rng),
         tk: pick(&space.tk_multiplier, rng) * vk,
@@ -113,15 +110,14 @@ pub fn mutate(
     rng: &mut Rng64,
 ) -> Schedule {
     let mut s = sched.clone();
-    match rng.gen_range_usize(0, 6) {
-        0 => s.vw = space.vw[rng.gen_range_usize(0, space.vw.len())],
-        1 => {
-            s.vk = space.vk[rng.gen_range_usize(0, space.vk.len())];
+    match rng.gen_range_usize(0, 5) {
+        0 => {
+            (s.vw, s.vk) = space.tiles[rng.gen_range_usize(0, space.tiles.len())];
             s.tk = (s.tk / s.vk.max(1)).max(1) * s.vk;
         }
-        2 => s.tc = space.tc[rng.gen_range_usize(0, space.tc.len())],
-        3 => s.tk = space.tk_multiplier[rng.gen_range_usize(0, space.tk_multiplier.len())] * s.vk,
-        4 => s.th = space.th[rng.gen_range_usize(0, space.th.len())],
+        1 => s.tc = space.tc[rng.gen_range_usize(0, space.tc.len())],
+        2 => s.tk = space.tk_multiplier[rng.gen_range_usize(0, space.tk_multiplier.len())] * s.vk,
+        3 => s.th = space.th[rng.gen_range_usize(0, space.th.len())],
         _ => {
             if space.grids.len() > 1 {
                 s.grid = space.grids[rng.gen_range_usize(0, space.grids.len())];

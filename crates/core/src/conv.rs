@@ -434,8 +434,8 @@ mod tests {
 
     #[test]
     fn wide_register_tile_executes() {
-        // The Eq. 4 optimum for 5x5 on NEON is (Vw, Vk) = (24, 4); run it
-        // on the actual kernels (monomorphized wide arms + tails).
+        // The Eq. 4 optimum for 5x5 on NEON is (Vw, Vk) = (24, 4): stamped
+        // with its tails on AArch64, the dynamic kernel elsewhere.
         let shape = ConvShape::square(1, 4, 8, 30, 5, 1);
         let mut sched = Schedule::minimal(&shape);
         sched.vw = 24;

@@ -52,6 +52,13 @@ pub struct Conv3dShape {
 }
 
 impl Conv3dShape {
+    /// The register tile the kernel runs for this problem on `platform`:
+    /// [`crate::Schedule::derive`]'s Eq. 3–4 pick for an `S`-wide filter,
+    /// through [`crate::Schedule::sanitized`]'s clamp.
+    pub fn register_tile(&self, platform: &ndirect_platform::Platform) -> (usize, usize) {
+        crate::kernel::clamp_tile(crate::model::register_tile::optimal_tile(&platform.simd, self.s))
+    }
+
     /// Output depth.
     pub fn od(&self) -> usize {
         (self.d + 2 * self.pad_d - self.t) / self.stride + 1
@@ -188,13 +195,7 @@ pub fn try_conv3d_ndirect(
     let (od, p, q) = (shape.od(), shape.p(), shape.q());
     let mut out = Tensor5::zeros(shape.n, shape.k, od, p, q);
 
-    // Register tile from the Eq. 3/4 model (the kernel-width argument is
-    // the flattened tap count's inner dimension, S), clamped to the
-    // monomorphized kernel set exactly as Schedule::sanitized does.
-    let (vw_model, vk_model) =
-        crate::model::register_tile::optimal_tile(&ndirect_platform::host().simd, shape.s);
-    let vk = (vk_model.max(4) / 4 * 4).min(4 * crate::kernel::VKV_MAX);
-    let vw = vw_model.clamp(1, crate::kernel::VW_MAX);
+    let (vw, vk) = shape.register_tile(&ndirect_platform::host());
     let rdim = shape.t * shape.r; // flattened (t, r) row dimension
     let kv_total = shape.k.div_ceil(vk);
 

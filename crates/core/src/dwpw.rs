@@ -63,15 +63,13 @@ pub struct DwPwSchedule {
 impl DwPwSchedule {
     /// Derives the model-optimal fused schedule: slice length from the
     /// half-L2 slab budget ([`model::slicing::fused_slab_rows`]), pointwise
-    /// register tile from Eqs. 3–4 with `S = 1`, clamped to the
-    /// monomorphized kernel range (`Vw ≤ 12`, `Vk ∈ {4, 8, 12}`).
+    /// register tile from Eqs. 3–4 with `S = 1` (a declared
+    /// [`crate::kernel::Body::Pointwise`] tile), through
+    /// [`DwPwSchedule::sanitized`].
     pub fn derive(platform: &Platform, dw_shape: &ConvShape) -> DwPwSchedule {
         let (vw, vk) = model::register_tile::optimal_tile(&platform.simd, 1);
-        DwPwSchedule {
-            slice_rows: model::slicing::fused_slab_rows(platform, dw_shape),
-            vw: vw.clamp(1, 12),
-            vk: (vk / 4).clamp(1, 3) * 4,
-        }
+        let slice_rows = model::slicing::fused_slab_rows(platform, dw_shape);
+        DwPwSchedule { slice_rows, vw, vk }.sanitized(dw_shape)
     }
 
     /// A small, always-valid schedule for tests.
@@ -84,8 +82,9 @@ impl DwPwSchedule {
     }
 
     /// Clamps the schedule to a specific problem: `slice_rows ∈ [1, P]`,
-    /// `vw ∈ [1, 12]`, `vk` a multiple of 4 in `[4, 12]` — the ranges the
-    /// monomorphized kernels cover.
+    /// `vw ∈ [1, 12]`, `vk` a multiple of 4 in `[4, 12]`. Both tables'
+    /// pointwise tiles lie inside; any other tile in range runs on the
+    /// dynamic kernel ([`crate::kernel::TILES`]).
     pub fn sanitized(&self, dw_shape: &ConvShape) -> DwPwSchedule {
         DwPwSchedule {
             slice_rows: self.slice_rows.clamp(1, dw_shape.p()),

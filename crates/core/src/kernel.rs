@@ -182,25 +182,142 @@ pub struct TileArgs<'a> {
     pub valid_k: usize,
 }
 
-/// Expands to the stride dispatch for one `(VW, VKV)` instantiation.
-macro_rules! stride_dispatch {
-    ($kernel:expr, $rows:expr, $args:expr, $out:expr, $vw:literal, $vkv:literal) => {
-        match $args.stride {
-            1 => return main_kernel::<$vw, $vkv, 1>($kernel, $rows, $args, $out),
-            2 => return main_kernel::<$vw, $vkv, 2>($kernel, $rows, $args, $out),
-            _ => {}
+/// The row body a tile kernel is stamped with.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Body {
+    /// Any `R × S` filter, taps in a runtime loop.
+    General,
+    /// `R = S = 1`, with those as constants.
+    Pointwise,
+}
+
+impl Body {
+    /// The body an `R × S` filter runs (`rdim` is `T·R` for 3-D).
+    pub fn of(rdim: usize, sdim: usize) -> Body {
+        if rdim == 1 && sdim == 1 { Body::Pointwise } else { Body::General }
+    }
+}
+
+/// A register tile the kernels are monomorphised for: `vw` pixels × `vk`
+/// channels, stamped with one body.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Tile {
+    /// Output pixels (`Vw`).
+    pub vw: usize,
+    /// Output channels (`Vk`, a multiple of 4).
+    pub vk: usize,
+    /// The body it serves.
+    pub body: Body,
+}
+
+/// The x86-64 tile table (and that of every target but AArch64): what
+/// Eqs. 3–4 derive for 16 registers without lane FMA, `(4, 8)` for
+/// `S ≥ 2` and `(4, 12)` for 1×1. Each line is a tile and the widths
+/// stamped for it, the `Q`-tails `1..=Vw` at the same `Vk`.
+macro_rules! x86_64_tiles {
+    ($stamp:ident) => {
+        $stamp! {
+            general (4, 8): 1 2 3 4;
+            pointwise (4, 12): 1 2 3 4;
         }
     };
 }
 
-/// Dispatches to a monomorphized kernel, falling back to the dynamic
-/// kernel only for exotic parameters (`Vw > 12`, `Vk > 12`, stride > 2).
+/// The AArch64 tile table: `optimal_tile(NEON, s)` for `s = 1..=7`.
+/// `(20, 4)` stamps no widths of its own; they are `(24, 4)`'s tails.
+macro_rules! aarch64_tiles {
+    ($stamp:ident) => {
+        $stamp! {
+            pointwise (8, 12): 1 2 3 4 5 6 7 8;
+            general (12, 8): 1 2 3 4 5 6 7 8 9 10 11 12;
+            general (24, 4): 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24;
+            general (20, 4): ;
+        }
+    };
+}
+
+#[cfg(not(target_arch = "aarch64"))]
+pub(crate) use x86_64_tiles as arch_tiles;
+#[cfg(target_arch = "aarch64")]
+pub(crate) use aarch64_tiles as arch_tiles;
+
+/// A table line's body as a [`Body`].
+macro_rules! body {
+    (general) => { Body::General };
+    (pointwise) => { Body::Pointwise };
+}
+
+/// A table as a `&[Tile]`.
+macro_rules! tile_list {
+    ($($body:ident ($vw:literal, $vk:literal): $($w:literal)*;)+) => {
+        &[$(Tile { vw: $vw, vk: $vk, body: body!($body) }),+]
+    };
+}
+
+/// The x86-64 tiles, as data on every target.
+pub const X86_64_TILES: &[Tile] = x86_64_tiles!(tile_list);
+/// The AArch64 tiles, as data on every target.
+pub const AARCH64_TILES: &[Tile] = aarch64_tiles!(tile_list);
+/// The tiles this build monomorphises. Every other `(Vw, Vk)` runs on
+/// the dynamic kernel, at the same bits.
+pub const TILES: &[Tile] = arch_tiles!(tile_list);
+
+/// The declared `(Vw, Vk)` pairs that serve an `R × S` filter.
+pub fn tiles_for(rdim: usize, sdim: usize) -> impl Iterator<Item = (usize, usize)> {
+    TILES.iter().filter(move |t| t.body == Body::of(rdim, sdim)).map(|t| (t.vw, t.vk))
+}
+
+/// Clamps a register tile into the dynamic kernel's bounds (`VW_MAX`,
+/// `4·VKV_MAX`, `Vk` a multiple of 4): the one clamp every schedule
+/// passes through, so any tile executes, declared or not.
+pub fn clamp_tile((vw, vk): (usize, usize)) -> (usize, usize) {
+    (vw.clamp(1, VW_MAX), (vk.max(4) / 4 * 4).min(4 * VKV_MAX))
+}
+
+/// Stamps [`run_tile`]'s dispatch from a table: each line's widths at its
+/// `Vk`, strides 1 and 2, its body only.
+///
+/// Each arm is one out-of-line frame per registry entry. With the entry's
+/// frame around all of [`run_tile`] instead, or around a plan's whole loop
+/// nest, `avx2` measured 0.96–1.09× of `sse`; here 3×3 stride-1 layers
+/// run 1.38–1.44× faster.
+macro_rules! stamp_run_tile {
+    ($($body:ident ($vw:literal, $vk:literal): $($w:literal)*;)+) => {
+        /// Runs the stamped kernel for the tile's body, `Vk`, live width
+        /// and stride; `false` when there is none.
+        #[inline(always)]
+        fn run_stamped(
+            kernel: Kernel,
+            rows: &mut RowSource<'_>,
+            args: &TileArgs<'_>,
+            out: &SharedSlice<'_, f32>,
+        ) -> bool {
+            match (Body::of(args.rdim, args.sdim), args.vk, args.valid_w, args.stride) {
+                $($(
+                    (body!($body), $vk, $w, 1) => kernel.run(#[inline(always)] || {
+                        $body::<$w, { $vk / 4 }, 1>(rows, args, out)
+                    }),
+                    (body!($body), $vk, $w, 2) => kernel.run(#[inline(always)] || {
+                        $body::<$w, { $vk / 4 }, 2>(rows, args, out)
+                    }),
+                )*)+
+                _ => return false,
+            }
+            true
+        }
+    };
+}
+
+arch_tiles!(stamp_run_tile);
+
+/// Runs one tile compiled for `kernel`, the registry entry the caller's
+/// plan chose: the stamped kernel when [`TILES`] has one for its body,
+/// `Vk`, live width and stride, else the dynamic kernel.
 ///
 /// Dispatch is on the strip's *live* width (`valid_w`), so `Q`-tail strips
-/// run register-resident kernels too; `K`-tails are handled inside the
-/// kernel by masking the accumulator store (the zero-padded filter lanes
-/// compute zeros, which the mask discards). Each kernel runs compiled for
-/// `kernel`, the registry entry the caller's plan chose.
+/// of a declared tile run register-resident kernels too; `K`-tails are
+/// handled inside the kernel by masking the accumulator store (the
+/// zero-padded filter lanes compute zeros, which the mask discards).
 pub fn run_tile(
     kernel: Kernel,
     rows: &mut RowSource<'_>,
@@ -208,107 +325,44 @@ pub fn run_tile(
     out: &SharedSlice<'_, f32>,
 ) {
     debug_assert!(args.tf.len() >= args.tcb * args.rdim * args.sdim * args.vk);
-    match (args.valid_w, args.vk / 4) {
-        (1, 1) => stride_dispatch!(kernel, rows, args, out, 1, 1),
-        (1, 2) => stride_dispatch!(kernel, rows, args, out, 1, 2),
-        (1, 3) => stride_dispatch!(kernel, rows, args, out, 1, 3),
-        (2, 1) => stride_dispatch!(kernel, rows, args, out, 2, 1),
-        (2, 2) => stride_dispatch!(kernel, rows, args, out, 2, 2),
-        (2, 3) => stride_dispatch!(kernel, rows, args, out, 2, 3),
-        (3, 1) => stride_dispatch!(kernel, rows, args, out, 3, 1),
-        (3, 2) => stride_dispatch!(kernel, rows, args, out, 3, 2),
-        (3, 3) => stride_dispatch!(kernel, rows, args, out, 3, 3),
-        (4, 1) => stride_dispatch!(kernel, rows, args, out, 4, 1),
-        (4, 2) => stride_dispatch!(kernel, rows, args, out, 4, 2),
-        (4, 3) => stride_dispatch!(kernel, rows, args, out, 4, 3),
-        (5, 1) => stride_dispatch!(kernel, rows, args, out, 5, 1),
-        (5, 2) => stride_dispatch!(kernel, rows, args, out, 5, 2),
-        (5, 3) => stride_dispatch!(kernel, rows, args, out, 5, 3),
-        (6, 1) => stride_dispatch!(kernel, rows, args, out, 6, 1),
-        (6, 2) => stride_dispatch!(kernel, rows, args, out, 6, 2),
-        (6, 3) => stride_dispatch!(kernel, rows, args, out, 6, 3),
-        (7, 1) => stride_dispatch!(kernel, rows, args, out, 7, 1),
-        (7, 2) => stride_dispatch!(kernel, rows, args, out, 7, 2),
-        (7, 3) => stride_dispatch!(kernel, rows, args, out, 7, 3),
-        (8, 1) => stride_dispatch!(kernel, rows, args, out, 8, 1),
-        (8, 2) => stride_dispatch!(kernel, rows, args, out, 8, 2),
-        (8, 3) => stride_dispatch!(kernel, rows, args, out, 8, 3),
-        (9, 1) => stride_dispatch!(kernel, rows, args, out, 9, 1),
-        (9, 2) => stride_dispatch!(kernel, rows, args, out, 9, 2),
-        (9, 3) => stride_dispatch!(kernel, rows, args, out, 9, 3),
-        (10, 1) => stride_dispatch!(kernel, rows, args, out, 10, 1),
-        (10, 2) => stride_dispatch!(kernel, rows, args, out, 10, 2),
-        (10, 3) => stride_dispatch!(kernel, rows, args, out, 10, 3),
-        (11, 1) => stride_dispatch!(kernel, rows, args, out, 11, 1),
-        (11, 2) => stride_dispatch!(kernel, rows, args, out, 11, 2),
-        (11, 3) => stride_dispatch!(kernel, rows, args, out, 11, 3),
-        (12, 1) => stride_dispatch!(kernel, rows, args, out, 12, 1),
-        (12, 2) => stride_dispatch!(kernel, rows, args, out, 12, 2),
-        (12, 3) => stride_dispatch!(kernel, rows, args, out, 12, 3),
-        // Wide, shallow tiles the Eq. 4 model picks for 5x5/7x7 kernels on
-        // 32-register ISAs (Vk = 4 only — deeper tiles with these widths
-        // exceed every register file we target).
-        (16, 1) => stride_dispatch!(kernel, rows, args, out, 16, 1),
-        (20, 1) => stride_dispatch!(kernel, rows, args, out, 20, 1),
-        (24, 1) => stride_dispatch!(kernel, rows, args, out, 24, 1),
-        _ => {}
+    if !run_stamped(kernel, rows, args, out) {
+        kernel.run(#[inline(always)] || dyn_kernel(rows, args, out));
     }
-    kernel.run(#[inline(always)] || dyn_kernel(rows, args, out));
 }
 
-/// The monomorphized Algorithm 3 kernel: `VW` pixels × `VKV·4` channels,
-/// accumulators pinned in registers for the whole `(c, r, s)` reduction.
-/// `STRIDE` is also a const so every input index is a compile-time offset.
-///
-/// Each branch is one out-of-line frame per registry entry. With the
-/// entry's frame around all of [`run_tile`] instead, or around a plan's
-/// whole loop nest, `avx2` measured 0.96–1.09× of `sse`; here 3×3
-/// stride-1 layers run 1.38–1.44× faster.
-fn main_kernel<const VW: usize, const VKV: usize, const STRIDE: usize>(
-    kernel: Kernel,
+/// A stamped [`Body::General`] tile: `VW` pixels × `VKV·4` channels,
+/// accumulators pinned in registers for the whole `(c, r, s)` reduction,
+/// then the scatter. `STRIDE` is also a const so every input index is a
+/// compile-time offset.
+#[inline(always)]
+fn general<const VW: usize, const VKV: usize, const STRIDE: usize>(
     rows: &mut RowSource<'_>,
     args: &TileArgs<'_>,
     out: &SharedSlice<'_, f32>,
 ) {
     debug_assert_eq!((args.vk, args.stride, args.valid_w), (VKV * 4, STRIDE, VW));
-    if args.rdim == 1 && args.sdim == 1 {
-        kernel.run(#[inline(always)] || main_kernel_1x1::<VW, VKV, STRIDE>(rows, args, out));
-    } else {
-        kernel.run(#[inline(always)] || reduce_tile::<VW, VKV, STRIDE>(rows, args, out));
-    }
-}
-
-/// Pointwise layers are the `R = S = 1` case of the same walk and scatter,
-/// instantiated a second time with those as constants: one single-tap row
-/// per channel feeds only `Vw·Vk/4` FMAs on a register tile sized to fill
-/// the file, and the runtime tap loop costs the accumulators their
-/// registers (`core.gflops_1x1` fell 29 % without this). It gets a frame
-/// of its own so the two copies do not share one, which cost the general
-/// one its register allocation instead.
-#[inline(always)]
-fn main_kernel_1x1<const VW: usize, const VKV: usize, const STRIDE: usize>(
-    rows: &mut RowSource<'_>,
-    args: &TileArgs<'_>,
-    out: &SharedSlice<'_, f32>,
-) {
-    let pointwise = TileArgs { rdim: 1, sdim: 1, vk: VKV * 4, ..*args };
-    reduce_tile::<VW, VKV, STRIDE>(rows, &pointwise, out);
-}
-
-/// [`main_kernel`]'s body: the row walk into register accumulators, then
-/// the scatter.
-#[inline(always)]
-fn reduce_tile<const VW: usize, const VKV: usize, const STRIDE: usize>(
-    rows: &mut RowSource<'_>,
-    args: &TileArgs<'_>,
-    out: &SharedSlice<'_, f32>,
-) {
     let sdim = args.sdim;
     let mut acc = [[F32x4::zero(); VKV]; VW];
     rows.for_each_row(args, (VW - 1) * STRIDE + sdim, #[inline(always)] |tfr, brow| {
         kernel_row::<VW, VKV, STRIDE>(&mut acc, brow, tfr, sdim)
     });
     scatter_add(&acc, VKV, args.valid_k, out, args.obase, args.kstride, 1);
+}
+
+/// A stamped [`Body::Pointwise`] tile: the `R = S = 1` case of the same
+/// walk and scatter, with those as constants. One single-tap row per
+/// channel feeds only `Vw·Vk/4` FMAs on a register tile sized to fill the
+/// file, and the runtime tap loop costs the accumulators their registers
+/// (`core.gflops_1x1` fell 29 % without this). Stamping only the body a
+/// tile serves keeps one frame per instantiation; when both bodies shared
+/// a frame, the general one lost its register allocation.
+#[inline(always)]
+fn pointwise<const VW: usize, const VKV: usize, const STRIDE: usize>(
+    rows: &mut RowSource<'_>,
+    args: &TileArgs<'_>,
+    out: &SharedSlice<'_, f32>,
+) {
+    general::<VW, VKV, STRIDE>(rows, &TileArgs { rdim: 1, sdim: 1, vk: VKV * 4, ..*args }, out);
 }
 
 /// The read-add-write scatter every f32 kernel ends with: accumulator
@@ -369,10 +423,11 @@ fn kernel_row<const VW: usize, const VKV: usize, const STRIDE: usize>(
     }
 }
 
-/// The dynamic edge kernel: identical math with runtime tile bounds, used
-/// for unusual schedules outside the monomorphized set. Accumulators may
-/// spill for large bounds; edges are a vanishing fraction of the iteration
-/// space. Tap order `(ss, wi, j)` matches [`kernel_row`].
+/// The dynamic kernel: identical math with runtime tile bounds, for every
+/// tile outside [`TILES`] (presets run on another host,
+/// [`crate::Schedule::minimal`], tuned schedules off the table).
+/// Accumulators may spill. Tap order `(ss, wi, j)` matches
+/// [`kernel_row`], so it gives the stamped kernels' bits.
 #[inline(always)]
 fn dyn_kernel(rows: &mut RowSource<'_>, args: &TileArgs<'_>, out: &SharedSlice<'_, f32>) {
     let vk = args.vk;
@@ -530,9 +585,28 @@ mod tests {
         }
     }
 
-    /// Runs one tile from a `Packed` strip, or `strided` out of a slice
-    /// slab, and returns the whole output plane, for bitwise comparison
-    /// across sources.
+    /// The three row sources a tile kernel reads.
+    #[derive(Clone, Copy, Debug)]
+    enum Source {
+        Packed,
+        Gather,
+        Strided,
+    }
+
+    /// How a test runs a tile.
+    #[derive(Clone, Copy, Debug)]
+    enum Via {
+        /// [`run_tile`], whichever kernel it picks.
+        Tile,
+        /// [`run_stamped`], which must find a kernel exactly when `true`
+        /// (the dynamic kernel runs when it does not).
+        Stamped(bool),
+        /// [`dyn_kernel`] alone.
+        Dyn,
+    }
+
+    /// Runs one tile from `source` via `via` and returns the whole output
+    /// plane, for bitwise comparison.
     #[allow(clippy::too_many_arguments)]
     fn run_with_source(
         kernel: Kernel,
@@ -543,7 +617,8 @@ mod tests {
         valid_w: usize,
         oh: usize,
         wv: usize,
-        strided: bool,
+        source: Source,
+        via: Via,
     ) -> Vec<f32> {
         let (k0, ct) = (0, 0);
         let tcb = shape.c;
@@ -566,32 +641,112 @@ mod tests {
             valid_w,
             valid_k,
         };
+        let run = |rows: &mut RowSource<'_>| match via {
+            Via::Tile => run_tile(kernel, rows, &args, &out),
+            Via::Stamped(want) => {
+                assert_eq!(run_stamped(kernel, rows, &args, &out), want, "stamped kernel?");
+                if !want {
+                    kernel.run(|| dyn_kernel(rows, &args, &out));
+                }
+            }
+            Via::Dyn => kernel.run(|| dyn_kernel(rows, &args, &out)),
+        };
         let image = input.as_slice();
-        if strided {
-            // A two-row slice ending at `oh` (one row when oh = 0), so
-            // `row_off` is exercised, not just a zero offset.
-            let slice_oh0 = oh.saturating_sub(1);
-            let slice_len = oh - slice_oh0 + 1;
-            let row_win = (q - 1) * shape.stride + shape.s;
-            let slab_rows = (slice_len - 1) * shape.stride + shape.r;
-            let mut slab = vec![0.0; tcb * slab_rows * row_win];
-            crate::pack::pack_slice_slab(image, ct, tcb, shape, slice_oh0, slice_len, &mut slab);
-            let mut rows = RowSource::Strided {
-                buf: &slab,
-                rows_per_c: slab_rows,
-                row_stride: row_win,
-                row_off: (oh - slice_oh0) * shape.stride,
-                col_off: wv * shape.stride,
+        let mut buf = vec![0.0; tcb * shape.r * geom.win];
+        match source {
+            Source::Packed => {
+                pack_strip(image, ct, tcb, shape.r, shape.h, shape.w, geom, &mut buf);
+                run(&mut RowSource::Packed { buf: &buf, win: geom.win, rdim: shape.r });
+            }
+            Source::Gather => run(&mut RowSource::Gather {
+                image,
+                ct,
+                h: shape.h,
+                w: shape.w,
+                ih0: geom.ih0,
+                iw0: geom.iw0,
+                buf: &mut buf,
                 win: geom.win,
-            };
-            run_tile(kernel, &mut rows, &args, &out);
-        } else {
-            let mut buf = vec![0.0; tcb * shape.r * geom.win];
-            pack_strip(image, ct, tcb, shape.r, shape.h, shape.w, geom, &mut buf);
-            let mut rows = RowSource::Packed { buf: &buf, win: geom.win, rdim: shape.r };
-            run_tile(kernel, &mut rows, &args, &out);
+                rdim: shape.r,
+            }),
+            Source::Strided => {
+                // A two-row slice ending at `oh` (one row when oh = 0), so
+                // `row_off` is exercised, not just a zero offset.
+                let slice_oh0 = oh.saturating_sub(1);
+                let slice_len = oh - slice_oh0 + 1;
+                let row_win = (q - 1) * shape.stride + shape.s;
+                let slab_rows = (slice_len - 1) * shape.stride + shape.r;
+                let mut slab = vec![0.0; tcb * slab_rows * row_win];
+                crate::pack::pack_slice_slab(
+                    image, ct, tcb, shape, slice_oh0, slice_len, &mut slab,
+                );
+                run(&mut RowSource::Strided {
+                    buf: &slab,
+                    rows_per_c: slab_rows,
+                    row_stride: row_win,
+                    row_off: (oh - slice_oh0) * shape.stride,
+                    col_off: wv * shape.stride,
+                    win: geom.win,
+                });
+            }
         }
         out_vec
+    }
+
+    #[test]
+    fn declared_tiles_match_dyn_kernel_bitwise() {
+        // (shape, vk, valid_w, stamped): every declared tile at each stride
+        // and tail width, then a Vk = 16 tile no table declares.
+        let mut cases = Vec::new();
+        for tile in TILES {
+            for stride in [1, 2] {
+                let shape = match tile.body {
+                    Body::General => {
+                        let w = 2 * tile.vw + 3;
+                        ConvShape::new(1, 3, 6, w, tile.vk, 3, 3, stride, Padding::same(1))
+                    }
+                    Body::Pointwise => {
+                        let w = 2 * tile.vw;
+                        ConvShape::new(1, 3, 4, w, tile.vk, 1, 1, stride, Padding::NONE)
+                    }
+                };
+                for valid_w in 1..=tile.vw {
+                    cases.push((shape, tile.vk, valid_w, true));
+                }
+            }
+        }
+        let off_table = ConvShape::new(1, 2, 6, 12, 16, 3, 3, 1, Padding::same(1));
+        cases.push((off_table, 16, 6, false));
+        for (i, (shape, vk, valid_w, want_stamped)) in cases.into_iter().enumerate() {
+            let via = Via::Stamped(want_stamped);
+            let seed = 41 + i as u64;
+            let input = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nchw), seed);
+            let filter =
+                fill::random_filter(Filter::for_shape(&shape, FilterLayout::Kcrs), seed ^ 1);
+            let oh = 1;
+            let run = |kernel, source, via| {
+                run_with_source(kernel, &input, &filter, &shape, vk, valid_w, oh, 0, source, via)
+            };
+            // The dynamic kernel on the baseline entry, checked against the
+            // scalar reference, is what every entry and source must match.
+            let baseline = Kernel::supported().next().expect("the baseline runs");
+            let want = run(baseline, Source::Packed, Via::Dyn);
+            let expect =
+                reference_tile(&input, &filter, &shape, 0, 0, oh, 0, valid_w, vk, 0, shape.c);
+            let (p, q) = (shape.p(), shape.q());
+            for kk in 0..vk.min(shape.k) {
+                for wi in 0..valid_w {
+                    let (got, exp) = (want[(kk * p + oh) * q + wi], expect[kk * valid_w + wi]);
+                    assert!((got - exp).abs() <= 2e-4 * exp.abs().max(1.0), "case {i}");
+                }
+            }
+            for kernel in Kernel::supported() {
+                for source in [Source::Packed, Source::Gather, Source::Strided] {
+                    let what = format!("case {i} ({valid_w}, {vk}) {source:?}, {}", kernel.name());
+                    assert_eq!(run(kernel, source, via), want, "{what}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -616,7 +771,9 @@ mod tests {
             let filter =
                 fill::random_filter(Filter::for_shape(&shape, FilterLayout::Kcrs), seed ^ 1);
             let run = |kernel, strided| {
-                run_with_source(kernel, &input, &filter, &shape, vk, valid_w, oh, wv, strided)
+                let source = if strided { Source::Strided } else { Source::Packed };
+                let via = Via::Tile;
+                run_with_source(kernel, &input, &filter, &shape, vk, valid_w, oh, wv, source, via)
             };
             let packed = run(Kernel::supported().next().expect("the baseline runs"), false);
             // Both sources under every registry entry, bitwise.
@@ -626,6 +783,20 @@ mod tests {
                 assert_eq!(run(kernel, true), packed, "{what}: Strided differs from Packed");
             }
         }
+    }
+
+    #[test]
+    fn w_tail_uses_dyn_kernel() {
+        // Width 5 at Vk = 8: off the x86-64 table, a (12, 8) tail on AArch64.
+        let shape = ConvShape::new(1, 2, 8, 16, 8, 3, 3, 1, Padding::NONE);
+        run_and_check(shape, 8, 8, 5, 8, false);
+    }
+
+    #[test]
+    fn unusual_schedule_falls_back_to_dyn() {
+        // Vw = 6 at Vk = 8: the dynamic kernel wherever the table lacks it.
+        let shape = ConvShape::new(1, 2, 8, 14, 8, 3, 3, 1, Padding::NONE);
+        run_and_check(shape, 6, 8, 6, 8, false);
     }
 
     #[test]
@@ -645,12 +816,6 @@ mod tests {
         let shape = ConvShape::new(1, 3, 10, 16, 8, 3, 3, 1, Padding::same(1));
         run_and_check(shape, 8, 8, 8, 8, true);
         run_and_check(shape, 8, 8, 8, 8, false);
-    }
-
-    #[test]
-    fn w_tail_uses_dyn_kernel() {
-        let shape = ConvShape::new(1, 2, 8, 16, 8, 3, 3, 1, Padding::NONE);
-        run_and_check(shape, 8, 8, 5, 8, false);
     }
 
     #[test]
@@ -676,12 +841,5 @@ mod tests {
     fn seven_by_seven_kernel() {
         let shape = ConvShape::new(1, 2, 12, 18, 4, 7, 7, 1, Padding::same(3));
         run_and_check(shape, 8, 4, 8, 4, true);
-    }
-
-    #[test]
-    fn unusual_schedule_falls_back_to_dyn() {
-        // vw=6 has no monomorphized kernel.
-        let shape = ConvShape::new(1, 2, 8, 14, 8, 3, 3, 1, Padding::NONE);
-        run_and_check(shape, 6, 8, 6, 8, false);
     }
 }

@@ -249,7 +249,7 @@ fn kernel_nhwc<const VW: usize, const VKV: usize, const STRIDE: usize>(
     }
 }
 
-/// Dynamic-width fallback for `Q` tails and exotic schedules.
+/// The dynamic `NHWC` kernel, for `Q` tails and tiles outside the table.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn kernel_nhwc_dyn(
@@ -267,8 +267,7 @@ fn kernel_nhwc_dyn(
     vk: usize,
     valid_k: usize,
 ) {
-    const VW_MAX: usize = crate::kernel::VW_MAX;
-    const VKV_MAX: usize = crate::kernel::VKV_MAX;
+    use crate::kernel::{VKV_MAX, VW_MAX};
     let vkv = vk / 4;
     // AUDIT: allow(hotpath-no-panic) O(1) tile-entry guard sizing the
     // fixed accumulator array; every `acc` subscript below relies on it.
@@ -294,27 +293,6 @@ fn kernel_nhwc_dyn(
     scatter_add(&acc[..valid_w], vkv, valid_k, out_row, obase, 1, kdim);
 }
 
-macro_rules! nhwc_dispatch {
-    ($kernel:expr, $vw:literal, $vkv:literal, $args:expr) => {{
-        let (buf, tf, r, s, stride, tcb, win, out, obase, kdim, vk_valid) = $args;
-        match stride {
-            1 => {
-                $kernel.run(#[inline(always)] || {
-                    kernel_nhwc::<$vw, $vkv, 1>(buf, tf, r, s, tcb, win, out, obase, kdim, vk_valid)
-                });
-                return;
-            }
-            2 => {
-                $kernel.run(#[inline(always)] || {
-                    kernel_nhwc::<$vw, $vkv, 2>(buf, tf, r, s, tcb, win, out, obase, kdim, vk_valid)
-                });
-                return;
-            }
-            _ => {}
-        }
-    }};
-}
-
 /// Runs one `NHWC` tile compiled for `kernel`, the plan's registry entry.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_nhwc_tile(
@@ -332,25 +310,32 @@ pub(crate) fn run_nhwc_tile(
     valid_k: usize,
 ) {
     let (r, s, stride) = (shape.r, shape.s, shape.stride);
-    if valid_k <= vk {
-        let args = (buf, tf, r, s, stride, tcb, win, out_row, obase, kdim, valid_k);
-        match (valid_w, vk / 4) {
-            (4, 1) => nhwc_dispatch!(kernel, 4, 1, args),
-            (4, 2) => nhwc_dispatch!(kernel, 4, 2, args),
-            (4, 3) => nhwc_dispatch!(kernel, 4, 3, args),
-            (8, 1) => nhwc_dispatch!(kernel, 8, 1, args),
-            (8, 2) => nhwc_dispatch!(kernel, 8, 2, args),
-            (8, 3) => nhwc_dispatch!(kernel, 8, 3, args),
-            (12, 1) => nhwc_dispatch!(kernel, 12, 1, args),
-            (12, 2) => nhwc_dispatch!(kernel, 12, 2, args),
-            (12, 3) => nhwc_dispatch!(kernel, 12, 3, args),
-            _ => {}
-        }
+    // Each declared `(Vw, Vk)` of the arch's table at full width, strides
+    // 1 and 2: the `NHWC` body serves every `R × S`, and `Q`-tails run on
+    // the dynamic kernel.
+    macro_rules! stamp {
+        ($($body:ident ($vw:literal, $vk:literal): $($w:literal)*;)+) => {
+            match (valid_w, vk, stride) {
+                $(
+                    ($vw, $vk, 1) if valid_k <= vk => return kernel.run(#[inline(always)] || {
+                        kernel_nhwc::<$vw, { $vk / 4 }, 1>(
+                            buf, tf, r, s, tcb, win, out_row, obase, kdim, valid_k,
+                        )
+                    }),
+                    ($vw, $vk, 2) if valid_k <= vk => return kernel.run(#[inline(always)] || {
+                        kernel_nhwc::<$vw, { $vk / 4 }, 2>(
+                            buf, tf, r, s, tcb, win, out_row, obase, kdim, valid_k,
+                        )
+                    }),
+                )+
+                _ => {}
+            }
+        };
     }
+    crate::kernel::arch_tiles!(stamp);
     kernel.run(#[inline(always)] || {
         kernel_nhwc_dyn(
-            buf, tf, shape.r, shape.s, shape.stride, tcb, win, out_row, obase, kdim, valid_w, vk,
-            valid_k,
+            buf, tf, r, s, stride, tcb, win, out_row, obase, kdim, valid_w, vk, valid_k,
         )
     });
 }

@@ -105,15 +105,14 @@ impl Schedule {
 
     /// Clamps the schedule's tiles to a specific problem (tiles never exceed
     /// the dimension they tile) and normalizes granularities (`vk` multiple
-    /// of 4, `tk` multiple of `vk`). Register tiles are clamped to the
-    /// dynamic kernels' hard bounds (`VW_MAX`, `4·VKV_MAX`) so schedules
-    /// derived for wider-vector platforms (e.g. the SVE analysis presets)
-    /// still *execute* on the 4-lane kernels instead of panicking. Returns
-    /// the sanitized copy used by the driver.
+    /// of 4, `tk` multiple of `vk`). Register tiles go through
+    /// [`crate::kernel::clamp_tile`], so schedules derived for wider-vector
+    /// platforms (e.g. the SVE analysis presets) still *execute* on the
+    /// 4-lane kernels instead of panicking. Returns the sanitized copy the
+    /// loop nest runs.
     pub fn sanitized(&self, shape: &ConvShape) -> Schedule {
         let mut s = self.clone();
-        s.vk = (s.vk.max(4) / 4 * 4).min(4 * crate::kernel::VKV_MAX);
-        s.vw = s.vw.clamp(1, crate::kernel::VW_MAX);
+        (s.vw, s.vk) = crate::kernel::clamp_tile((s.vw, s.vk));
         s.tc = s.tc.clamp(1, shape.c);
         s.tk = s.tk.max(s.vk).min(shape.k.div_ceil(s.vk) * s.vk);
         s.tk = (s.tk / s.vk) * s.vk;
@@ -384,7 +383,7 @@ mod tests {
     #[test]
     fn wide_5x5_model_tiles_survive_sanitize() {
         // Eq. 4 picks (24, 4) for 5x5 on NEON; sanitize must keep it (the
-        // dispatch has wide arms), not silently shrink it.
+        // AArch64 table declares it), not silently shrink it.
         let shape = ConvShape::square(1, 8, 8, 16, 5, 1);
         let s = Schedule::derive(&phytium_2000p(), &shape, 1).sanitized(&shape);
         assert_eq!(s.vw, 24, "{s:?}");
