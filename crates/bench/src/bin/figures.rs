@@ -612,9 +612,10 @@ fn fig8(opts: &Opts, platform: &Platform) {
     println!();
 }
 
-/// Extension experiment (not a paper figure): the native NHWC nDirect
-/// kernel against the NCHW kernel and the NHWC-native XNNPACK-style
-/// baseline, layers 1-20.
+/// Extension experiment (not a paper figure): nDirect on `NHWC`
+/// activations (the `NCHW` loop nest and kernels, with `NHWC` strip packing
+/// and output strides) against nDirect on `NCHW` and the NHWC-native
+/// XNNPACK-style baseline, layers 1-20.
 fn nhwc_extension(opts: &Opts, platform: &Platform) {
     println!(
         "### NHWC extension: native layouts compared ({} threads, batch {})",

@@ -29,7 +29,10 @@
 //! amortizes via tile sizing. This driver keeps the paper's order; callers
 //! who want the transform paid exactly once use
 //! [`crate::FilterState::PreTransformed`] (the ablation benches compare
-//! both), and the native-NHWC driver demonstrates the hoisted ordering.
+//! both).
+//!
+//! `NHWC` runs the same nest: the layout only changes how a strip is
+//! packed ([`crate::pack::pack_strip_nhwc`]) and where the tile scatters.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -41,7 +44,7 @@ use crate::error::{check, Error};
 use crate::filter::TransformedFilter;
 use crate::kernel::{run_tile, RowSource, TileArgs};
 use crate::microkernel::Kernel;
-use crate::pack::{pack_strip, StripGeom};
+use crate::pack::{pack_strip, pack_strip_nhwc, StripGeom};
 use crate::schedule::{PackingMode, Schedule};
 
 /// nDirect convolution with a model-derived schedule for the host machine.
@@ -281,6 +284,8 @@ pub fn try_conv_ndirect_into(
 /// Everything one `(oh, wv)` strip needs.
 pub(crate) struct StripCtx<'a> {
     pub(crate) kernel: Kernel,
+    /// The activation layout of `image` and of the output.
+    pub(crate) layout: ActLayout,
     pub(crate) image: &'a [f32],
     pub(crate) shape: &'a ConvShape,
     pub(crate) sched: &'a Schedule,
@@ -309,10 +314,17 @@ pub(crate) struct StripCtx<'a> {
 /// sequential pack) and the rest read it back; under `Sliced` every
 /// iteration reads the slab the driver packed into `bbuf` for the current
 /// slice.
+///
+/// The activation layout is a packing and addressing detail: an `NHWC`
+/// strip (always `Sequential`, see [`crate::ConvPlan`]) packs into the
+/// same `[c][r][win]` buffer, and the output strides swap.
 pub(crate) fn compute_strip(ctx: StripCtx<'_>, bbuf: &mut [f32], out_all: &SharedSlice<'_, f32>) {
     let shape = ctx.shape;
     let sched = ctx.sched;
-    let kstride = ctx.p * ctx.q;
+    let (kstride, wstride) = match ctx.layout {
+        ActLayout::Nchw => (ctx.p * ctx.q, 1),
+        ActLayout::Nhwc => (1, shape.k),
+    };
     // Accounting: a per-strip mode packs `tcb·R·WIN` floats once here
     // (fused gather and sequential packing move the same data) — `Sliced`
     // instead books those bytes as *saved* (its slab pack adds its own
@@ -347,8 +359,11 @@ pub(crate) fn compute_strip(ctx: StripCtx<'_>, bbuf: &mut [f32], out_all: &Share
             stride: shape.stride,
             tf,
             vk: sched.vk,
-            obase: ((ctx.n * shape.k + k0) * ctx.p + ctx.oh) * ctx.q + ctx.wv,
+            obase: ctx.n * shape.k * ctx.p * ctx.q
+                + k0 * kstride
+                + (ctx.oh * ctx.q + ctx.wv) * wstride,
             kstride,
+            wstride,
             valid_w: ctx.valid_w,
             valid_k,
         };
@@ -368,7 +383,14 @@ pub(crate) fn compute_strip(ctx: StripCtx<'_>, bbuf: &mut [f32], out_all: &Share
             },
             (PackingMode::Sequential, true) => {
                 let _pack = ndirect_probe::probe_phase!(Pack);
-                pack_strip(ctx.image, ctx.ct, ctx.tcb, shape.r, shape.h, shape.w, ctx.geom, bbuf);
+                match ctx.layout {
+                    ActLayout::Nchw => pack_strip(
+                        ctx.image, ctx.ct, ctx.tcb, shape.r, shape.h, shape.w, ctx.geom, bbuf,
+                    ),
+                    ActLayout::Nhwc => {
+                        pack_strip_nhwc(ctx.image, shape, ctx.ct, ctx.tcb, ctx.geom, bbuf)
+                    }
+                }
                 RowSource::Packed { buf: &*bbuf, win, rdim: shape.r }
             }
             (PackingMode::Fused | PackingMode::Sequential, false) => {

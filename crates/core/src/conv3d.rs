@@ -15,7 +15,7 @@ use ndirect_tensor::{Filter5, Tensor5};
 use ndirect_threads::{split_static, SharedSlice, StaticPool};
 
 use crate::conv::{checked_product, input_span, try_scratch_bufs};
-use crate::error::Error;
+use crate::error::{check, Error};
 use crate::kernel::{run_tile, RowSource, TileArgs};
 use crate::microkernel::Kernel;
 
@@ -150,6 +150,7 @@ pub fn try_conv3d_ndirect(
     filter: &Filter5,
     shape: &Conv3dShape,
 ) -> Result<Tensor5, Error> {
+    check::isa()?;
     if input.dims() != (shape.n, shape.c, shape.d, shape.h, shape.w) {
         return Err(Error::Config {
             msg: format!(
@@ -264,6 +265,7 @@ pub fn try_conv3d_ndirect(
                         vk,
                         obase: (((n * shape.k + k0) * od + odi) * p + oh) * q + wv,
                         kstride: od * p * q,
+                        wstride: 1,
                         valid_w,
                         valid_k: vk.min(shape.k - k0),
                     };
@@ -296,7 +298,7 @@ fn gather_row3d(
         return;
     }
     let row0 = ((c * shape.d + id as usize) * shape.h + ih as usize) * shape.w;
-    crate::pack::fill_row_clipped(&image[row0..row0 + shape.w], iw0, shape.w, 1, dst);
+    crate::pack::fill_row_clipped(&image[row0..row0 + shape.w], iw0, shape.w, dst);
 }
 
 /// Naive 3-D convolution oracle.

@@ -424,6 +424,7 @@ impl<'f> FusedDwPwPlan<'f> {
                                     vk: sched.vk,
                                     obase: ((n_idx * k + k0) * p + oh0 + oh) * q + wv,
                                     kstride: p * q,
+                                    wstride: 1,
                                     valid_w,
                                     valid_k: sched.vk.min(k - k0),
                                 };

@@ -138,16 +138,6 @@ impl TransformedFilter {
     pub fn vk(&self) -> usize {
         self.vk
     }
-
-    /// Total floats (for memory accounting).
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the transform holds no data.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
 }
 
 /// Transforms a complete filter (convenience for [`TransformedFilter::new`]).

@@ -274,6 +274,7 @@ pub fn try_conv_int16(
 }
 
 fn validate(input: &Int16Tensor, filter: &Int16Filter, shape: &ConvShape) -> Result<(), Error> {
+    check::isa()?;
     shape.validate()?;
     check::dims(
         "input dims",

@@ -174,8 +174,12 @@ pub struct TileArgs<'a> {
     pub vk: usize,
     /// Offset of output element `(n, k0, oh, wv)` in `out`.
     pub obase: usize,
-    /// Distance between consecutive output channels (`P·Q` for `NCHW`).
+    /// Distance between consecutive output channels: `P·Q` for `NCHW`,
+    /// `1` for `NHWC`.
     pub kstride: usize,
+    /// Distance between consecutive output pixels: `1` for `NCHW`, `K`
+    /// for `NHWC`.
+    pub wstride: usize,
     /// Live output pixels (≤ scheduled `Vw`).
     pub valid_w: usize,
     /// Live output channels in this `kv` block (≤ `vk`).
@@ -346,7 +350,7 @@ fn general<const VW: usize, const VKV: usize, const STRIDE: usize>(
     rows.for_each_row(args, (VW - 1) * STRIDE + sdim, #[inline(always)] |tfr, brow| {
         kernel_row::<VW, VKV, STRIDE>(&mut acc, brow, tfr, sdim)
     });
-    scatter_add(&acc, VKV, args.valid_k, out, args.obase, args.kstride, 1);
+    scatter_add(&acc, VKV, args.valid_k, out, args.obase, args.kstride, args.wstride);
 }
 
 /// A stamped [`Body::Pointwise`] tile: the `R = S = 1` case of the same
@@ -371,7 +375,7 @@ fn pointwise<const VW: usize, const VKV: usize, const STRIDE: usize>(
 /// along `Q`, channels `P·Q` apart; `NHWC`: the transpose). `valid_k` masks
 /// the zero-padded filter lanes of a `K`-tail block.
 #[inline(always)]
-pub(crate) fn scatter_add<const J: usize>(
+fn scatter_add<const J: usize>(
     acc: &[[F32x4; J]],
     vkv: usize,
     valid_k: usize,
@@ -449,7 +453,7 @@ fn dyn_kernel(rows: &mut RowSource<'_>, args: &TileArgs<'_>, out: &SharedSlice<'
             }
         }
     });
-    scatter_add(&acc[..valid_w], vkv, args.valid_k, out, args.obase, args.kstride, 1);
+    scatter_add(&acc[..valid_w], vkv, args.valid_k, out, args.obase, args.kstride, args.wstride);
 }
 
 #[cfg(test)]
@@ -533,6 +537,7 @@ mod tests {
                 vk,
                 obase: (k0 * p + oh) * q + wv,
                 kstride: p * q,
+                wstride: 1,
                 valid_w,
                 valid_k,
             };
@@ -605,8 +610,9 @@ mod tests {
         Dyn,
     }
 
-    /// Runs one tile from `source` via `via` and returns the whole output
-    /// plane, for bitwise comparison.
+    /// Runs one tile from `source` via `via`, scattering into an output
+    /// plane laid out as `out_layout`, and returns the whole plane in
+    /// `NCHW` order, for bitwise comparison.
     #[allow(clippy::too_many_arguments)]
     fn run_with_source(
         kernel: Kernel,
@@ -619,6 +625,7 @@ mod tests {
         wv: usize,
         source: Source,
         via: Via,
+        out_layout: ActLayout,
     ) -> Vec<f32> {
         let (k0, ct) = (0, 0);
         let tcb = shape.c;
@@ -627,6 +634,10 @@ mod tests {
         transform_filter_block(filter, k0, valid_k, ct, tcb, vk, &mut tf);
         let geom = StripGeom::new(shape, oh, wv, valid_w);
         let (p, q) = (shape.p(), shape.q());
+        let (obase, kstride, wstride) = match out_layout {
+            ActLayout::Nchw => ((k0 * p + oh) * q + wv, p * q, 1),
+            ActLayout::Nhwc => ((oh * q + wv) * shape.k + k0, 1, shape.k),
+        };
         let mut out_vec = vec![0.0; shape.k * p * q];
         let out = SharedSlice::new(&mut out_vec);
         let args = TileArgs {
@@ -636,8 +647,9 @@ mod tests {
             stride: shape.stride,
             tf: &tf,
             vk,
-            obase: (k0 * p + oh) * q + wv,
-            kstride: p * q,
+            obase,
+            kstride,
+            wstride,
             valid_w,
             valid_k,
         };
@@ -690,7 +702,12 @@ mod tests {
                 });
             }
         }
-        out_vec
+        match out_layout {
+            ActLayout::Nchw => out_vec,
+            ActLayout::Nhwc => (0..shape.k * p * q)
+                .map(|i| out_vec[(i % (p * q)) * shape.k + i / (p * q)])
+                .collect(),
+        }
     }
 
     #[test]
@@ -724,13 +741,18 @@ mod tests {
             let filter =
                 fill::random_filter(Filter::for_shape(&shape, FilterLayout::Kcrs), seed ^ 1);
             let oh = 1;
-            let run = |kernel, source, via| {
-                run_with_source(kernel, &input, &filter, &shape, vk, valid_w, oh, 0, source, via)
+            let run = |kernel, source, via, out_layout| {
+                let (vw, oh, wv) = (valid_w, oh, 0);
+                run_with_source(
+                    kernel, &input, &filter, &shape, vk, vw, oh, wv, source, via, out_layout,
+                )
             };
             // The dynamic kernel on the baseline entry, checked against the
-            // scalar reference, is what every entry and source must match.
+            // scalar reference, is what every entry, source and output
+            // addressing (`NCHW`'s `(kstride, wstride) = (P·Q, 1)`, `NHWC`'s
+            // `(1, K)`) must match.
             let baseline = Kernel::supported().next().expect("the baseline runs");
-            let want = run(baseline, Source::Packed, Via::Dyn);
+            let want = run(baseline, Source::Packed, Via::Dyn, ActLayout::Nchw);
             let expect =
                 reference_tile(&input, &filter, &shape, 0, 0, oh, 0, valid_w, vk, 0, shape.c);
             let (p, q) = (shape.p(), shape.q());
@@ -742,8 +764,13 @@ mod tests {
             }
             for kernel in Kernel::supported() {
                 for source in [Source::Packed, Source::Gather, Source::Strided] {
-                    let what = format!("case {i} ({valid_w}, {vk}) {source:?}, {}", kernel.name());
-                    assert_eq!(run(kernel, source, via), want, "{what}");
+                    for out_layout in [ActLayout::Nchw, ActLayout::Nhwc] {
+                        let what = format!(
+                            "case {i} ({valid_w}, {vk}) {source:?} into {out_layout:?}, {}",
+                            kernel.name()
+                        );
+                        assert_eq!(run(kernel, source, via, out_layout), want, "{what}");
+                    }
                 }
             }
         }
@@ -772,8 +799,10 @@ mod tests {
                 fill::random_filter(Filter::for_shape(&shape, FilterLayout::Kcrs), seed ^ 1);
             let run = |kernel, strided| {
                 let source = if strided { Source::Strided } else { Source::Packed };
-                let via = Via::Tile;
-                run_with_source(kernel, &input, &filter, &shape, vk, valid_w, oh, wv, source, via)
+                let (via, out) = (Via::Tile, ActLayout::Nchw);
+                run_with_source(
+                    kernel, &input, &filter, &shape, vk, valid_w, oh, wv, source, via, out,
+                )
             };
             let packed = run(Kernel::supported().next().expect("the baseline runs"), false);
             // Both sources under every registry entry, bitwise.

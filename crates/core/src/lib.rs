@@ -84,7 +84,6 @@ pub use quantize::{conv_quantized, try_conv_quantized, QuantParams};
 pub use sparse::{conv_ndirect_pruned, prune_channels, try_conv_ndirect_pruned, ChannelMask};
 pub use nhwc::{
     conv_ndirect_nhwc, conv_ndirect_nhwc_with, try_conv_ndirect_nhwc, try_conv_ndirect_nhwc_with,
-    TransformedFilterNhwc,
 };
 pub use filter::{transform_filter, transform_filter_block, TransformedFilter};
 pub use plan::{ConvPlan, DepthwisePlan};

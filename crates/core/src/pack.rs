@@ -37,14 +37,12 @@ impl StripGeom {
     }
 }
 
-/// Copies `dst.len()/elem` logical columns starting at signed column
-/// `iw0` from `row` (a `w`-column source with `elem` floats per column)
-/// into `dst`, zero-filling columns outside `[0, w)` — the shared
-/// clipped-copy every gather in the workspace is built on (`elem = 1` for
-/// `NCHW` rows, `elem = C` for `NHWC` pixel slabs).
+/// Copies `dst.len()` columns starting at signed column `iw0` from `row`
+/// (a `w`-column source) into `dst`, zero-filling columns outside `[0, w)`
+/// — the shared clipped-copy every row gather in the workspace is built on.
 #[inline]
-pub fn fill_row_clipped(row: &[f32], iw0: isize, w: usize, elem: usize, dst: &mut [f32]) {
-    let win = dst.len() / elem;
+pub fn fill_row_clipped(row: &[f32], iw0: isize, w: usize, dst: &mut [f32]) {
+    let win = dst.len();
     // Columns [lo, hi) of dst are in-bounds.
     let lo = (-iw0).max(0) as usize;
     let hi = ((w as isize - iw0).max(0) as usize).min(win);
@@ -52,10 +50,10 @@ pub fn fill_row_clipped(row: &[f32], iw0: isize, w: usize, elem: usize, dst: &mu
         dst.fill(0.0);
         return;
     }
-    dst[..lo * elem].fill(0.0);
-    let src0 = (iw0 + lo as isize) as usize * elem;
-    dst[lo * elem..hi * elem].copy_from_slice(&row[src0..src0 + (hi - lo) * elem]);
-    dst[hi * elem..].fill(0.0);
+    dst[..lo].fill(0.0);
+    let src0 = (iw0 + lo as isize) as usize;
+    dst[lo..hi].copy_from_slice(&row[src0..src0 + (hi - lo)]);
+    dst[hi..].fill(0.0);
 }
 
 /// Copies one `(c, r)` input row into `dst[0..win]`, zero-filling where the
@@ -79,7 +77,7 @@ pub fn gather_row(
         return;
     }
     let row0 = c * h * w + ih as usize * w;
-    fill_row_clipped(&image[row0..row0 + w], iw0, w, 1, dst);
+    fill_row_clipped(&image[row0..row0 + w], iw0, w, dst);
 }
 
 /// Packs a whole strip (`tcb` channels × `R` rows) into `buf` — the
@@ -104,6 +102,44 @@ pub fn pack_strip(
         for rr in 0..r {
             let dst = &mut buf[(c * r + rr) * geom.win..(c * r + rr + 1) * geom.win];
             gather_row(image, ct + c, geom.ih0 + rr as isize, geom.iw0, h, w, dst);
+        }
+    }
+}
+
+/// Packs an `NHWC` strip into the same `[c][r][win]` buffer as
+/// [`pack_strip`], so the kernels read both layouts alike — the one pass
+/// every `NHWC` strip takes (its plans run [`crate::PackingMode::Sequential`]).
+/// `image` is one image's `HWC` data.
+pub fn pack_strip_nhwc(
+    image: &[f32],
+    shape: &ndirect_tensor::ConvShape,
+    ct: usize,
+    tcb: usize,
+    geom: StripGeom,
+    buf: &mut [f32],
+) {
+    let (r, h, w, c, win) = (shape.r, shape.h, shape.w, shape.c, geom.win);
+    // AUDIT: allow(hotpath-no-panic) O(1) guard protecting the unchecked
+    // packing loop below; a failure is a planner sizing bug.
+    assert!(buf.len() >= tcb * r * win, "packing buffer too small");
+    // Columns [lo, hi) of the window are in the image.
+    let lo = ((-geom.iw0).max(0) as usize).min(win);
+    let hi = ((w as isize - geom.iw0).max(0) as usize).min(win);
+    for cc in 0..tcb {
+        for rr in 0..r {
+            let dst = &mut buf[(cc * r + rr) * win..(cc * r + rr + 1) * win];
+            let ih = geom.ih0 + rr as isize;
+            if ih < 0 || ih as usize >= h || lo == hi {
+                dst.fill(0.0);
+                continue;
+            }
+            dst[..lo].fill(0.0);
+            dst[hi..].fill(0.0);
+            // Channel `ct + cc` of the row's pixels, `C` apart.
+            let first = (ih as usize * w + (geom.iw0 + lo as isize) as usize) * c + ct + cc;
+            for (d, &x) in dst[lo..hi].iter_mut().zip(image[first..].iter().step_by(c)) {
+                *d = x;
+            }
         }
     }
 }
@@ -239,6 +275,24 @@ mod tests {
                 }
                 wv += vw;
             }
+        }
+    }
+
+    #[test]
+    fn nhwc_strip_packs_like_the_nchw_strip() {
+        // Padding on both sides, stride 2, and a channel window inside C.
+        let shape = ConvShape::new(1, 5, 7, 9, 1, 3, 3, 2, Padding::same(1));
+        let mut nchw = Tensor4::zeros(1, 5, 7, 9, ActLayout::Nchw);
+        fill::fill_iota(nchw.as_mut_slice());
+        let nhwc = nchw.to_layout(ActLayout::Nhwc);
+        for (oh, wv, vw) in [(0, 0, 4), (1, 2, 3), (3, 4, 1)] {
+            let g = StripGeom::new(&shape, oh, wv, vw);
+            let (ct, tcb) = (1, 3);
+            let mut want = vec![7.0; tcb * shape.r * g.win];
+            let mut got = vec![7.0; tcb * shape.r * g.win];
+            pack_strip(nchw.as_slice(), ct, tcb, shape.r, shape.h, shape.w, g, &mut want);
+            pack_strip_nhwc(nhwc.as_slice(), &shape, ct, tcb, g, &mut got);
+            assert_eq!(got, want, "oh={oh} wv={wv} vw={vw}");
         }
     }
 

@@ -32,7 +32,10 @@
 //! [`crate::nhwc::try_conv_ndirect_nhwc_with`],
 //! [`crate::try_conv_depthwise`]) are now thin wrappers that build a
 //! throwaway borrowing plan and execute it once, so there is a single
-//! implementation of each loop nest.
+//! implementation of each loop nest. A [`ConvPlan`] runs one nest for
+//! both activation layouts: it holds one [`TransformedFilter`] form plus
+//! its [`ActLayout`], and `NHWC` differs only in how a strip is packed and
+//! where a tile scatters.
 
 use std::sync::Mutex;
 
@@ -44,9 +47,6 @@ use crate::conv::{compute_strip, try_alloc_scratch, Scratch, StripCtx};
 use crate::error::{check, Error};
 use crate::filter::{transform_filter_block, TransformedFilter};
 use crate::microkernel::Kernel;
-use crate::nhwc::{
-    pack_strip_nhwc, run_nhwc_tile, transform_filter_nhwc_block, TransformedFilterNhwc,
-};
 use crate::pack::{pack_slice_slab, StripGeom};
 use crate::schedule::{image_rows, FilterState, PackingMode, Schedule};
 
@@ -88,14 +88,6 @@ impl<P> FilterForm<'_, P> {
             FilterForm::Packed(p) => (Some(p), None),
         }
     }
-}
-
-/// Which loop nest the plan runs, carrying the filter in the only packed
-/// form that nest can read — so a layout/filter mismatch is not
-/// representable.
-enum PlanFilter<'f> {
-    Nchw(FilterForm<'f, TransformedFilter>),
-    Nhwc(FilterForm<'f, TransformedFilterNhwc>),
 }
 
 /// A small pool of pre-allocated per-thread scratch sets (one `Mutex<S>`
@@ -216,7 +208,8 @@ pub struct ConvPlan<'f> {
     sched: Schedule,
     degraded: bool,
     kernel: Kernel,
-    filter: PlanFilter<'f>,
+    layout: ActLayout,
+    filter: FilterForm<'f, TransformedFilter>,
     arena: Arena<Scratch>,
 }
 
@@ -294,8 +287,7 @@ impl<'f> ConvPlan<'f> {
     /// [`crate::nhwc::try_conv_ndirect_nhwc_with`]: borrows the filter
     /// (zero-copy for on-the-fly schedules, exactly the one-shot driver's
     /// cost model) and skips validation — the wrappers already ran their
-    /// boundary checks in the legacy order (the `NHWC` entry's do not
-    /// include an ISA probe, and this preserves that).
+    /// boundary checks, the ISA probe among them.
     pub(crate) fn try_borrowed(
         shape: &ConvShape,
         filter: &'f Filter,
@@ -309,8 +301,8 @@ impl<'f> ConvPlan<'f> {
     /// the same graceful degradation as the one-shot drivers (fall back to
     /// the minimal-tile schedule on the same grid; [`Error::ScratchAlloc`]
     /// only if even that fails), then put the filter into the form the
-    /// *final* schedule asks for — packed for `layout`'s loop nest, or
-    /// kept raw through `keep_raw` (a copy or a borrow).
+    /// *final* schedule asks for — packed once, or kept raw through
+    /// `keep_raw` (a copy or a borrow).
     fn build(
         shape: &ConvShape,
         filter: &Filter,
@@ -320,12 +312,12 @@ impl<'f> ConvPlan<'f> {
     ) -> Result<ConvPlan<'f>, Error> {
         let _build = ndirect_probe::probe_span!(PlanBuild, 0);
         let mut sched = schedule.sanitized(shape);
-        // The NHWC driver packs pixel-interleaved strips (`[r][win][Tc]`),
-        // so no contiguous per-channel slab row exists; `Sliced` coerces to
-        // Fused there, keeping `schedule()` honest about what actually runs
-        // (and the predicted == measured pack accounting exact).
-        if layout == ActLayout::Nhwc && matches!(sched.packing, PackingMode::Sliced { .. }) {
-            sched.packing = PackingMode::Fused;
+        // An `NHWC` strip is one pack pass into the `[c][r][win]` buffer,
+        // then the kernel: no fused gather or per-channel slab reads its
+        // pixel-interleaved rows. Every mode coerces to `Sequential`, so
+        // `schedule()` says what runs (and the pack accounting stays exact).
+        if layout == ActLayout::Nhwc {
+            sched.packing = PackingMode::Sequential;
         }
         let mut degraded = false;
         let first = match try_alloc_scratch(&sched, shape, sched.grid.threads()) {
@@ -352,27 +344,19 @@ impl<'f> ConvPlan<'f> {
         // changed under degradation).
         let packed = sched.filter_state == FilterState::PreTransformed;
         let _ft = ndirect_probe::probe_phase!(FilterTransform);
-        let alloc_err = |elements| Error::ScratchAlloc { elements };
-        let filter = match layout {
-            ActLayout::Nchw => PlanFilter::Nchw(if packed {
-                FilterForm::Packed(TransformedFilter::try_new(filter, sched.vk).map_err(alloc_err)?)
-            } else {
-                FilterForm::Raw(keep_raw())
-            }),
-            ActLayout::Nhwc => PlanFilter::Nhwc(if packed {
-                FilterForm::Packed(
-                    TransformedFilterNhwc::try_new(filter, sched.vk, sched.tc)
-                        .map_err(alloc_err)?,
-                )
-            } else {
-                FilterForm::Raw(keep_raw())
-            }),
+        let filter = if packed {
+            let tf = TransformedFilter::try_new(filter, sched.vk)
+                .map_err(|elements| Error::ScratchAlloc { elements })?;
+            FilterForm::Packed(tf)
+        } else {
+            FilterForm::Raw(keep_raw())
         };
         Ok(ConvPlan {
             shape: *shape,
             sched,
             degraded,
             kernel: Kernel::best(),
+            layout,
             filter,
             arena: Arena::new(first),
         })
@@ -442,16 +426,12 @@ impl<'f> ConvPlan<'f> {
         out: &mut Tensor4,
     ) -> Result<(), Error> {
         let shape = &self.shape;
-        let (layout, contexts) = match self.filter {
-            PlanFilter::Nchw(_) => {
-                (ActLayout::Nchw, ("plan executes NCHW input", "plan writes NCHW"))
-            }
-            PlanFilter::Nhwc(_) => {
-                (ActLayout::Nhwc, ("plan executes NHWC input", "plan writes NHWC"))
-            }
+        let contexts = match self.layout {
+            ActLayout::Nchw => ("plan executes NCHW input", "plan writes NCHW"),
+            ActLayout::Nhwc => ("plan executes NHWC input", "plan writes NHWC"),
         };
         let operands = Operands {
-            layout,
+            layout: self.layout,
             contexts,
             in_dims: (shape.n, shape.c, shape.h, shape.w),
             out_dims: (shape.n, shape.k, shape.p(), shape.q()),
@@ -469,22 +449,18 @@ impl<'f> ConvPlan<'f> {
                 // Disjointness for the SharedSlice writes: K ranges are
                 // disjoint across `tk` and (n, oh) row ranges across `tn`,
                 // so each output element has exactly one writer.
-                let Some(region) = self.sched.partition(shape, tid) else {
-                    return;
-                };
-                match &self.filter {
-                    PlanFilter::Nchw(f) => self.run_nchw(f, region, scratch, in_data, out_all),
-                    PlanFilter::Nhwc(f) => self.run_nhwc(f, region, scratch, in_data, out_all),
+                if let Some(region) = self.sched.partition(shape, tid) {
+                    self.run(region, scratch, in_data, out_all);
                 }
             },
         )
     }
 
     /// One thread's share of Algorithm 2's loop nest (see [`crate::conv`]
-    /// for the loop-by-loop commentary) against pre-leased scratch.
-    fn run_nchw(
+    /// for the loop-by-loop commentary) against pre-leased scratch, for
+    /// either activation layout.
+    fn run(
         &self,
-        filter: &FilterForm<'_, TransformedFilter>,
         (k_lo, k_hi, rows): (usize, usize, std::ops::Range<usize>),
         scratch: &mut Scratch,
         in_data: &[f32],
@@ -492,7 +468,7 @@ impl<'f> ConvPlan<'f> {
     ) {
         let shape = &self.shape;
         let sched = &self.sched;
-        let (pre_tf, raw_filter) = filter.split();
+        let (pre_tf, raw_filter) = self.filter.split();
         let (p, q) = (shape.p(), shape.q());
         let image_len = shape.c * shape.h * shape.w;
         let Scratch { bbuf, tfbuf } = scratch;
@@ -550,6 +526,7 @@ impl<'f> ConvPlan<'f> {
                                     compute_strip(
                                         StripCtx {
                                             kernel: self.kernel,
+                                            layout: self.layout,
                                             image,
                                             shape,
                                             sched,
@@ -586,115 +563,14 @@ impl<'f> ConvPlan<'f> {
             }
         }
     }
-
-    /// One thread's share of the native-NHWC loop nest (see
-    /// [`crate::nhwc`]) against pre-leased scratch. NHWC writes are
-    /// K-segments of pixels within the thread's own rows.
-    fn run_nhwc(
-        &self,
-        filter: &FilterForm<'_, TransformedFilterNhwc>,
-        (k_lo, k_hi, rows): (usize, usize, std::ops::Range<usize>),
-        scratch: &mut Scratch,
-        in_data: &[f32],
-        out_all: &SharedSlice<'_, f32>,
-    ) {
-        let shape = &self.shape;
-        let sched = &self.sched;
-        let (pre_tf, raw_filter) = filter.split();
-        let (p, q) = (shape.p(), shape.q());
-        let image_len = shape.h * shape.w * shape.c;
-        let kdim = shape.k;
-        let Scratch { bbuf: buf, tfbuf } = scratch;
-
-        // Loop order mirrors Algorithm 2: cache tiles outermost so
-        // each filter-block transform amortizes over every row and
-        // strip the thread owns.
-        let mut ct = 0;
-        while ct < shape.c {
-            let tcb = sched.tc.min(shape.c - ct);
-            let tf_block_len = shape.r * shape.s * tcb * sched.vk;
-            let mut kt = k_lo;
-            while kt < k_hi {
-                let tkb = sched.tk.min(k_hi - kt);
-                let kv_blocks = tkb.div_ceil(sched.vk);
-                if let Some(f) = raw_filter {
-                    let _ft = ndirect_probe::probe_phase!(FilterTransform);
-                    ndirect_probe::probe_count!(
-                        BytesTransformed,
-                        kv_blocks * tf_block_len * std::mem::size_of::<f32>()
-                    );
-                    transform_filter_nhwc_block(f, kt, tkb, ct, tcb, sched.vk, tfbuf);
-                }
-                for row in rows.start..rows.end {
-                    let n = row / p;
-                    let oh = row % p;
-                    let image = &in_data[n * image_len..(n + 1) * image_len];
-                    let ih0 = (oh * shape.stride) as isize - shape.pad.h as isize;
-                    let mut wv = 0;
-                    while wv < q {
-                        let valid_w = sched.vw.min(q - wv);
-                        let win = (valid_w - 1) * shape.stride + shape.s;
-                        let iw0 = (wv * shape.stride) as isize - shape.pad.w as isize;
-                        // Same accounting as the NCHW strip driver:
-                        // one pack of `tcb·R·WIN` floats per strip,
-                        // 2 FLOPs per MAC over the tile's K coverage.
-                        if ndirect_probe::ENABLED {
-                            ndirect_probe::add(
-                                ndirect_probe::Counter::BytesPacked,
-                                (tcb * shape.r * win * std::mem::size_of::<f32>()) as u64,
-                            );
-                            ndirect_probe::add(
-                                ndirect_probe::Counter::FlopsIssued,
-                                2 * valid_w as u64
-                                    * tkb as u64
-                                    * tcb as u64
-                                    * shape.r as u64
-                                    * shape.s as u64,
-                            );
-                        }
-                        {
-                            let _pack = ndirect_probe::probe_phase!(Pack);
-                            pack_strip_nhwc(image, shape, ct, tcb, ih0, iw0, win, buf);
-                        }
-                        let _mk = ndirect_probe::probe_phase!(MicroKernel);
-                        for kv in 0..kv_blocks {
-                            let k0 = kt + kv * sched.vk;
-                            let valid_k = sched.vk.min(k_hi - k0);
-                            // Pre-transformed blocks are indexed by the
-                            // *global* kv group; K-tail lanes coincide
-                            // with the per-thread transform because
-                            // thread K ranges split at Vk granularity.
-                            let tf: &[f32] = match pre_tf {
-                                Some(full) => full.block(ct, tcb, k0 / sched.vk),
-                                None => &tfbuf[kv * tf_block_len..(kv + 1) * tf_block_len],
-                            };
-                            run_nhwc_tile(
-                                self.kernel,
-                                buf,
-                                tf,
-                                shape,
-                                tcb,
-                                win,
-                                out_all,
-                                ((n * p + oh) * q + wv) * kdim + k0,
-                                kdim,
-                                valid_w,
-                                sched.vk,
-                                valid_k,
-                            );
-                        }
-                        wv += sched.vw;
-                    }
-                }
-                kt += sched.tk;
-            }
-            ct += sched.tc;
-        }
-    }
 }
 
 /// Plan build-time filter checks (the input is checked at execute).
-fn validate_filter(shape: &ConvShape, filter: &Filter, layout: ActLayout) -> Result<(), Error> {
+pub(crate) fn validate_filter(
+    shape: &ConvShape,
+    filter: &Filter,
+    layout: ActLayout,
+) -> Result<(), Error> {
     check::isa()?;
     shape.validate()?;
     let (want, context) = match layout {
@@ -909,8 +785,8 @@ mod tests {
 
     #[test]
     fn packed_plan_matches_on_the_fly_plan_nhwc() {
-        // K=13 exercises the global-kv K-tail equivalence; tc < C the
-        // tiled NHWC pre-transform.
+        // K=13 exercises the global-kv K-tail equivalence; tc < C reads
+        // channel windows of the pre-transform.
         let shape = ConvShape::new(2, 6, 9, 13, 13, 3, 3, 2, Padding::same(1));
         let (input, filter) = problem(&shape, ActLayout::Nhwc, 47);
         let pool = StaticPool::new(2);

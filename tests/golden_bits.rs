@@ -43,7 +43,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("nchw 7x7 s2 p3", 0x4d5a_1d40_ddeb_5bb9),
     ("nchw tails n2", 0x59a1_c7f1_4c38_3221),
     ("nchw wide strip", 0x657e_9ee5_23c1_f46e),
-    ("nhwc 3x3 tails", 0xa449_e136_3318_f8cb),
+    ("nhwc 3x3 tails", 0x276e_8af5_8e43_db6d),
     ("nhwc 1x1 s2", 0x2a17_921c_eb42_3326),
     ("dw 3x3 s1", 0x2640_da13_1ae8_7986),
     ("dw 3x3 s2", 0x5eda_0150_97ae_f371),
@@ -156,6 +156,10 @@ fn nchw_bits_are_stable() {
     check_golden(GOLDEN, &actual);
 }
 
+/// Every grid × one-shot and planned (under every kernel entry) agree
+/// bitwise, and equal the `NCHW` plan's output on the same schedule,
+/// transposed: `NHWC` is a packing and addressing detail of the one loop
+/// nest, so the `NCHW` entries pin its bits too.
 #[test]
 fn nhwc_bits_are_stable() {
     let cases = [
@@ -182,7 +186,17 @@ fn nhwc_bits_are_stable() {
                 assert_eq!(planned.as_slice(), want.as_slice(), "{what}");
             }
         }
-        actual.push((name, fnv1a(reference.expect("a grid ran").as_slice())));
+        let reference = reference.expect("a grid ran");
+        let nchw = conv_ndirect_with(
+            &StaticPool::new(1),
+            &input.to_layout(ActLayout::Nchw),
+            &filter.to_layout(FilterLayout::Kcrs),
+            &shape,
+            &base,
+        );
+        let what = format!("{name}: NHWC == NCHW, transposed");
+        assert_eq!(reference.as_slice(), nchw.to_layout(ActLayout::Nhwc).as_slice(), "{what}");
+        actual.push((name, fnv1a(reference.as_slice())));
     }
     check_golden(GOLDEN, &actual);
 }

@@ -11,13 +11,16 @@ use std::sync::RwLock;
 
 use ndirect_baselines::{naive, winograd, BaselineError};
 use ndirect_core::{
-    try_conv_depthwise, try_conv_ndirect, try_conv_ndirect_with, DepthwisePlan, Error, Schedule,
+    try_conv3d_ndirect, try_conv_depthwise, try_conv_int16, try_conv_ndirect,
+    try_conv_ndirect_nhwc_with, try_conv_ndirect_with, try_conv_quantized, Conv3dShape,
+    DepthwisePlan, Error, Int16Filter, Int16Tensor, Schedule,
 };
 use ndirect_gemm::GemmError;
 use ndirect_models::{zoo, ConvLayer, Engine, Model, ModelError, NDirectBackend, Node};
 use ndirect_support::Rng64;
 use ndirect_tensor::{
-    fill, ActLayout, ConvShape, Filter, FilterLayout, Padding, ShapeError, Tensor4,
+    fill, ActLayout, ConvShape, Filter, Filter5, FilterLayout, Padding, ShapeError, Tensor4,
+    Tensor5,
 };
 use ndirect_threads::{PoolError, StaticPool};
 
@@ -468,9 +471,22 @@ fn unsupported_isa_degrades_to_typed_error() {
     // ISA check) before the engine's own depthwise dispatch runs.
     let model = dw_then_pw_model();
     let backend = NDirectBackend::host();
+    let nhwc_input = input.to_layout(ActLayout::Nhwc);
+    let krsc = filter.to_layout(FilterLayout::Krsc);
+    let shape3 = Conv3dShape {
+        n: 1, c: 2, d: 3, h: 5, w: 5, k: 4, t: 2, r: 3, s: 3,
+        stride: 1, pad_d: 0, pad_h: 1, pad_w: 1,
+    };
+    let (input3, filter3) = (Tensor5::zeros(1, 2, 3, 5, 5), Filter5::zeros(4, 2, 2, 3, 3));
+    let (qi, qf) = (Int16Tensor::zeros(1, 4, 6, 6), Int16Filter::zeros(8, 4, 3, 3));
 
     ndirect_simd::force_unsupported(true);
     let err = try_conv_ndirect(&pool, &input, &filter, &shape).expect_err("forced ISA miss");
+    let sched = Schedule::minimal(&shape);
+    let nhwc = try_conv_ndirect_nhwc_with(&pool, &nhwc_input, &krsc, &shape, &sched).map(|_| ());
+    let conv3d = try_conv3d_ndirect(&pool, &input3, &filter3, &shape3).map(|_| ());
+    let int16 = try_conv_int16(&pool, &qi, &qf, &shape).map(|_| ());
+    let quantized = try_conv_quantized(&pool, &input, &filter, &shape).map(|_| ());
     let dw = try_conv_depthwise(&pool, &dw_input, &dw_filter, &dw_shape);
     let dw_plan = DepthwisePlan::try_new(&dw_shape, &dw_filter, 1).map(|_| ());
     let engine = Engine::new(&backend, &pool);
@@ -482,6 +498,10 @@ fn unsupported_isa_degrades_to_typed_error() {
         Error::Isa(e) => assert!(e.to_string().contains("host CPU only supports"), "{e}"),
         other => panic!("expected Error::Isa, got {other}"),
     }
+    assert!(matches!(nhwc, Err(Error::Isa(_))), "{nhwc:?}");
+    assert!(matches!(conv3d, Err(Error::Isa(_))), "{conv3d:?}");
+    assert!(matches!(int16, Err(Error::Isa(_))), "{int16:?}");
+    assert!(matches!(quantized, Err(Error::Isa(_))), "{quantized:?}");
     assert!(matches!(dw, Err(Error::Isa(_))), "{dw:?}");
     assert!(matches!(dw_plan, Err(Error::Isa(_))), "{dw_plan:?}");
     assert!(matches!(plain, Err(ModelError::Conv(Error::Isa(_)))), "{plain:?}");
