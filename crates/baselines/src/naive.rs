@@ -4,6 +4,10 @@
 //! for clarity (logical indexing through accessor methods, implicit
 //! zero-padding) rather than speed, and works for any activation/filter
 //! layout combination because it never touches raw offsets.
+//!
+//! [`conv_ordered`] is its bitwise twin for nDirect: the same sum in the
+//! order and rounding an nDirect plan uses, so plans are held to it with
+//! `assert_eq!` rather than a tolerance.
 
 use ndirect_tensor::{pad::at_padded, ActLayout, ConvShape, Filter, Tensor4};
 
@@ -65,6 +69,57 @@ pub fn try_conv_ref_into(
         }
     }
     Ok(())
+}
+
+/// The order-matched oracle: the convolution an nDirect plan whose channel
+/// tile is `tc` computes, bit for bit. An f32 plan's per-output sum is
+/// fixed by its schedule, not by its ISA, because vector lanes run over
+/// output channels (or pixels), never over the reduction. So each output
+/// sums its `(c, r, s)` products in that order within each `tc`-channel
+/// group, from a zero accumulator, and the groups add into the output in
+/// order, from zero. Padding taps are products with zero, as in the packed
+/// strip. `fused` rounds each multiply-add once (`f32::mul_add`), as a
+/// kernel whose vector fuses it does; otherwise the product rounds before
+/// the add. `tc` is clamped to `[1, C]`, as the plans clamp it.
+///
+/// Panics on mismatched dimensions, like [`conv_ref`].
+pub fn conv_ordered(
+    input: &Tensor4,
+    filter: &Filter,
+    shape: &ConvShape,
+    tc: usize,
+    fused: bool,
+) -> Tensor4 {
+    validate(input, filter, shape).unwrap_or_else(|e| panic!("{e}"));
+    let tc = tc.clamp(1, shape.c);
+    let mut out = Tensor4::output_for(shape, input.layout());
+    let (ph, pw) = (shape.pad.h as isize, shape.pad.w as isize);
+    for n in 0..shape.n {
+        for k in 0..shape.k {
+            for oj in 0..shape.p() {
+                for oi in 0..shape.q() {
+                    let ij = (shape.stride * oj) as isize - ph;
+                    let ii = (shape.stride * oi) as isize - pw;
+                    let mut acc = 0.0f32;
+                    for ct in (0..shape.c).step_by(tc) {
+                        let mut group = 0.0f32;
+                        for c in ct..(ct + tc).min(shape.c) {
+                            for r in 0..shape.r {
+                                for s in 0..shape.s {
+                                    let x = at_padded(input, n, c, ij + r as isize, ii + s as isize);
+                                    let w = filter.at(k, c, r, s);
+                                    group = if fused { x.mul_add(w, group) } else { group + x * w };
+                                }
+                            }
+                        }
+                        acc += group;
+                    }
+                    *out.at_mut(n, k, oj, oi) = acc;
+                }
+            }
+        }
+    }
+    out
 }
 
 fn validate(input: &Tensor4, filter: &Filter, shape: &ConvShape) -> Result<(), BaselineError> {
@@ -177,6 +232,23 @@ mod tests {
             1e-5,
             "layout independence",
         );
+    }
+
+    #[test]
+    fn ordered_oracle_groups_and_rounds_as_asked() {
+        let shape = ConvShape::new(1, 5, 6, 6, 3, 3, 3, 1, Padding::same(1));
+        let input = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nchw), 11);
+        let filter = fill::random_filter(Filter::for_shape(&shape, FilterLayout::Kcrs), 12);
+        // One group, unfused, is the naive loop's own order.
+        let naive = conv_ref(&input, &filter, &shape);
+        assert_eq!(conv_ordered(&input, &filter, &shape, 5, false).as_slice(), naive.as_slice());
+        assert_eq!(conv_ordered(&input, &filter, &shape, 99, false).as_slice(), naive.as_slice());
+        // Grouping and fusing move bits, not values.
+        for (tc, fused) in [(2, false), (1, true), (5, true)] {
+            let got = conv_ordered(&input, &filter, &shape, tc, fused);
+            assert_ne!(got.as_slice(), naive.as_slice(), "tc {tc}, fused {fused}");
+            ndirect_tensor::assert_close(got.as_slice(), naive.as_slice(), 1e-5, "ordered");
+        }
     }
 
     #[test]
