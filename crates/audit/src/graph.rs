@@ -478,13 +478,16 @@ fn lock_order(g: &Graph<'_>, out: &mut Vec<Violation>) {
     // manufacture phantom inversions, so ambiguous method edges and
     // self-recursion are dropped here. Reachability keeps the full
     // over-approximation — a spurious "hot" edge only widens scrutiny,
-    // while a spurious lock chain fails the build.
+    // while a spurious lock chain fails the build. Ambiguity is decided
+    // before the caller is dropped: inside one of two same-named methods,
+    // a call by that name (often a std method on a field, `self.data.len()`)
+    // must not bind to the other one.
     let lock_edges = |nid: Nid, call: &CallSite| -> Vec<Nid> {
         let mut ts = g.resolve(nid, call);
-        ts.retain(|&t| t != nid);
         if matches!(call.kind, CallKind::Method { .. }) && ts.len() > 1 {
             return Vec::new();
         }
+        ts.retain(|&t| t != nid);
         ts
     };
 
@@ -797,6 +800,53 @@ mod tests {
         let r = analyze(&[a]);
         assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
         assert_eq!(r.violations[0].rule, Rule::LockOrder);
+    }
+
+    #[test]
+    fn same_named_method_inside_its_twin_is_ambiguous_not_an_edge() {
+        // `Buf::len`'s `self.data.len()` is a `Vec` call; binding it to
+        // `Reg::len` (the one other workspace `len`) would make `clear`,
+        // which holds `b` and calls `Buf::len`, acquire `a` after `b` — a
+        // phantom inversion with `Reg::len`'s `a` then `b`. The real
+        // inversion between `p` and `q`, through a uniquely named method,
+        // must still be flagged.
+        let a = file(
+            "crates/a/src/lib.rs",
+            "use std::sync::Mutex;
+pub struct Buf { data: Vec<u32> }
+impl Buf {
+    pub fn len(&self) -> usize { self.data.len() }
+}
+pub struct Reg { a: Mutex<u32>, b: Mutex<u32>, p: Mutex<u32>, q: Mutex<u32> }
+impl Reg {
+    pub fn len(&self) -> usize {
+        let _a = self.a.lock();
+        let _b = self.b.lock();
+        0
+    }
+    pub fn clear(&self, buf: &Buf) -> usize {
+        let _b = self.b.lock();
+        Buf::len(buf)
+    }
+    pub fn fwd(&self) {
+        let _p = self.p.lock();
+        self.take_q();
+    }
+    fn take_q(&self) {
+        let _q = self.q.lock();
+    }
+    pub fn rev(&self) {
+        let _q = self.q.lock();
+        let _p = self.p.lock();
+    }
+}
+",
+        );
+        let r = analyze(&[a]);
+        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
+        assert_eq!(r.violations[0].rule, Rule::LockOrder);
+        let msg = &r.violations[0].msg;
+        assert!(msg.contains("`p`") && msg.contains("`q`"), "{msg}");
     }
 
     #[test]

@@ -56,7 +56,8 @@ impl Conv3dShape {
     /// [`crate::Schedule::derive`]'s Eq. 3–4 pick for an `S`-wide filter,
     /// through [`crate::Schedule::sanitized`]'s clamp.
     pub fn register_tile(&self, platform: &ndirect_platform::Platform) -> (usize, usize) {
-        crate::kernel::clamp_tile(crate::model::register_tile::optimal_tile(&platform.simd, self.s))
+        let rdim = self.t * self.r;
+        crate::kernel::clamp_tile(crate::model::register_tile::tile_for(platform, rdim, self.s))
     }
 
     /// Output depth.

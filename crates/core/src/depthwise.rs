@@ -28,7 +28,7 @@
 
 use std::ops::Range;
 
-use ndirect_simd::{F32x4, SimdVec, LANES};
+use ndirect_simd::{F32x4, SimdVec};
 use ndirect_tensor::{ActLayout, ConvShape, Filter, Tensor4};
 use ndirect_threads::StaticPool;
 
@@ -77,6 +77,8 @@ pub fn try_conv_depthwise(
 
 /// Accumulator vectors per chunk of an output row: the register tile.
 const CHUNK: usize = 8;
+/// Output pixels per accumulator vector.
+const LANES: usize = F32x4::LANES;
 
 /// Floats in one stride phase of a padded input row: the output row
 /// rounded up to whole vectors, plus the `(S−1)/stride` columns the last
@@ -229,7 +231,9 @@ fn chunk<const V: usize>(rows: &[f32], lay: Layout, taps: &[f32], ow: usize, out
         if n == LANES {
             a.store(&mut out[at..]);
         } else {
-            out[at..at + n].copy_from_slice(&a.to_array()[..n]);
+            let mut lanes = [0.0; LANES];
+            a.store(&mut lanes);
+            out[at..at + n].copy_from_slice(&lanes[..n]);
         }
     }
 }

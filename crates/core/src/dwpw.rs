@@ -67,7 +67,7 @@ impl DwPwSchedule {
     /// [`crate::kernel::Body::Pointwise`] tile), through
     /// [`DwPwSchedule::sanitized`].
     pub fn derive(platform: &Platform, dw_shape: &ConvShape) -> DwPwSchedule {
-        let (vw, vk) = model::register_tile::optimal_tile(&platform.simd, 1);
+        let (vw, vk) = model::register_tile::tile_for(platform, 1, 1);
         let slice_rows = model::slicing::fused_slab_rows(platform, dw_shape);
         DwPwSchedule { slice_rows, vw, vk }.sanitized(dw_shape)
     }

@@ -9,28 +9,39 @@
 //!   layout (`[c][r][s][Vk]`), the streaming operand;
 //! * the **input** is read as broadcast scalars from the packed strip
 //!   buffer `B` (lane-indexed registers in the paper; `splat` here, which
-//!   LLVM lowers to `ld1r`/lane-`fmla` on NEON and, under the `avx2`
+//!   LLVM lowers to `ld1r`/lane-`fmla` on NEON and, under the `avx2+fma`
 //!   registry entry, to a load-port `vbroadcastss`) — the outer-product
 //!   update that gives direct convolution a higher FAI than a GEMM-shaped
 //!   inner product;
-//! * the **output** tile lives entirely in `Vw · Vk/4` accumulator
+//! * the **output** tile lives entirely in `Vw · Vk/L` accumulator
 //!   registers until the final read-add-write scatter into `NCHW`.
+//!
+//! The kernels are generic over the vector ([`SimdVec`]): `L` is its lane
+//! count, 4 or (the general body under `avx2+fma`) 8. Every output sums
+//! its `(c, r, s)` products in that order from a zero accumulator, at any
+//! `L`, so a kernel's bits depend only on whether its vector fuses the
+//! multiply-add.
 //!
 //! [`RowSource::Gather`] fuses §5.3's packing into the first `kv`
 //! iteration: each `(c, r)` input row is gathered into `B` immediately
 //! before its FMA burst, so the buffer stores overlap with computation
 //! exactly as the paper interleaves `st` with `fma`.
 
-use ndirect_simd::{F32x4, SimdVec};
+#[cfg(target_arch = "x86_64")]
+use ndirect_simd::F32x8;
+use ndirect_simd::{backend_name, F32x4, SimdVec};
 use ndirect_threads::SharedSlice;
 
-use crate::microkernel::Kernel;
+use crate::microkernel::{micro_kernel, Entry, EntryFn, Kernel, MicroKernel};
 use crate::pack::gather_row;
 
 /// Upper bound on `Vw` the dynamic kernel supports.
 pub const VW_MAX: usize = 32;
-/// Upper bound on `Vk/4` the dynamic kernel supports.
+/// Upper bound on `Vk/4` the dynamic kernel supports (its vectors per tap
+/// at 4 lanes; at 8 it runs half as many).
 pub const VKV_MAX: usize = 8;
+/// Room for the lanes of the widest vector a kernel runs on.
+const MAX_LANES: usize = 8;
 
 /// Where the micro-kernel gets its input rows: the packed buffer (later
 /// `kv` iterations) or a gather that fills the buffer as it goes (first
@@ -214,15 +225,44 @@ pub struct Tile {
     pub body: Body,
 }
 
-/// The x86-64 tile table (and that of every target but AArch64): what
-/// Eqs. 3–4 derive for 16 registers without lane FMA, `(4, 8)` for
-/// `S ≥ 2` and `(4, 12)` for 1×1. Each line is a tile and the widths
-/// stamped for it, the `Q`-tails `1..=Vw` at the same `Vk`.
+// The registry's entries (`crate::microkernel`), each with its register
+// file: the vector each body runs on, and the registers it holds. The
+// baseline's file is the one `ndirect_platform::host()` reports: NEON's 32
+// lane-FMA registers on AArch64, x86-64's 16 xmm registers elsewhere.
+micro_kernel!(
+    Baseline, backend_name(), true,
+    general: F32x4, pointwise: F32x4,
+    registers: if cfg!(target_arch = "aarch64") { 32 } else { 16 },
+    lane_fma: cfg!(target_arch = "aarch64")
+);
+// 16 ymm registers, 8-lane FMA for the general body. Offered over the SSE2
+// builds (an `sse+fma` baseline fuses its `F32x4` too); `neon`/`scalar`
+// have no use for it.
+#[cfg(target_arch = "x86_64")]
+micro_kernel!(
+    Avx2Fma,
+    "avx2+fma",
+    matches!(backend_name(), "sse" | "sse+fma")
+        && std::arch::is_x86_feature_detected!("avx2")
+        && std::arch::is_x86_feature_detected!("fma"),
+    general: F32x8, pointwise: F32x4,
+    registers: 16, lane_fma: false,
+    "avx2,fma"
+);
+
+/// The x86-64 tile table: what Eqs. 3–4 derive over each registry
+/// entry's register file (16 registers, 2 broadcasts held, a product
+/// temporary when unfused). `(4, 8)` for both bodies on the 4-lane
+/// unfused `sse` code, `(4, 16)` for the general body on `avx2+fma`'s
+/// fused 8 lanes, whose pointwise body is the `sse` code. Each line is a
+/// body, its tile, the entries that stamp it, and the widths stamped for
+/// it, the `Q`-tails `1..=Vw` at the same `Vk`.
 macro_rules! x86_64_tiles {
     ($stamp:ident) => {
         $stamp! {
-            general (4, 8): 1 2 3 4;
-            pointwise (4, 12): 1 2 3 4;
+            general (4, 8) [Baseline]: 1 2 3 4;
+            pointwise (4, 8) [Baseline Avx2Fma]: 1 2 3 4;
+            general (4, 16) [Avx2Fma]: 1 2 3 4;
         }
     };
 }
@@ -232,18 +272,32 @@ macro_rules! x86_64_tiles {
 macro_rules! aarch64_tiles {
     ($stamp:ident) => {
         $stamp! {
-            pointwise (8, 12): 1 2 3 4 5 6 7 8;
-            general (12, 8): 1 2 3 4 5 6 7 8 9 10 11 12;
-            general (24, 4): 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24;
-            general (20, 4): ;
+            pointwise (8, 12) [Baseline]: 1 2 3 4 5 6 7 8;
+            general (12, 8) [Baseline]: 1 2 3 4 5 6 7 8 9 10 11 12;
+            general (24, 4) [Baseline]: 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24;
+            general (20, 4) [Baseline]: ;
         }
     };
 }
 
-#[cfg(not(target_arch = "aarch64"))]
+/// Every other target's table: the x86-64 baseline lines, the only entry
+/// there being the baseline.
+#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+macro_rules! baseline_tiles {
+    ($stamp:ident) => {
+        $stamp! {
+            general (4, 8) [Baseline]: 1 2 3 4;
+            pointwise (4, 8) [Baseline]: 1 2 3 4;
+        }
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
 pub(crate) use x86_64_tiles as arch_tiles;
 #[cfg(target_arch = "aarch64")]
 pub(crate) use aarch64_tiles as arch_tiles;
+#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+pub(crate) use baseline_tiles as arch_tiles;
 
 /// A table line's body as a [`Body`].
 macro_rules! body {
@@ -253,7 +307,7 @@ macro_rules! body {
 
 /// A table as a `&[Tile]`.
 macro_rules! tile_list {
-    ($($body:ident ($vw:literal, $vk:literal): $($w:literal)*;)+) => {
+    ($($body:ident ($vw:literal, $vk:literal) $entries:tt: $($w:literal)*;)+) => {
         &[$(Tile { vw: $vw, vk: $vk, body: body!($body) }),+]
     };
 }
@@ -262,13 +316,29 @@ macro_rules! tile_list {
 pub const X86_64_TILES: &[Tile] = x86_64_tiles!(tile_list);
 /// The AArch64 tiles, as data on every target.
 pub const AARCH64_TILES: &[Tile] = aarch64_tiles!(tile_list);
-/// The tiles this build monomorphises. Every other `(Vw, Vk)` runs on
-/// the dynamic kernel, at the same bits.
+/// The tiles this build monomorphises, for some registry entry. Every
+/// other `(Vw, Vk)`, and a tile under an entry its line does not name,
+/// runs on the dynamic kernel.
 pub const TILES: &[Tile] = arch_tiles!(tile_list);
 
-/// The declared `(Vw, Vk)` pairs that serve an `R × S` filter.
+/// The entries that stamp each line of [`TILES`], in order.
+macro_rules! entry_list {
+    ($($body:ident ($vw:literal, $vk:literal) [$($entry:ident)+]: $($w:literal)*;)+) => {
+        &[$(&[$(Entry::$entry),+]),+]
+    };
+}
+
+const TILE_ENTRIES: &[&[Entry]] = arch_tiles!(entry_list);
+
+/// The declared `(Vw, Vk)` pairs that the plans' entry ([`Kernel::best`])
+/// has stamped kernels for, serving an `R × S` filter.
 pub fn tiles_for(rdim: usize, sdim: usize) -> impl Iterator<Item = (usize, usize)> {
-    TILES.iter().filter(move |t| t.body == Body::of(rdim, sdim)).map(|t| (t.vw, t.vk))
+    let best = Kernel::best();
+    TILES
+        .iter()
+        .zip(TILE_ENTRIES)
+        .filter(move |(t, entries)| t.body == Body::of(rdim, sdim) && best.is_one_of(entries))
+        .map(|(t, _)| (t.vw, t.vk))
 }
 
 /// Clamps a register tile into the dynamic kernel's bounds (`VW_MAX`,
@@ -278,17 +348,35 @@ pub fn clamp_tile((vw, vk): (usize, usize)) -> (usize, usize) {
     (vw.clamp(1, VW_MAX), (vk.max(4) / 4 * 4).min(4 * VKV_MAX))
 }
 
+/// The vector an entry runs a table line's body on.
+macro_rules! vector {
+    (general, $entry:ident) => { <$entry as MicroKernel>::General };
+    (pointwise, $entry:ident) => { <$entry as MicroKernel>::Pointwise };
+}
+
+/// Runs a line's stamped kernel under whichever of the line's entries
+/// `$kernel` is, each instantiated for that entry alone; `false` when it
+/// is none of them.
+macro_rules! run_as {
+    ($kernel:ident, [$($entry:ident)+], $body:ident, $w:literal, $vk:literal, $s:literal, $rows:ident, $args:ident, $out:ident) => {
+        false $(|| $kernel.run_as::<$entry>(#[inline(always)] || {
+            const VKV: usize = $vk / <vector!($body, $entry) as SimdVec>::LANES;
+            $body::<vector!($body, $entry), $w, VKV, $s>($rows, $args, $out)
+        }))+
+    };
+}
+
 /// Stamps [`run_tile`]'s dispatch from a table: each line's widths at its
-/// `Vk`, strides 1 and 2, its body only.
+/// `Vk`, strides 1 and 2, its body only, under each entry it names.
 ///
-/// Each arm is one out-of-line frame per registry entry. With the entry's
-/// frame around all of [`run_tile`] instead, or around a plan's whole loop
-/// nest, `avx2` measured 0.96–1.09× of `sse`; here 3×3 stride-1 layers
-/// run 1.38–1.44× faster.
+/// Each arm is one out-of-line frame per entry. With the entry's frame
+/// around all of [`run_tile`] instead, or around a plan's whole loop nest,
+/// AVX2 encoding of the 4-lane code measured 0.96–1.09× of `sse`; here
+/// 3×3 stride-1 layers ran 1.38–1.44× faster.
 macro_rules! stamp_run_tile {
-    ($($body:ident ($vw:literal, $vk:literal): $($w:literal)*;)+) => {
-        /// Runs the stamped kernel for the tile's body, `Vk`, live width
-        /// and stride; `false` when there is none.
+    ($($body:ident ($vw:literal, $vk:literal) $entries:tt: $($w:literal)*;)+) => {
+        /// Runs the stamped kernel for the kernel's entry and the tile's
+        /// body, `Vk`, live width and stride; `false` when there is none.
         #[inline(always)]
         fn run_stamped(
             kernel: Kernel,
@@ -298,16 +386,15 @@ macro_rules! stamp_run_tile {
         ) -> bool {
             match (Body::of(args.rdim, args.sdim), args.vk, args.valid_w, args.stride) {
                 $($(
-                    (body!($body), $vk, $w, 1) => kernel.run(#[inline(always)] || {
-                        $body::<$w, { $vk / 4 }, 1>(rows, args, out)
-                    }),
-                    (body!($body), $vk, $w, 2) => kernel.run(#[inline(always)] || {
-                        $body::<$w, { $vk / 4 }, 2>(rows, args, out)
-                    }),
+                    (body!($body), $vk, $w, 1) => {
+                        run_as!(kernel, $entries, $body, $w, $vk, 1, rows, args, out)
+                    }
+                    (body!($body), $vk, $w, 2) => {
+                        run_as!(kernel, $entries, $body, $w, $vk, 2, rows, args, out)
+                    }
                 )*)+
-                _ => return false,
+                _ => false,
             }
-            true
         }
     };
 }
@@ -315,8 +402,9 @@ macro_rules! stamp_run_tile {
 arch_tiles!(stamp_run_tile);
 
 /// Runs one tile compiled for `kernel`, the registry entry the caller's
-/// plan chose: the stamped kernel when [`TILES`] has one for its body,
-/// `Vk`, live width and stride, else the dynamic kernel.
+/// plan chose: the stamped kernel when [`TILES`] has one for the entry,
+/// body, `Vk`, live width and stride, else the dynamic kernel on the
+/// entry's vector for the body.
 ///
 /// Dispatch is on the strip's *live* width (`valid_w`), so `Q`-tail strips
 /// of a declared tile run register-resident kernels too; `K`-tails are
@@ -330,53 +418,81 @@ pub fn run_tile(
 ) {
     debug_assert!(args.tf.len() >= args.tcb * args.rdim * args.sdim * args.vk);
     if !run_stamped(kernel, rows, args, out) {
-        kernel.run(#[inline(always)] || dyn_kernel(rows, args, out));
+        kernel.visit(DynTile(rows, args, out));
     }
 }
 
-/// A stamped [`Body::General`] tile: `VW` pixels × `VKV·4` channels,
+/// [`dyn_kernel`] on the entry's vector for the tile's body, compiled for
+/// the entry: one frame per (entry, vector), so the baseline's two bodies
+/// share one.
+struct DynTile<'r, 'a, 'b, 'o>(&'r mut RowSource<'a>, &'r TileArgs<'b>, &'r SharedSlice<'o, f32>);
+
+impl EntryFn for DynTile<'_, '_, '_, '_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn call<E: MicroKernel>(self) {
+        match Body::of(self.1.rdim, self.1.sdim) {
+            Body::General => self.run::<E, E::General>(),
+            Body::Pointwise => self.run::<E, E::Pointwise>(),
+        }
+    }
+}
+
+impl DynTile<'_, '_, '_, '_> {
+    #[inline(always)]
+    fn run<E: MicroKernel, V: SimdVec>(self) {
+        let DynTile(rows, args, out) = self;
+        // SAFETY: `Kernel::visit` calls with the entry the kernel is, and a
+        // `Kernel` is only built from a supported entry.
+        unsafe { E::run(#[inline(always)] || dyn_kernel::<V>(rows, args, out)) }
+    }
+}
+
+/// A stamped [`Body::General`] tile: `VW` pixels × `VKV` vectors of `V`,
 /// accumulators pinned in registers for the whole `(c, r, s)` reduction,
 /// then the scatter. `STRIDE` is also a const so every input index is a
 /// compile-time offset.
 #[inline(always)]
-fn general<const VW: usize, const VKV: usize, const STRIDE: usize>(
+fn general<V: SimdVec, const VW: usize, const VKV: usize, const STRIDE: usize>(
     rows: &mut RowSource<'_>,
     args: &TileArgs<'_>,
     out: &SharedSlice<'_, f32>,
 ) {
-    debug_assert_eq!((args.vk, args.stride, args.valid_w), (VKV * 4, STRIDE, VW));
+    debug_assert_eq!((args.vk, args.stride, args.valid_w), (VKV * V::LANES, STRIDE, VW));
     let sdim = args.sdim;
-    let mut acc = [[F32x4::zero(); VKV]; VW];
+    let mut acc = [[V::zero(); VKV]; VW];
     rows.for_each_row(args, (VW - 1) * STRIDE + sdim, #[inline(always)] |tfr, brow| {
-        kernel_row::<VW, VKV, STRIDE>(&mut acc, brow, tfr, sdim)
+        kernel_row::<V, VW, VKV, STRIDE>(&mut acc, brow, tfr, sdim)
     });
     scatter_add(&acc, VKV, args.valid_k, out, args.obase, args.kstride, args.wstride);
 }
 
 /// A stamped [`Body::Pointwise`] tile: the `R = S = 1` case of the same
 /// walk and scatter, with those as constants. One single-tap row per
-/// channel feeds only `Vw·Vk/4` FMAs on a register tile sized to fill the
+/// channel feeds only `Vw·Vk/L` FMAs on a register tile sized to fill the
 /// file, and the runtime tap loop costs the accumulators their registers
 /// (`core.gflops_1x1` fell 29 % without this). Stamping only the body a
 /// tile serves keeps one frame per instantiation; when both bodies shared
 /// a frame, the general one lost its register allocation.
 #[inline(always)]
-fn pointwise<const VW: usize, const VKV: usize, const STRIDE: usize>(
+fn pointwise<V: SimdVec, const VW: usize, const VKV: usize, const STRIDE: usize>(
     rows: &mut RowSource<'_>,
     args: &TileArgs<'_>,
     out: &SharedSlice<'_, f32>,
 ) {
-    general::<VW, VKV, STRIDE>(rows, &TileArgs { rdim: 1, sdim: 1, vk: VKV * 4, ..*args }, out);
+    let args = &TileArgs { rdim: 1, sdim: 1, vk: VKV * V::LANES, ..*args };
+    general::<V, VW, VKV, STRIDE>(rows, args, out);
 }
 
 /// The read-add-write scatter every f32 kernel ends with: accumulator
-/// `acc[wi]` vector `j` lane `l` is output channel `j·4 + l` of pixel `wi`,
+/// `acc[wi]` vector `j` lane `l` is output channel `j·L + l` of pixel `wi`,
 /// at `obase + channel·kstride + wi·wstride` (`NCHW`: pixels contiguous
 /// along `Q`, channels `P·Q` apart; `NHWC`: the transpose). `valid_k` masks
 /// the zero-padded filter lanes of a `K`-tail block.
 #[inline(always)]
-fn scatter_add<const J: usize>(
-    acc: &[[F32x4; J]],
+fn scatter_add<V: SimdVec, const J: usize>(
+    acc: &[[V; J]],
     vkv: usize,
     valid_k: usize,
     out: &SharedSlice<'_, f32>,
@@ -384,10 +500,12 @@ fn scatter_add<const J: usize>(
     kstride: usize,
     wstride: usize,
 ) {
+    let mut lanes = [0.0; MAX_LANES];
     for (wi, accw) in acc.iter().enumerate() {
         for (j, v) in accw.iter().enumerate().take(vkv) {
-            for (l, &x) in v.to_array().iter().enumerate() {
-                let k_local = j * 4 + l;
+            v.store(&mut lanes);
+            for (l, &x) in lanes.iter().take(V::LANES).enumerate() {
+                let k_local = j * V::LANES + l;
                 if k_local < valid_k {
                     // SAFETY: the driver's thread grid gives this tile's
                     // (K-range × output-row) region a single writer.
@@ -402,24 +520,25 @@ fn scatter_add<const J: usize>(
 /// of broadcast FMAs. `STRIDE` being const makes every input offset a
 /// compile-time constant.
 #[inline(always)]
-fn kernel_row<const VW: usize, const VKV: usize, const STRIDE: usize>(
-    acc: &mut [[F32x4; VKV]; VW],
+fn kernel_row<V: SimdVec, const VW: usize, const VKV: usize, const STRIDE: usize>(
+    acc: &mut [[V; VKV]; VW],
     brow: &[f32],
     tfr: &[f32],
     sdim: usize,
 ) {
-    let vk = VKV * 4;
-    for ss in 0..sdim {
-        let frow = &tfr[ss * vk..(ss + 1) * vk];
-        let mut fv = [F32x4::zero(); VKV];
+    let span = (VW - 1) * STRIDE + 1;
+    debug_assert!(tfr.len() >= sdim * VKV * V::LANES && brow.len() + 1 >= span + sdim);
+    // Tap `ss` reads filter row `ss` and the `span` inputs from `ss` on:
+    // slices whose lengths the optimizer can see, so the constant-offset
+    // reads below are check-free and no bounds check (a panic exit that
+    // keeps the accumulators in memory) is left in the loop.
+    for (frow, seg) in tfr.chunks_exact(VKV * V::LANES).zip(brow.windows(span)).take(sdim) {
+        let mut fv = [V::zero(); VKV];
         for (j, v) in fv.iter_mut().enumerate() {
-            *v = F32x4::load(&frow[j * 4..]);
+            *v = V::load(&frow[j * V::LANES..]);
         }
-        // One slice whose length the optimizer can see, so the constant-
-        // offset reads below are check-free.
-        let seg = &brow[ss..ss + (VW - 1) * STRIDE + 1];
         for wi in 0..VW {
-            let x = F32x4::splat(seg[wi * STRIDE]);
+            let x = V::splat(seg[wi * STRIDE]);
             for j in 0..VKV {
                 acc[wi][j] = acc[wi][j].fma(fv[j], x);
             }
@@ -431,24 +550,28 @@ fn kernel_row<const VW: usize, const VKV: usize, const STRIDE: usize>(
 /// tile outside [`TILES`] (presets run on another host,
 /// [`crate::Schedule::minimal`], tuned schedules off the table).
 /// Accumulators may spill. Tap order `(ss, wi, j)` matches
-/// [`kernel_row`], so it gives the stamped kernels' bits.
+/// [`kernel_row`], so it gives the stamped kernels' bits for the same
+/// `V`. `Vk` need not be a multiple of `V`'s lanes: the last vector of a
+/// tap loads the row's remaining channels and zeros past them, which
+/// [`scatter_add`] masks like a `K`-tail.
 #[inline(always)]
-fn dyn_kernel(rows: &mut RowSource<'_>, args: &TileArgs<'_>, out: &SharedSlice<'_, f32>) {
+fn dyn_kernel<V: SimdVec>(rows: &mut RowSource<'_>, args: &TileArgs<'_>, out: &SharedSlice<'_, f32>) {
     let vk = args.vk;
-    let vkv = vk / 4;
+    let vkv = vk.div_ceil(V::LANES);
     // AUDIT: allow(hotpath-no-panic) O(1) tile-entry guard sizing the
     // fixed accumulator array; every `acc` subscript below relies on it.
     assert!(args.valid_w <= VW_MAX && vkv <= VKV_MAX, "tile exceeds dyn kernel bounds");
     let (sdim, stride, valid_w) = (args.sdim, args.stride, args.valid_w);
-    let mut acc = [[F32x4::zero(); VKV_MAX]; VW_MAX];
+    let mut acc = [[V::zero(); VKV_MAX]; VW_MAX];
     rows.for_each_row(args, (valid_w - 1) * stride + sdim, #[inline(always)] |tfr, brow| {
         for ss in 0..sdim {
+            let frow = &tfr[ss * vk..(ss + 1) * vk];
             for (wi, accw) in acc.iter_mut().enumerate().take(valid_w) {
                 // INDEX: wi·stride + ss < win ≤ brow.len(), the window the
                 // walk was asked for.
-                let x = F32x4::splat(brow[wi * stride + ss]);
+                let x = V::splat(brow[wi * stride + ss]);
                 for (j, a) in accw.iter_mut().enumerate().take(vkv) {
-                    *a = a.fma(F32x4::load(&tfr[ss * vk + j * 4..]), x);
+                    *a = a.fma(load_padded(&frow[j * V::LANES..]), x);
                 }
             }
         }
@@ -456,49 +579,55 @@ fn dyn_kernel(rows: &mut RowSource<'_>, args: &TileArgs<'_>, out: &SharedSlice<'
     scatter_add(&acc[..valid_w], vkv, args.valid_k, out, args.obase, args.kstride, args.wstride);
 }
 
+/// `V::load` of `src`, zero-filled past its end when it is shorter than a
+/// vector.
+#[inline(always)]
+fn load_padded<V: SimdVec>(src: &[f32]) -> V {
+    if src.len() >= V::LANES {
+        V::load(src)
+    } else {
+        let mut lanes = [0.0; MAX_LANES];
+        lanes[..src.len()].copy_from_slice(src);
+        V::load(&lanes)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::filter::transform_filter_block;
     use crate::pack::{pack_strip, StripGeom};
+    use ndirect_baselines::naive::conv_ordered;
     use ndirect_tensor::{fill, ActLayout, ConvShape, Filter, FilterLayout, Padding, Tensor4};
 
-    /// Scalar reference for one tile.
+    /// The order-matched oracle's output plane (`NCHW`) under `kernel`'s
+    /// rounding of the shape's body. A tile covers every channel, so the
+    /// oracle's channel tile is `C`.
+    fn oracle(input: &Tensor4, filter: &Filter, shape: &ConvShape, kernel: Kernel) -> Vec<f32> {
+        let fused = kernel.fused(Body::of(shape.r, shape.s));
+        conv_ordered(input, filter, shape, shape.c, fused).as_slice().to_vec()
+    }
+
+    /// Asserts that the tile at output row `oh`, pixels `wv..wv + valid_w`,
+    /// channels `0..valid_k`, of the `NCHW` plane `got` equals `want`'s.
     #[allow(clippy::too_many_arguments)]
-    fn reference_tile(
-        input: &Tensor4,
-        filter: &Filter,
+    fn assert_tile_eq(
+        got: &[f32],
+        want: &[f32],
         shape: &ConvShape,
-        n: usize,
-        k0: usize,
         oh: usize,
         wv: usize,
         valid_w: usize,
         valid_k: usize,
-        ct: usize,
-        tcb: usize,
-    ) -> Vec<f32> {
-        let mut tile = vec![0.0; valid_k * valid_w];
+        what: &str,
+    ) {
+        let (p, q) = (shape.p(), shape.q());
         for kk in 0..valid_k {
-            for wi in 0..valid_w {
-                let mut acc = 0.0;
-                for c in ct..ct + tcb {
-                    for rr in 0..shape.r {
-                        for ss in 0..shape.s {
-                            let ih = (oh * shape.stride) as isize - shape.pad.h as isize
-                                + rr as isize;
-                            let iw = ((wv + wi) * shape.stride) as isize
-                                - shape.pad.w as isize
-                                + ss as isize;
-                            let x = ndirect_tensor::pad::at_padded(input, n, c, ih, iw);
-                            acc += x * filter.at(k0 + kk, c, rr, ss);
-                        }
-                    }
-                }
-                tile[kk * valid_w + wi] = acc;
+            for wi in wv..wv + valid_w {
+                let at = (kk * p + oh) * q + wi;
+                assert_eq!(got[at].to_bits(), want[at].to_bits(), "{what}: k={kk} w={wi}");
             }
         }
-        tile
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -512,7 +641,7 @@ mod tests {
     ) {
         let input = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nchw), 17);
         let filter = fill::random_filter(Filter::for_shape(&shape, FilterLayout::Kcrs), 17);
-        let (n, k0, oh, wv, ct) = (0, 0, 0, 0, 0);
+        let (k0, oh, wv, ct) = (0, 0, 0, 0);
         let tcb = shape.c;
 
         let mut tf = vec![0.0; valid_k.div_ceil(vk) * tcb * shape.r * shape.s * vk];
@@ -524,8 +653,8 @@ mod tests {
 
         let (p, q) = (shape.p(), shape.q());
         let valid_k = valid_k.min(vk);
-        // Every registry entry, held bitwise to the baseline (the first).
-        let mut run = |kernel| {
+        // Every registry entry, held bitwise to the oracle for its rounding.
+        for kernel in Kernel::supported() {
             let mut out_vec = vec![0.0; shape.k * p * q];
             let out = SharedSlice::new(&mut out_vec);
             let args = TileArgs {
@@ -563,30 +692,12 @@ mod tests {
                 };
                 run_tile(kernel, &mut rows, &args, &out);
             }
-            out_vec
-        };
-        let outs: Vec<_> = Kernel::supported().map(|k| (k, run(k))).collect();
-        let out_vec = &outs[0].1;
-        for (kernel, got) in &outs {
-            assert_eq!(got, out_vec, "{} vs {}", kernel.name(), outs[0].0.name());
-        }
-
-        let expect = reference_tile(
-            &input, &filter, &shape, n, k0, oh, wv, valid_w, valid_k, ct, tcb,
-        );
-        for kk in 0..valid_k {
-            for wi in 0..valid_w {
-                let got = out_vec[(k0 + kk) * p * q + oh * q + wv + wi];
-                let want = expect[kk * valid_w + wi];
-                assert!(
-                    (got - want).abs() <= 2e-4 * want.abs().max(1.0),
-                    "k={kk} w={wi}: {got} vs {want}"
-                );
+            let want = oracle(&input, &filter, &shape, kernel);
+            assert_tile_eq(&out_vec, &want, &shape, oh, wv, valid_w, valid_k, kernel.name());
+            // Untouched output stays zero (check one pixel outside the tile).
+            if valid_w < q {
+                assert_eq!(out_vec[oh * q + wv + valid_w], 0.0);
             }
-        }
-        // Untouched output stays zero (check one pixel outside the tile).
-        if valid_w < q {
-            assert_eq!(out_vec[oh * q + wv + valid_w], 0.0);
         }
     }
 
@@ -658,10 +769,10 @@ mod tests {
             Via::Stamped(want) => {
                 assert_eq!(run_stamped(kernel, rows, &args, &out), want, "stamped kernel?");
                 if !want {
-                    kernel.run(|| dyn_kernel(rows, &args, &out));
+                    kernel.visit(DynTile(rows, &args, &out));
                 }
             }
-            Via::Dyn => kernel.run(|| dyn_kernel(rows, &args, &out)),
+            Via::Dyn => kernel.visit(DynTile(rows, &args, &out)),
         };
         let image = input.as_slice();
         let mut buf = vec![0.0; tcb * shape.r * geom.win];
@@ -712,10 +823,12 @@ mod tests {
 
     #[test]
     fn declared_tiles_match_dyn_kernel_bitwise() {
-        // (shape, vk, valid_w, stamped): every declared tile at each stride
-        // and tail width, then a Vk = 16 tile no table declares.
+        // (shape, vk, valid_w, entries that stamp it): every declared tile
+        // at each stride and tail width, then tiles no table declares: a
+        // (6, 16), and Vk = 4 and 12, which an 8-lane dynamic kernel runs
+        // with a partial last vector.
         let mut cases = Vec::new();
-        for tile in TILES {
+        for (tile, entries) in TILES.iter().zip(TILE_ENTRIES) {
             for stride in [1, 2] {
                 let shape = match tile.body {
                     Body::General => {
@@ -728,14 +841,16 @@ mod tests {
                     }
                 };
                 for valid_w in 1..=tile.vw {
-                    cases.push((shape, tile.vk, valid_w, true));
+                    cases.push((shape, tile.vk, valid_w, *entries));
                 }
             }
         }
-        let off_table = ConvShape::new(1, 2, 6, 12, 16, 3, 3, 1, Padding::same(1));
-        cases.push((off_table, 16, 6, false));
-        for (i, (shape, vk, valid_w, want_stamped)) in cases.into_iter().enumerate() {
-            let via = Via::Stamped(want_stamped);
+        let none: &[Entry] = &[];
+        for (k, vk, valid_w) in [(16, 16, 6), (4, 4, 3), (12, 12, 2)] {
+            let off_table = ConvShape::new(1, 2, 6, 12, k, 3, 3, 1, Padding::same(1));
+            cases.push((off_table, vk, valid_w, none));
+        }
+        for (i, (shape, vk, valid_w, entries)) in cases.into_iter().enumerate() {
             let seed = 41 + i as u64;
             let input = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nchw), seed);
             let filter =
@@ -747,28 +862,19 @@ mod tests {
                     kernel, &input, &filter, &shape, vk, vw, oh, wv, source, via, out_layout,
                 )
             };
-            // The dynamic kernel on the baseline entry, checked against the
-            // scalar reference, is what every entry, source and output
-            // addressing (`NCHW`'s `(kstride, wstride) = (P·Q, 1)`, `NHWC`'s
-            // `(1, K)`) must match.
-            let baseline = Kernel::supported().next().expect("the baseline runs");
-            let want = run(baseline, Source::Packed, Via::Dyn, ActLayout::Nchw);
-            let expect =
-                reference_tile(&input, &filter, &shape, 0, 0, oh, 0, valid_w, vk, 0, shape.c);
-            let (p, q) = (shape.p(), shape.q());
-            for kk in 0..vk.min(shape.k) {
-                for wi in 0..valid_w {
-                    let (got, exp) = (want[(kk * p + oh) * q + wi], expect[kk * valid_w + wi]);
-                    assert!((got - exp).abs() <= 2e-4 * exp.abs().max(1.0), "case {i}");
-                }
-            }
             for kernel in Kernel::supported() {
+                // The entry's dynamic kernel, held to the oracle, is what
+                // its stamped kernel, every source and both output
+                // addressings (`NCHW`'s `(kstride, wstride) = (P·Q, 1)`,
+                // `NHWC`'s `(1, K)`) must match.
+                let want = run(kernel, Source::Packed, Via::Dyn, ActLayout::Nchw);
+                let what = format!("case {i} ({valid_w}, {vk}) on {}", kernel.name());
+                let oracle = oracle(&input, &filter, &shape, kernel);
+                assert_tile_eq(&want, &oracle, &shape, oh, 0, valid_w, vk.min(shape.k), &what);
+                let via = Via::Stamped(kernel.is_one_of(entries));
                 for source in [Source::Packed, Source::Gather, Source::Strided] {
                     for out_layout in [ActLayout::Nchw, ActLayout::Nhwc] {
-                        let what = format!(
-                            "case {i} ({valid_w}, {vk}) {source:?} into {out_layout:?}, {}",
-                            kernel.name()
-                        );
+                        let what = format!("{what}: {source:?} into {out_layout:?}");
                         assert_eq!(run(kernel, source, via, out_layout), want, "{what}");
                     }
                 }
@@ -791,25 +897,30 @@ mod tests {
             (ConvShape::new(1, 4, 6, 12, 8, 1, 1, 1, Padding::NONE), 8, 8, 3, 4),
             (ConvShape::new(1, 2, 12, 18, 4, 7, 7, 1, Padding::same(3)), 4, 8, 0, 0),
             (ConvShape::new(1, 2, 8, 16, 8, 3, 3, 1, Padding::same(1)), 8, 13, 7, 0),
+            (ConvShape::new(1, 3, 10, 16, 16, 3, 3, 1, Padding::same(1)), 16, 4, 6, 12),
         ];
         for (i, (shape, vk, valid_w, oh, wv)) in cases.into_iter().enumerate() {
             let seed = 29 + i as u64;
             let input = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nchw), seed);
             let filter =
                 fill::random_filter(Filter::for_shape(&shape, FilterLayout::Kcrs), seed ^ 1);
-            let run = |kernel, strided| {
-                let source = if strided { Source::Strided } else { Source::Packed };
-                let (via, out) = (Via::Tile, ActLayout::Nchw);
+            let run = |kernel, source, via| {
+                let out = ActLayout::Nchw;
                 run_with_source(
                     kernel, &input, &filter, &shape, vk, valid_w, oh, wv, source, via, out,
                 )
             };
-            let packed = run(Kernel::supported().next().expect("the baseline runs"), false);
-            // Both sources under every registry entry, bitwise.
+            // Under every registry entry: its dynamic kernel equals the
+            // oracle, and both sources through `run_tile` equal it.
             for kernel in Kernel::supported() {
                 let what = format!("case {i} on {}", kernel.name());
-                assert_eq!(run(kernel, false), packed, "{what}: Packed differs");
-                assert_eq!(run(kernel, true), packed, "{what}: Strided differs from Packed");
+                let dynamic = run(kernel, Source::Packed, Via::Dyn);
+                let oracle = oracle(&input, &filter, &shape, kernel);
+                assert_tile_eq(&dynamic, &oracle, &shape, oh, wv, valid_w, vk.min(shape.k), &what);
+                let packed = run(kernel, Source::Packed, Via::Tile);
+                assert_eq!(packed, dynamic, "{what}: Packed differs from the dynamic kernel");
+                let strided = run(kernel, Source::Strided, Via::Tile);
+                assert_eq!(strided, packed, "{what}: Strided differs from Packed");
             }
         }
     }

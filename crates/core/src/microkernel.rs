@@ -2,26 +2,51 @@
 //! bodies, detected at run time and chosen once per plan (after rten's
 //! `Kernel` trait).
 //!
-//! An entry holds no kernels of its own. [`Kernel::run`] takes a closure
-//! that inlines one tile kernel — a `(Vw, Vk/4, stride)` instantiation of
-//! [`crate::kernel`]'s row walk, the runtime-bound edge kernel, an `NHWC`
-//! tile, a depthwise channel — and the entry's `#[target_feature]` sits on
-//! the out-of-line [`MicroKernel::run`] that calls it, so each
-//! instantiation is compiled once per entry. A kernel reached without
-//! going through `run` compiles for the baseline, silently.
+//! An entry holds no kernels of its own. It names the vector type each
+//! row body runs on and the size of its register file, and
+//! [`MicroKernel::run`] takes a closure that inlines one tile kernel — a
+//! `(Vw, Vk/L, stride)` instantiation of [`crate::kernel`]'s row walk, the
+//! runtime-bound edge kernel, a depthwise channel — with the entry's
+//! `#[target_feature]` on that out-of-line `run`, so each instantiation is
+//! compiled once per entry. A kernel reached without going through `run`
+//! compiles for the baseline, silently.
 //!
-//! On x86-64 the entries are the SSE2 baseline (`sse`) and `avx2`: the
-//! same `F32x4` code with VEX three-operand encoding and load-port
-//! broadcasts. `avx2` enables no FMA, so `F32x4::fma` stays a multiply and
-//! an add, every output sums the same products in the same order, and both
-//! entries produce the same bits. A build whose baseline already has wider
-//! features (`sse+fma`), `neon` and `scalar` hold the baseline alone. FMA
-//! and 8- or 16-lane entries are not here yet.
+//! On x86-64 the entries are the build's baseline (`sse`, or `sse+fma`
+//! when `RUSTFLAGS` enable FMA) and `avx2+fma`. The latter runs the general
+//! body on 8-lane `F32x8` vectors with a fused multiply-add, and the
+//! pointwise body on the baseline's `F32x4` code, which stays unfused on
+//! an `sse` build (`mulps` + `addps` under VEX encoding). Lanes run over
+//! output channels, never over the reduction, so every output sums the
+//! same products in the same order under every entry, and two entries
+//! differ in bits only where one fuses a body and the other does not
+//! ([`Kernel::fused`]). `neon` and `scalar` hold the baseline alone.
+//! 16-lane (AVX-512) entries are not here yet.
+//!
+//! The entries are declared in [`crate::kernel`], beside the tile table
+//! lines they stamp. Each entry's register file
+//! ([`Kernel::register_file`]) is what Eqs. 3–4 derive the host's tiles
+//! over.
 
-use ndirect_simd::backend_name;
+use ndirect_platform::SimdSpec;
+use ndirect_simd::SimdVec;
+
+use crate::kernel::Body;
+#[cfg(target_arch = "x86_64")]
+use crate::kernel::Avx2Fma;
+use crate::kernel::Baseline;
 
 /// One ISA encoding of the tile kernels.
 pub(crate) trait MicroKernel {
+    /// The entry's identity in the registry.
+    const ENTRY: Entry;
+    /// Architectural vector registers the entry's code can hold.
+    const REGISTERS: usize;
+    /// Whether the ISA has lane-indexed FMA (Eq. 3's NEON accounting).
+    const LANE_FMA: bool;
+    /// The vector the [`Body::General`] kernels run on.
+    type General: SimdVec;
+    /// The vector the [`Body::Pointwise`] kernels run on.
+    type Pointwise: SimdVec;
     /// The name [`Kernel::name`] reports.
     fn name() -> &'static str;
     /// Whether the running CPU can execute this entry.
@@ -34,13 +59,26 @@ pub(crate) trait MicroKernel {
     unsafe fn run<R>(body: impl FnOnce() -> R) -> R;
 }
 
-/// Stamps one registry entry: its type, name, detection, and a `run`
-/// carrying the entry's target features.
+/// Stamps one registry entry: its type, name, detection, register file
+/// (the vector each body runs on, the register count), and a `run`
+/// carrying the entry's target features. The entries are declared beside
+/// the tile table lines they stamp, in [`crate::kernel`].
 macro_rules! micro_kernel {
-    ($entry:ident, $name:expr, $supported:expr $(, $feature:literal)?) => {
+    (
+        $entry:ident, $name:expr, $supported:expr,
+        general: $general:ty, pointwise: $pointwise:ty,
+        registers: $registers:expr, lane_fma: $lane_fma:expr
+        $(, $feature:literal)?
+    ) => {
         pub(crate) struct $entry;
 
-        impl MicroKernel for $entry {
+        impl $crate::microkernel::MicroKernel for $entry {
+            const ENTRY: $crate::microkernel::Entry = $crate::microkernel::Entry::$entry;
+            const REGISTERS: usize = $registers;
+            const LANE_FMA: bool = $lane_fma;
+            type General = $general;
+            type Pointwise = $pointwise;
+
             fn name() -> &'static str {
                 $name
             }
@@ -61,28 +99,29 @@ macro_rules! micro_kernel {
     };
 }
 
-micro_kernel!(Baseline, backend_name(), true);
-// Only over the plain SSE2 build: a baseline with FMA would make this entry
-// fuse too, and `neon`/`scalar` have no use for it.
-#[cfg(target_arch = "x86_64")]
-micro_kernel!(
-    Avx2,
-    "avx2",
-    backend_name() == "sse" && std::arch::is_x86_feature_detected!("avx2"),
-    "avx2"
-);
+pub(crate) use micro_kernel;
 
+/// The registry's entries, in order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Entry {
+pub(crate) enum Entry {
     Baseline,
     #[cfg(target_arch = "x86_64")]
-    Avx2,
+    Avx2Fma,
 }
 
 #[cfg(target_arch = "x86_64")]
-const ENTRIES: &[Entry] = &[Entry::Baseline, Entry::Avx2];
+const ENTRIES: &[Entry] = &[Entry::Baseline, Entry::Avx2Fma];
 #[cfg(not(target_arch = "x86_64"))]
 const ENTRIES: &[Entry] = &[Entry::Baseline];
+
+/// Code generic over the registry entry, which [`Kernel::visit`] calls
+/// for the entry a kernel is.
+pub(crate) trait EntryFn {
+    /// What the call returns.
+    type Out;
+    /// The body, for entry `E`.
+    fn call<E: MicroKernel>(self) -> Self::Out;
+}
 
 /// A registry entry the running CPU supports. [`Kernel::supported`] is
 /// the only way to make one, which is what lets a tile kernel run under
@@ -92,15 +131,14 @@ const ENTRIES: &[Entry] = &[Entry::Baseline];
 pub struct Kernel(Entry);
 
 impl Kernel {
-    /// Every supported entry, the baseline first: each one produces the
-    /// same bits, so tests hold every one to the first.
+    /// Every supported entry, the baseline first.
     pub fn supported() -> impl Iterator<Item = Kernel> {
         ENTRIES
             .iter()
             .filter(|e| match e {
                 Entry::Baseline => Baseline::supported(),
                 #[cfg(target_arch = "x86_64")]
-                Entry::Avx2 => Avx2::supported(),
+                Entry::Avx2Fma => Avx2Fma::supported(),
             })
             .map(|&e| Kernel(e))
     }
@@ -110,13 +148,62 @@ impl Kernel {
         Kernel::supported().last().unwrap_or(Kernel(Entry::Baseline))
     }
 
-    /// The entry's registry name (`"sse"`, `"avx2"`, `"neon"`, …).
+    /// The entry's registry name (`"sse"`, `"avx2+fma"`, `"neon"`, …).
     pub fn name(self) -> &'static str {
-        match self.0 {
-            Entry::Baseline => Baseline::name(),
-            #[cfg(target_arch = "x86_64")]
-            Entry::Avx2 => Avx2::name(),
+        struct Name;
+        impl EntryFn for Name {
+            type Out = &'static str;
+            fn call<E: MicroKernel>(self) -> &'static str {
+                E::name()
+            }
         }
+        self.visit(Name)
+    }
+
+    /// The register file `body`'s kernels run on under this entry: its
+    /// vector's lanes and whether its multiply-add is fused, the entry's
+    /// register count. Eqs. 3–4 derive the host's tiles over it.
+    pub(crate) fn register_file(self, body: Body) -> SimdSpec {
+        struct File(Body);
+        impl EntryFn for File {
+            type Out = SimdSpec;
+            fn call<E: MicroKernel>(self) -> SimdSpec {
+                let (lanes, fused) = match self.0 {
+                    Body::General => (E::General::LANES, E::General::FUSED),
+                    Body::Pointwise => (E::Pointwise::LANES, E::Pointwise::FUSED),
+                };
+                SimdSpec {
+                    vector_bits: 32 * lanes,
+                    num_vregs: E::REGISTERS,
+                    fma_per_cycle: 2.0,
+                    lane_fma: E::LANE_FMA,
+                    fused,
+                }
+            }
+        }
+        self.visit(File(body))
+    }
+
+    /// Whether `body`'s kernels round each multiply-add once under this
+    /// entry: what an order-matched scalar oracle must do to give their
+    /// bits.
+    pub fn fused(self, body: Body) -> bool {
+        self.register_file(body).fused
+    }
+
+    /// Calls `f` for this kernel's entry.
+    #[inline(always)]
+    pub(crate) fn visit<F: EntryFn>(self, f: F) -> F::Out {
+        match self.0 {
+            Entry::Baseline => f.call::<Baseline>(),
+            #[cfg(target_arch = "x86_64")]
+            Entry::Avx2Fma => f.call::<Avx2Fma>(),
+        }
+    }
+
+    /// Whether this kernel is one of `entries`.
+    pub(crate) fn is_one_of(self, entries: &[Entry]) -> bool {
+        entries.contains(&self.0)
     }
 
     /// Runs `body` — one tile kernel, which must be `#[inline(always)]`
@@ -129,7 +216,20 @@ impl Kernel {
             Entry::Baseline => unsafe { Baseline::run(body) },
             // SAFETY: as above.
             #[cfg(target_arch = "x86_64")]
-            Entry::Avx2 => unsafe { Avx2::run(body) },
+            Entry::Avx2Fma => unsafe { Avx2Fma::run(body) },
         }
+    }
+
+    /// Runs `body` compiled for entry `E` only, when this kernel is `E`;
+    /// `false` (and nothing run) otherwise. Code that only `E` may run —
+    /// its wider vectors — is instantiated for `E` alone.
+    #[inline(always)]
+    pub(crate) fn run_as<E: MicroKernel>(self, body: impl FnOnce()) -> bool {
+        let is = self.0 == E::ENTRY;
+        if is {
+            // SAFETY: `self` was built from a supported entry, and it is `E`.
+            unsafe { E::run(body) }
+        }
+        is
     }
 }

@@ -30,11 +30,26 @@ pub mod register_tile {
     //! filter reuse per packed input element) — this reproduces the paper's
     //! `(Vw, Vk) = (12, 8)` on 32 × 128-bit NEON for 3×3 kernels (the tied
     //! alternative `(24, 4)` loses the tie-break).
+    //!
+    //! Without lane-indexed FMA (x86), Eq. 3 counts what the row walk holds
+    //! instead ([`registers_held`]): `Vk/L` filter registers, `Vw·Vk/L`
+    //! accumulators, two broadcast registers whatever `S` (the one feeding
+    //! a pixel's FMAs, and one the compiler needs beside it), and one
+    //! product temporary when the multiply-add is unfused. Counted with one
+    //! broadcast register, `(4, 24)` at 8 lanes fills 16 of 16; its stamped
+    //! kernel moved 10–12 vectors to or from the stack per tap in two of
+    //! its three row-source loops, where `(4, 16)` moves none. `Vw` keeps
+    //! the paper's 4-pixel granularity at any lane count, and Eq. 4 becomes
+    //! [`fai_splat`]. [`tile_for`] picks the register file a tile is
+    //! derived over.
 
-    use ndirect_platform::SimdSpec;
+    use ndirect_platform::{Platform, SimdSpec};
+
+    use crate::kernel::Body;
+    use crate::microkernel::Kernel;
 
     /// Registers used by a candidate tile (the left side of Eq. 3) for
-    /// 4-lane (128-bit) vectors.
+    /// 4-lane (128-bit) vectors with lane-indexed FMA.
     pub fn registers_used(vw: usize, vk: usize, s: usize) -> usize {
         registers_used_lanes(vw, vk, s, 4)
     }
@@ -44,6 +59,19 @@ pub mod register_tile {
     /// the same inequality yields proportionally deeper/wider tiles.
     pub fn registers_used_lanes(vw: usize, vk: usize, s: usize, lanes: usize) -> usize {
         (vw + s - 1).div_ceil(lanes) + vk / lanes + vw * vk / lanes
+    }
+
+    /// Eq. 3's left side on `simd`: [`registers_used_lanes`] with
+    /// lane-indexed FMA; otherwise two broadcast registers, `Vk/L` filter
+    /// registers, `Vw·Vk/L` accumulators, and one product temporary when
+    /// the multiply-add is unfused.
+    pub fn registers_held(simd: &SimdSpec, vw: usize, vk: usize, s: usize) -> usize {
+        let lanes = simd.f32_lanes().max(1);
+        if simd.lane_fma {
+            registers_used_lanes(vw, vk, s, lanes)
+        } else {
+            2 + vk / lanes + vw * vk / lanes + usize::from(!simd.fused)
+        }
     }
 
     /// FAI of one loop-L9 iteration (Eq. 4), generalized to kernel width
@@ -56,31 +84,32 @@ pub mod register_tile {
 
     /// Instruction-level FAI for ISAs *without* lane-indexed FMA: the input
     /// operand costs one broadcast load per pixel instead of one vector
-    /// load per 4 pixels, so the relevant ratio is vector-FMAs per
-    /// memory op, `(Vw·Vk/4) / (Vw + Vk/4)` per tap.
-    pub fn fai_splat(vw: usize, vk: usize) -> f64 {
-        let fmas = (vw * vk / 4) as f64;
-        let ops = vw as f64 + (vk / 4) as f64;
+    /// load per `lanes` pixels, so the relevant ratio is vector-FMAs per
+    /// memory op, `(Vw·Vk/L) / (Vw + Vk/L)` per tap.
+    pub fn fai_splat(vw: usize, vk: usize, lanes: usize) -> f64 {
+        let fmas = (vw * vk / lanes) as f64;
+        let ops = vw as f64 + (vk / lanes) as f64;
         fmas / ops
     }
 
-    /// The FAI-optimal `(Vw, Vk)` under the register constraint (Eq. 3),
-    /// maximizing Eq. 4 on lane-FMA ISAs and the instruction-level
-    /// [`fai_splat`] variant elsewhere.
+    /// The FAI-optimal `(Vw, Vk)` under the register constraint (Eq. 3,
+    /// [`registers_held`]), maximizing Eq. 4 on lane-FMA ISAs and the
+    /// instruction-level [`fai_splat`] variant elsewhere.
     pub fn optimal_tile(simd: &SimdSpec, s: usize) -> (usize, usize) {
         let s = s.max(1);
         let lanes = simd.f32_lanes().max(1);
-        let mut best = (lanes, lanes);
+        let vw_step = if simd.lane_fma { lanes } else { 4 };
+        let mut best = (vw_step, lanes);
         let mut best_key = (f64::MIN, 0usize);
         for vk in (lanes..=simd.num_vregs * lanes).step_by(lanes) {
-            for vw in (lanes..=simd.num_vregs * lanes).step_by(lanes) {
-                if registers_used_lanes(vw, vk, s, lanes) > simd.num_vregs {
+            for vw in (vw_step..=simd.num_vregs * lanes).step_by(vw_step) {
+                if registers_held(simd, vw, vk, s) > simd.num_vregs {
                     continue;
                 }
                 let score = if simd.lane_fma {
                     fai(vw, vk, s)
                 } else {
-                    fai_splat(vw, vk)
+                    fai_splat(vw, vk, lanes)
                 };
                 let key = (score, vk);
                 if key.0 > best_key.0 + 1e-12
@@ -92,6 +121,19 @@ pub mod register_tile {
             }
         }
         best
+    }
+
+    /// The register tile for an `R × S` filter on `platform` (`rdim` is
+    /// `T·R` for 3-D): [`optimal_tile`] over the register file of the
+    /// registry entry that will run the filter's [`Body`] when `platform`
+    /// is the host, over the platform's own file for a preset.
+    pub fn tile_for(platform: &Platform, rdim: usize, sdim: usize) -> (usize, usize) {
+        let simd = if platform.host {
+            Kernel::best().register_file(Body::of(rdim, sdim))
+        } else {
+            platform.simd
+        };
+        optimal_tile(&simd, sdim)
     }
 
     #[cfg(test)]
@@ -134,6 +176,7 @@ pub mod register_tile {
                 num_vregs: 16,
                 fma_per_cycle: 1.0,
                 lane_fma: false,
+                fused: false,
             };
             let (vw, vk) = optimal_tile(&sse, 3);
             assert!(registers_used(vw, vk, 3) <= 16);
@@ -141,6 +184,32 @@ pub mod register_tile {
             // The splat-cost model prefers the deep (4, 8) tile measured
             // fastest on SSE hosts over Eq. 4's (8, 4).
             assert_eq!((vw, vk), (4, 8));
+        }
+
+        #[test]
+        fn broadcast_accounting_counts_the_product_and_the_next_pixel() {
+            let file = |vector_bits, fused| SimdSpec {
+                vector_bits,
+                num_vregs: 16,
+                fma_per_cycle: 2.0,
+                lane_fma: false,
+                fused,
+            };
+            // Unfused 4-lane: (4, 12) is 2 + 3 + 12 + 1 = 18 > 16, so 1x1
+            // filters get (4, 8) too; every S does.
+            let sse = file(128, false);
+            assert_eq!(registers_held(&sse, 4, 12, 1), 18);
+            for s in 1..=7 {
+                assert_eq!(optimal_tile(&sse, s), (4, 8), "s={s}");
+            }
+            // Fused 8-lane: (4, 24) is 2 + 3 + 12 = 17 (it would fit with
+            // one broadcast register, and be the argmax); (4, 16) is 12.
+            let avx2_fma = file(256, true);
+            assert_eq!(registers_held(&avx2_fma, 4, 24, 3), 17);
+            assert_eq!(registers_held(&avx2_fma, 4, 16, 3), 12);
+            for s in 1..=7 {
+                assert_eq!(optimal_tile(&avx2_fma, s), (4, 16), "s={s}");
+            }
         }
 
         #[test]
@@ -152,6 +221,7 @@ pub mod register_tile {
                 num_vregs: 32,
                 fma_per_cycle: 2.0,
                 lane_fma: true,
+                fused: true,
             };
             let (vw, vk) = optimal_tile(&sve, 3);
             assert_eq!(vw % 16, 0);

@@ -380,8 +380,11 @@ impl<'f> ConvPlan<'f> {
     }
 
     /// The tile-kernel encoding the plan runs, chosen at build by runtime
-    /// detection: `"avx2"` where the CPU has it over an SSE2 build, else
-    /// the build's baseline (`"sse"`, `"sse+fma"`, `"neon"`, `"scalar"`).
+    /// detection: `"avx2+fma"` where the CPU has both over an x86-64 SSE2
+    /// build (8-lane fused multiply-add for every filter but 1×1, whose
+    /// kernels stay the baseline's 4-lane code), else the build's baseline
+    /// (`"sse"`, `"sse+fma"`, `"neon"`, `"scalar"`). 16-lane (AVX-512)
+    /// kernels are not here yet.
     pub fn kernel_name(&self) -> &'static str {
         self.kernel.name()
     }

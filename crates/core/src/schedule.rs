@@ -72,8 +72,11 @@ impl Schedule {
     /// Derives the model-optimal schedule for `shape` on `platform` with
     /// `threads` threads — the pipeline the paper describes: register tile
     /// from Eqs. 3–4, cache tiles from Eqs. 1–2, thread grid from Eqs. 5–6.
+    /// On the host the register tile is derived over the register file of
+    /// the kernel entry that will run the shape's body
+    /// ([`model::register_tile::tile_for`]).
     pub fn derive(platform: &Platform, shape: &ConvShape, threads: usize) -> Schedule {
-        let (vw, vk) = model::register_tile::optimal_tile(&platform.simd, shape.s);
+        let (vw, vk) = model::register_tile::tile_for(platform, shape.r, shape.s);
         let tiles = model::cache_tiles::derive(platform, shape, vw, vk);
         let grid = model::thread_map::derive(platform, shape, threads);
         Schedule {
@@ -107,8 +110,8 @@ impl Schedule {
     /// the dimension they tile) and normalizes granularities (`vk` multiple
     /// of 4, `tk` multiple of `vk`). Register tiles go through
     /// [`crate::kernel::clamp_tile`], so schedules derived for wider-vector
-    /// platforms (e.g. the SVE analysis presets) still *execute* on the
-    /// 4-lane kernels instead of panicking. Returns the sanitized copy the
+    /// platforms (e.g. the SVE analysis presets) still *execute* on this
+    /// host's kernels instead of panicking. Returns the sanitized copy the
     /// loop nest runs.
     pub fn sanitized(&self, shape: &ConvShape) -> Schedule {
         let mut s = self.clone();

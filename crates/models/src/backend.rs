@@ -18,7 +18,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ndirect_baselines::Convolution;
-use ndirect_core::{ConvPlan, DepthwisePlan, FusedDwPwPlan, PlanKey, PlanRegistry, Schedule};
+use ndirect_core::{
+    ConvPlan, DepthwisePlan, FusedDwPwPlan, Kernel, PlanKey, PlanRegistry, Schedule,
+};
 use ndirect_platform::Platform;
 use ndirect_tensor::{ConvShape, Filter, Tensor4};
 use ndirect_threads::StaticPool;
@@ -32,6 +34,7 @@ pub struct NDirectBackend {
     schedules: HashMap<ConvShape, Schedule>,
     name: &'static str,
     cache: PlanRegistry,
+    kernel: Kernel,
 }
 
 impl NDirectBackend {
@@ -42,6 +45,7 @@ impl NDirectBackend {
             schedules: HashMap::new(),
             name: "nDirect",
             cache: PlanRegistry::new(),
+            kernel: Kernel::best(),
         }
     }
 
@@ -58,6 +62,13 @@ impl NDirectBackend {
             name,
             ..Self::host()
         }
+    }
+
+    /// The backend building every plan on `kernel` instead of the detected
+    /// best entry (see [`ConvPlan::kernel_name`]).
+    #[doc(hidden)]
+    pub fn with_kernel(self, kernel: Kernel) -> Self {
+        Self { kernel, ..self }
     }
 
     /// Number of tuned shapes.
@@ -83,10 +94,11 @@ impl NDirectBackend {
     ) -> Arc<ConvPlan<'static>> {
         self.cache
             .get_or_try_build(PlanKey::new(shape, filter, threads), || {
-                match self.schedules.get(shape) {
+                let plan = match self.schedules.get(shape) {
                     Some(schedule) => ConvPlan::try_with_schedule(shape, filter, schedule),
                     None => ConvPlan::try_new(&self.platform, shape, filter, threads),
-                }
+                };
+                plan.map(|p| p.with_kernel(self.kernel))
             })
             .unwrap_or_else(|e| panic!("{e}"))
     }
@@ -101,7 +113,7 @@ impl NDirectBackend {
     ) -> Arc<DepthwisePlan<'static>> {
         self.cache
             .get_or_try_build_depthwise(PlanKey::new(shape, filter, threads), || {
-                DepthwisePlan::try_new(shape, filter, threads)
+                DepthwisePlan::try_new(shape, filter, threads).map(|p| p.with_kernel(self.kernel))
             })
             .unwrap_or_else(|e| panic!("{e}"))
     }
@@ -123,7 +135,7 @@ impl NDirectBackend {
         self.cache
             .get_or_try_build_fused(key, || {
                 FusedDwPwPlan::try_new(&self.platform, dw_shape, dw_filter, pw_filter, threads)
-                    .map(|p| p.with_mid_relu(mid_relu))
+                    .map(|p| p.with_kernel(self.kernel).with_mid_relu(mid_relu))
             })
             .unwrap_or_else(|e| panic!("{e}"))
     }

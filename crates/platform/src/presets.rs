@@ -27,6 +27,7 @@ pub fn phytium_2000p() -> Platform {
             replacement: Replacement::PseudoRandom,
         },
         simd: SimdSpec::NEON,
+        host: false,
         alpha: 2.0,
     }
 }
@@ -49,6 +50,7 @@ pub fn kp920() -> Platform {
             replacement: Replacement::Lru,
         },
         simd: SimdSpec::NEON,
+        host: false,
         alpha: 2.0,
     }
 }
@@ -71,6 +73,7 @@ pub fn thunderx2() -> Platform {
             replacement: Replacement::Lru,
         },
         simd: SimdSpec::NEON,
+        host: false,
         alpha: 2.0,
     }
 }
@@ -93,6 +96,7 @@ pub fn rpi4() -> Platform {
             replacement: Replacement::Lru,
         },
         simd: SimdSpec::NEON,
+        host: false,
         alpha: 2.0,
     }
 }
@@ -122,7 +126,9 @@ pub fn a64fx_like() -> Platform {
             num_vregs: 32,
             fma_per_cycle: 2.0,
             lane_fma: true,
+            fused: true,
         },
+        host: false,
         alpha: 2.0,
     }
 }
@@ -156,9 +162,11 @@ pub fn host() -> Platform {
     let frequency_ghz = read_cpu_mhz().map(|m| m / 1000.0).unwrap_or(2.0);
     // Two 128-bit FMA pipes (every recent x86/ARM core): 16 flops/cycle.
     let peak = cores as f64 * frequency_ghz * 16.0;
-    // The register-tile model must know the *architectural* register count:
-    // 32 × 128-bit on AArch64 (NEON), 16 × XMM on x86_64. Getting this
-    // wrong makes the model pick spilling tiles.
+    // The baseline encoding's *architectural* register file: 32 × 128-bit
+    // on AArch64 (NEON), 16 × XMM on x86_64, fused where the build enables
+    // FMA. `ndirect-core` derives tiles for wider registry entries over
+    // their own files (`host: true`). Getting this wrong makes the model
+    // pick spilling tiles.
     let simd = if cfg!(target_arch = "aarch64") {
         SimdSpec::NEON
     } else {
@@ -167,6 +175,7 @@ pub fn host() -> Platform {
             num_vregs: 16,
             fma_per_cycle: 2.0,
             lane_fma: false,
+            fused: cfg!(target_feature = "fma"),
         }
     };
     Platform {
@@ -184,6 +193,7 @@ pub fn host() -> Platform {
             replacement: Replacement::Lru,
         },
         simd,
+        host: true,
         alpha: 2.0,
     }
 }

@@ -59,6 +59,9 @@ pub struct SimdSpec {
     /// which register tile the Eq. 4 model should pick (see
     /// `ndirect-core::model::register_tile`).
     pub lane_fma: bool,
+    /// Whether the multiply-add rounds once. An unfused one (`mulps` then
+    /// `addps`) needs a register for the product, which Eq. 3 counts.
+    pub fused: bool,
 }
 
 impl SimdSpec {
@@ -73,6 +76,7 @@ impl SimdSpec {
         num_vregs: 32,
         fma_per_cycle: 2.0,
         lane_fma: true,
+        fused: true,
     };
 }
 
@@ -92,8 +96,14 @@ pub struct Platform {
     pub max_bandwidth_gib_s: f64,
     /// Cache hierarchy.
     pub cache: CacheSpec,
-    /// Vector register file.
+    /// Vector register file. For the host ([`Platform::host`]) this is the
+    /// build's baseline kernel encoding's file.
     pub simd: SimdSpec,
+    /// Whether this is the machine the process runs on
+    /// ([`crate::host`]). `ndirect-core` then derives each register tile
+    /// over the register file of the kernel-registry entry that will run
+    /// it, which may be wider than `simd`; presets keep their own `simd`.
+    pub host: bool,
     /// Streaming/non-streaming access-cost ratio `α` (§6.2). Presets carry
     /// a representative default; [`crate::measure_alpha`] refreshes it for
     /// the host.
@@ -152,6 +162,7 @@ mod tests {
                 replacement: Replacement::Lru,
             },
             simd: SimdSpec::NEON,
+            host: false,
             alpha: 2.0,
         }
     }

@@ -1,4 +1,4 @@
-//! Portable 4-lane `f32` SIMD vector for the nDirect micro-kernels.
+//! Portable `f32` SIMD vectors for the nDirect micro-kernels.
 //!
 //! The paper's kernels are written against ARMv8 NEON: 32 × 128-bit vector
 //! registers, each holding 4 × FP32, driven by fused multiply-accumulate
@@ -7,23 +7,26 @@
 //! operation set:
 //!
 //! * on **aarch64** it lowers to NEON intrinsics (the paper's target);
-//! * on **x86_64** it lowers to SSE2, the baseline every x86-64 CPU has.
-//!   `ndirect-core`'s kernel registry runs the same code under AVX2
-//!   encoding, selected per plan at run time when the CPU has it; FMA and
-//!   8- or 16-lane vectors are not there yet (a build whose `RUSTFLAGS`
-//!   enable `fma` fuses the multiply-add everywhere instead);
+//! * on **x86_64** it lowers to SSE2, the baseline every x86-64 CPU has
+//!   (a build whose `RUSTFLAGS` enable `fma` fuses its multiply-add);
 //! * elsewhere (or with the `force-scalar` feature) it is a `[f32; 4]` that
 //!   LLVM autovectorizes.
 //!
-//! Micro-kernels treat `F32x4` values as *register allocations*: a
-//! `Vw × Vk/4` array of accumulators models the paper's `V8–V31`, and the
-//! register-budget constraint (Eq. 3) is enforced by the analytic model in
-//! `ndirect-core`, not here.
+//! On x86_64, [`F32x8`] is the same operation set at 8 lanes with a fused
+//! multiply-add (`vfmadd231ps`). It needs AVX2 and FMA, which the x86-64
+//! baseline lacks, so only code compiled under `ndirect-core`'s `avx2+fma`
+//! kernel-registry entry uses it; the entry is chosen per plan at run
+//! time when the CPU has both. 16-lane (AVX-512) vectors are not here yet.
+//!
+//! Micro-kernels are generic over [`SimdVec`] and treat its values as
+//! *register allocations*: a `Vw × Vk/L` array of accumulators models the
+//! paper's `V8–V31`, and the register-budget constraint (Eq. 3) is enforced
+//! by the analytic model in `ndirect-core`, not here.
 //!
 //! The scalar backend computes `a*b + c` with separate multiply/add so its
-//! results match SSE bitwise; NEON and x86-FMA fuse the rounding step, which
-//! is why cross-implementation tests in this workspace compare with a small
-//! relative tolerance rather than bitwise.
+//! results match SSE bitwise; NEON and the FMA vectors fuse the rounding
+//! step ([`SimdVec::FUSED`]). Lanes never split a reduction, so a kernel's
+//! bits depend on its vector type only through `FUSED`.
 
 #![warn(missing_docs)]
 
@@ -31,6 +34,8 @@ mod int16;
 pub mod runtime;
 mod scalar;
 
+#[cfg(target_arch = "x86_64")]
+mod avx2;
 #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
 mod sse;
 
@@ -49,12 +54,11 @@ pub use neon::F32x4;
 ))]
 pub use scalar::F32x4Scalar as F32x4;
 
+#[cfg(target_arch = "x86_64")]
+pub use avx2::F32x8;
 pub use int16::{I16x8, I32x4};
 pub use runtime::{detected_isa, force_unsupported, verify_host, Isa, UnsupportedIsa};
 pub use scalar::F32x4Scalar;
-
-/// Number of `f32` lanes per vector — fixed at 4 to model 128-bit NEON.
-pub const LANES: usize = 4;
 
 /// Name of the active backend, for diagnostics and the figures harness.
 pub fn backend_name() -> &'static str {
@@ -79,16 +83,23 @@ pub fn backend_name() -> &'static str {
     }
 }
 
-/// The trait all backends implement, so differential tests can run the same
-/// generic kernel against [`F32x4`] and [`F32x4Scalar`].
+/// The trait all backends implement, so the kernels are written once for
+/// every lane count and differential tests can run the same generic kernel
+/// against [`F32x4`] and [`F32x4Scalar`].
 pub trait SimdVec: Copy + core::fmt::Debug {
-    /// Vector of four zeros.
+    /// Number of `f32` lanes.
+    const LANES: usize;
+    /// Whether [`SimdVec::fma`] rounds once (a fused multiply-add) rather
+    /// than after the multiply and again after the add.
+    const FUSED: bool;
+    /// Vector of zeros.
     fn zero() -> Self;
     /// Broadcasts `v` to all lanes.
     fn splat(v: f32) -> Self;
-    /// Loads four consecutive floats from `src` (must have `len >= 4`).
+    /// Loads `LANES` consecutive floats from `src` (must have
+    /// `len >= LANES`).
     fn load(src: &[f32]) -> Self;
-    /// Stores the four lanes into `dst` (must have `len >= 4`).
+    /// Stores the lanes into `dst` (must have `len >= LANES`).
     fn store(self, dst: &mut [f32]);
     /// Lane-wise addition.
     fn add(self, rhs: Self) -> Self;
@@ -105,12 +116,8 @@ pub trait SimdVec: Copy + core::fmt::Debug {
     fn fma_lane<const LANE: usize>(self, a: Self, b: Self) -> Self;
     /// Extracts one lane.
     fn extract<const LANE: usize>(self) -> f32;
-    /// Sum of all four lanes.
+    /// Sum of all lanes.
     fn reduce_sum(self) -> f32;
-    /// The lanes as an array.
-    fn to_array(self) -> [f32; 4];
-    /// Builds a vector from an array.
-    fn from_array(a: [f32; 4]) -> Self;
 }
 
 #[cfg(test)]

@@ -19,7 +19,26 @@ impl core::fmt::Debug for F32x4 {
     }
 }
 
+impl F32x4 {
+    /// The lanes as an array.
+    #[inline(always)]
+    pub fn to_array(self) -> [f32; 4] {
+        let mut out = [0.0; 4];
+        self.store(&mut out);
+        out
+    }
+
+    /// Builds a vector from an array.
+    #[inline(always)]
+    pub fn from_array(a: [f32; 4]) -> Self {
+        Self::load(&a)
+    }
+}
+
 impl SimdVec for F32x4 {
+    const LANES: usize = 4;
+    const FUSED: bool = true;
+
     #[inline(always)]
     fn zero() -> Self {
         // SAFETY: NEON is mandatory on aarch64.
@@ -99,19 +118,5 @@ impl SimdVec for F32x4 {
     fn reduce_sum(self) -> f32 {
         // SAFETY: NEON baseline.
         unsafe { vaddvq_f32(self.0) }
-    }
-
-    #[inline(always)]
-    fn to_array(self) -> [f32; 4] {
-        let mut out = [0.0; 4];
-        // SAFETY: `out` has exactly 4 floats.
-        unsafe { vst1q_f32(out.as_mut_ptr(), self.0) };
-        out
-    }
-
-    #[inline(always)]
-    fn from_array(a: [f32; 4]) -> Self {
-        // SAFETY: `a` has exactly 4 floats.
-        Self(unsafe { vld1q_f32(a.as_ptr()) })
     }
 }

@@ -11,7 +11,24 @@ use crate::SimdVec;
 #[repr(align(16))]
 pub struct F32x4Scalar(pub [f32; 4]);
 
+impl F32x4Scalar {
+    /// The lanes as an array.
+    #[inline(always)]
+    pub fn to_array(self) -> [f32; 4] {
+        self.0
+    }
+
+    /// Builds a vector from an array.
+    #[inline(always)]
+    pub fn from_array(a: [f32; 4]) -> Self {
+        Self(a)
+    }
+}
+
 impl SimdVec for F32x4Scalar {
+    const LANES: usize = 4;
+    const FUSED: bool = false;
+
     #[inline(always)]
     fn zero() -> Self {
         Self([0.0; 4])
@@ -90,16 +107,6 @@ impl SimdVec for F32x4Scalar {
     #[inline(always)]
     fn reduce_sum(self) -> f32 {
         (self.0[0] + self.0[1]) + (self.0[2] + self.0[3])
-    }
-
-    #[inline(always)]
-    fn to_array(self) -> [f32; 4] {
-        self.0
-    }
-
-    #[inline(always)]
-    fn from_array(a: [f32; 4]) -> Self {
-        Self(a)
     }
 }
 

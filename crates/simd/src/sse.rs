@@ -3,8 +3,9 @@
 //! SSE2 is part of the x86_64 baseline, so no runtime feature detection is
 //! needed here. [`SimdVec::fma`] is `mulps` + `addps`, also when
 //! `ndirect-core` runs these methods inlined under its runtime-selected
-//! `avx2` entry (`vmulps` + `vaddps`: the same bits). Only a build whose
-//! `RUSTFLAGS` enable `fma` lowers it to `vfmadd`.
+//! `avx2+fma` entry (`vmulps` + `vaddps`: the same bits; LLVM does not
+//! contract a separate multiply and add). Only a build whose `RUSTFLAGS`
+//! enable `fma` lowers it to `vfmadd`.
 
 use core::arch::x86_64::*;
 
@@ -20,7 +21,26 @@ impl core::fmt::Debug for F32x4 {
     }
 }
 
+impl F32x4 {
+    /// The lanes as an array.
+    #[inline(always)]
+    pub fn to_array(self) -> [f32; 4] {
+        let mut out = [0.0; 4];
+        self.store(&mut out);
+        out
+    }
+
+    /// Builds a vector from an array.
+    #[inline(always)]
+    pub fn from_array(a: [f32; 4]) -> Self {
+        Self::load(&a)
+    }
+}
+
 impl SimdVec for F32x4 {
+    const LANES: usize = 4;
+    const FUSED: bool = cfg!(target_feature = "fma");
+
     #[inline(always)]
     fn zero() -> Self {
         // SAFETY: SSE2 is in the x86_64 baseline.
@@ -109,20 +129,6 @@ impl SimdVec for F32x4 {
     fn reduce_sum(self) -> f32 {
         let a = self.to_array();
         (a[0] + a[1]) + (a[2] + a[3])
-    }
-
-    #[inline(always)]
-    fn to_array(self) -> [f32; 4] {
-        let mut out = [0.0; 4];
-        // SAFETY: `out` has exactly 4 floats.
-        unsafe { _mm_storeu_ps(out.as_mut_ptr(), self.0) };
-        out
-    }
-
-    #[inline(always)]
-    fn from_array(a: [f32; 4]) -> Self {
-        // SAFETY: `a` has exactly 4 floats.
-        Self(unsafe { _mm_loadu_ps(a.as_ptr()) })
     }
 }
 

@@ -2,27 +2,35 @@
 //! fixed, seeded problem set, held against a committed table.
 //!
 //! Every other bitwise test in the workspace compares two paths *of the
-//! same build* (packing modes, thread grids, plan vs one-shot). None of
-//! them notices a refactor that moves all paths together — a reordered tap
-//! loop, a different accumulator start — because both sides move. This
-//! file pins the bits themselves, so a structural change to the kernels or
-//! drivers is held to the outputs of the commit before it.
+//! same build* (packing modes, thread grids, plan vs one-shot), or a plan
+//! with the order-matched oracle (`conv_ordered`). None of them notices a
+//! refactor that moves the kernels and the oracle together, because both
+//! sides move. This file pins the bits themselves, so a structural change
+//! to the kernels or drivers is held to the outputs of the commit before
+//! it.
 //!
-//! Each case first asserts the in-build equalities (every packing mode ×
-//! every grid × one-shot and planned, the plans under every tile-kernel
-//! entry the host supports, produce one bit pattern) and then compares
-//! that pattern's FNV-1a hash with the table. All schedules are spelled
-//! out: the channel tile `Tc` groups the reduction, so a host-derived
-//! schedule would make the bits host-dependent.
+//! Each case first asserts the in-build equalities, then compares the
+//! FNV-1a hash of the common output with the table. Dense cases: every
+//! packing mode × every grid, one-shot and planned under every tile-kernel
+//! entry the host supports, equals `conv_ordered` for that entry's
+//! rounding of the case's body ([`Kernel::fused`]); the hash is taken from
+//! the baseline entry's output. Depthwise and dw+pw cases: every entry
+//! gives one bit pattern (their kernels are the baseline's 4-lane code
+//! under every entry). All schedules are spelled out: the channel tile
+//! `Tc` groups the reduction, so a host-derived schedule would make the
+//! bits host-dependent.
 //!
-//! The table is keyed on [`ndirect_simd::backend_name`]: `"sse"` and
-//! `"scalar"` share it (the scalar backend mirrors SSE's unfused
-//! multiply-add lane for lane); any other backend (`"sse+fma"`, `"neon"`)
-//! contracts the multiply-add, so it prints a notice, skips the table and
-//! still asserts the in-build equalities. The kernel entries (`sse` and
-//! `avx2` on x86-64) share the table: `avx2` is the same unfused code under
-//! AVX2 encoding. The engine cases run whichever entry the host selects.
+//! The table is keyed on [`ndirect_simd::backend_name`], the baseline
+//! entry's encoding: `"sse"` and `"scalar"` share it (the scalar backend
+//! mirrors SSE's unfused multiply-add lane for lane); any other baseline
+//! (`"sse+fma"`, `"neon"`) contracts the multiply-add, so it prints a
+//! notice, skips the table and still asserts the in-build equalities. The
+//! `avx2+fma` entry fuses the multiply-add for every filter but 1×1 and is
+//! held to the oracle, not the table. The engine cases run plans pinned to
+//! the baseline entry.
 
+use ndirect_baselines::naive::conv_ordered;
+use ndirect_core::kernel::Body;
 use ndirect_core::{
     conv_depthwise, conv_ndirect_with, nhwc::conv_ndirect_nhwc_with, try_conv_dwpw_fused_with,
     ConvPlan, DepthwisePlan, DwPwSchedule, FusedDwPwPlan, Kernel, PackingMode, Schedule,
@@ -31,7 +39,8 @@ use ndirect_models::{zoo, ConvLayer, Engine, FcLayer, Model, NDirectBackend, Nod
 use ndirect_tensor::{fill, ActLayout, ConvShape, Filter, FilterLayout, Padding, Tensor4};
 use ndirect_threads::{Grid2, StaticPool};
 
-/// Hashes of the output bits under the unfused-multiply-add backends. A
+/// Hashes of the baseline entry's output bits under the unfused-multiply-add
+/// backends. A
 /// refactor must not edit this table; a change that is *meant* to move the
 /// bits regenerates it from the failure message, which prints every entry.
 const GOLDEN: &[(&str, u64)] = &[
@@ -110,29 +119,38 @@ const MODES: [PackingMode; 3] =
     [PackingMode::Fused, PackingMode::Sequential, PackingMode::Sliced { rows: 2 }];
 const GRIDS: [(usize, usize); 3] = [(1, 1), (2, 1), (1, 2)];
 
-/// One `NCHW` case: every mode × grid, one-shot and planned, must agree
-/// bitwise; returns the hash of the common output.
+/// The order-matched oracle's output for each rounding, indexed by
+/// `fused`, over the schedule's channel tile.
+fn oracles(input: &Tensor4, filter: &Filter, shape: &ConvShape, tc: usize) -> [Tensor4; 2] {
+    [false, true].map(|fused| conv_ordered(input, filter, shape, tc, fused))
+}
+
+/// One `NCHW` case: every mode × grid, one-shot and planned under every
+/// kernel entry, must equal the oracle for its entry's rounding; returns
+/// the hash of the baseline entry's output.
 fn nchw_case(name: &str, shape: ConvShape, tiles: (usize, usize, usize, usize, usize)) -> u64 {
     let (input, filter) = problem(&shape, ActLayout::Nchw, 0x601d);
     let base = schedule(&shape, tiles);
-    let mut reference: Option<Tensor4> = None;
+    let body = Body::of(shape.r, shape.s);
+    let oracle = oracles(&input, &filter, &shape, base.tc);
+    let want = |kernel: Kernel| oracle[usize::from(kernel.fused(body))].as_slice();
     for mode in MODES {
         for (ptn, ptk) in GRIDS {
             let pool = StaticPool::new(ptn * ptk);
             let sched = base.with_packing(mode).with_grid(Grid2::new(ptn, ptk));
             let oneshot = conv_ndirect_with(&pool, &input, &filter, &shape, &sched);
-            let want = reference.get_or_insert_with(|| oneshot.clone());
-            assert_eq!(oneshot.as_slice(), want.as_slice(), "{name}: {mode:?} on {ptn}x{ptk}");
+            let what = format!("{name}: {mode:?} on {ptn}x{ptk}, one-shot");
+            assert_eq!(oneshot.as_slice(), want(Kernel::best()), "{what}");
             for kernel in kernels() {
                 let plan = ConvPlan::try_with_schedule(&shape, &filter, &sched).expect("valid case");
                 let mut planned = Tensor4::output_for(&shape, ActLayout::Nchw);
                 plan.with_kernel(kernel).execute(&pool, &input, &mut planned).expect("valid case");
                 let what = format!("{name}: {mode:?} on {ptn}x{ptk}, planned on {}", kernel.name());
-                assert_eq!(planned.as_slice(), want.as_slice(), "{what}");
+                assert_eq!(planned.as_slice(), want(kernel), "{what}");
             }
         }
     }
-    fnv1a(reference.expect("at least one mode ran").as_slice())
+    fnv1a(want(Kernel::supported().next().expect("the baseline runs")))
 }
 
 #[test]
@@ -156,10 +174,11 @@ fn nchw_bits_are_stable() {
     check_golden(GOLDEN, &actual);
 }
 
-/// Every grid × one-shot and planned (under every kernel entry) agree
-/// bitwise, and equal the `NCHW` plan's output on the same schedule,
-/// transposed: `NHWC` is a packing and addressing detail of the one loop
-/// nest, so the `NCHW` entries pin its bits too.
+/// Every grid × one-shot and planned (under every kernel entry) equal the
+/// oracle for the entry's rounding, and the one-shot output equals the
+/// `NCHW` one-shot's on the same schedule, transposed: `NHWC` is a packing
+/// and addressing detail of the one loop nest, so the `NCHW` entries pin
+/// its bits too.
 #[test]
 fn nhwc_bits_are_stable() {
     let cases = [
@@ -170,23 +189,24 @@ fn nhwc_bits_are_stable() {
     for (name, shape, tiles) in cases {
         let (input, filter) = problem(&shape, ActLayout::Nhwc, 0x601e);
         let base = schedule(&shape, tiles);
-        let mut reference: Option<Tensor4> = None;
+        let body = Body::of(shape.r, shape.s);
+        let oracle = oracles(&input, &filter, &shape, base.tc);
+        let want = |kernel: Kernel| oracle[usize::from(kernel.fused(body))].as_slice();
         for (ptn, ptk) in GRIDS {
             let pool = StaticPool::new(ptn * ptk);
             let sched = base.with_grid(Grid2::new(ptn, ptk));
             let oneshot = conv_ndirect_nhwc_with(&pool, &input, &filter, &shape, &sched);
-            let want = reference.get_or_insert_with(|| oneshot.clone());
-            assert_eq!(oneshot.as_slice(), want.as_slice(), "{name}: one-shot on {ptn}x{ptk}");
+            let what = format!("{name}: one-shot on {ptn}x{ptk}");
+            assert_eq!(oneshot.as_slice(), want(Kernel::best()), "{what}");
             for kernel in kernels() {
                 let plan =
                     ConvPlan::try_with_schedule_nhwc(&shape, &filter, &sched).expect("valid case");
                 let mut planned = Tensor4::output_for(&shape, ActLayout::Nhwc);
                 plan.with_kernel(kernel).execute(&pool, &input, &mut planned).expect("valid case");
                 let what = format!("{name}: {ptn}x{ptk}, planned on {}", kernel.name());
-                assert_eq!(planned.as_slice(), want.as_slice(), "{what}");
+                assert_eq!(planned.as_slice(), want(kernel), "{what}");
             }
         }
-        let reference = reference.expect("a grid ran");
         let nchw = conv_ndirect_with(
             &StaticPool::new(1),
             &input.to_layout(ActLayout::Nchw),
@@ -195,8 +215,8 @@ fn nhwc_bits_are_stable() {
             &base,
         );
         let what = format!("{name}: NHWC == NCHW, transposed");
-        assert_eq!(reference.as_slice(), nchw.to_layout(ActLayout::Nhwc).as_slice(), "{what}");
-        actual.push((name, fnv1a(reference.as_slice())));
+        assert_eq!(want(Kernel::best()), nchw.to_layout(ActLayout::Nhwc).as_slice(), "{what}");
+        actual.push((name, fnv1a(want(Kernel::supported().next().expect("the baseline runs")))));
     }
     check_golden(GOLDEN, &actual);
 }
@@ -267,7 +287,8 @@ fn dwpw_bits_are_stable() {
 /// Hashes of `Engine::run`'s batch-1 output, same backends as [`GOLDEN`].
 /// The standard convolutions run plans derived for a fixed preset platform
 /// (not the host), so the channel tile — and with it the bits — is the
-/// same everywhere.
+/// same everywhere, and pinned to the baseline entry, which is what the
+/// backend key names.
 const GOLDEN_ENGINE: &[(&str, u64)] = &[
     ("engine tiny_resnet", 0xebea_b277_f2d6_d621),
     ("engine mobilenet_lite", 0x3530_16d1_0db0_c760),
@@ -316,7 +337,8 @@ fn engine_bits_are_stable() {
         ("engine fc head n3", 3, fc_headed_model(0x6023)),
     ];
     let pool = StaticPool::new(1);
-    let backend = NDirectBackend::new(ndirect_platform::kp920());
+    let baseline = Kernel::supported().next().expect("the baseline runs");
+    let backend = NDirectBackend::new(ndirect_platform::kp920()).with_kernel(baseline);
     let engine = Engine::new(&backend, &pool);
     let mut actual = Vec::new();
     for (name, n, model) in &models {

@@ -7,8 +7,8 @@
 //! sum, rounding each multiply-add once when asked to. So every plan ×
 //! supported kernel entry × packing mode × thread grid, on both activation
 //! layouts, is held with `assert_eq!` to the oracle for the rounding its
-//! entry uses for the shape's body ([`fused`]), over a generated shape
-//! and schedule space. The one-shot entry points run the best entry
+//! entry uses for the shape's body ([`Kernel::fused`]), over a generated
+//! shape and schedule space. The one-shot entry points run the best entry
 //! and are held the same way.
 //!
 //! The oracle with one group and no fusing is `naive::conv_ref` itself
@@ -26,13 +26,6 @@ use ndirect_core::{
 use ndirect_support::Rng64;
 use ndirect_tensor::{fill, ActLayout, ConvShape, Filter, FilterLayout, Padding, Tensor4};
 use ndirect_threads::{Grid2, StaticPool};
-
-/// Whether `kernel` rounds each multiply-add of `body` once. Every entry
-/// runs the baseline's `F32x4` code, which fuses on the `sse+fma` and
-/// `neon` builds.
-fn fused(_kernel: Kernel, _body: Body) -> bool {
-    !matches!(ndirect_simd::backend_name(), "sse" | "scalar")
-}
 
 /// Seeds that run first: each pins a corner the generator reaches rarely.
 const REGRESSION_SEEDS: [u64; 6] = [
@@ -83,7 +76,7 @@ fn dense_case(seed: u64, pool: &StaticPool) {
     let body = Body::of(shape.r, shape.s);
     let oracle =
         [false, true].map(|fused| conv_ordered(&input, &filter, &shape, base.tc, fused));
-    let want = |kernel: Kernel| &oracle[usize::from(fused(kernel, body))];
+    let want = |kernel: Kernel| &oracle[usize::from(kernel.fused(body))];
     let grids = [(1, 1), *rng.choose(&[(2, 1), (1, 2), (2, 2)])];
     let sliced = PackingMode::Sliced { rows: rng.gen_range_usize(1, 4) };
 
@@ -170,7 +163,7 @@ fn table_4_shapes_equal_the_ordered_oracle_on_derived_schedules() {
             let tc = plan.schedule().tc;
             let mut planned = Tensor4::output_for(&shape, ActLayout::Nchw);
             plan.execute(&pool, &input, &mut planned).expect("valid layer");
-            let fused = fused(kernel, Body::of(shape.r, shape.s));
+            let fused = kernel.fused(Body::of(shape.r, shape.s));
             let want = conv_ordered(&input, &filter, &shape, tc, fused);
             let what = format!("Table 4 #{} as {shape} with {sched:?} on {}", layer.id, kernel.name());
             assert_eq!(planned.as_slice(), want.as_slice(), "{what}");
