@@ -1,43 +1,31 @@
-//! x86_64 AVX2 + FMA backend (`__m256`): eight lanes, fused multiply-add.
+//! x86_64 AVX2 + FMA vector (`__m256`): eight lanes, fused multiply-add,
+//! the vector the `avx2+fma` registry entry runs the general body on.
 //!
 //! AVX2 and FMA are not in the x86-64 baseline, and stable Rust cannot put
-//! a `#[target_feature]` on a safe trait method. So these methods carry no
-//! features of their own: each is `#[inline(always)]`, and must be inlined
-//! into a function compiled with `avx2` and `fma` enabled. In this
-//! workspace that is `ndirect-core`'s `avx2+fma` registry entry, which is
-//! only run after detecting both features on the CPU; its kernels are the
-//! only code that uses [`F32x8`]. Elsewhere the methods stay calls into the
-//! intrinsics, and on a CPU without the features the first one faults.
+//! a `#[target_feature]` on a safe trait method, so these methods carry no
+//! features of their own: each is `#[inline(always)]`, and executing one
+//! on a CPU without the features is undefined behaviour. That is why the
+//! type is private to this crate. Its one user is the `Avx2Fma` entry
+//! (`crate::kernel`), whose `General` vector it is: it is only named in
+//! kernels inlined into that entry's `MicroKernel::run`, which carries
+//! `avx2,fma` and which a `Kernel` only calls after detecting both
+//! features on the CPU. No other code in the crate may name it.
 //!
 //! [`SimdVec::fma`] is `_mm256_fmadd_ps`: one rounding per multiply-add.
 
 use core::arch::x86_64::*;
 
-use crate::SimdVec;
+use ndirect_simd::SimdVec;
 
 /// Eight `f32` lanes in an AVX register.
 #[derive(Clone, Copy)]
-pub struct F32x8(__m256);
+pub(crate) struct F32x8(__m256);
 
 impl core::fmt::Debug for F32x8 {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "F32x8({:?})", self.to_array())
-    }
-}
-
-impl F32x8 {
-    /// The lanes as an array.
-    #[inline(always)]
-    pub fn to_array(self) -> [f32; 8] {
-        let mut out = [0.0; 8];
-        self.store(&mut out);
-        out
-    }
-
-    /// Builds a vector from an array.
-    #[inline(always)]
-    pub fn from_array(a: [f32; 8]) -> Self {
-        Self::load(&a)
+        let mut lanes = [0.0; 8];
+        self.store(&mut lanes);
+        write!(f, "F32x8({lanes:?})")
     }
 }
 
@@ -47,7 +35,8 @@ impl SimdVec for F32x8 {
 
     #[inline(always)]
     fn zero() -> Self {
-        // SAFETY: runs inlined under the caller's `avx2,fma` (module docs).
+        // SAFETY: runs inlined under `Avx2Fma::run`, after detection
+        // (module docs).
         Self(unsafe { _mm256_setzero_ps() })
     }
 
@@ -59,6 +48,7 @@ impl SimdVec for F32x8 {
 
     #[inline(always)]
     fn load(src: &[f32]) -> Self {
+        // AUDIT: allow(hotpath-no-panic) O(1) guard protecting the unchecked load.
         assert!(src.len() >= 8, "load requires 8 floats");
         // SAFETY: bounds checked above; unaligned load; features as above.
         Self(unsafe { _mm256_loadu_ps(src.as_ptr()) })
@@ -66,6 +56,7 @@ impl SimdVec for F32x8 {
 
     #[inline(always)]
     fn store(self, dst: &mut [f32]) {
+        // AUDIT: allow(hotpath-no-panic) O(1) guard protecting the unchecked store.
         assert!(dst.len() >= 8, "store requires 8 floats");
         // SAFETY: bounds checked above; unaligned store; features as above.
         unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), self.0) }
@@ -108,12 +99,15 @@ impl SimdVec for F32x8 {
 
     #[inline(always)]
     fn extract<const LANE: usize>(self) -> f32 {
-        self.to_array()[LANE]
+        let mut lanes = [0.0; 8];
+        self.store(&mut lanes);
+        lanes[LANE]
     }
 
     #[inline(always)]
     fn reduce_sum(self) -> f32 {
-        let a = self.to_array();
+        let mut a = [0.0; 8];
+        self.store(&mut a);
         ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
     }
 }
@@ -122,6 +116,8 @@ impl SimdVec for F32x8 {
 mod tests {
     use super::*;
 
+    /// The tests call the methods outside the entry's frame, so they run
+    /// only where the CPU has the features (which is what makes it sound).
     fn supported() -> bool {
         let on = std::arch::is_x86_feature_detected!("avx2")
             && std::arch::is_x86_feature_detected!("fma");
@@ -131,20 +127,26 @@ mod tests {
         on
     }
 
+    fn lanes(v: F32x8) -> [f32; 8] {
+        let mut out = [0.0; 8];
+        v.store(&mut out);
+        out
+    }
+
     #[test]
     fn lanewise_ops_and_fused_multiply_add() {
         if !supported() {
             return;
         }
-        let a = F32x8::from_array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        let a = F32x8::load(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
         let b = F32x8::splat(10.0);
-        assert_eq!(a.add(b).to_array()[7], 18.0);
-        assert_eq!(b.sub(a).to_array()[0], 9.0);
-        assert_eq!(a.mul(b).to_array()[4], 50.0);
-        assert_eq!(a.max(F32x8::splat(4.5)).to_array()[..4], [4.5; 4]);
+        assert_eq!(lanes(a.add(b))[7], 18.0);
+        assert_eq!(lanes(b.sub(a))[0], 9.0);
+        assert_eq!(lanes(a.mul(b))[4], 50.0);
+        assert_eq!(lanes(a.max(F32x8::splat(4.5)))[..4], [4.5; 4]);
         assert_eq!(a.reduce_sum(), 36.0);
         assert_eq!(a.extract::<5>(), 6.0);
-        assert_eq!(F32x8::zero().fma_lane::<2>(b, a).to_array(), [30.0; 8]);
+        assert_eq!(lanes(F32x8::zero().fma_lane::<2>(b, a)), [30.0; 8]);
         // One rounding: (1+e)(1-e) = 1 - e², which the unfused form rounds
         // to 1 before subtracting 1.
         let (e, one) = (f32::EPSILON, F32x8::splat(-1.0));

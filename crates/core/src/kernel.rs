@@ -27,12 +27,12 @@
 //! before its FMA burst, so the buffer stores overlap with computation
 //! exactly as the paper interleaves `st` with `fma`.
 
-#[cfg(target_arch = "x86_64")]
-use ndirect_simd::F32x8;
 use ndirect_simd::{backend_name, F32x4, SimdVec};
 use ndirect_threads::SharedSlice;
 
-use crate::microkernel::{micro_kernel, Entry, EntryFn, Kernel, MicroKernel};
+#[cfg(target_arch = "x86_64")]
+use crate::avx2::F32x8;
+use crate::microkernel::{micro_kernel, with_entry, Entry, Kernel, MicroKernel};
 use crate::pack::gather_row;
 
 /// Upper bound on `Vw` the dynamic kernel supports.
@@ -226,13 +226,13 @@ pub struct Tile {
 }
 
 // The registry's entries (`crate::microkernel`), each with its register
-// file: the vector each body runs on, and the registers it holds. The
+// file: the vector the general body runs on (the pointwise body runs on
+// `F32x4` under every entry), and the registers it holds. The
 // baseline's file is the one `ndirect_platform::host()` reports: NEON's 32
 // lane-FMA registers on AArch64, x86-64's 16 xmm registers elsewhere.
 micro_kernel!(
     Baseline, backend_name(), true,
-    general: F32x4, pointwise: F32x4,
-    registers: if cfg!(target_arch = "aarch64") { 32 } else { 16 },
+    general: F32x4, registers: if cfg!(target_arch = "aarch64") { 32 } else { 16 },
     lane_fma: cfg!(target_arch = "aarch64")
 );
 // 16 ymm registers, 8-lane FMA for the general body. Offered over the SSE2
@@ -245,8 +245,7 @@ micro_kernel!(
     matches!(backend_name(), "sse" | "sse+fma")
         && std::arch::is_x86_feature_detected!("avx2")
         && std::arch::is_x86_feature_detected!("fma"),
-    general: F32x8, pointwise: F32x4,
-    registers: 16, lane_fma: false,
+    general: F32x8, registers: 16, lane_fma: false,
     "avx2,fma"
 );
 
@@ -351,7 +350,7 @@ pub fn clamp_tile((vw, vk): (usize, usize)) -> (usize, usize) {
 /// The vector an entry runs a table line's body on.
 macro_rules! vector {
     (general, $entry:ident) => { <$entry as MicroKernel>::General };
-    (pointwise, $entry:ident) => { <$entry as MicroKernel>::Pointwise };
+    (pointwise, $entry:ident) => { F32x4 };
 }
 
 /// Runs a line's stamped kernel under whichever of the line's entries
@@ -418,35 +417,30 @@ pub fn run_tile(
 ) {
     debug_assert!(args.tf.len() >= args.tcb * args.rdim * args.sdim * args.vk);
     if !run_stamped(kernel, rows, args, out) {
-        kernel.visit(DynTile(rows, args, out));
+        run_dyn(kernel, rows, args, out);
     }
 }
 
 /// [`dyn_kernel`] on the entry's vector for the tile's body, compiled for
-/// the entry: one frame per (entry, vector), so the baseline's two bodies
-/// share one.
-struct DynTile<'r, 'a, 'b, 'o>(&'r mut RowSource<'a>, &'r TileArgs<'b>, &'r SharedSlice<'o, f32>);
-
-impl EntryFn for DynTile<'_, '_, '_, '_> {
-    type Out = ();
-
-    #[inline(always)]
-    fn call<E: MicroKernel>(self) {
-        match Body::of(self.1.rdim, self.1.sdim) {
-            Body::General => self.run::<E, E::General>(),
-            Body::Pointwise => self.run::<E, E::Pointwise>(),
-        }
-    }
+/// the entry.
+#[inline(always)]
+fn run_dyn(kernel: Kernel, rows: &mut RowSource<'_>, args: &TileArgs<'_>, out: &SharedSlice<'_, f32>) {
+    with_entry!(kernel.entry(), E => match Body::of(args.rdim, args.sdim) {
+        Body::General => dyn_as::<E, <E as MicroKernel>::General>(kernel, rows, args, out),
+        Body::Pointwise => dyn_as::<E, F32x4>(kernel, rows, args, out),
+    });
 }
 
-impl DynTile<'_, '_, '_, '_> {
-    #[inline(always)]
-    fn run<E: MicroKernel, V: SimdVec>(self) {
-        let DynTile(rows, args, out) = self;
-        // SAFETY: `Kernel::visit` calls with the entry the kernel is, and a
-        // `Kernel` is only built from a supported entry.
-        unsafe { E::run(#[inline(always)] || dyn_kernel::<V>(rows, args, out)) }
-    }
+/// [`dyn_kernel`] on `V` under entry `E`, which `kernel` is: one frame per
+/// (entry, vector), so the baseline's two bodies share one.
+#[inline(always)]
+fn dyn_as<E: MicroKernel, V: SimdVec>(
+    kernel: Kernel,
+    rows: &mut RowSource<'_>,
+    args: &TileArgs<'_>,
+    out: &SharedSlice<'_, f32>,
+) {
+    kernel.run_as::<E>(#[inline(always)] || dyn_kernel::<V>(rows, args, out));
 }
 
 /// A stamped [`Body::General`] tile: `VW` pixels × `VKV` vectors of `V`,
@@ -769,10 +763,10 @@ mod tests {
             Via::Stamped(want) => {
                 assert_eq!(run_stamped(kernel, rows, &args, &out), want, "stamped kernel?");
                 if !want {
-                    kernel.visit(DynTile(rows, &args, &out));
+                    run_dyn(kernel, rows, &args, &out);
                 }
             }
-            Via::Dyn => kernel.visit(DynTile(rows, &args, &out)),
+            Via::Dyn => run_dyn(kernel, rows, &args, &out),
         };
         let image = input.as_slice();
         let mut buf = vec![0.0; tcb * shape.r * geom.win];

@@ -44,6 +44,8 @@
 
 #![warn(missing_docs)]
 
+#[cfg(target_arch = "x86_64")]
+mod avx2;
 pub mod conv;
 pub mod conv3d;
 pub mod depthwise;

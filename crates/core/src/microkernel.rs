@@ -2,8 +2,9 @@
 //! bodies, detected at run time and chosen once per plan (after rten's
 //! `Kernel` trait).
 //!
-//! An entry holds no kernels of its own. It names the vector type each
-//! row body runs on and the size of its register file, and
+//! An entry holds no kernels of its own. It names the vector type the
+//! general row body runs on (every entry runs the pointwise body on the
+//! baseline's `F32x4`) and the size of its register file, and
 //! [`MicroKernel::run`] takes a closure that inlines one tile kernel — a
 //! `(Vw, Vk/L, stride)` instantiation of [`crate::kernel`]'s row walk, the
 //! runtime-bound edge kernel, a depthwise channel — with the entry's
@@ -13,9 +14,13 @@
 //!
 //! On x86-64 the entries are the build's baseline (`sse`, or `sse+fma`
 //! when `RUSTFLAGS` enable FMA) and `avx2+fma`. The latter runs the general
-//! body on 8-lane `F32x8` vectors with a fused multiply-add, and the
-//! pointwise body on the baseline's `F32x4` code, which stays unfused on
-//! an `sse` build (`mulps` + `addps` under VEX encoding). Lanes run over
+//! body on 8-lane `F32x8` vectors with a fused multiply-add (a vector
+//! private to this crate, since its methods need the entry's features),
+//! and the pointwise body on the baseline's `F32x4` code, which stays
+//! unfused on an `sse` build (`mulps` + `addps` under VEX encoding).
+//! [`with_entry!`] is the one dispatch over the entries; a `Kernel`'s
+//! methods go through it, and [`Kernel::run_as`] runs one named entry's
+//! instantiation alone. Lanes run over
 //! output channels, never over the reduction, so every output sums the
 //! same products in the same order under every entry, and two entries
 //! differ in bits only where one fuses a body and the other does not
@@ -28,12 +33,9 @@
 //! over.
 
 use ndirect_platform::SimdSpec;
-use ndirect_simd::SimdVec;
+use ndirect_simd::{F32x4, SimdVec};
 
 use crate::kernel::Body;
-#[cfg(target_arch = "x86_64")]
-use crate::kernel::Avx2Fma;
-use crate::kernel::Baseline;
 
 /// One ISA encoding of the tile kernels.
 pub(crate) trait MicroKernel {
@@ -45,8 +47,6 @@ pub(crate) trait MicroKernel {
     const LANE_FMA: bool;
     /// The vector the [`Body::General`] kernels run on.
     type General: SimdVec;
-    /// The vector the [`Body::Pointwise`] kernels run on.
-    type Pointwise: SimdVec;
     /// The name [`Kernel::name`] reports.
     fn name() -> &'static str;
     /// Whether the running CPU can execute this entry.
@@ -60,14 +60,13 @@ pub(crate) trait MicroKernel {
 }
 
 /// Stamps one registry entry: its type, name, detection, register file
-/// (the vector each body runs on, the register count), and a `run`
+/// (the vector the general body runs on, the register count), and a `run`
 /// carrying the entry's target features. The entries are declared beside
 /// the tile table lines they stamp, in [`crate::kernel`].
 macro_rules! micro_kernel {
     (
         $entry:ident, $name:expr, $supported:expr,
-        general: $general:ty, pointwise: $pointwise:ty,
-        registers: $registers:expr, lane_fma: $lane_fma:expr
+        general: $general:ty, registers: $registers:expr, lane_fma: $lane_fma:expr
         $(, $feature:literal)?
     ) => {
         pub(crate) struct $entry;
@@ -77,7 +76,6 @@ macro_rules! micro_kernel {
             const REGISTERS: usize = $registers;
             const LANE_FMA: bool = $lane_fma;
             type General = $general;
-            type Pointwise = $pointwise;
 
             fn name() -> &'static str {
                 $name
@@ -114,14 +112,26 @@ const ENTRIES: &[Entry] = &[Entry::Baseline, Entry::Avx2Fma];
 #[cfg(not(target_arch = "x86_64"))]
 const ENTRIES: &[Entry] = &[Entry::Baseline];
 
-/// Code generic over the registry entry, which [`Kernel::visit`] calls
-/// for the entry a kernel is.
-pub(crate) trait EntryFn {
-    /// What the call returns.
-    type Out;
-    /// The body, for entry `E`.
-    fn call<E: MicroKernel>(self) -> Self::Out;
+/// Evaluates `$body` with the type `$E` naming the entry `$entry` is: the
+/// registry's one dispatch over its entries ([`Kernel::run_as`] runs one
+/// named entry).
+macro_rules! with_entry {
+    ($entry:expr, $E:ident => $body:expr) => {
+        match $entry {
+            $crate::microkernel::Entry::Baseline => {
+                type $E = $crate::kernel::Baseline;
+                $body
+            }
+            #[cfg(target_arch = "x86_64")]
+            $crate::microkernel::Entry::Avx2Fma => {
+                type $E = $crate::kernel::Avx2Fma;
+                $body
+            }
+        }
+    };
 }
+
+pub(crate) use with_entry;
 
 /// A registry entry the running CPU supports. [`Kernel::supported`] is
 /// the only way to make one, which is what lets a tile kernel run under
@@ -133,14 +143,7 @@ pub struct Kernel(Entry);
 impl Kernel {
     /// Every supported entry, the baseline first.
     pub fn supported() -> impl Iterator<Item = Kernel> {
-        ENTRIES
-            .iter()
-            .filter(|e| match e {
-                Entry::Baseline => Baseline::supported(),
-                #[cfg(target_arch = "x86_64")]
-                Entry::Avx2Fma => Avx2Fma::supported(),
-            })
-            .map(|&e| Kernel(e))
+        ENTRIES.iter().filter(|&&e| with_entry!(e, E => E::supported())).map(|&e| Kernel(e))
     }
 
     /// The last supported entry in registry order, the one plans run.
@@ -150,38 +153,29 @@ impl Kernel {
 
     /// The entry's registry name (`"sse"`, `"avx2+fma"`, `"neon"`, …).
     pub fn name(self) -> &'static str {
-        struct Name;
-        impl EntryFn for Name {
-            type Out = &'static str;
-            fn call<E: MicroKernel>(self) -> &'static str {
-                E::name()
-            }
-        }
-        self.visit(Name)
+        with_entry!(self.0, E => E::name())
     }
 
     /// The register file `body`'s kernels run on under this entry: its
-    /// vector's lanes and whether its multiply-add is fused, the entry's
-    /// register count. Eqs. 3–4 derive the host's tiles over it.
+    /// vector's lanes and whether its multiply-add is fused (the
+    /// pointwise body's vector is the baseline's `F32x4` under every
+    /// entry), the entry's register count. Eqs. 3–4 derive the host's
+    /// tiles over it.
     pub(crate) fn register_file(self, body: Body) -> SimdSpec {
-        struct File(Body);
-        impl EntryFn for File {
-            type Out = SimdSpec;
-            fn call<E: MicroKernel>(self) -> SimdSpec {
-                let (lanes, fused) = match self.0 {
-                    Body::General => (E::General::LANES, E::General::FUSED),
-                    Body::Pointwise => (E::Pointwise::LANES, E::Pointwise::FUSED),
-                };
-                SimdSpec {
-                    vector_bits: 32 * lanes,
-                    num_vregs: E::REGISTERS,
-                    fma_per_cycle: 2.0,
-                    lane_fma: E::LANE_FMA,
-                    fused,
-                }
+        with_entry!(self.0, E => {
+            type General = <E as MicroKernel>::General;
+            let (lanes, fused) = match body {
+                Body::General => (General::LANES, General::FUSED),
+                Body::Pointwise => (F32x4::LANES, F32x4::FUSED),
+            };
+            SimdSpec {
+                vector_bits: 32 * lanes,
+                num_vregs: E::REGISTERS,
+                fma_per_cycle: 2.0,
+                lane_fma: E::LANE_FMA,
+                fused,
             }
-        }
-        self.visit(File(body))
+        })
     }
 
     /// Whether `body`'s kernels round each multiply-add once under this
@@ -191,14 +185,9 @@ impl Kernel {
         self.register_file(body).fused
     }
 
-    /// Calls `f` for this kernel's entry.
-    #[inline(always)]
-    pub(crate) fn visit<F: EntryFn>(self, f: F) -> F::Out {
-        match self.0 {
-            Entry::Baseline => f.call::<Baseline>(),
-            #[cfg(target_arch = "x86_64")]
-            Entry::Avx2Fma => f.call::<Avx2Fma>(),
-        }
+    /// The entry this kernel is, for [`with_entry!`].
+    pub(crate) fn entry(self) -> Entry {
+        self.0
     }
 
     /// Whether this kernel is one of `entries`.
@@ -210,14 +199,9 @@ impl Kernel {
     /// all the way down — compiled out of line for this entry.
     #[inline(always)]
     pub(crate) fn run<R>(self, body: impl FnOnce() -> R) -> R {
-        match self.0 {
-            // SAFETY: a `Kernel` is only built from an entry whose
-            // `supported()` held, so the CPU has its features.
-            Entry::Baseline => unsafe { Baseline::run(body) },
-            // SAFETY: as above.
-            #[cfg(target_arch = "x86_64")]
-            Entry::Avx2Fma => unsafe { Avx2Fma::run(body) },
-        }
+        // SAFETY: a `Kernel` is only built from an entry whose
+        // `supported()` held, so the CPU has its features.
+        with_entry!(self.0, E => unsafe { E::run(body) })
     }
 
     /// Runs `body` compiled for entry `E` only, when this kernel is `E`;

@@ -128,7 +128,7 @@ pub mod register_tile {
     /// registry entry that will run the filter's [`Body`] when `platform`
     /// is the host, over the platform's own file for a preset.
     pub fn tile_for(platform: &Platform, rdim: usize, sdim: usize) -> (usize, usize) {
-        let simd = if platform.host {
+        let simd = if platform.is_host() {
             Kernel::best().register_file(Body::of(rdim, sdim))
         } else {
             platform.simd

@@ -165,8 +165,8 @@ pub fn host() -> Platform {
     // The baseline encoding's *architectural* register file: 32 × 128-bit
     // on AArch64 (NEON), 16 × XMM on x86_64, fused where the build enables
     // FMA. `ndirect-core` derives tiles for wider registry entries over
-    // their own files (`host: true`). Getting this wrong makes the model
-    // pick spilling tiles.
+    // their own files (`Platform::is_host`). Getting this wrong makes the
+    // model pick spilling tiles.
     let simd = if cfg!(target_arch = "aarch64") {
         SimdSpec::NEON
     } else {

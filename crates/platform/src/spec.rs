@@ -96,14 +96,11 @@ pub struct Platform {
     pub max_bandwidth_gib_s: f64,
     /// Cache hierarchy.
     pub cache: CacheSpec,
-    /// Vector register file. For the host ([`Platform::host`]) this is the
+    /// Vector register file. For the host ([`crate::host`]) this is the
     /// build's baseline kernel encoding's file.
     pub simd: SimdSpec,
-    /// Whether this is the machine the process runs on
-    /// ([`crate::host`]). `ndirect-core` then derives each register tile
-    /// over the register file of the kernel-registry entry that will run
-    /// it, which may be wider than `simd`; presets keep their own `simd`.
-    pub host: bool,
+    /// Set by [`crate::host`] alone; read through [`Platform::is_host`].
+    pub(crate) host: bool,
     /// Streaming/non-streaming access-cost ratio `α` (§6.2). Presets carry
     /// a representative default; [`crate::measure_alpha`] refreshes it for
     /// the host.
@@ -111,6 +108,15 @@ pub struct Platform {
 }
 
 impl Platform {
+    /// Whether this is the machine the process runs on, as made by
+    /// [`crate::host`] (or copied from it). `ndirect-core` then derives
+    /// each register tile over the register file of the kernel-registry
+    /// entry that will run it, which may be wider than `simd`; presets
+    /// keep their own `simd`.
+    pub fn is_host(&self) -> bool {
+        self.host
+    }
+
     /// Peak FP32 GFLOPS of a single core.
     pub fn peak_per_core(&self) -> f64 {
         self.peak_fp32_gflops / self.cores as f64

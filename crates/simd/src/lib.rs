@@ -12,10 +12,10 @@
 //! * elsewhere (or with the `force-scalar` feature) it is a `[f32; 4]` that
 //!   LLVM autovectorizes.
 //!
-//! On x86_64, [`F32x8`] is the same operation set at 8 lanes with a fused
-//! multiply-add (`vfmadd231ps`). It needs AVX2 and FMA, which the x86-64
-//! baseline lacks, so only code compiled under `ndirect-core`'s `avx2+fma`
-//! kernel-registry entry uses it; the entry is chosen per plan at run
+//! [`SimdVec`] is lane-generic: `ndirect-core` implements it for an 8-lane
+//! AVX2+FMA vector (`vfmadd231ps`) private to that crate, since AVX2 and
+//! FMA are not in the x86-64 baseline and its safe methods may only run
+//! inside the `avx2+fma` kernel-registry entry, chosen per plan at run
 //! time when the CPU has both. 16-lane (AVX-512) vectors are not here yet.
 //!
 //! Micro-kernels are generic over [`SimdVec`] and treat its values as
@@ -24,7 +24,7 @@
 //! by the analytic model in `ndirect-core`, not here.
 //!
 //! The scalar backend computes `a*b + c` with separate multiply/add so its
-//! results match SSE bitwise; NEON and the FMA vectors fuse the rounding
+//! results match SSE bitwise; NEON and FMA vectors fuse the rounding
 //! step ([`SimdVec::FUSED`]). Lanes never split a reduction, so a kernel's
 //! bits depend on its vector type only through `FUSED`.
 
@@ -34,8 +34,6 @@ mod int16;
 pub mod runtime;
 mod scalar;
 
-#[cfg(target_arch = "x86_64")]
-mod avx2;
 #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
 mod sse;
 
@@ -54,8 +52,6 @@ pub use neon::F32x4;
 ))]
 pub use scalar::F32x4Scalar as F32x4;
 
-#[cfg(target_arch = "x86_64")]
-pub use avx2::F32x8;
 pub use int16::{I16x8, I32x4};
 pub use runtime::{detected_isa, force_unsupported, verify_host, Isa, UnsupportedIsa};
 pub use scalar::F32x4Scalar;
