@@ -9,7 +9,7 @@
 //! 3. retrain the cost model on all measurements so far;
 //! 4. stop when the trial budget is exhausted.
 
-use ndirect_core::{conv_ndirect_with, Schedule};
+use ndirect_core::{try_conv_ndirect_with, Error, Schedule};
 use ndirect_tensor::{ConvShape, Filter, Tensor4};
 use ndirect_threads::StaticPool;
 use ndirect_support::Rng64;
@@ -78,38 +78,39 @@ pub struct TuneReport {
 /// Tunes nDirect's schedule for one problem by measurement, Ansor-style.
 ///
 /// `input`/`filter` supply real operand data so measurements exercise the
-/// same memory system the final run will.
+/// same memory system the final run will. The first measurement that fails
+/// (malformed operands, an unsupported host ISA, a pool fault) ends the
+/// run with its typed [`Error`].
 pub fn tune(
     pool: &StaticPool,
     shape: &ConvShape,
     input: &Tensor4,
     filter: &Filter,
     settings: &TuneSettings,
-) -> TuneReport {
+) -> Result<TuneReport, Error> {
     let space = ScheduleSpace::for_shape(shape, pool.size());
     let mut rng = Rng64::seed_from_u64(settings.seed);
     let mut model = CostModel::new();
     let mut measured: Vec<(Schedule, f64)> = Vec::new();
     let mut history = Vec::new();
 
-    let measure = |sched: &Schedule, measured: &mut Vec<(Schedule, f64)>| -> f64 {
+    let measure = |sched: &Schedule, measured: &mut Vec<(Schedule, f64)>| -> Result<(), Error> {
         let mut best = f64::MAX;
         for _ in 0..settings.reps.max(1) {
             let start = Instant::now();
-            let out = conv_ndirect_with(pool, input, filter, shape, sched);
+            let out = try_conv_ndirect_with(pool, input, filter, shape, sched)?;
             best = best.min(start.elapsed().as_secs_f64());
             std::hint::black_box(out);
         }
-        let gflops = shape.gflops(best);
-        measured.push((sched.clone(), gflops));
-        gflops
+        measured.push((sched.clone(), shape.gflops(best)));
+        Ok(())
     };
 
     // Round 0: random population.
     let init = settings.population.min(settings.trials).max(1);
     for _ in 0..init {
         let s = random_schedule(&space, shape, &mut rng);
-        measure(&s, &mut measured);
+        measure(&s, &mut measured)?;
     }
     let mut best_idx = argmax(&measured);
     history.push((measured.len(), measured[best_idx].1));
@@ -148,7 +149,7 @@ pub fn tune(
             if measured.iter().any(|(s, _)| *s == cand) {
                 continue;
             }
-            measure(&cand, &mut measured);
+            measure(&cand, &mut measured)?;
         }
         let new_best = argmax(&measured);
         if measured[new_best].1 > measured[best_idx].1 {
@@ -160,12 +161,12 @@ pub fn tune(
         }
     }
 
-    TuneReport {
+    Ok(TuneReport {
         best: measured[best_idx].0.clone(),
         best_gflops: measured[best_idx].1,
         trials_used: measured.len(),
         history,
-    }
+    })
 }
 
 /// Index of the best measurement. Callers always measure at least one
@@ -196,7 +197,8 @@ mod tests {
     fn tune_respects_trial_budget_and_finds_valid_schedule() {
         let (shape, input, filter) = tiny_problem();
         let pool = StaticPool::new(1);
-        let report = tune(&pool, &shape, &input, &filter, &TuneSettings::smoke());
+        let report = tune(&pool, &shape, &input, &filter, &TuneSettings::smoke())
+            .expect("valid problem");
         assert!(report.trials_used <= 6 + 2, "budget roughly respected");
         assert!(report.best_gflops > 0.0);
         assert!(report.best.tc <= 8);
@@ -206,8 +208,10 @@ mod tests {
     fn tuning_is_reproducible_for_fixed_seed() {
         let (shape, input, filter) = tiny_problem();
         let pool = StaticPool::new(1);
-        let a = tune(&pool, &shape, &input, &filter, &TuneSettings::smoke());
-        let b = tune(&pool, &shape, &input, &filter, &TuneSettings::smoke());
+        let a = tune(&pool, &shape, &input, &filter, &TuneSettings::smoke())
+            .expect("valid problem");
+        let b = tune(&pool, &shape, &input, &filter, &TuneSettings::smoke())
+            .expect("valid problem");
         // Timing noise can change the winner, but the candidate *sequence*
         // is seeded; both runs must explore the same number of trials.
         assert_eq!(a.trials_used, b.trials_used);
@@ -217,7 +221,8 @@ mod tests {
     fn history_is_monotone_nondecreasing() {
         let (shape, input, filter) = tiny_problem();
         let pool = StaticPool::new(1);
-        let report = tune(&pool, &shape, &input, &filter, &TuneSettings::smoke());
+        let report = tune(&pool, &shape, &input, &filter, &TuneSettings::smoke())
+            .expect("valid problem");
         let mut prev = 0.0;
         for (_, g) in &report.history {
             assert!(*g >= prev);
@@ -229,8 +234,10 @@ mod tests {
     fn tuned_result_computes_correct_convolution() {
         let (shape, input, filter) = tiny_problem();
         let pool = StaticPool::new(1);
-        let report = tune(&pool, &shape, &input, &filter, &TuneSettings::smoke());
-        let got = conv_ndirect_with(&pool, &input, &filter, &shape, &report.best);
+        let report = tune(&pool, &shape, &input, &filter, &TuneSettings::smoke())
+            .expect("valid problem");
+        let got = try_conv_ndirect_with(&pool, &input, &filter, &shape, &report.best)
+            .expect("tuned schedule runs");
         let expect = ndirect_baselines_naive(&input, &filter, &shape);
         ndirect_tensor::assert_close(got.as_slice(), expect.as_slice(), 2e-4, "tuned conv");
     }

@@ -14,7 +14,7 @@
 //! layout internals) stay with their modules; this file owns agreement.
 
 use ndirect_baselines::{blocked, fft, im2col, indirect, naive, winograd};
-use ndirect_core::{conv_ndirect_with, PackingMode, Schedule};
+use ndirect_core::{try_conv_ndirect_with, PackingMode, Schedule};
 use ndirect_tensor::{fill, ActLayout, ConvShape, Filter, FilterLayout, Padding, Tensor4};
 use ndirect_threads::StaticPool;
 
@@ -29,7 +29,7 @@ fn direct_reference(
     shape: &ConvShape,
 ) -> Tensor4 {
     let sched = Schedule::derive(&ndirect_platform::host(), shape, pool.size());
-    conv_ndirect_with(pool, input, filter, shape, &sched)
+    try_conv_ndirect_with(pool, input, filter, shape, &sched).expect("valid problem")
 }
 
 /// ULP distance between two finite f32s: how many representable floats
@@ -171,7 +171,8 @@ fn packing_variants_are_bitwise_identical_to_fused() {
         let base = Schedule::derive(&ndirect_platform::host(), &shape, pool.size());
         let mut fused = base.clone();
         fused.packing = PackingMode::Fused;
-        let want = conv_ndirect_with(&pool, &input, &filter, &shape, &fused.sanitized(&shape));
+        let want = try_conv_ndirect_with(&pool, &input, &filter, &shape, &fused.sanitized(&shape))
+            .expect("valid problem");
         for mode in [
             PackingMode::Sequential,
             PackingMode::Sliced { rows: 1 },
@@ -180,7 +181,9 @@ fn packing_variants_are_bitwise_identical_to_fused() {
         ] {
             let mut sched = base.clone();
             sched.packing = mode;
-            let got = conv_ndirect_with(&pool, &input, &filter, &shape, &sched.sanitized(&shape));
+            let sched = sched.sanitized(&shape);
+            let got = try_conv_ndirect_with(&pool, &input, &filter, &shape, &sched)
+                .expect("valid problem");
             assert_eq!(
                 got.as_slice(),
                 want.as_slice(),

@@ -8,7 +8,7 @@
 
 use ndirect_bench::harness::{BenchmarkId, Criterion, Throughput};
 use ndirect_bench::{bench_group, bench_main};
-use ndirect_core::{conv_ndirect_with, FilterState, PackingMode, Schedule};
+use ndirect_core::{try_conv_ndirect_with, FilterState, PackingMode, Schedule};
 use ndirect_tensor::{ActLayout, FilterLayout};
 use ndirect_threads::{Grid2, StaticPool};
 use ndirect_workloads::{make_problem, table4};
@@ -28,7 +28,8 @@ fn bench_packing_mode(c: &mut Criterion) {
     ] {
         let sched = base.with_packing(mode);
         group.bench_function(name, |b| {
-            b.iter(|| conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched));
+            b.iter(|| try_conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+                .expect("valid problem"));
         });
     }
     group.finish();
@@ -51,7 +52,8 @@ fn bench_filter_state(c: &mut Criterion) {
     ] {
         let sched = base.with_filter_state(state);
         group.bench_function(name, |b| {
-            b.iter(|| conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched));
+            b.iter(|| try_conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+                .expect("valid problem"));
         });
     }
     group.finish();
@@ -77,7 +79,8 @@ fn bench_thread_grid(c: &mut Criterion) {
     ] {
         let sched = base.with_grid(grid);
         group.bench_with_input(BenchmarkId::new("grid", name), &name, |b, _| {
-            b.iter(|| conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched));
+            b.iter(|| try_conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+                .expect("valid problem"));
         });
     }
     group.finish();
@@ -100,7 +103,8 @@ fn bench_register_tiles(c: &mut Criterion) {
             BenchmarkId::new("tile", format!("vw{vw}_vk{vk}")),
             &vw,
             |b, _| {
-                b.iter(|| conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched));
+                b.iter(|| try_conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+                    .expect("valid problem"));
             },
         );
     }
@@ -117,10 +121,12 @@ fn bench_product_mode(c: &mut Criterion) {
     let sched = Schedule::derive(&ndirect_platform::host(), &shape, 1);
     group.throughput(Throughput::Elements(shape.flops()));
     group.bench_function("outer_product", |b| {
-        b.iter(|| conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched));
+        b.iter(|| try_conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+            .expect("valid problem"));
     });
     group.bench_function("inner_product", |b| {
-        b.iter(|| ndirect_core::conv_inner_product(&pool, &p.input, &p.filter, &shape));
+        b.iter(|| ndirect_core::try_conv_inner_product(&pool, &p.input, &p.filter, &shape)
+            .expect("valid problem"));
     });
     group.finish();
 }

@@ -11,7 +11,7 @@
 //!
 //! With `--features probe`, `--guard` instead asserts the probes are
 //! *live* (a conv moves the counters), and the bench labels report what
-//! enabling costs on the same ResNet layer as `try_overhead`.
+//! enabling costs on one ResNet layer.
 
 use ndirect_bench::harness::{Criterion, Throughput};
 use ndirect_bench::{bench_group, bench_main};
@@ -126,7 +126,7 @@ fn bench_probe_overhead(c: &mut Criterion) {
     }
 
     // The same conv timed as a bench label, so enabled-vs-disabled runs
-    // can be compared against each other and against try_overhead.
+    // can be compared against each other.
     let mut group = c.benchmark_group("probe_overhead");
     group.sample_size(if guard { 1 } else { 20 });
     group.throughput(Throughput::Elements(shape.flops()));

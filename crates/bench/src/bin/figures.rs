@@ -23,7 +23,7 @@ use std::io::Write as _;
 use ndirect_autotune::tune;
 use ndirect_baselines::{blocked, im2col, Im2colBackend};
 use ndirect_bench::{format_table, run_method, tune_settings_for_budget, Measurement, Method, ToJson};
-use ndirect_core::{conv_ndirect_with, PackingMode, Schedule};
+use ndirect_core::{try_conv_ndirect_with, PackingMode, Schedule};
 use ndirect_models::{resnet101, resnet50, vgg16, vgg19, Engine, NDirectBackend};
 use ndirect_platform::{host, kp920, measure_alpha, phytium_2000p, rpi4, thunderx2, Platform};
 use ndirect_tensor::{ActLayout, ConvShape, FilterLayout, Tensor4};
@@ -367,7 +367,7 @@ fn measure_layers(
             let shape = l.shape(batch);
             let vals = methods
                 .iter()
-                .map(|&m| run_method(m, &shape, &pool, platform, opts.reps))
+                .map(|&m| run_method(m, &shape, &pool, platform, opts.reps).expect("valid problem"))
                 .collect();
             (l.id, vals)
         })
@@ -464,7 +464,8 @@ fn fig5(opts: &Opts, platform: &Platform) {
         for (i, mode) in [PackingMode::Sequential, PackingMode::Fused].iter().enumerate() {
             let sched = base.with_packing(*mode);
             let secs = ndirect_bench::best_seconds(opts.reps, || {
-                conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+                try_conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+                    .expect("valid problem")
             });
             g[i] = shape.gflops(secs);
         }
@@ -496,13 +497,15 @@ fn fig6(opts: &Opts, platform: &Platform) {
         let p = make_problem(shape, ActLayout::Nchw, FilterLayout::Kcrs, 6);
         let mut settings = tune_settings_for_budget(opts.reps);
         settings.trials = trials;
-        let report = tune(&pool, &shape, &p.input, &p.filter, &settings);
+        let report = tune(&pool, &shape, &p.input, &p.filter, &settings).expect("valid problem");
         let tuned_secs = ndirect_bench::best_seconds(opts.reps, || {
-            conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &report.best)
+            try_conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &report.best)
+                .expect("valid problem")
         });
         let sched = Schedule::derive(platform, &shape, opts.threads);
         let nd_secs = ndirect_bench::best_seconds(opts.reps, || {
-            conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+            try_conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+                .expect("valid problem")
         });
         let (ga, gn) = (shape.gflops(tuned_secs), shape.gflops(nd_secs));
         println!("{:>5} {:>14.2} {:>14.2} {:>8.2}x", l.id, ga, gn, gn / ga);
@@ -550,7 +553,8 @@ fn fig7(opts: &Opts) {
             let p = make_problem(shape, ActLayout::Nchw, FilterLayout::Kcrs, 7);
             let mut settings = tune_settings_for_budget(1);
             settings.trials = if opts.paper_trials { 64 } else { 8 };
-            let report = tune(&pool, &shape, &p.input, &p.filter, &settings);
+            let report = tune(&pool, &shape, &p.input, &p.filter, &settings)
+                .expect("valid problem");
             cache.put(&shape, report.best.clone());
             table.insert(shape, report.best);
         }
@@ -632,12 +636,14 @@ fn nhwc_extension(opts: &Opts, platform: &Platform) {
         let p = make_problem(shape, ActLayout::Nchw, FilterLayout::Kcrs, 77);
         let sched = Schedule::derive(platform, &shape, opts.threads);
         let t_nchw = ndirect_bench::best_seconds(opts.reps, || {
-            conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+            try_conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+                .expect("valid problem")
         });
         let in_nhwc = p.input.to_layout(ActLayout::Nhwc);
         let f_krsc = p.filter.to_layout(FilterLayout::Krsc);
         let t_nhwc = ndirect_bench::best_seconds(opts.reps, || {
-            ndirect_core::conv_ndirect_nhwc_with(&pool, &in_nhwc, &f_krsc, &shape, &sched)
+            ndirect_core::try_conv_ndirect_with(&pool, &in_nhwc, &f_krsc, &shape, &sched)
+                .expect("valid problem")
         });
         let t_xnn = ndirect_bench::best_seconds(opts.reps, || {
             ndirect_baselines::indirect::conv_indirect(&pool, &in_nhwc, &f_krsc, &shape)
@@ -679,7 +685,8 @@ fn fast_algorithms(opts: &Opts, platform: &Platform) {
         let reference = ndirect_baselines::naive::conv_ref(&p.input, &p.filter, &shape);
         let sched = Schedule::derive(platform, &shape, opts.threads);
         let t_nd = ndirect_bench::best_seconds(opts.reps, || {
-            conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+            try_conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+                .expect("valid problem")
         });
         let wino = ndirect_baselines::winograd::conv_winograd(&pool, &p.input, &p.filter, &shape);
         let t_wino = ndirect_bench::best_seconds(opts.reps, || {
@@ -730,7 +737,8 @@ fn int16_extension(opts: &Opts, platform: &Platform) {
         let p = make_problem(shape, ActLayout::Nchw, FilterLayout::Kcrs, 90);
         let sched = Schedule::derive(platform, &shape, opts.threads);
         let t_f32 = ndirect_bench::best_seconds(opts.reps, || {
-            conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+            try_conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+                .expect("valid problem")
         });
         // Quantize once (operator setup), time the integer kernel.
         let reduction = shape.c * shape.r * shape.s;
@@ -746,9 +754,10 @@ fn int16_extension(opts: &Opts, platform: &Platform) {
             *d = qw.quantize(x);
         }
         let t_i16 = ndirect_bench::best_seconds(opts.reps, || {
-            ndirect_core::conv_int16(&pool, &qi, &qf, &shape)
+            ndirect_core::try_conv_int16(&pool, &qi, &qf, &shape).expect("valid problem")
         });
-        let (qout, _, _) = ndirect_core::conv_quantized(&pool, &p.input, &p.filter, &shape);
+        let (qout, _, _) = ndirect_core::try_conv_quantized(&pool, &p.input, &p.filter, &shape)
+            .expect("valid problem");
         let reference = ndirect_baselines::naive::conv_ref(&p.input, &p.filter, &shape);
         let err = ndirect_tensor::max_rel_diff(qout.as_slice(), reference.as_slice());
         let g = |t: f64| shape.gflops(t);

@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use ndirect_autotune::{tune, TuneSettings};
 use ndirect_baselines::{blocked, im2col, indirect};
-use ndirect_core::{conv_ndirect_with, Schedule};
+use ndirect_core::{try_conv_ndirect_with, Error, Schedule};
 use ndirect_platform::Platform;
 use ndirect_support::Json;
 use ndirect_tensor::{ActLayout, ConvShape, FilterLayout, Tensor4};
@@ -159,14 +159,24 @@ pub fn best_seconds<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     best
 }
 
-/// Runs one `(shape, method)` workload and reports throughput.
+/// [`best_seconds`] for a fallible workload: an error comes back instead
+/// of a time.
+fn try_best_seconds<T>(reps: usize, mut f: impl FnMut() -> Result<T, Error>) -> Result<f64, Error> {
+    let mut failed = Ok(());
+    let secs = best_seconds(reps, || f().map_err(|e| failed = Err(e)));
+    failed.map(|()| secs)
+}
+
+/// Runs one `(shape, method)` workload and reports throughput. The nDirect
+/// methods' typed errors (an unsupported host ISA, a pool fault) come back
+/// instead of a number.
 pub fn run_method(
     method: Method,
     shape: &ConvShape,
     pool: &StaticPool,
     platform: &Platform,
     reps: usize,
-) -> f64 {
+) -> Result<f64, Error> {
     let p = make_problem(*shape, ActLayout::Nchw, FilterLayout::Kcrs, 0xbe9c4);
     let secs = match method {
         Method::Im2colGemm => best_seconds(reps, || {
@@ -191,27 +201,27 @@ pub fn run_method(
         }
         Method::NDirect => {
             let sched = Schedule::derive(platform, shape, pool.size());
-            best_seconds(reps, || {
-                conv_ndirect_with(pool, &p.input, &p.filter, shape, &sched)
-            })
+            try_best_seconds(reps, || {
+                try_conv_ndirect_with(pool, &p.input, &p.filter, shape, &sched)
+            })?
         }
         Method::AclDirect => {
             // §3.2's failure mode: parallelize only K, sequential batches.
             let mut sched = Schedule::derive(platform, shape, pool.size());
             sched.grid = Grid2::new(1, pool.size());
-            best_seconds(reps, || {
-                conv_ndirect_with(pool, &p.input, &p.filter, shape, &sched)
-            })
+            try_best_seconds(reps, || {
+                try_conv_ndirect_with(pool, &p.input, &p.filter, shape, &sched)
+            })?
         }
         Method::AnsorTuned => {
             let settings = tune_settings_for_budget(reps);
-            let report = tune(pool, shape, &p.input, &p.filter, &settings);
-            best_seconds(reps, || {
-                conv_ndirect_with(pool, &p.input, &p.filter, shape, &report.best)
-            })
+            let report = tune(pool, shape, &p.input, &p.filter, &settings)?;
+            try_best_seconds(reps, || {
+                try_conv_ndirect_with(pool, &p.input, &p.filter, shape, &report.best)
+            })?
         }
     };
-    shape.gflops(secs)
+    Ok(shape.gflops(secs))
 }
 
 /// Tuning budget: modest by default so the harness completes on a laptop;
@@ -292,7 +302,7 @@ mod tests {
             Method::NDirect,
             Method::AclDirect,
         ] {
-            let g = run_method(m, &shape, &pool, &platform, 1);
+            let g = run_method(m, &shape, &pool, &platform, 1).expect("valid problem");
             assert!(g > 0.0, "{m:?}");
         }
     }
@@ -302,7 +312,7 @@ mod tests {
         // Separate (slower) case: runs a real 6-trial search first.
         let shape = ConvShape::square(1, 4, 4, 8, 3, 1);
         let pool = StaticPool::new(1);
-        let g = run_method(Method::AnsorTuned, &shape, &pool, &host(), 1);
+        let g = run_method(Method::AnsorTuned, &shape, &pool, &host(), 1).expect("valid problem");
         assert!(g > 0.0);
     }
 
@@ -311,7 +321,7 @@ mod tests {
         // With >1 threads the ACL strawman pins ptn = 1.
         let shape = ConvShape::square(2, 4, 8, 8, 3, 1);
         let pool = StaticPool::new(2);
-        let g = run_method(Method::AclDirect, &shape, &pool, &host(), 1);
+        let g = run_method(Method::AclDirect, &shape, &pool, &host(), 1).expect("valid problem");
         assert!(g > 0.0);
     }
 

@@ -40,30 +40,22 @@ use std::sync::Mutex;
 use ndirect_tensor::{ActLayout, AlignedBuf, ConvShape, Filter, Tensor4};
 use ndirect_threads::{SharedSlice, StaticPool};
 
-use crate::error::{check, Error};
+use crate::error::Error;
 use crate::filter::TransformedFilter;
 use crate::kernel::{run_tile, RowSource, TileArgs};
 use crate::microkernel::Kernel;
 use crate::pack::{pack_strip, pack_strip_nhwc, StripGeom};
+use crate::plan::{validate_filter, ConvPlan};
 use crate::schedule::{PackingMode, Schedule};
 
 /// nDirect convolution with a model-derived schedule for the host machine.
 ///
-/// `input` is `NCHW`, `filter` is `KCRS`; the output is `NCHW`. The
+/// The filter's layout names the activations': a `KCRS` filter takes and
+/// returns `NCHW`, a `KRSC` filter `NHWC` (see [`ConvPlan::try_new`]). The
 /// schedule is derived from [`ndirect_platform::host`] with the pool's
-/// thread count. Panics on invalid inputs; see [`try_conv_ndirect`] for
-/// the fallible form.
-pub fn conv_ndirect(
-    pool: &StaticPool,
-    input: &Tensor4,
-    filter: &Filter,
-    shape: &ConvShape,
-) -> Tensor4 {
-    try_conv_ndirect(pool, input, filter, shape).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`conv_ndirect`]: malformed shapes, layout/dimension
-/// mismatches and pool faults come back as typed [`Error`]s.
+/// thread count. An unsupported host ISA, malformed shapes,
+/// layout/dimension mismatches and pool faults come back as typed
+/// [`Error`]s.
 pub fn try_conv_ndirect(
     pool: &StaticPool,
     input: &Tensor4,
@@ -75,23 +67,17 @@ pub fn try_conv_ndirect(
     try_conv_ndirect_with(pool, input, filter, shape, &schedule)
 }
 
-/// nDirect convolution with an explicit [`Schedule`].
+/// nDirect convolution with an explicit [`Schedule`], in the layout the
+/// filter names (as [`try_conv_ndirect`]).
 ///
 /// The schedule's grid may use fewer threads than the pool provides
-/// (surplus threads idle); it must not require more. Panics on invalid
-/// inputs; see [`try_conv_ndirect_with`] for the fallible form.
-pub fn conv_ndirect_with(
-    pool: &StaticPool,
-    input: &Tensor4,
-    filter: &Filter,
-    shape: &ConvShape,
-    schedule: &Schedule,
-) -> Tensor4 {
-    try_conv_ndirect_with(pool, input, filter, shape, schedule)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`conv_ndirect_with`].
+/// (surplus threads idle); it must not require more
+/// ([`Error::GridExceedsPool`]).
+///
+/// A thin wrapper: the filter is checked as a plan build checks it, then a
+/// throwaway [`ConvPlan`] borrowing the filter runs once (its execute
+/// checks the input, the output and the pool). Callers that run the same
+/// layer repeatedly build the plan themselves and amortize the setup.
 pub fn try_conv_ndirect_with(
     pool: &StaticPool,
     input: &Tensor4,
@@ -99,24 +85,11 @@ pub fn try_conv_ndirect_with(
     shape: &ConvShape,
     schedule: &Schedule,
 ) -> Result<Tensor4, Error> {
-    shape.validate()?;
-    let mut out = Tensor4::output_for(shape, ActLayout::Nchw);
-    try_conv_ndirect_into(pool, input, filter, shape, schedule, &mut out)?;
+    let layout = validate_filter(shape, filter)?;
+    let plan = ConvPlan::try_borrowed(shape, filter, schedule)?;
+    let mut out = Tensor4::output_for(shape, layout);
+    plan.execute(pool, input, &mut out)?;
     Ok(out)
-}
-
-/// nDirect convolution into a preallocated zeroed `NCHW` output. Panics on
-/// invalid inputs; see [`try_conv_ndirect_into`] for the fallible form.
-pub fn conv_ndirect_into(
-    pool: &StaticPool,
-    input: &Tensor4,
-    filter: &Filter,
-    shape: &ConvShape,
-    schedule: &Schedule,
-    out: &mut Tensor4,
-) {
-    try_conv_ndirect_into(pool, input, filter, shape, schedule, out)
-        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Per-thread driver scratch: the packing strip buffer and the on-the-fly
@@ -243,42 +216,6 @@ pub(crate) fn try_zeroed_vec<T: Clone + Default>(len: usize) -> Result<Vec<T>, E
     v.try_reserve_exact(len).map_err(|_| Error::ScratchAlloc { elements: len })?;
     v.resize(len, T::default());
     Ok(v)
-}
-
-/// Fallible form of [`conv_ndirect_into`]. Validation happens here, once,
-/// at the API boundary; the loop nest runs on trusted values.
-///
-/// Since the plan layer exists this is a thin wrapper: build a throwaway
-/// [`ConvPlan`](crate::ConvPlan) that *borrows* the filter (so on-the-fly
-/// schedules stay zero-copy, exactly as before) and execute it once. The
-/// semantics — validation order, graceful scratch degradation to the
-/// minimal-tile schedule, [`Error::ScratchAlloc`] only when even that
-/// fails, bitwise-identical results — are unchanged; callers that run the
-/// same layer repeatedly should build a [`crate::ConvPlan`] themselves and
-/// amortize the setup.
-pub fn try_conv_ndirect_into(
-    pool: &StaticPool,
-    input: &Tensor4,
-    filter: &Filter,
-    shape: &ConvShape,
-    schedule: &Schedule,
-    out: &mut Tensor4,
-) -> Result<(), Error> {
-    check::standard_nchw(input, filter, shape, "nDirect NCHW entry takes NCHW/KCRS")?;
-    let (p, q) = (shape.p(), shape.q());
-    check::dims("output dims", (shape.n, shape.k, p, q), out.dims())?;
-    check::act_layout(out, ActLayout::Nchw, "nDirect writes NCHW")?;
-
-    let sched = schedule.sanitized(shape);
-    if sched.grid.threads() > pool.size() {
-        return Err(Error::GridExceedsPool {
-            needed: sched.grid.threads(),
-            available: pool.size(),
-        });
-    }
-
-    let plan = crate::plan::ConvPlan::try_borrowed(shape, filter, schedule, ActLayout::Nchw)?;
-    plan.execute(pool, input, out)
 }
 
 /// Everything one `(oh, wv)` strip needs.
@@ -429,7 +366,8 @@ mod tests {
         let (input, filter) = problem(&shape, 5);
         let expect = naive::conv_ref(&input, &filter, &shape);
         let pool = StaticPool::new(pool_size);
-        let got = conv_ndirect_with(&pool, &input, &filter, &shape, schedule);
+        let got = try_conv_ndirect_with(&pool, &input, &filter, &shape, schedule)
+            .expect("valid problem");
         assert_close(got.as_slice(), expect.as_slice(), 2e-4, what);
     }
 
@@ -484,14 +422,16 @@ mod tests {
         let shape = ConvShape::square(1, 8, 16, 12, 3, 1);
         let (input, filter) = problem(&shape, 9);
         let pool = StaticPool::new(1);
-        let fused = conv_ndirect_with(
+        let fused = try_conv_ndirect_with(
             &pool, &input, &filter, &shape,
             &Schedule::minimal(&shape).with_packing(PackingMode::Fused),
-        );
-        let seq = conv_ndirect_with(
+        )
+        .expect("valid problem");
+        let seq = try_conv_ndirect_with(
             &pool, &input, &filter, &shape,
             &Schedule::minimal(&shape).with_packing(PackingMode::Sequential),
-        );
+        )
+        .expect("valid problem");
         assert_eq!(fused.as_slice(), seq.as_slice(), "packing modes agree bitwise");
     }
 
@@ -510,17 +450,19 @@ mod tests {
         for (i, shape) in shapes.into_iter().enumerate() {
             let (input, filter) = problem(&shape, 21 + i as u64);
             let base = Schedule::minimal(&shape);
-            let fused = conv_ndirect_with(
+            let fused = try_conv_ndirect_with(
                 &pool, &input, &filter, &shape,
                 &base.with_packing(PackingMode::Fused),
-            );
+            )
+            .expect("valid problem");
             for mode in [
                 PackingMode::Sliced { rows: 1 },
                 PackingMode::Sliced { rows: 3 },
                 PackingMode::Sliced { rows: 1000 }, // sanitize clamps to Th
             ] {
                 let got =
-                    conv_ndirect_with(&pool, &input, &filter, &shape, &base.with_packing(mode));
+                    try_conv_ndirect_with(&pool, &input, &filter, &shape, &base.with_packing(mode))
+                        .expect("valid problem");
                 assert_eq!(
                     fused.as_slice(),
                     got.as_slice(),
@@ -547,14 +489,16 @@ mod tests {
         let shape = ConvShape::square(1, 6, 20, 10, 3, 1);
         let (input, filter) = problem(&shape, 11);
         let pool = StaticPool::new(1);
-        let otf = conv_ndirect_with(
+        let otf = try_conv_ndirect_with(
             &pool, &input, &filter, &shape,
             &Schedule::minimal(&shape).with_filter_state(FilterState::OnTheFly),
-        );
-        let pre = conv_ndirect_with(
+        )
+        .expect("valid problem");
+        let pre = try_conv_ndirect_with(
             &pool, &input, &filter, &shape,
             &Schedule::minimal(&shape).with_filter_state(FilterState::PreTransformed),
-        );
+        )
+        .expect("valid problem");
         assert_eq!(otf.as_slice(), pre.as_slice(), "filter states agree bitwise");
     }
 
@@ -564,12 +508,14 @@ mod tests {
         let (input, filter) = problem(&shape, 13);
         let base = {
             let pool = StaticPool::new(1);
-            conv_ndirect_with(&pool, &input, &filter, &shape, &Schedule::minimal(&shape))
+            try_conv_ndirect_with(&pool, &input, &filter, &shape, &Schedule::minimal(&shape))
+                .expect("valid problem")
         };
         for (ptn, ptk) in [(1, 2), (2, 1), (2, 2), (4, 1), (1, 4), (3, 2)] {
             let pool = StaticPool::new(ptn * ptk);
             let sched = Schedule::minimal(&shape).with_grid(Grid2::new(ptn, ptk));
-            let got = conv_ndirect_with(&pool, &input, &filter, &shape, &sched);
+            let got = try_conv_ndirect_with(&pool, &input, &filter, &shape, &sched)
+                .expect("valid problem");
             assert_eq!(
                 got.as_slice(),
                 base.as_slice(),
@@ -592,7 +538,7 @@ mod tests {
         let (input, filter) = problem(&shape, 15);
         let expect = naive::conv_ref(&input, &filter, &shape);
         let pool = StaticPool::new(2);
-        let got = conv_ndirect(&pool, &input, &filter, &shape);
+        let got = try_conv_ndirect(&pool, &input, &filter, &shape).expect("valid problem");
         assert_close(got.as_slice(), expect.as_slice(), 2e-4, "default entry");
     }
 
@@ -602,12 +548,13 @@ mod tests {
         let (input, filter) = problem(&shape, 19);
         let expect = naive::conv_ref(&input, &filter, &shape);
         let pool = StaticPool::new(1);
-        let got = crate::conv_ndirect_nhwc(
+        let got = try_conv_ndirect(
             &pool,
             &input.to_layout(ActLayout::Nhwc),
             &filter.to_layout(FilterLayout::Krsc),
             &shape,
-        );
+        )
+        .expect("valid problem");
         assert_eq!(got.layout(), ActLayout::Nhwc);
         assert_close(
             got.to_layout(ActLayout::Nchw).as_slice(),
@@ -618,13 +565,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "schedule needs")]
     fn rejects_grid_larger_than_pool() {
         let shape = ConvShape::square(1, 4, 4, 6, 3, 1);
         let (input, filter) = problem(&shape, 1);
         let pool = StaticPool::new(1);
         let sched = Schedule::minimal(&shape).with_grid(Grid2::new(2, 2));
-        conv_ndirect_with(&pool, &input, &filter, &shape, &sched);
+        let err = try_conv_ndirect_with(&pool, &input, &filter, &shape, &sched)
+            .expect_err("a 2x2 grid on a 1-thread pool");
+        assert_eq!(err, Error::GridExceedsPool { needed: 4, available: 1 });
     }
 
     #[test]

@@ -135,16 +135,6 @@ pub fn transform_filter3d_block(
 /// Parallelization: the flat `N·OD·P` output-row space is split statically
 /// across the pool (every thread computes all `K`; with one extra grid
 /// dimension the 2-D `PTk` split would also apply, omitted for clarity).
-pub fn conv3d_ndirect(
-    pool: &StaticPool,
-    input: &Tensor5,
-    filter: &Filter5,
-    shape: &Conv3dShape,
-) -> Tensor5 {
-    try_conv3d_ndirect(pool, input, filter, shape).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`conv3d_ndirect`].
 pub fn try_conv3d_ndirect(
     pool: &StaticPool,
     input: &Tensor5,
@@ -353,7 +343,7 @@ mod tests {
     fn check(shape: Conv3dShape, threads: usize) {
         let (input, filter) = problem(&shape, 11);
         let pool = StaticPool::new(threads);
-        let got = conv3d_ndirect(&pool, &input, &filter, &shape);
+        let got = try_conv3d_ndirect(&pool, &input, &filter, &shape).expect("valid problem");
         let expect = conv3d_naive(&input, &filter, &shape);
         ndirect_tensor::assert_close(
             got.as_slice(),
@@ -447,8 +437,10 @@ mod tests {
             pad_w: 1,
         };
         let (input, filter) = problem(&shape, 12);
-        let a = conv3d_ndirect(&StaticPool::new(1), &input, &filter, &shape);
-        let b = conv3d_ndirect(&StaticPool::new(4), &input, &filter, &shape);
+        let a = try_conv3d_ndirect(&StaticPool::new(1), &input, &filter, &shape)
+            .expect("valid problem");
+        let b = try_conv3d_ndirect(&StaticPool::new(4), &input, &filter, &shape)
+            .expect("valid problem");
         assert_eq!(a.as_slice(), b.as_slice());
     }
 

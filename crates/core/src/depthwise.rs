@@ -3,7 +3,7 @@
 //! Depthwise Separable Convolution (MobileNet/Xception) factors a standard
 //! convolution into a *depthwise* stage (each channel convolved with its
 //! own `R×S` filter, no cross-channel reduction) and a *pointwise* stage
-//! (a 1×1 standard convolution, which [`crate::conv_ndirect`] already
+//! (a 1×1 standard convolution, which [`crate::try_conv_ndirect`] already
 //! handles with its dedicated pointwise kernel). The paper notes the
 //! depthwise stage falls out of nDirect by "removing the reduction
 //! operations of dimension C in micro-kernels". With no `C` to reduce,
@@ -36,8 +36,9 @@ use crate::conv::{checked_product, input_span};
 use crate::error::{check, Error};
 use crate::microkernel::Kernel;
 
-/// Depthwise convolution: `O[n][c] = I[n][c] ⊛ F[c]`, `NCHW` in and out.
-/// Panics on invalid inputs; see [`try_conv_depthwise`].
+/// [`try_conv_depthwise`] that panics on invalid inputs: the one panicking
+/// twin left in this crate, kept because the frozen
+/// `benchmark/src/models.rs` calls it.
 pub fn conv_depthwise(
     pool: &StaticPool,
     input: &Tensor4,
@@ -47,7 +48,8 @@ pub fn conv_depthwise(
     try_conv_depthwise(pool, input, filter, shape).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible form of [`conv_depthwise`].
+/// Depthwise convolution: `O[n][c] = I[n][c] ⊛ F[c]`, `NCHW` in and out
+/// (`K == C`, a `(C, 1, R, S)` `KCRS` filter).
 pub fn try_conv_depthwise(
     pool: &StaticPool,
     input: &Tensor4,
@@ -241,18 +243,6 @@ fn chunk<const V: usize>(rows: &[f32], lay: Layout, taps: &[f32], ow: usize, out
 /// Depthwise-separable block: depthwise `R×S` followed by pointwise `1×1`
 /// (the MobileNet building block). `dw_filter` is `(C, 1, R, S)`;
 /// `pw_filter` is `(K, C, 1, 1)`. Returns the `(N, K, P, Q)` output.
-pub fn conv_depthwise_separable(
-    pool: &StaticPool,
-    input: &Tensor4,
-    dw_filter: &Filter,
-    pw_filter: &Filter,
-    shape: &ConvShape,
-) -> Tensor4 {
-    try_conv_depthwise_separable(pool, input, dw_filter, pw_filter, shape)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`conv_depthwise_separable`].
 pub fn try_conv_depthwise_separable(
     pool: &StaticPool,
     input: &Tensor4,
@@ -447,7 +437,8 @@ mod tests {
         let (input, dw) = problem(&shape, 5);
         let pw = fill::random_filter(Filter::zeros(12, 8, 1, 1, FilterLayout::Kcrs), 6);
         let pool = StaticPool::new(2);
-        let got = conv_depthwise_separable(&pool, &input, &dw, &pw, &shape);
+        let got = try_conv_depthwise_separable(&pool, &input, &dw, &pw, &shape)
+            .expect("valid problem");
 
         let mid = depthwise_ref(&input, &dw, &shape);
         let pw_shape = ConvShape::new(1, 8, 8, 8, 12, 1, 1, 1, Padding::NONE);

@@ -1,7 +1,7 @@
 //! Fused depthwise+pointwise convolution — the MobileNet building block
 //! without the memory round-trip.
 //!
-//! The separable block ([`crate::conv_depthwise_separable`]) materializes
+//! The separable block ([`crate::try_conv_depthwise_separable`]) materializes
 //! the depthwise output as a full `(N, C, P, Q)` tensor before the 1×1
 //! conv reads it back: `2·N·C·P·Q·4` bytes of pure intermediate traffic
 //! that both depthwise papers (arXiv 2206.12124, 2001.02504) identify as
@@ -508,20 +508,7 @@ pub fn try_compose_shapes(
 /// by pointwise `1×1`, the intermediate staying in cache. Same signature
 /// and result (within FP reassociation ULPs — the depthwise math is
 /// bitwise identical, the pointwise reduction order matches the packed
-/// 1×1 path) as [`crate::conv_depthwise_separable`]. Panics on invalid
-/// inputs; see [`try_conv_dwpw_fused`].
-pub fn conv_dwpw_fused(
-    pool: &StaticPool,
-    input: &Tensor4,
-    dw_filter: &Filter,
-    pw_filter: &Filter,
-    shape: &ConvShape,
-) -> Tensor4 {
-    try_conv_dwpw_fused(pool, input, dw_filter, pw_filter, shape)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`conv_dwpw_fused`].
+/// 1×1 path) as [`crate::try_conv_depthwise_separable`].
 pub fn try_conv_dwpw_fused(
     pool: &StaticPool,
     input: &Tensor4,
@@ -594,9 +581,11 @@ mod tests {
             let shape = dw_shape(1, c, hw, 3, stride, pad);
             let (input, dwf, pwf) = problem(&shape, k, 7);
             let pool = StaticPool::new(2);
-            let got = conv_dwpw_fused(&pool, &input, &dwf, &pwf, &shape);
+            let got = try_conv_dwpw_fused(&pool, &input, &dwf, &pwf, &shape)
+                .expect("valid problem");
             let want =
-                crate::conv_depthwise_separable(&pool, &input, &dwf, &pwf, &shape);
+                crate::try_conv_depthwise_separable(&pool, &input, &dwf, &pwf, &shape)
+                    .expect("valid problem");
             assert_eq!(got.dims(), want.dims());
             assert_near(got.as_slice(), want.as_slice(), 1e-5, "fused vs unfused");
         }
@@ -606,8 +595,10 @@ mod tests {
     fn multithreaded_is_bitwise_identical() {
         let shape = dw_shape(2, 10, 13, 3, 1, 1);
         let (input, dwf, pwf) = problem(&shape, 20, 9);
-        let a = conv_dwpw_fused(&StaticPool::new(1), &input, &dwf, &pwf, &shape);
-        let b = conv_dwpw_fused(&StaticPool::new(4), &input, &dwf, &pwf, &shape);
+        let a = try_conv_dwpw_fused(&StaticPool::new(1), &input, &dwf, &pwf, &shape)
+            .expect("valid problem");
+        let b = try_conv_dwpw_fused(&StaticPool::new(4), &input, &dwf, &pwf, &shape)
+            .expect("valid problem");
         assert_eq!(a.as_slice(), b.as_slice());
     }
 
@@ -652,7 +643,7 @@ mod tests {
         }
         let pw_shape =
             ConvShape::new(1, 8, shape.p(), shape.q(), 12, 1, 1, 1, Padding::NONE);
-        let want = crate::conv_ndirect(&pool, &mid, &pwf, &pw_shape);
+        let want = crate::try_conv_ndirect(&pool, &mid, &pwf, &pw_shape).expect("valid problem");
         assert_near(got.as_slice(), want.as_slice(), 1e-5, "mid relu");
     }
 
@@ -661,7 +652,7 @@ mod tests {
         let shape = dw_shape(1, 4, 6, 3, 1, 1);
         let (input, dwf, pwf) = problem(&shape, 4, 2);
         let pool = StaticPool::new(1);
-        let base = conv_dwpw_fused(&pool, &input, &dwf, &pwf, &shape);
+        let base = try_conv_dwpw_fused(&pool, &input, &dwf, &pwf, &shape).expect("valid problem");
 
         let plan = FusedDwPwPlan::try_new(
             &ndirect_platform::host(),

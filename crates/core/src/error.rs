@@ -24,7 +24,7 @@ pub enum Error {
     Pool(PoolError),
     /// A tensor arrived in a layout this entry point does not accept.
     Layout {
-        /// Which contract was violated, e.g. `"nDirect NCHW entry takes NCHW"`.
+        /// Which contract was violated, e.g. `"plan executes NCHW input"`.
         context: &'static str,
         /// The layout the entry point requires.
         expected: &'static str,

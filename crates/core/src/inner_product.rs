@@ -24,17 +24,7 @@ use crate::error::{check, Error};
 use crate::pack::{pack_strip, StripGeom};
 
 /// Direct convolution with the inner-product kernel — ablation only; the
-/// production entry point is [`crate::conv_ndirect`].
-pub fn conv_inner_product(
-    pool: &StaticPool,
-    input: &Tensor4,
-    filter: &Filter,
-    shape: &ConvShape,
-) -> Tensor4 {
-    try_conv_inner_product(pool, input, filter, shape).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`conv_inner_product`].
+/// production entry point is [`crate::try_conv_ndirect`].
 pub fn try_conv_inner_product(
     pool: &StaticPool,
     input: &Tensor4,
@@ -138,7 +128,7 @@ mod tests {
         let filter = fill::random_filter(Filter::for_shape(&shape, FilterLayout::Kcrs), 8);
         let expect = ndirect_baselines::naive::conv_ref(&input, &filter, &shape);
         let pool = StaticPool::new(threads);
-        let got = conv_inner_product(&pool, &input, &filter, &shape);
+        let got = try_conv_inner_product(&pool, &input, &filter, &shape).expect("valid problem");
         assert_close(got.as_slice(), expect.as_slice(), 2e-4, "inner product");
     }
 
@@ -163,8 +153,10 @@ mod tests {
         let shape = ConvShape::new(2, 4, 8, 8, 6, 3, 3, 1, Padding::same(1));
         let input = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nchw), 9);
         let filter = fill::random_filter(Filter::for_shape(&shape, FilterLayout::Kcrs), 9);
-        let a = conv_inner_product(&StaticPool::new(1), &input, &filter, &shape);
-        let b = conv_inner_product(&StaticPool::new(3), &input, &filter, &shape);
+        let a = try_conv_inner_product(&StaticPool::new(1), &input, &filter, &shape)
+            .expect("valid problem");
+        let b = try_conv_inner_product(&StaticPool::new(3), &input, &filter, &shape)
+            .expect("valid problem");
         assert_eq!(a.as_slice(), b.as_slice());
     }
 }

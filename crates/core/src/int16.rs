@@ -95,9 +95,14 @@ impl Int16Filter {
     }
 }
 
-/// Naive INT16 oracle: exact i32 accumulation (wrapping).
-pub fn conv_int16_naive(input: &Int16Tensor, filter: &Int16Filter, shape: &ConvShape) -> Vec<i32> {
-    validate(input, filter, shape).unwrap_or_else(|e| panic!("{e}"));
+/// Naive INT16 oracle: exact i32 accumulation (wrapping). Operands are
+/// checked as [`try_conv_int16`] checks them.
+pub fn conv_int16_naive(
+    input: &Int16Tensor,
+    filter: &Int16Filter,
+    shape: &ConvShape,
+) -> Result<Vec<i32>, Error> {
+    validate(input, filter, shape)?;
     let (p, q) = (shape.p(), shape.q());
     let mut out = vec![0i32; shape.n * shape.k * p * q];
     for n in 0..shape.n {
@@ -122,7 +127,7 @@ pub fn conv_int16_naive(input: &Int16Tensor, filter: &Int16Filter, shape: &ConvS
             }
         }
     }
-    out
+    Ok(out)
 }
 
 /// Register-tile width (output pixels) of the INT16 kernel.
@@ -134,16 +139,6 @@ const VK: usize = 8;
 ///
 /// Parallelized over the flat `N·P` output-row space (bitwise-exact for
 /// any thread count, since integer addition is associative).
-pub fn conv_int16(
-    pool: &StaticPool,
-    input: &Int16Tensor,
-    filter: &Int16Filter,
-    shape: &ConvShape,
-) -> Vec<i32> {
-    try_conv_int16(pool, input, filter, shape).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`conv_int16`].
 pub fn try_conv_int16(
     pool: &StaticPool,
     input: &Int16Tensor,
@@ -310,8 +305,9 @@ mod tests {
 
     fn check(shape: ConvShape, threads: usize) {
         let (input, filter) = problem(&shape, 61);
-        let expect = conv_int16_naive(&input, &filter, &shape);
-        let got = conv_int16(&StaticPool::new(threads), &input, &filter, &shape);
+        let expect = conv_int16_naive(&input, &filter, &shape).expect("valid problem");
+        let got = try_conv_int16(&StaticPool::new(threads), &input, &filter, &shape)
+            .expect("valid problem");
         assert_eq!(got, expect, "int16 conv must be exact: {shape}");
     }
 
@@ -342,8 +338,10 @@ mod tests {
     fn thread_count_invariant_bitwise() {
         let shape = ConvShape::new(2, 4, 8, 8, 8, 3, 3, 1, Padding::same(1));
         let (input, filter) = problem(&shape, 62);
-        let a = conv_int16(&StaticPool::new(1), &input, &filter, &shape);
-        let b = conv_int16(&StaticPool::new(5), &input, &filter, &shape);
+        let a = try_conv_int16(&StaticPool::new(1), &input, &filter, &shape)
+            .expect("valid problem");
+        let b = try_conv_int16(&StaticPool::new(5), &input, &filter, &shape)
+            .expect("valid problem");
         assert_eq!(a, b);
     }
 
@@ -356,7 +354,8 @@ mod tests {
         }
         let mut filter = Int16Filter::zeros(1, 2, 1, 1);
         filter.data[1] = 1; // pick channel 1
-        let out = conv_int16(&StaticPool::new(1), &input, &filter, &shape);
+        let out = try_conv_int16(&StaticPool::new(1), &input, &filter, &shape)
+            .expect("valid problem");
         let expect: Vec<i32> = (16..32).collect();
         assert_eq!(out, expect);
     }

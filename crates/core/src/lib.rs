@@ -5,7 +5,8 @@
 //! et al., SC'23). The design goals, in the paper's order:
 //!
 //! 1. **Layout compatibility** — activations stay in the framework's `NCHW`
-//!    (or `NHWC`) layout; only the small filter tensor is re-laid-out
+//!    (or `NHWC`) layout, the one the filter's `KCRS` (or `KRSC`) layout
+//!    names ([`plan`]); only the small filter tensor is re-laid-out
 //!    *on the fly* into `⌈Tk/Vk⌉·Tc·R·S·Vk` blocks ([`filter`]);
 //! 2. **A convolution-native micro-kernel** — an outer-product register
 //!    tile of `Vw` output pixels × `Vk` output channels updated with
@@ -25,7 +26,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use ndirect_core::{conv_ndirect, Schedule};
+//! use ndirect_core::try_conv_ndirect;
 //! use ndirect_tensor::{fill, ActLayout, ConvShape, Filter, FilterLayout, Tensor4};
 //! use ndirect_threads::StaticPool;
 //!
@@ -33,7 +34,7 @@
 //! let input = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nchw), 0);
 //! let filter = fill::random_filter(Filter::for_shape(&shape, FilterLayout::Kcrs), 0);
 //! let pool = StaticPool::new(1);
-//! let output = conv_ndirect(&pool, &input, &filter, &shape);
+//! let output = try_conv_ndirect(&pool, &input, &filter, &shape).expect("valid problem");
 //! assert_eq!(output.dims(), (1, 64, 28, 28));
 //! ```
 //!
@@ -57,7 +58,6 @@ pub mod int16;
 pub mod kernel;
 mod microkernel;
 pub mod model;
-pub mod nhwc;
 pub mod pack;
 pub mod plan;
 pub mod quantize;
@@ -65,28 +65,20 @@ pub mod registry;
 pub mod sparse;
 pub mod schedule;
 
-pub use conv::{
-    conv_ndirect, conv_ndirect_into, conv_ndirect_with, try_conv_ndirect, try_conv_ndirect_into,
-    try_conv_ndirect_with,
-};
-pub use depthwise::{
-    conv_depthwise, conv_depthwise_separable, try_conv_depthwise, try_conv_depthwise_separable,
-};
+pub use conv::{try_conv_ndirect, try_conv_ndirect_with};
+pub use depthwise::{conv_depthwise, try_conv_depthwise, try_conv_depthwise_separable};
 pub use dwpw::{
-    conv_dwpw_fused, fused_pair_flops, try_compose_shapes, try_conv_dwpw_fused,
-    try_conv_dwpw_fused_with, DwPwSchedule, FusedDwPwPlan,
+    fused_pair_flops, try_compose_shapes, try_conv_dwpw_fused, try_conv_dwpw_fused_with,
+    DwPwSchedule, FusedDwPwPlan,
 };
-pub use conv3d::{conv3d_naive, conv3d_ndirect, try_conv3d_ndirect, Conv3dShape};
+pub use conv3d::{conv3d_naive, try_conv3d_ndirect, Conv3dShape};
 pub use error::Error;
-pub use inner_product::{conv_inner_product, try_conv_inner_product};
+pub use inner_product::try_conv_inner_product;
 #[doc(hidden)]
 pub use microkernel::Kernel;
-pub use int16::{conv_int16, conv_int16_naive, try_conv_int16, Int16Filter, Int16Tensor};
-pub use quantize::{conv_quantized, try_conv_quantized, QuantParams};
-pub use sparse::{conv_ndirect_pruned, prune_channels, try_conv_ndirect_pruned, ChannelMask};
-pub use nhwc::{
-    conv_ndirect_nhwc, conv_ndirect_nhwc_with, try_conv_ndirect_nhwc, try_conv_ndirect_nhwc_with,
-};
+pub use int16::{conv_int16_naive, try_conv_int16, Int16Filter, Int16Tensor};
+pub use quantize::{try_conv_quantized, QuantParams};
+pub use sparse::{prune_channels, try_conv_ndirect_pruned, ChannelMask};
 pub use filter::{transform_filter, transform_filter_block, TransformedFilter};
 pub use plan::{ConvPlan, DepthwisePlan};
 pub use registry::{PlanKey, PlanRegistry};

@@ -28,19 +28,38 @@
 //! [`ConvPlan::reserve_scratch`] to size the pool for the expected
 //! concurrency.
 //!
-//! The one-shot entry points ([`crate::try_conv_ndirect_into`],
-//! [`crate::nhwc::try_conv_ndirect_nhwc_with`],
-//! [`crate::try_conv_depthwise`]) are now thin wrappers that build a
+//! The one-shot entry points ([`crate::try_conv_ndirect_with`],
+//! [`crate::try_conv_depthwise`]) are thin wrappers that build a
 //! throwaway borrowing plan and execute it once, so there is a single
-//! implementation of each loop nest. A [`ConvPlan`] runs one nest for
-//! both activation layouts: it holds one [`TransformedFilter`] form plus
-//! its [`ActLayout`], and `NHWC` differs only in how a strip is packed and
-//! where a tile scatters.
+//! implementation of each loop nest.
+//!
+//! ## `NCHW` and `NHWC`
+//!
+//! The paper claims nDirect "preserves the conventional `NCHW` and `NHWC`
+//! data layouts": only the filter and the per-strip packed buffer `B` are
+//! re-laid-out, and the micro-kernel never sees the activation layout. So
+//! the layout belongs to the operands: a `KCRS` filter makes an `NCHW`
+//! plan, a `KRSC` filter (the pairing XNNPACK-era frameworks use) an
+//! `NHWC` one, and an input in the other layout is an [`Error::Layout`] at
+//! execute. A [`ConvPlan`] runs one loop nest for both: it holds one
+//! [`TransformedFilter`] form plus its [`ActLayout`], and `NHWC` is a
+//! packing and addressing detail of that nest and its tile kernels:
+//!
+//! * the `KRSC` filter goes through the same [`crate::transform_filter_block`]
+//!   / [`TransformedFilter`] as `KCRS` (both read through [`Filter::at`]);
+//! * each strip is packed by [`crate::pack::pack_strip_nhwc`] into the same
+//!   `[c][r][win]` buffer as an `NCHW` strip, in one pass before the kernel
+//!   (the plan runs [`PackingMode::Sequential`] whatever it is given);
+//! * the tile scatters with `(kstride, wstride) = (1, K)` instead of
+//!   `(P·Q, 1)`.
+//!
+//! So the outputs sum in the `NCHW` `(c, r, s)` order and are bitwise equal
+//! to the `NCHW` plan's on the same schedule, transposed.
 
 use std::sync::Mutex;
 
 use ndirect_platform::Platform;
-use ndirect_tensor::{ActLayout, AlignedBuf, ConvShape, Filter, Tensor4};
+use ndirect_tensor::{ActLayout, AlignedBuf, ConvShape, Filter, FilterLayout, Tensor4};
 use ndirect_threads::{split_static, SharedSlice, StaticPool};
 
 use crate::conv::{compute_strip, try_alloc_scratch, Scratch, StripCtx};
@@ -214,87 +233,51 @@ pub struct ConvPlan<'f> {
 }
 
 impl<'f> ConvPlan<'f> {
-    /// Builds an `NCHW`/`KCRS` plan with the model-derived schedule for
-    /// `platform` and `threads` threads, forcing
-    /// [`FilterState::PreTransformed`] so the filter is packed exactly
-    /// once (the point of planning). The filter is copied into the plan,
-    /// so the plan is `'static` and can outlive the caller's borrow.
+    /// Builds a plan with the model-derived schedule for `platform` and
+    /// `threads` threads, forcing [`FilterState::PreTransformed`] so the
+    /// filter is packed exactly once (the point of planning). The filter is
+    /// copied into the plan, so the plan is `'static` and can outlive the
+    /// caller's borrow.
+    ///
+    /// The filter's layout names the activations': a `KCRS` filter plans
+    /// `NCHW` input and output, a `KRSC` filter `NHWC`; an input in the
+    /// other layout is an [`Error::Layout`] at [`execute`](ConvPlan::execute).
     pub fn try_new(
         platform: &Platform,
         shape: &ConvShape,
         filter: &Filter,
         threads: usize,
     ) -> Result<ConvPlan<'static>, Error> {
-        ConvPlan::derived(platform, shape, filter, threads, ActLayout::Nchw)
+        validate_filter(shape, filter)?;
+        let sched = Schedule::derive(platform, shape, threads)
+            .with_filter_state(FilterState::PreTransformed);
+        ConvPlan::build(shape, filter, &sched, || FilterRef::Owned(filter.clone()))
     }
 
-    /// Builds an `NCHW`/`KCRS` plan with an explicit schedule. The
-    /// schedule's [`FilterState`] is honored: `PreTransformed` packs the
-    /// filter at build time, `OnTheFly` copies the raw filter and
-    /// transforms per cache block during execution (the ablation pairing).
+    /// Builds a plan with an explicit schedule, in the layout the filter
+    /// names (as [`ConvPlan::try_new`]). The schedule's [`FilterState`] is
+    /// honored: `PreTransformed` packs the filter at build time, `OnTheFly`
+    /// copies the raw filter and transforms per cache block during
+    /// execution (the ablation pairing).
     pub fn try_with_schedule(
         shape: &ConvShape,
         filter: &Filter,
         schedule: &Schedule,
     ) -> Result<ConvPlan<'static>, Error> {
-        ConvPlan::owned(shape, filter, schedule, ActLayout::Nchw)
+        validate_filter(shape, filter)?;
+        ConvPlan::build(shape, filter, schedule, || FilterRef::Owned(filter.clone()))
     }
 
-    /// Builds a native-`NHWC`/`KRSC` plan with the model-derived schedule,
-    /// forcing [`FilterState::PreTransformed`].
-    pub fn try_new_nhwc(
-        platform: &Platform,
-        shape: &ConvShape,
-        filter: &Filter,
-        threads: usize,
-    ) -> Result<ConvPlan<'static>, Error> {
-        ConvPlan::derived(platform, shape, filter, threads, ActLayout::Nhwc)
-    }
-
-    /// Builds a native-`NHWC`/`KRSC` plan with an explicit schedule.
-    pub fn try_with_schedule_nhwc(
-        shape: &ConvShape,
-        filter: &Filter,
-        schedule: &Schedule,
-    ) -> Result<ConvPlan<'static>, Error> {
-        ConvPlan::owned(shape, filter, schedule, ActLayout::Nhwc)
-    }
-
-    fn derived(
-        platform: &Platform,
-        shape: &ConvShape,
-        filter: &Filter,
-        threads: usize,
-        layout: ActLayout,
-    ) -> Result<ConvPlan<'static>, Error> {
-        validate_filter(shape, filter, layout)?;
-        let sched = Schedule::derive(platform, shape, threads)
-            .with_filter_state(FilterState::PreTransformed);
-        ConvPlan::build(shape, filter, &sched, layout, || FilterRef::Owned(filter.clone()))
-    }
-
-    fn owned(
-        shape: &ConvShape,
-        filter: &Filter,
-        schedule: &Schedule,
-        layout: ActLayout,
-    ) -> Result<ConvPlan<'static>, Error> {
-        validate_filter(shape, filter, layout)?;
-        ConvPlan::build(shape, filter, schedule, layout, || FilterRef::Owned(filter.clone()))
-    }
-
-    /// The throwaway plan behind [`crate::try_conv_ndirect_into`] and
-    /// [`crate::nhwc::try_conv_ndirect_nhwc_with`]: borrows the filter
-    /// (zero-copy for on-the-fly schedules, exactly the one-shot driver's
-    /// cost model) and skips validation — the wrappers already ran their
-    /// boundary checks, the ISA probe among them.
+    /// The throwaway plan behind [`crate::try_conv_ndirect_with`]: borrows
+    /// the filter (zero-copy for on-the-fly schedules, so a one-shot call
+    /// copies nothing) and skips validation — the wrapper already ran
+    /// [`validate_filter`], the ISA probe among its checks.
     pub(crate) fn try_borrowed(
         shape: &ConvShape,
         filter: &'f Filter,
         schedule: &Schedule,
-        layout: ActLayout,
     ) -> Result<ConvPlan<'f>, Error> {
-        ConvPlan::build(shape, filter, schedule, layout, || FilterRef::Borrowed(filter))
+        ConvPlan::build(shape, filter, schedule, || FilterRef::Borrowed(filter))
     }
 
     /// Shared build path: sanitize, allocate the first scratch set with
@@ -307,10 +290,10 @@ impl<'f> ConvPlan<'f> {
         shape: &ConvShape,
         filter: &Filter,
         schedule: &Schedule,
-        layout: ActLayout,
         keep_raw: impl FnOnce() -> FilterRef<'f>,
     ) -> Result<ConvPlan<'f>, Error> {
         let _build = ndirect_probe::probe_span!(PlanBuild, 0);
+        let layout = act_layout_for(filter);
         let mut sched = schedule.sanitized(shape);
         // An `NHWC` strip is one pack pass into the `[c][r][win]` buffer,
         // then the kernel: no fused gather or per-channel slab reads its
@@ -568,24 +551,26 @@ impl<'f> ConvPlan<'f> {
     }
 }
 
-/// Plan build-time filter checks (the input is checked at execute).
-pub(crate) fn validate_filter(
-    shape: &ConvShape,
-    filter: &Filter,
-    layout: ActLayout,
-) -> Result<(), Error> {
+/// The activation layout a filter pairs with: `KCRS` → `NCHW`,
+/// `KRSC` → `NHWC`.
+fn act_layout_for(filter: &Filter) -> ActLayout {
+    match filter.layout() {
+        FilterLayout::Kcrs => ActLayout::Nchw,
+        FilterLayout::Krsc => ActLayout::Nhwc,
+    }
+}
+
+/// Plan build-time filter checks (the input is checked at execute); `Ok`
+/// carries the activation layout the filter names.
+pub(crate) fn validate_filter(shape: &ConvShape, filter: &Filter) -> Result<ActLayout, Error> {
     check::isa()?;
     shape.validate()?;
-    let (want, context) = match layout {
-        ActLayout::Nchw => (ndirect_tensor::FilterLayout::Kcrs, "NCHW plan takes KCRS"),
-        ActLayout::Nhwc => (ndirect_tensor::FilterLayout::Krsc, "NHWC plan takes KRSC"),
-    };
-    check::filter_layout(filter, want, context)?;
     check::dims(
         "filter dims",
         (shape.k, shape.c, shape.r, shape.s),
         filter.dims(),
-    )
+    )?;
+    Ok(act_layout_for(filter))
 }
 
 /// A pre-built depthwise convolution (`K == C`, channel multiplier 1):
@@ -735,8 +720,9 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv::conv_ndirect_with;
-    use ndirect_tensor::{fill, FilterLayout, Padding};
+    use crate::conv::{try_conv_ndirect, try_conv_ndirect_with};
+    use ndirect_baselines::naive;
+    use ndirect_tensor::{assert_close, fill, Padding};
     use ndirect_threads::Grid2;
 
     fn problem(shape: &ConvShape, layout: ActLayout, seed: u64) -> (Tensor4, Filter) {
@@ -756,7 +742,8 @@ mod tests {
         let (input, filter) = problem(&shape, ActLayout::Nchw, 41);
         let pool = StaticPool::new(2);
         let sched = Schedule::minimal(&shape).with_grid(Grid2::new(2, 1));
-        let oneshot = conv_ndirect_with(&pool, &input, &filter, &shape, &sched);
+        let oneshot =
+            try_conv_ndirect_with(&pool, &input, &filter, &shape, &sched).expect("valid problem");
 
         let plan = ConvPlan::try_with_schedule(&shape, &filter, &sched).unwrap();
         for _ in 0..3 {
@@ -797,8 +784,8 @@ mod tests {
         sched.vk = 8;
         sched.tk = 8;
         sched.tc = 4;
-        let otf = ConvPlan::try_with_schedule_nhwc(&shape, &filter, &sched).unwrap();
-        let packed = ConvPlan::try_with_schedule_nhwc(
+        let otf = ConvPlan::try_with_schedule(&shape, &filter, &sched).unwrap();
+        let packed = ConvPlan::try_with_schedule(
             &shape,
             &filter,
             &sched.with_filter_state(FilterState::PreTransformed),
@@ -856,7 +843,7 @@ mod tests {
         let mut sched = Schedule::minimal(&shape);
         sched.tc = shape.c; // survives sanitize: tc is clamped to C
         let filter = Filter::zeros(4, 1, 3, 3, FilterLayout::Kcrs);
-        let plan = ConvPlan::try_borrowed(&shape, &filter, &sched, ActLayout::Nchw).unwrap();
+        let plan = ConvPlan::try_borrowed(&shape, &filter, &sched).unwrap();
         assert!(plan.degraded());
         assert!(plan.schedule().tc < shape.c);
     }
@@ -888,5 +875,98 @@ mod tests {
             plan.execute(&pool, &input, &mut out).unwrap();
             assert_eq!(out.as_slice(), oneshot.as_slice(), "depthwise plan bitwise");
         }
+    }
+
+    fn check_nhwc(shape: ConvShape, sched: &Schedule, threads: usize, what: &str) {
+        let (input, filter) = problem(&shape, ActLayout::Nhwc, 23);
+        let expect = naive::conv_ref(&input, &filter, &shape);
+        let pool = StaticPool::new(threads);
+        let got = try_conv_ndirect_with(&pool, &input, &filter, &shape, sched)
+            .expect("valid problem");
+        assert_eq!(got.layout(), ActLayout::Nhwc);
+        assert_close(got.as_slice(), expect.as_slice(), 2e-4, what);
+    }
+
+    #[test]
+    fn matches_oracle_basic() {
+        let shape = ConvShape::new(1, 5, 9, 11, 8, 3, 3, 1, Padding::same(1));
+        check_nhwc(shape, &Schedule::minimal(&shape), 1, "nhwc basic");
+    }
+
+    #[test]
+    fn matches_oracle_channel_tiling() {
+        // tc < C exercises the strided pack path.
+        let shape = ConvShape::new(1, 10, 8, 8, 8, 3, 3, 1, Padding::NONE);
+        let mut s = Schedule::minimal(&shape);
+        s.tc = 3;
+        check_nhwc(shape, &s, 1, "nhwc channel tiles");
+    }
+
+    #[test]
+    fn matches_oracle_strided_and_tails() {
+        // K=13 (vk tail), Q tail, stride 2, padding.
+        let shape = ConvShape::new(2, 6, 9, 13, 13, 3, 3, 2, Padding::same(1));
+        let mut s = Schedule::minimal(&shape);
+        s.vw = 4;
+        s.vk = 8;
+        s.tk = 8;
+        check_nhwc(shape, &s, 1, "nhwc tails");
+    }
+
+    #[test]
+    fn matches_oracle_pointwise_and_7x7() {
+        let shape = ConvShape::new(1, 8, 6, 10, 12, 1, 1, 1, Padding::NONE);
+        check_nhwc(shape, &Schedule::minimal(&shape), 1, "nhwc 1x1");
+        let shape = ConvShape::new(1, 3, 12, 12, 6, 7, 7, 2, Padding::same(3));
+        check_nhwc(shape, &Schedule::minimal(&shape), 1, "nhwc 7x7");
+    }
+
+    #[test]
+    fn thread_grids_bitwise_identical() {
+        let shape = ConvShape::new(2, 8, 10, 10, 16, 3, 3, 1, Padding::same(1));
+        let (input, filter) = problem(&shape, ActLayout::Nhwc, 29);
+        let base = try_conv_ndirect_with(
+            &StaticPool::new(1),
+            &input,
+            &filter,
+            &shape,
+            &Schedule::minimal(&shape),
+        )
+        .expect("valid problem");
+        for (ptn, ptk) in [(2, 1), (1, 2), (2, 2), (4, 1)] {
+            let pool = StaticPool::new(ptn * ptk);
+            let sched = Schedule::minimal(&shape).with_grid(Grid2::new(ptn, ptk));
+            let got = try_conv_ndirect_with(&pool, &input, &filter, &shape, &sched)
+                .expect("valid problem");
+            assert_eq!(got.as_slice(), base.as_slice(), "grid {ptn}x{ptk}");
+        }
+    }
+
+    #[test]
+    fn derived_schedule_entry_point() {
+        let shape = ConvShape::square(1, 16, 24, 12, 3, 1);
+        let (input, filter) = problem(&shape, ActLayout::Nhwc, 31);
+        let expect = naive::conv_ref(&input, &filter, &shape);
+        let pool = StaticPool::new(2);
+        let got = try_conv_ndirect(&pool, &input, &filter, &shape).expect("valid problem");
+        assert_close(got.as_slice(), expect.as_slice(), 2e-4, "derived nhwc");
+    }
+
+    #[test]
+    fn filter_transform_nhwc_layout() {
+        // A KRSC filter goes through the one transform into the same
+        // [kv][c][r][s][Vk] block as its KCRS copy.
+        let shape = ConvShape::new(1, 3, 4, 4, 6, 2, 3, 1, Padding::NONE);
+        let (_, krsc) = problem(&shape, ActLayout::Nhwc, 37);
+        let kcrs = krsc.to_layout(FilterLayout::Kcrs);
+        let len = 2 * 3 * 2 * 3 * 4;
+        let (mut got, mut want) = (vec![0.0; len], vec![0.0; len]);
+        crate::transform_filter_block(&krsc, 0, 6, 0, 3, 4, &mut got);
+        crate::transform_filter_block(&kcrs, 0, 6, 0, 3, 4, &mut want);
+        assert_eq!(got, want);
+        // [kv=1][c=2][r=1][s=2] lane 1 is filter (k=5, c=2, r=1, s=2).
+        assert_eq!(got[(((3 + 2) * 2 + 1) * 3 + 2) * 4 + 1], krsc.at(5, 2, 1, 2));
+        // Lanes past K = 6 are zero padding.
+        assert_eq!(got[len - 1], 0.0);
     }
 }

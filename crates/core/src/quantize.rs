@@ -1,7 +1,7 @@
 //! Quantization helpers around the INT16 kernel: symmetric linear
 //! quantization `x ≈ scale · q` with i16 codes, plus an end-to-end
 //! quantized convolution that returns dequantized FP32 — what a framework
-//! integrating [`crate::conv_int16`] actually calls.
+//! integrating [`crate::try_conv_int16`] actually calls.
 
 use ndirect_tensor::{ActLayout, ConvShape, Filter, Tensor4};
 use ndirect_threads::StaticPool;
@@ -57,20 +57,10 @@ pub fn safe_max_code(reduction_len: usize) -> i16 {
 
 /// Quantized convolution: quantizes FP32 operands to i16 (per-tensor
 /// symmetric scales sized for overflow-free i32 accumulation), runs
-/// [`crate::conv_int16`], and dequantizes back to an FP32 `NCHW` tensor.
+/// [`crate::try_conv_int16`], and dequantizes back to an FP32 `NCHW` tensor.
 ///
 /// Returns the output and the achieved quantization parameters, so callers
 /// can reason about the induced error (≈ `scale_x·scale_w` per MAC).
-pub fn conv_quantized(
-    pool: &StaticPool,
-    input: &Tensor4,
-    filter: &Filter,
-    shape: &ConvShape,
-) -> (Tensor4, QuantParams, QuantParams) {
-    try_conv_quantized(pool, input, filter, shape).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`conv_quantized`].
 pub fn try_conv_quantized(
     pool: &StaticPool,
     input: &Tensor4,
@@ -141,7 +131,8 @@ mod tests {
         let filter = fill::random_filter(Filter::for_shape(&shape, FilterLayout::Kcrs), 70);
         let pool = StaticPool::new(1);
         let reference = ndirect_baselines::naive::conv_ref(&input, &filter, &shape);
-        let (got, qx, qw) = conv_quantized(&pool, &input, &filter, &shape);
+        let (got, qx, qw) = try_conv_quantized(&pool, &input, &filter, &shape)
+            .expect("valid problem");
         // Expected error scale: ~reduction · scale_x·scale_w / 2 worst case;
         // in practice far below. 1% relative is a comfortable bound here.
         let err = max_rel_diff(got.as_slice(), reference.as_slice());
@@ -155,8 +146,10 @@ mod tests {
         let shape = ConvShape::new(2, 4, 8, 8, 8, 3, 3, 1, Padding::same(1));
         let input = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nchw), 71);
         let filter = fill::random_filter(Filter::for_shape(&shape, FilterLayout::Kcrs), 71);
-        let (a, _, _) = conv_quantized(&StaticPool::new(1), &input, &filter, &shape);
-        let (b, _, _) = conv_quantized(&StaticPool::new(4), &input, &filter, &shape);
+        let (a, _, _) = try_conv_quantized(&StaticPool::new(1), &input, &filter, &shape)
+            .expect("valid problem");
+        let (b, _, _) = try_conv_quantized(&StaticPool::new(4), &input, &filter, &shape)
+            .expect("valid problem");
         assert_eq!(a.as_slice(), b.as_slice());
     }
 }

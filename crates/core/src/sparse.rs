@@ -4,7 +4,7 @@
 //! actually produces: whole input channels whose filter taps are all zero.
 //!
 //! [`prune_channels`] scans the filter once for dead channels;
-//! [`conv_ndirect_pruned`] compacts the live channels of the filter and
+//! [`try_conv_ndirect_pruned`] compacts the live channels of the filter and
 //! (one streaming pass) of the input, then runs the ordinary nDirect
 //! convolution on the smaller `C`. For a density `d`, compute shrinks by
 //! `1/d` while the compaction costs one extra read+write of the live input
@@ -56,16 +56,6 @@ pub fn prune_channels(filter: &Filter) -> ChannelMask {
 /// Compacts the live channels of filter and input and convolves the
 /// reduced problem. Falls back to the dense path when (almost) everything
 /// is live. A fully-dead filter yields the correct all-zero output.
-pub fn conv_ndirect_pruned(
-    pool: &StaticPool,
-    input: &Tensor4,
-    filter: &Filter,
-    shape: &ConvShape,
-) -> Tensor4 {
-    try_conv_ndirect_pruned(pool, input, filter, shape).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`conv_ndirect_pruned`].
 pub fn try_conv_ndirect_pruned(
     pool: &StaticPool,
     input: &Tensor4,
@@ -114,7 +104,7 @@ pub fn try_conv_ndirect_pruned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv::conv_ndirect;
+    use crate::conv::try_conv_ndirect;
     use ndirect_baselines::naive;
     use ndirect_tensor::{assert_close, fill, Padding};
 
@@ -148,7 +138,8 @@ mod tests {
         let shape = ConvShape::new(2, 10, 9, 9, 6, 3, 3, 1, Padding::same(1));
         let (input, filter) = pruned_problem(&shape, 3, 2);
         let expect = naive::conv_ref(&input, &filter, &shape);
-        let got = conv_ndirect_pruned(&StaticPool::new(2), &input, &filter, &shape);
+        let got = try_conv_ndirect_pruned(&StaticPool::new(2), &input, &filter, &shape)
+            .expect("valid problem");
         assert_close(got.as_slice(), expect.as_slice(), 2e-4, "pruned conv");
     }
 
@@ -157,8 +148,10 @@ mod tests {
         let shape = ConvShape::new(1, 4, 8, 8, 4, 3, 3, 1, Padding::same(1));
         let input = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nchw), 3);
         let filter = fill::random_filter(Filter::for_shape(&shape, FilterLayout::Kcrs), 3);
-        let dense = conv_ndirect(&StaticPool::new(1), &input, &filter, &shape);
-        let pruned = conv_ndirect_pruned(&StaticPool::new(1), &input, &filter, &shape);
+        let dense = try_conv_ndirect(&StaticPool::new(1), &input, &filter, &shape)
+            .expect("valid problem");
+        let pruned = try_conv_ndirect_pruned(&StaticPool::new(1), &input, &filter, &shape)
+            .expect("valid problem");
         assert_eq!(pruned.as_slice(), dense.as_slice());
     }
 
@@ -167,7 +160,8 @@ mod tests {
         let shape = ConvShape::new(1, 3, 6, 6, 2, 3, 3, 1, Padding::same(1));
         let input = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nchw), 4);
         let filter = Filter::for_shape(&shape, FilterLayout::Kcrs);
-        let out = conv_ndirect_pruned(&StaticPool::new(1), &input, &filter, &shape);
+        let out = try_conv_ndirect_pruned(&StaticPool::new(1), &input, &filter, &shape)
+            .expect("valid problem");
         assert!(out.as_slice().iter().all(|&x| x == 0.0));
     }
 
@@ -194,10 +188,11 @@ mod tests {
         }
         let pool = StaticPool::new(1);
         let t = std::time::Instant::now();
-        let dense = conv_ndirect(&pool, &input, &filter, &shape);
+        let dense = try_conv_ndirect(&pool, &input, &filter, &shape).expect("valid problem");
         let t_dense = t.elapsed();
         let t = std::time::Instant::now();
-        let pruned = conv_ndirect_pruned(&pool, &input, &filter, &shape);
+        let pruned = try_conv_ndirect_pruned(&pool, &input, &filter, &shape)
+            .expect("valid problem");
         let t_pruned = t.elapsed();
         assert_close(pruned.as_slice(), dense.as_slice(), 2e-4, "pruned speedup");
         // 8x less compute; demand at least 2x wall-clock on this shape.

@@ -258,7 +258,8 @@ mod tests {
         let mut out = Tensor4::zeros(1, 12, dw_shape.p(), dw_shape.q(), ActLayout::Nchw);
         a.execute(&pool, &input, &mut out).unwrap();
         let want =
-            ndirect_core::conv_depthwise_separable(&pool, &input, &dwf, &pwf, &dw_shape);
+            ndirect_core::try_conv_depthwise_separable(&pool, &input, &dwf, &pwf, &dw_shape)
+                .expect("valid problem");
         assert_close(out.as_slice(), want.as_slice(), 2e-4, "prepare_fused");
     }
 

@@ -166,9 +166,18 @@ pub fn verify_host() -> Result<Isa, UnsupportedIsa> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests that read or set `FORCE_UNSUPPORTED`: the test
+    /// threads run in parallel, and the flag is process-global.
+    fn hook_lock() -> MutexGuard<'static, ()> {
+        static HOOK: Mutex<()> = Mutex::new(());
+        HOOK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn host_supports_what_it_is_running() {
+        let _hook = hook_lock();
         // The binary is executing, so its baseline must verify.
         let isa = verify_host().expect("running binary must be supported");
         assert_eq!(isa, compiled_isa());
@@ -181,6 +190,7 @@ mod tests {
 
     #[test]
     fn force_unsupported_hook_fails_verification() {
+        let _hook = hook_lock();
         force_unsupported(true);
         let err = verify_host().expect_err("hook must force failure");
         assert_eq!(err.required, compiled_isa());

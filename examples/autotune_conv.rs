@@ -6,7 +6,7 @@
 //! ```
 
 use ndirect_autotune::{tune, TuneSettings};
-use ndirect_core::{conv_ndirect_with, Schedule};
+use ndirect_core::{try_conv_ndirect_with, Schedule};
 use ndirect_tensor::{ActLayout, FilterLayout};
 use ndirect_threads::StaticPool;
 use ndirect_workloads::{make_problem, table4};
@@ -27,7 +27,7 @@ fn main() {
         trials,
         ..TuneSettings::default()
     };
-    let report = tune(&pool, &shape, &p.input, &p.filter, &settings);
+    let report = tune(&pool, &shape, &p.input, &p.filter, &settings).expect("valid problem");
     println!("convergence:");
     for (t, g) in &report.history {
         println!("  after {t:>4} trials: best {g:>8.2} GFLOPS");
@@ -47,7 +47,8 @@ fn main() {
     let mut best = f64::MAX;
     for _ in 0..3 {
         let t = std::time::Instant::now();
-        let out = conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched);
+        let out = try_conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+            .expect("valid problem");
         best = best.min(t.elapsed().as_secs_f64());
         std::hint::black_box(out);
     }

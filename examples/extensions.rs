@@ -7,7 +7,7 @@
 //! ```
 
 use ndirect_core::{
-    conv3d_naive, conv3d_ndirect, conv_depthwise_separable, conv_ndirect_nhwc, Conv3dShape,
+    conv3d_naive, try_conv3d_ndirect, try_conv_depthwise_separable, try_conv_ndirect, Conv3dShape,
 };
 use ndirect_tensor::{
     fill, max_rel_diff, ActLayout, ConvShape, Filter, Filter5, FilterLayout, Tensor4, Tensor5,
@@ -24,7 +24,7 @@ fn main() {
     let dw = fill::random_filter(Filter::zeros(64, 1, 3, 3, FilterLayout::Kcrs), 2);
     let pw = fill::random_filter(Filter::zeros(128, 64, 1, 1, FilterLayout::Kcrs), 3);
     let t = Instant::now();
-    let out = conv_depthwise_separable(&pool, &input, &dw, &pw, &shape);
+    let out = try_conv_depthwise_separable(&pool, &input, &dw, &pw, &shape).expect("valid problem");
     let dsc_time = t.elapsed();
     // The separable pair vs the dense 3x3 it approximates: count the MACs.
     let dsc_macs = 64 * 56 * 56 * 9 + 128 * 64 * 56 * 56;
@@ -58,7 +58,7 @@ fn main() {
     fill::fill_random(f3.as_mut_slice(), 5);
 
     let t = Instant::now();
-    let got = conv3d_ndirect(&pool, &vol, &f3, &shape3);
+    let got = try_conv3d_ndirect(&pool, &vol, &f3, &shape3).expect("valid problem");
     let fast = t.elapsed().as_secs_f64();
     let t = Instant::now();
     let expect = conv3d_naive(&vol, &f3, &shape3);
@@ -76,7 +76,7 @@ fn main() {
     let in_nhwc = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nhwc), 6);
     let f_krsc = fill::random_filter(Filter::for_shape(&shape, FilterLayout::Krsc), 7);
     let t = Instant::now();
-    let out = conv_ndirect_nhwc(&pool, &in_nhwc, &f_krsc, &shape);
+    let out = try_conv_ndirect(&pool, &in_nhwc, &f_krsc, &shape).expect("valid problem");
     println!(
         "native NHWC 64->64 @28x28 3x3: {:.2} GFLOPS, output layout {:?}",
         shape.gflops(t.elapsed().as_secs_f64()),
@@ -91,7 +91,8 @@ fn main() {
     let input = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nchw), 8);
     let filter = fill::random_filter(Filter::for_shape(&shape, FilterLayout::Kcrs), 9);
     let t = Instant::now();
-    let (qout, qx, qw) = ndirect_core::conv_quantized(&pool, &input, &filter, &shape);
+    let (qout, qx, qw) = ndirect_core::try_conv_quantized(&pool, &input, &filter, &shape)
+        .expect("valid problem");
     let qt = t.elapsed().as_secs_f64();
     let reference = ndirect_baselines::naive::conv_ref(&input, &filter, &shape);
     let qerr = max_rel_diff(qout.as_slice(), reference.as_slice());

@@ -7,7 +7,7 @@
 //! cargo run --release -p ndirect-integration --example image_filters
 //! ```
 
-use ndirect_core::conv_ndirect;
+use ndirect_core::try_conv_ndirect;
 use ndirect_tensor::{ActLayout, ConvShape, Filter, FilterLayout, Padding, Tensor4};
 use ndirect_threads::StaticPool;
 
@@ -80,7 +80,7 @@ fn main() {
     for (i, v) in gy.iter().enumerate() {
         sobel.as_mut_slice()[9 + i] = *v;
     }
-    let grads = conv_ndirect(&pool, &img, &sobel, &shape);
+    let grads = try_conv_ndirect(&pool, &img, &sobel, &shape).expect("valid problem");
 
     // Gradient magnitude.
     let mut edges = Tensor4::zeros(1, 1, SIZE, SIZE, ActLayout::Nchw);
@@ -102,7 +102,7 @@ fn main() {
             *gauss.at_mut(0, 0, r, s) = kernel1d[r] * kernel1d[s] / norm;
         }
     }
-    let blurred = conv_ndirect(&pool, &img, &gauss, &shape);
+    let blurred = try_conv_ndirect(&pool, &img, &gauss, &shape).expect("valid problem");
     render("Gaussian blur (nDirect)", &blurred, 0);
 
     // Cross-check one filter against the oracle.

@@ -6,7 +6,7 @@
 //! ```
 
 use ndirect_baselines::{blocked, im2col, indirect};
-use ndirect_core::{conv_ndirect_with, Schedule};
+use ndirect_core::{try_conv_ndirect_with, Schedule};
 use ndirect_tensor::{ActLayout, FilterLayout, Tensor4};
 use ndirect_threads::StaticPool;
 use ndirect_workloads::{make_problem, table4};
@@ -47,7 +47,8 @@ fn main() {
     let sched = Schedule::derive(&platform, &shape, pool.size());
     bench(
         "NDIRECT",
-        Box::new(|| conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)),
+        Box::new(|| try_conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+            .expect("valid problem")),
     );
     bench(
         "im2col+GEMM",

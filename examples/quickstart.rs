@@ -5,7 +5,7 @@
 //! cargo run --release -p ndirect-integration --example quickstart
 //! ```
 
-use ndirect_core::{conv_ndirect, Schedule};
+use ndirect_core::{try_conv_ndirect, Schedule};
 use ndirect_tensor::{fill, max_rel_diff, ActLayout, ConvShape, Filter, FilterLayout, Tensor4};
 use ndirect_threads::StaticPool;
 
@@ -35,7 +35,7 @@ fn main() {
     );
 
     let start = std::time::Instant::now();
-    let output = conv_ndirect(&pool, &input, &filter, &shape);
+    let output = try_conv_ndirect(&pool, &input, &filter, &shape).expect("valid problem");
     let secs = start.elapsed().as_secs_f64();
     println!(
         "nDirect: {:.2} ms = {:.2} GFLOPS",

@@ -2,7 +2,7 @@
 //! produce schedules that beat obviously bad ones.
 
 use ndirect_autotune::{tune, TuneSettings};
-use ndirect_core::{conv_ndirect_with, Schedule};
+use ndirect_core::{try_conv_ndirect_with, Schedule};
 use ndirect_tensor::{ActLayout, ConvShape, FilterLayout};
 use ndirect_threads::{Grid2, StaticPool};
 use ndirect_workloads::make_problem;
@@ -20,7 +20,7 @@ fn tuner_finds_schedule_no_worse_than_random_floor() {
         reps: 2,
         seed: 1,
     };
-    let report = tune(&pool, &shape, &p.input, &p.filter, &settings);
+    let report = tune(&pool, &shape, &p.input, &p.filter, &settings).expect("valid problem");
     // Budget respected and actually explored: the measured-trial count is
     // within the configured budget (plus the per-round overshoot) and more
     // than one candidate was tried.
@@ -37,9 +37,11 @@ fn tuned_schedule_executes_correctly_multithreaded() {
     let shape = ConvShape::square(2, 12, 16, 10, 3, 1);
     let p = make_problem(shape, ActLayout::Nchw, FilterLayout::Kcrs, 2);
     let pool = StaticPool::new(4);
-    let report = tune(&pool, &shape, &p.input, &p.filter, &TuneSettings::smoke());
+    let report = tune(&pool, &shape, &p.input, &p.filter, &TuneSettings::smoke())
+        .expect("valid problem");
     assert!(report.best.threads() <= 4);
-    let got = conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &report.best);
+    let got = try_conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &report.best)
+        .expect("valid problem");
     let expect = ndirect_baselines::naive::conv_ref(&p.input, &p.filter, &shape);
     ndirect_tensor::assert_close(got.as_slice(), expect.as_slice(), 2e-4, "tuned, 4 threads");
 }
@@ -66,7 +68,8 @@ fn model_derived_schedule_is_competitive_with_short_search() {
             reps: 2,
             seed: 5,
         },
-    );
+    )
+    .expect("valid problem");
     let sched = Schedule::derive(&ndirect_platform::host(), &shape, 1);
     let model_secs = ndirect_bench_floor(&pool, &p, &shape, &sched);
     let model_gflops = shape.gflops(model_secs);
@@ -86,7 +89,8 @@ fn ndirect_bench_floor(
     let mut best = f64::MAX;
     for _ in 0..3 {
         let t = std::time::Instant::now();
-        let out = conv_ndirect_with(pool, &p.input, &p.filter, shape, sched);
+        let out = try_conv_ndirect_with(pool, &p.input, &p.filter, shape, sched)
+            .expect("valid problem");
         best = best.min(t.elapsed().as_secs_f64());
         std::hint::black_box(out);
     }
@@ -107,8 +111,9 @@ fn all_k_grid_is_correct_but_never_model_chosen_for_k_starved_shapes() {
     let bad = Schedule::minimal(&shape).with_grid(Grid2::new(1, 4));
     let good = Schedule::minimal(&shape).with_grid(Grid2::new(4, 1));
     // Both compute the right answer…
-    let a = conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &bad);
-    let b = conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &good);
+    let a = try_conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &bad).expect("valid problem");
+    let b = try_conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &good)
+        .expect("valid problem");
     assert_eq!(a.as_slice(), b.as_slice());
     // …and the model never *chooses* the bad grid here.
     let derived = ndirect_core::model::thread_map::derive(&ndirect_platform::host(), &shape, 4);

@@ -13,7 +13,7 @@
 //! `Vw` tail tiles.
 
 use ndirect_core::{
-    conv_depthwise, conv_ndirect_with, try_conv_dwpw_fused, try_conv_dwpw_fused_with,
+    conv_depthwise, try_conv_ndirect_with, try_conv_dwpw_fused, try_conv_dwpw_fused_with,
     DwPwSchedule, FusedDwPwPlan, PackingMode, Schedule,
 };
 use ndirect_tensor::{fill, ActLayout, ConvShape, Filter, FilterLayout, Padding, Tensor4};
@@ -169,7 +169,10 @@ fn unfused_reference(
         Padding::NONE,
     );
     let base = Schedule::derive(&ndirect_platform::host(), &pw_shape, pool.size());
-    let run = |mode| conv_ndirect_with(pool, &mid, pw_filter, &pw_shape, &base.with_packing(mode));
+    let run = |mode| {
+        try_conv_ndirect_with(pool, &mid, pw_filter, &pw_shape, &base.with_packing(mode))
+            .expect("valid problem")
+    };
     let want = run(PackingMode::Fused);
     for mode in OTHER_PACKINGS {
         let got = run(mode);

@@ -2,8 +2,7 @@
 //! NHWC — cross-module behaviour beyond the unit tests in `ndirect-core`.
 
 use ndirect_core::{
-    conv3d_naive, conv3d_ndirect, conv_depthwise, conv_ndirect, conv_ndirect_nhwc, Conv3dShape,
-    Schedule,
+    conv3d_naive, try_conv3d_ndirect, conv_depthwise, try_conv_ndirect, Conv3dShape, Schedule,
 };
 use ndirect_support::Rng64;
 use ndirect_tensor::{
@@ -32,7 +31,7 @@ fn depthwise_then_pointwise_equals_grouped_dense() {
             }
         }
     }
-    let expect = conv_ndirect(&pool, &input, &dense, &shape);
+    let expect = try_conv_ndirect(&pool, &input, &dense, &shape).expect("valid problem");
     assert_close(got.as_slice(), expect.as_slice(), 2e-4, "dw == diagonal dense");
 }
 
@@ -43,7 +42,7 @@ fn conv3d_with_unit_depth_equals_2d() {
     let input2 = fill::random_tensor(Tensor4::input_for(&shape2, ActLayout::Nchw), 3);
     let filter2 = fill::random_filter(Filter::for_shape(&shape2, FilterLayout::Kcrs), 3);
     let pool = StaticPool::new(1);
-    let out2 = conv_ndirect(&pool, &input2, &filter2, &shape2);
+    let out2 = try_conv_ndirect(&pool, &input2, &filter2, &shape2).expect("valid problem");
 
     let shape3 = Conv3dShape {
         n: 1,
@@ -64,7 +63,7 @@ fn conv3d_with_unit_depth_equals_2d() {
     input3.as_mut_slice().copy_from_slice(input2.as_slice());
     let mut filter3 = Filter5::zeros(5, 3, 1, 3, 3);
     filter3.as_mut_slice().copy_from_slice(filter2.as_slice());
-    let out3 = conv3d_ndirect(&pool, &input3, &filter3, &shape3);
+    let out3 = try_conv3d_ndirect(&pool, &input3, &filter3, &shape3).expect("valid problem");
     assert_close(out3.as_slice(), out2.as_slice(), 2e-4, "conv3d(T=1) == conv2d");
 }
 
@@ -81,13 +80,14 @@ fn nhwc_native_matches_nchw_on_scaled_table4_rows() {
             layer.stride,
         );
         let p = ndirect_workloads::make_problem(shape, ActLayout::Nchw, FilterLayout::Kcrs, 70);
-        let nchw_out = conv_ndirect(&pool, &p.input, &p.filter, &shape);
-        let nhwc_out = conv_ndirect_nhwc(
+        let nchw_out = try_conv_ndirect(&pool, &p.input, &p.filter, &shape).expect("valid problem");
+        let nhwc_out = try_conv_ndirect(
             &pool,
             &p.input.to_layout(ActLayout::Nhwc),
             &p.filter.to_layout(FilterLayout::Krsc),
             &shape,
-        );
+        )
+        .expect("valid problem");
         assert_close(
             nhwc_out.to_layout(ActLayout::Nchw).as_slice(),
             nchw_out.as_slice(),
@@ -161,7 +161,7 @@ fn conv3d_matches_oracle_on_random_shapes() {
         fill::fill_random(input.as_mut_slice(), seed);
         let mut filter = Filter5::zeros(k, c, t, rs, rs);
         fill::fill_random(filter.as_mut_slice(), seed ^ 2);
-        let got = conv3d_ndirect(&pool, &input, &filter, &shape);
+        let got = try_conv3d_ndirect(&pool, &input, &filter, &shape).expect("valid problem");
         let expect = conv3d_naive(&input, &filter, &shape);
         assert_close(
             got.as_slice(),
@@ -189,9 +189,10 @@ fn nhwc_native_matches_oracle_on_random_shapes() {
         let input = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nhwc), seed);
         let filter = fill::random_filter(Filter::for_shape(&shape, FilterLayout::Krsc), seed ^ 3);
         let expect = ndirect_baselines::naive::conv_ref(&input, &filter, &shape);
-        let got = ndirect_core::conv_ndirect_nhwc_with(
+        let got = ndirect_core::try_conv_ndirect_with(
             &pool, &input, &filter, &shape, &Schedule::minimal(&shape),
-        );
+        )
+        .expect("valid problem");
         assert_close(
             got.as_slice(),
             expect.as_slice(),

@@ -2,7 +2,7 @@
 //! FFT) against the whole backend set.
 
 use ndirect_baselines::{fft, naive, winograd};
-use ndirect_core::conv_ndirect;
+use ndirect_core::try_conv_ndirect;
 use ndirect_support::Rng64;
 use ndirect_tensor::{assert_close, ActLayout, ConvShape, FilterLayout, Padding};
 use ndirect_threads::StaticPool;
@@ -24,7 +24,7 @@ fn winograd_matches_direct_on_scaled_3x3_table4_rows() {
             1,
         );
         let p = make_problem(shape, ActLayout::Nchw, FilterLayout::Kcrs, layer.id as u64);
-        let direct = conv_ndirect(&pool, &p.input, &p.filter, &shape);
+        let direct = try_conv_ndirect(&pool, &p.input, &p.filter, &shape).expect("valid problem");
         let wino = winograd::conv_winograd(&pool, &p.input, &p.filter, &shape);
         assert_close(
             wino.as_slice(),

@@ -32,8 +32,8 @@
 use ndirect_baselines::naive::conv_ordered;
 use ndirect_core::kernel::Body;
 use ndirect_core::{
-    conv_depthwise, conv_ndirect_with, nhwc::conv_ndirect_nhwc_with, try_conv_dwpw_fused_with,
-    ConvPlan, DepthwisePlan, DwPwSchedule, FusedDwPwPlan, Kernel, PackingMode, Schedule,
+    conv_depthwise, try_conv_ndirect_with, try_conv_dwpw_fused_with, ConvPlan, DepthwisePlan,
+    DwPwSchedule, FusedDwPwPlan, Kernel, PackingMode, Schedule,
 };
 use ndirect_models::{zoo, ConvLayer, Engine, FcLayer, Model, NDirectBackend, Node};
 use ndirect_tensor::{fill, ActLayout, ConvShape, Filter, FilterLayout, Padding, Tensor4};
@@ -138,7 +138,8 @@ fn nchw_case(name: &str, shape: ConvShape, tiles: (usize, usize, usize, usize, u
         for (ptn, ptk) in GRIDS {
             let pool = StaticPool::new(ptn * ptk);
             let sched = base.with_packing(mode).with_grid(Grid2::new(ptn, ptk));
-            let oneshot = conv_ndirect_with(&pool, &input, &filter, &shape, &sched);
+            let oneshot = try_conv_ndirect_with(&pool, &input, &filter, &shape, &sched)
+                .expect("valid problem");
             let what = format!("{name}: {mode:?} on {ptn}x{ptk}, one-shot");
             assert_eq!(oneshot.as_slice(), want(Kernel::best()), "{what}");
             for kernel in kernels() {
@@ -195,25 +196,27 @@ fn nhwc_bits_are_stable() {
         for (ptn, ptk) in GRIDS {
             let pool = StaticPool::new(ptn * ptk);
             let sched = base.with_grid(Grid2::new(ptn, ptk));
-            let oneshot = conv_ndirect_nhwc_with(&pool, &input, &filter, &shape, &sched);
+            let oneshot = try_conv_ndirect_with(&pool, &input, &filter, &shape, &sched)
+                .expect("valid problem");
             let what = format!("{name}: one-shot on {ptn}x{ptk}");
             assert_eq!(oneshot.as_slice(), want(Kernel::best()), "{what}");
             for kernel in kernels() {
                 let plan =
-                    ConvPlan::try_with_schedule_nhwc(&shape, &filter, &sched).expect("valid case");
+                    ConvPlan::try_with_schedule(&shape, &filter, &sched).expect("valid case");
                 let mut planned = Tensor4::output_for(&shape, ActLayout::Nhwc);
                 plan.with_kernel(kernel).execute(&pool, &input, &mut planned).expect("valid case");
                 let what = format!("{name}: {ptn}x{ptk}, planned on {}", kernel.name());
                 assert_eq!(planned.as_slice(), want(kernel), "{what}");
             }
         }
-        let nchw = conv_ndirect_with(
+        let nchw = try_conv_ndirect_with(
             &StaticPool::new(1),
             &input.to_layout(ActLayout::Nchw),
             &filter.to_layout(FilterLayout::Kcrs),
             &shape,
             &base,
-        );
+        )
+        .expect("valid problem");
         let what = format!("{name}: NHWC == NCHW, transposed");
         assert_eq!(want(Kernel::best()), nchw.to_layout(ActLayout::Nhwc).as_slice(), "{what}");
         actual.push((name, fnv1a(want(Kernel::supported().next().expect("the baseline runs")))));

@@ -2,7 +2,7 @@
 //! and produces the mainstream layouts without the caller converting
 //! anything, and agrees with itself across layouts.
 
-use ndirect_core::{conv_ndirect, conv_ndirect_nhwc, transform_filter};
+use ndirect_core::{try_conv_ndirect, transform_filter};
 use ndirect_tensor::{
     assert_close, convert, ActLayout, ConvShape, FilterLayout,
 };
@@ -15,11 +15,11 @@ fn nchw_and_nhwc_entries_agree() {
     let p = make_problem(shape, ActLayout::Nchw, FilterLayout::Kcrs, 1);
     let pool = StaticPool::new(2);
 
-    let out_nchw = conv_ndirect(&pool, &p.input, &p.filter, &shape);
+    let out_nchw = try_conv_ndirect(&pool, &p.input, &p.filter, &shape).expect("valid problem");
 
     let in_nhwc = p.input.to_layout(ActLayout::Nhwc);
     let f_krsc = p.filter.to_layout(FilterLayout::Krsc);
-    let out_nhwc = conv_ndirect_nhwc(&pool, &in_nhwc, &f_krsc, &shape);
+    let out_nhwc = try_conv_ndirect(&pool, &in_nhwc, &f_krsc, &shape).expect("valid problem");
 
     assert_eq!(out_nchw.layout(), ActLayout::Nchw);
     assert_eq!(out_nhwc.layout(), ActLayout::Nhwc);
@@ -73,7 +73,7 @@ fn output_tensor_matches_framework_expectations() {
     let shape = ConvShape::square(2, 6, 10, 9, 3, 2);
     let p = make_problem(shape, ActLayout::Nchw, FilterLayout::Kcrs, 3);
     let pool = StaticPool::new(1);
-    let out = conv_ndirect(&pool, &p.input, &p.filter, &shape);
+    let out = try_conv_ndirect(&pool, &p.input, &p.filter, &shape).expect("valid problem");
     assert_eq!(out.dims(), (2, 10, shape.p(), shape.q()));
     assert_eq!(out.layout(), ActLayout::Nchw);
     // And the input/filter were not consumed or mutated.
@@ -112,7 +112,7 @@ fn pre_padded_blocked_input_matches_implicit_padding() {
     let p = make_problem(shape, ActLayout::Nchw, FilterLayout::Kcrs, 5);
     let pool = StaticPool::new(1);
     let blocked = ndirect_baselines::blocked::conv_blocked_nchw(&pool, &p.input, &p.filter, &shape);
-    let ndirect = conv_ndirect(&pool, &p.input, &p.filter, &shape);
+    let ndirect = try_conv_ndirect(&pool, &p.input, &p.filter, &shape).expect("valid problem");
     assert_close(ndirect.as_slice(), blocked.as_slice(), 2e-4, "pad handling");
 }
 
@@ -122,7 +122,7 @@ fn empty_output_edge_case() {
     let shape = ConvShape::new(1, 3, 3, 3, 2, 3, 3, 1, ndirect_tensor::Padding::NONE);
     let p = make_problem(shape, ActLayout::Nchw, FilterLayout::Kcrs, 6);
     let pool = StaticPool::new(1);
-    let out = conv_ndirect(&pool, &p.input, &p.filter, &shape);
+    let out = try_conv_ndirect(&pool, &p.input, &p.filter, &shape).expect("valid problem");
     assert_eq!(out.dims(), (1, 2, 1, 1));
     let expect = ndirect_baselines::naive::conv_ref(&p.input, &p.filter, &shape);
     assert_close(out.as_slice(), expect.as_slice(), 2e-4, "1x1 output");

@@ -20,9 +20,7 @@
 
 use ndirect_baselines::naive::conv_ordered;
 use ndirect_core::kernel::Body;
-use ndirect_core::{
-    conv_ndirect_nhwc_with, conv_ndirect_with, ConvPlan, Kernel, PackingMode, Schedule,
-};
+use ndirect_core::{try_conv_ndirect_with, ConvPlan, Kernel, PackingMode, Schedule};
 use ndirect_support::Rng64;
 use ndirect_tensor::{fill, ActLayout, ConvShape, Filter, FilterLayout, Padding, Tensor4};
 use ndirect_threads::{Grid2, StaticPool};
@@ -84,7 +82,8 @@ fn dense_case(seed: u64, pool: &StaticPool) {
         for (ptn, ptk) in grids {
             let sched = base.with_packing(mode).with_grid(Grid2::new(ptn, ptk));
             let at = format!("{what}: {mode:?} on {ptn}x{ptk}");
-            let oneshot = conv_ndirect_with(pool, &input, &filter, &shape, &sched);
+            let oneshot = try_conv_ndirect_with(pool, &input, &filter, &shape, &sched)
+                .expect("valid problem");
             let best = Kernel::best();
             let expect = want(best).as_slice();
             assert_eq!(oneshot.as_slice(), expect, "{at}: one-shot on {}", best.name());
@@ -107,10 +106,11 @@ fn dense_case(seed: u64, pool: &StaticPool) {
     for (ptn, ptk) in grids {
         let sched = base.with_grid(Grid2::new(ptn, ptk));
         let at = format!("{what}: NHWC on {ptn}x{ptk}");
-        let oneshot = conv_ndirect_nhwc_with(pool, &input, &filter, &shape, &sched);
+        let oneshot = try_conv_ndirect_with(pool, &input, &filter, &shape, &sched)
+            .expect("valid problem");
         assert_eq!(oneshot.as_slice(), nhwc(Kernel::best()).as_slice(), "{at}: one-shot");
         for kernel in Kernel::supported() {
-            let plan = ConvPlan::try_with_schedule_nhwc(&shape, &filter, &sched)
+            let plan = ConvPlan::try_with_schedule(&shape, &filter, &sched)
                 .unwrap_or_else(|e| panic!("{at}: {e}"))
                 .with_kernel(kernel);
             let mut planned = Tensor4::output_for(&shape, ActLayout::Nhwc);

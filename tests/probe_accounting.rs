@@ -161,7 +161,7 @@ fn nhwc_driver_accounts_like_the_cache_model_too() {
     let p = make_problem(shape, ActLayout::Nhwc, FilterLayout::Krsc, 10);
     let pool = StaticPool::new(2);
     let platform = ndirect_platform::host();
-    let plan = ConvPlan::try_new_nhwc(&platform, &shape, &p.filter, 2).expect("valid layer");
+    let plan = ConvPlan::try_new(&platform, &shape, &p.filter, 2).expect("valid layer");
     let mut out = Tensor4::output_for(&shape, ActLayout::Nhwc);
     let d = deltas(&[Counter::FlopsIssued, Counter::BytesPacked], || {
         plan.execute(&pool, &p.input, &mut out).expect("valid layer");

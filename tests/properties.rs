@@ -4,7 +4,7 @@
 
 use ndirect_baselines::{blocked, im2col, indirect, naive};
 use ndirect_core::{
-    conv_depthwise, conv_ndirect_with, fused_pair_flops, try_compose_shapes,
+    conv_depthwise, try_conv_ndirect_with, fused_pair_flops, try_compose_shapes,
     try_conv_depthwise_separable, try_conv_dwpw_fused, try_conv_dwpw_fused_with, DepthwisePlan,
     DwPwSchedule, FusedDwPwPlan, Kernel, Schedule,
 };
@@ -162,7 +162,8 @@ fn checked_and_plain_lens_agree_on_valid_shapes() {
 #[test]
 fn ndirect_matches_oracle_on_random_shapes() {
     against_oracle(0x9a01, 48, |pool, input, filter, shape| {
-        conv_ndirect_with(pool, input, filter, shape, &Schedule::minimal(shape))
+        try_conv_ndirect_with(pool, input, filter, shape, &Schedule::minimal(shape))
+            .expect("valid problem")
     });
 }
 
@@ -204,9 +205,10 @@ fn convolution_is_linear_in_the_input() {
         for (cx, cy) in combo.as_mut_slice().iter_mut().zip(y.as_slice()) {
             *cx = a * *cx + cy;
         }
-        let lhs = conv_ndirect_with(&pool, &combo, &filter, &shape, &sched);
-        let cx = conv_ndirect_with(&pool, &x, &filter, &shape, &sched);
-        let cy = conv_ndirect_with(&pool, &y, &filter, &shape, &sched);
+        let lhs = try_conv_ndirect_with(&pool, &combo, &filter, &shape, &sched)
+            .expect("valid problem");
+        let cx = try_conv_ndirect_with(&pool, &x, &filter, &shape, &sched).expect("valid problem");
+        let cy = try_conv_ndirect_with(&pool, &y, &filter, &shape, &sched).expect("valid problem");
         for (i, l) in lhs.as_slice().iter().enumerate() {
             let r = a * cx.as_slice()[i] + cy.as_slice()[i];
             assert!(
@@ -225,7 +227,8 @@ fn zero_filter_gives_zero_output() {
         let shape = random_shape(&mut rng);
         let (input, _) = problem(&shape, rng.next_u64());
         let filter = Filter::for_shape(&shape, FilterLayout::Kcrs);
-        let got = conv_ndirect_with(&pool, &input, &filter, &shape, &Schedule::minimal(&shape));
+        let got = try_conv_ndirect_with(&pool, &input, &filter, &shape, &Schedule::minimal(&shape))
+            .expect("valid problem");
         assert!(got.as_slice().iter().all(|&v| v == 0.0), "case {case}");
     }
 }

@@ -12,8 +12,8 @@ use std::sync::RwLock;
 use ndirect_baselines::{naive, winograd, BaselineError};
 use ndirect_core::{
     try_conv3d_ndirect, try_conv_depthwise, try_conv_int16, try_conv_ndirect,
-    try_conv_ndirect_nhwc_with, try_conv_ndirect_with, try_conv_quantized, Conv3dShape,
-    DepthwisePlan, Error, Int16Filter, Int16Tensor, Schedule,
+    try_conv_ndirect_with, try_conv_quantized, Conv3dShape, ConvPlan, DepthwisePlan, Error,
+    Int16Filter, Int16Tensor, Schedule,
 };
 use ndirect_gemm::GemmError;
 use ndirect_models::{zoo, ConvLayer, Engine, Model, ModelError, NDirectBackend, Node};
@@ -136,6 +136,52 @@ fn wrong_layout_is_a_typed_error() {
     let err = try_conv_ndirect(&pool, &input.to_layout(ActLayout::Nhwc), &filter, &shape)
         .expect_err("NHWC into the NCHW entry");
     assert!(matches!(err, Error::Layout { .. }), "{err}");
+}
+
+#[test]
+fn layout_is_read_from_the_filter() {
+    // Every (activation, filter) layout pair, through the one-shot entry
+    // and through a plan built from the filter alone: a KCRS filter means
+    // NCHW, a KRSC filter NHWC, and the other activation layout is refused
+    // at execute. K = 13 and C = 5 leave Vk and Tc tails.
+    let _g = read_hook();
+    let shape = ConvShape::new(2, 5, 9, 11, 13, 3, 3, 1, Padding::same(1));
+    let nchw = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nchw), 11);
+    let kcrs = fill::random_filter(Filter::for_shape(&shape, FilterLayout::Kcrs), 12);
+    let (nhwc, krsc) = (nchw.to_layout(ActLayout::Nhwc), kcrs.to_layout(FilterLayout::Krsc));
+    let sched = Schedule::minimal(&shape);
+    let pool = StaticPool::new(1);
+    let planned = |input: &Tensor4, filter: &Filter, layout| -> Result<Tensor4, Error> {
+        let plan = ConvPlan::try_with_schedule(&shape, filter, &sched)?;
+        let mut out = Tensor4::output_for(&shape, layout);
+        plan.execute(&pool, input, &mut out)?;
+        Ok(out)
+    };
+    let cases = [
+        (&nchw, &kcrs, ActLayout::Nchw, true),
+        (&nhwc, &krsc, ActLayout::Nhwc, true),
+        (&nhwc, &kcrs, ActLayout::Nchw, false),
+        (&nchw, &krsc, ActLayout::Nhwc, false),
+    ];
+    let mut want = None;
+    for (input, filter, layout, matched) in cases {
+        let what = format!("{:?} input, {:?} filter", input.layout(), filter.layout());
+        let oneshot = try_conv_ndirect_with(&pool, input, filter, &shape, &sched);
+        let plan = planned(input, filter, layout);
+        if !matched {
+            for got in [oneshot, plan] {
+                assert!(matches!(got, Err(Error::Layout { .. })), "{what}: {got:?}");
+            }
+            continue;
+        }
+        for got in [oneshot, plan] {
+            let got = got.unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(got.layout(), layout, "{what}");
+            // NHWC/KRSC is NCHW/KCRS transposed, bit for bit.
+            let bits = got.to_layout(ActLayout::Nchw).as_slice().to_vec();
+            assert_eq!(bits, *want.get_or_insert_with(|| bits.clone()), "{what}");
+        }
+    }
 }
 
 #[test]
@@ -483,7 +529,7 @@ fn unsupported_isa_degrades_to_typed_error() {
     ndirect_simd::force_unsupported(true);
     let err = try_conv_ndirect(&pool, &input, &filter, &shape).expect_err("forced ISA miss");
     let sched = Schedule::minimal(&shape);
-    let nhwc = try_conv_ndirect_nhwc_with(&pool, &nhwc_input, &krsc, &shape, &sched).map(|_| ());
+    let nhwc = try_conv_ndirect_with(&pool, &nhwc_input, &krsc, &shape, &sched).map(|_| ());
     let conv3d = try_conv3d_ndirect(&pool, &input3, &filter3, &shape3).map(|_| ());
     let int16 = try_conv_int16(&pool, &qi, &qf, &shape).map(|_| ());
     let quantized = try_conv_quantized(&pool, &input, &filter, &shape).map(|_| ());

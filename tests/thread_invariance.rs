@@ -8,7 +8,7 @@
 use std::sync::{Mutex, MutexGuard};
 
 use ndirect_baselines::{blocked, im2col, indirect};
-use ndirect_core::{conv_ndirect_with, Schedule};
+use ndirect_core::{try_conv_ndirect_with, Schedule};
 use ndirect_tensor::{ActLayout, ConvShape, FilterLayout};
 use ndirect_threads::{Grid2, StaticPool};
 use ndirect_workloads::make_problem;
@@ -45,7 +45,8 @@ fn probe_state_invariant_across_row_grids() {
         let pool = StaticPool::new(threads);
         let sched = Schedule::minimal(&shape).with_grid(Grid2::new(ptn, 1));
         let before: Vec<u64> = watched.iter().map(|&c| ndirect_probe::counter(c)).collect();
-        let out = conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched);
+        let out = try_conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+            .expect("valid problem");
         let delta: Vec<u64> = watched
             .iter()
             .zip(&before)
@@ -72,12 +73,13 @@ fn ndirect_bitwise_identical_across_grids() {
     let reference = {
         let pool = StaticPool::new(1);
         let sched = Schedule::minimal(&shape);
-        conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+        try_conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched).expect("valid problem")
     };
     for (ptn, ptk) in [(1, 1), (2, 1), (1, 2), (2, 2), (4, 2), (3, 1), (1, 8)] {
         let pool = StaticPool::new(ptn * ptk);
         let sched = Schedule::minimal(&shape).with_grid(Grid2::new(ptn, ptk));
-        let got = conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched);
+        let got = try_conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+            .expect("valid problem");
         assert_eq!(
             got.as_slice(),
             reference.as_slice(),
@@ -93,9 +95,11 @@ fn ndirect_bitwise_identical_across_repeat_runs() {
     let p = make_problem(shape, ActLayout::Nchw, FilterLayout::Kcrs, 43);
     let pool = StaticPool::new(4);
     let sched = Schedule::minimal(&shape).with_grid(Grid2::new(2, 2));
-    let a = conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched);
+    let a = try_conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+        .expect("valid problem");
     for _ in 0..5 {
-        let b = conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched);
+        let b = try_conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+            .expect("valid problem");
         assert_eq!(a.as_slice(), b.as_slice(), "repeat run diverged");
     }
 }
@@ -143,15 +147,17 @@ fn oversubscribed_pool_still_correct() {
     // Fig. 9's SMT setting oversubscribes threads well past the core count.
     let shape = ConvShape::square(2, 8, 16, 10, 3, 1);
     let p = make_problem(shape, ActLayout::Nchw, FilterLayout::Kcrs, 47);
-    let seq = conv_ndirect_with(
+    let seq = try_conv_ndirect_with(
         &StaticPool::new(1),
         &p.input,
         &p.filter,
         &shape,
         &Schedule::minimal(&shape),
-    );
+    )
+    .expect("valid problem");
     let pool = StaticPool::new(16);
     let sched = Schedule::minimal(&shape).with_grid(Grid2::new(4, 4));
-    let got = conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched);
+    let got = try_conv_ndirect_with(&pool, &p.input, &p.filter, &shape, &sched)
+        .expect("valid problem");
     assert_eq!(got.as_slice(), seq.as_slice());
 }
