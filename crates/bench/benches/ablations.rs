@@ -4,9 +4,12 @@
 //! * on-the-fly vs pre-transformed filters;
 //! * model-derived thread grid vs the naive all-K grid (the ACL failure
 //!   mode of §3.2) vs all-N;
-//! * register-tile sensitivity around the model's optimum.
+//! * register-tile sensitivity around the model's optimum;
+//! * the outer-product tile vs the inner-product kernel of §3.3
+//!   ([`ndirect_bench::inner_product`]).
 
 use ndirect_bench::harness::{BenchmarkId, Criterion, Throughput};
+use ndirect_bench::inner_product::try_conv_inner_product;
 use ndirect_bench::{bench_group, bench_main};
 use ndirect_core::{try_conv_ndirect_with, FilterState, PackingMode, Schedule};
 use ndirect_tensor::{ActLayout, FilterLayout};
@@ -125,7 +128,7 @@ fn bench_product_mode(c: &mut Criterion) {
             .expect("valid problem"));
     });
     group.bench_function("inner_product", |b| {
-        b.iter(|| ndirect_core::try_conv_inner_product(&pool, &p.input, &p.filter, &shape)
+        b.iter(|| try_conv_inner_product(&pool, &p.input, &p.filter, &shape)
             .expect("valid problem"));
     });
     group.finish();

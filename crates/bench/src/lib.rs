@@ -26,6 +26,7 @@
 #![forbid(unsafe_code)]
 
 pub mod harness;
+pub mod inner_product;
 
 use std::time::Instant;
 

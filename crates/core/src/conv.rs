@@ -33,19 +33,21 @@
 //!
 //! `NHWC` runs the same nest: the layout only changes how a strip is
 //! packed ([`crate::pack::pack_strip_nhwc`]) and where the tile scatters.
+//! So does `NCDHW`, on the flattened problem ([`crate::Conv3dShape`]): only
+//! its strip pack (`pack::pack_strip_ncdhw`) reads the volume.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use ndirect_tensor::{ActLayout, AlignedBuf, ConvShape, Filter, Tensor4};
+use ndirect_tensor::{AlignedBuf, ConvShape, Filter, Tensor4};
 use ndirect_threads::{SharedSlice, StaticPool};
 
 use crate::error::Error;
 use crate::filter::TransformedFilter;
 use crate::kernel::{run_tile, RowSource, TileArgs};
 use crate::microkernel::Kernel;
-use crate::pack::{pack_strip, pack_strip_nhwc, StripGeom};
-use crate::plan::{validate_filter, ConvPlan};
+use crate::pack::{pack_strip, pack_strip_ncdhw, pack_strip_nhwc, StripGeom};
+use crate::plan::{validate_filter, ConvPlan, Layout};
 use crate::schedule::{PackingMode, Schedule};
 
 /// nDirect convolution with a model-derived schedule for the host machine.
@@ -85,9 +87,11 @@ pub fn try_conv_ndirect_with(
     shape: &ConvShape,
     schedule: &Schedule,
 ) -> Result<Tensor4, Error> {
-    let layout = validate_filter(shape, filter)?;
-    let plan = ConvPlan::try_borrowed(shape, filter, schedule)?;
-    let mut out = Tensor4::output_for(shape, layout);
+    validate_filter(shape, filter)?;
+    let plan = ConvPlan::try_borrowed(shape, filter, schedule, Layout::of(filter))?;
+    // The plan checks the input's layout against the filter's first, so
+    // an output in the input's layout is the one it writes.
+    let mut out = Tensor4::output_for(shape, input.layout());
     plan.execute(pool, input, &mut out)?;
     Ok(out)
 }
@@ -222,7 +226,7 @@ pub(crate) fn try_zeroed_vec<T: Clone + Default>(len: usize) -> Result<Vec<T>, E
 pub(crate) struct StripCtx<'a> {
     pub(crate) kernel: Kernel,
     /// The activation layout of `image` and of the output.
-    pub(crate) layout: ActLayout,
+    pub(crate) layout: &'a Layout,
     pub(crate) image: &'a [f32],
     pub(crate) shape: &'a ConvShape,
     pub(crate) sched: &'a Schedule,
@@ -253,14 +257,15 @@ pub(crate) struct StripCtx<'a> {
 /// slice.
 ///
 /// The activation layout is a packing and addressing detail: an `NHWC`
-/// strip (always `Sequential`, see [`crate::ConvPlan`]) packs into the
-/// same `[c][r][win]` buffer, and the output strides swap.
+/// or `NCDHW` strip (always `Sequential`, see [`crate::ConvPlan`]) packs
+/// into the same `[c][r][win]` buffer, and an `NHWC` tile's output strides
+/// swap.
 pub(crate) fn compute_strip(ctx: StripCtx<'_>, bbuf: &mut [f32], out_all: &SharedSlice<'_, f32>) {
     let shape = ctx.shape;
     let sched = ctx.sched;
     let (kstride, wstride) = match ctx.layout {
-        ActLayout::Nchw => (ctx.p * ctx.q, 1),
-        ActLayout::Nhwc => (1, shape.k),
+        Layout::Nchw | Layout::Ncdhw(_) => (ctx.p * ctx.q, 1),
+        Layout::Nhwc => (1, shape.k),
     };
     // Accounting: a per-strip mode packs `tcb·R·WIN` floats once here
     // (fused gather and sequential packing move the same data) — `Sliced`
@@ -321,11 +326,14 @@ pub(crate) fn compute_strip(ctx: StripCtx<'_>, bbuf: &mut [f32], out_all: &Share
             (PackingMode::Sequential, true) => {
                 let _pack = ndirect_probe::probe_phase!(Pack);
                 match ctx.layout {
-                    ActLayout::Nchw => pack_strip(
+                    Layout::Nchw => pack_strip(
                         ctx.image, ctx.ct, ctx.tcb, shape.r, shape.h, shape.w, ctx.geom, bbuf,
                     ),
-                    ActLayout::Nhwc => {
+                    Layout::Nhwc => {
                         pack_strip_nhwc(ctx.image, shape, ctx.ct, ctx.tcb, ctx.geom, bbuf)
+                    }
+                    Layout::Ncdhw(vol) => {
+                        pack_strip_ncdhw(ctx.image, vol, ctx.ct, ctx.tcb, ctx.oh, ctx.geom, bbuf)
                     }
                 }
                 RowSource::Packed { buf: &*bbuf, win, rdim: shape.r }
@@ -352,7 +360,7 @@ mod tests {
     use super::*;
     use crate::schedule::FilterState;
     use ndirect_baselines::naive;
-    use ndirect_tensor::{assert_close, fill, FilterLayout, Padding};
+    use ndirect_tensor::{assert_close, fill, ActLayout, FilterLayout, Padding};
     use ndirect_threads::Grid2;
 
     fn problem(shape: &ConvShape, seed: u64) -> (Tensor4, Filter) {
@@ -587,11 +595,11 @@ mod tests {
 
     #[test]
     fn extension_scratch_overflow_is_an_error_not_an_abort() {
-        // The 3-D and inner-product drivers size their buffers through
-        // these helpers: a size that overflows (in the dims or across the
-        // per-thread copies) is a typed refusal, never a wrapped length.
-        // (The forced-refusal run through both entry points needs the
-        // process-global limit hook, so it lives under the hook lock in
+        // The depthwise plan and the INT16 driver size their buffers
+        // through these helpers: a size that overflows (in the dims or
+        // across the per-thread copies) is a typed refusal, never a wrapped
+        // length. (The forced-refusal run through the entry points needs
+        // the process-global limit hook, so it lives under the hook lock in
         // tests/robustness.rs.)
         let overflow = Err(Error::ScratchAlloc { elements: usize::MAX });
         let bufs = |len, count| try_scratch_bufs(len, count).map(|v| v.len());

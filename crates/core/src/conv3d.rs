@@ -2,22 +2,24 @@
 //!
 //! "Since 3D Convolution can be seen as 2D Convolution with additional
 //! reduction dimensions, we can directly use the micro-kernels of nDirect
-//! for acceleration." Concretely: the 2-D micro-kernel reduces over
-//! `(c, r, s)` with `r` indexing rows of the packed strip; for 3-D we
-//! flatten the kernel-depth and kernel-height taps into a single row
-//! dimension `r' = T·R` — row `t·R + r` of channel `c` is input row
-//! `(id·str + t, ih·str + r)` — and the *identical* register-tiled kernel
-//! ([`crate::kernel::run_tile`]) computes the `Vw × Vk` output tile. Only
-//! the gather (3-D addressing, here) and the filter transform
-//! ([`transform_filter3d_block`]) know the data is volumetric.
+//! for acceleration." Here it runs the whole 2-D [`ConvPlan`] nest, not
+//! just its kernels: flatten the kernel-depth and kernel-height taps into
+//! one row dimension `T·R` and the output depth and height into `OD·P`
+//! rows (`Conv3dShape::flat`). A `KCTRS` filter then has the memory
+//! layout of a `KCRS` one with `T·R` rows, and an `NCDHW` output that of
+//! an `NCHW` one with `OD·P` rows, so the filter transform, cache tiles,
+//! thread grid and tile kernels are the 2-D ones. Only the strip pack
+//! (`pack::pack_strip_ncdhw`) knows the data is volumetric.
 
-use ndirect_tensor::{Filter5, Tensor5};
-use ndirect_threads::{split_static, SharedSlice, StaticPool};
+use ndirect_tensor::{
+    AlignedBuf, ConvShape, Filter, Filter5, FilterLayout, Padding, ShapeError, Tensor5,
+};
+use ndirect_threads::StaticPool;
 
-use crate::conv::{checked_product, input_span, try_scratch_bufs};
+use crate::conv::checked_product;
 use crate::error::{check, Error};
-use crate::kernel::{run_tile, RowSource, TileArgs};
-use crate::microkernel::Kernel;
+use crate::plan::{ConvPlan, Layout};
+use crate::schedule::Schedule;
 
 /// A 3-D convolution problem: `NCDHW` input, `KCTRS` filter, symmetric
 /// zero padding per spatial axis, one stride for all three.
@@ -53,8 +55,8 @@ pub struct Conv3dShape {
 
 impl Conv3dShape {
     /// The register tile the kernel runs for this problem on `platform`:
-    /// [`crate::Schedule::derive`]'s Eq. 3–4 pick for an `S`-wide filter,
-    /// through [`crate::Schedule::sanitized`]'s clamp.
+    /// [`crate::Schedule::derive`]'s Eq. 3–4 pick for the flattened
+    /// `T·R × S` filter, through [`crate::Schedule::sanitized`]'s clamp.
     pub fn register_tile(&self, platform: &ndirect_platform::Platform) -> (usize, usize) {
         let rdim = self.t * self.r;
         crate::kernel::clamp_tile(crate::model::register_tile::tile_for(platform, rdim, self.s))
@@ -94,47 +96,58 @@ impl Conv3dShape {
         .try_fold(2u128, |acc, &f| acc.checked_mul(f as u128))
         .map_or(u64::MAX, |total| u64::try_from(total).unwrap_or(u64::MAX))
     }
-}
 
-/// Transforms the filter block `k ∈ [kt, kt+tkb)` (all channels) into the
-/// kernel's expected `[kv][c][t·r][s][Vk]` layout.
-pub fn transform_filter3d_block(
-    filter: &Filter5,
-    kt: usize,
-    tkb: usize,
-    vk: usize,
-    out: &mut [f32],
-) {
-    let (k, c, t, r, s) = filter.dims();
-    assert!(kt + tkb <= k, "block out of range");
-    let kvb = tkb.div_ceil(vk);
-    assert!(out.len() >= kvb * c * t * r * s * vk, "transform buffer too small");
-    for kv in 0..kvb {
-        let lanes = vk.min(tkb - kv * vk);
-        for cc in 0..c {
-            for tt in 0..t {
-                for rr in 0..r {
-                    for ss in 0..s {
-                        let row = tt * r + rr;
-                        let base = (((kv * c + cc) * (t * r) + row) * s + ss) * vk;
-                        for l in 0..lanes {
-                            out[base + l] = filter.at(kt + kv * vk + l, cc, tt, rr, ss);
-                        }
-                        for d in out[base + lanes..base + vk].iter_mut() {
-                            *d = 0.0;
-                        }
-                    }
-                }
-            }
+    /// Checks what [`ConvShape::validate`] checks, with depth as a third
+    /// axis, and that the flattened problem is valid: a valid shape has
+    /// derived quantities and element counts that cannot wrap.
+    pub fn validate(&self) -> Result<(), ShapeError> {
+        let pad = Padding { h: self.pad_h, w: self.pad_w };
+        let (n, c, k, stride) = (self.n, self.c, self.k, self.stride);
+        let (h, w, r, s) = (self.h, self.w, self.r, self.s);
+        ConvShape { n, c, h, w, k, r, s, stride, pad }.validate()?;
+        if self.d == 0 || self.t == 0 {
+            return Err(ShapeError::ZeroDim { name: if self.d == 0 { "D" } else { "T" } });
+        }
+        let overflow = ShapeError::Overflow { what: "3-D shape" };
+        let padded = self.pad_d.checked_mul(2).and_then(|p| p.checked_add(self.d));
+        let padded = padded.ok_or(overflow)?;
+        if padded < self.t {
+            return Err(ShapeError::KernelExceedsInput { axis: 'd', kernel: self.t, padded });
+        }
+        // The input length, and `OD·P·str·T·R + H`, a bound on the flattened
+        // height, so that `flat` multiplies freely; its own check covers the
+        // filter and output lengths.
+        checked_product(&[n, c, self.d, h, w]).ok_or(overflow)?;
+        let rows = checked_product(&[self.od(), self.p(), stride, self.t, r]);
+        rows.and_then(|rows| rows.checked_add(h)).ok_or(overflow)?;
+        self.flat().validate()
+    }
+
+    /// The 2-D problem the plan runs: `T·R` filter rows over `OD·P` output
+    /// rows, so that the `NCDHW` output is its `NCHW` one. Its height
+    /// `H + (OD−1)·P·str + (T−1)·R` gives those `OD·P` rows and is `H` when
+    /// `OD = T = 1`, so a unit-depth problem plans as its 2-D self. All of
+    /// the nest reads it but the strip pack and the image length, which
+    /// read `self`.
+    pub(crate) fn flat(&self) -> ConvShape {
+        ConvShape {
+            n: self.n,
+            c: self.c,
+            h: self.h + (self.od() - 1) * self.p() * self.stride + (self.t - 1) * self.r,
+            w: self.w,
+            k: self.k,
+            r: self.t * self.r,
+            s: self.s,
+            stride: self.stride,
+            pad: Padding { h: self.pad_h, w: self.pad_w },
         }
     }
 }
 
-/// nDirect-style 3-D convolution: `NCDHW` in, `NCDHW` out.
-///
-/// Parallelization: the flat `N·OD·P` output-row space is split statically
-/// across the pool (every thread computes all `K`; with one extra grid
-/// dimension the 2-D `PTk` split would also apply, omitted for clarity).
+/// nDirect-style 3-D convolution: `NCDHW` in, `NCDHW` out, on the
+/// [`ConvPlan`] nest over the flattened problem with the schedule derived
+/// for it on the host (Eq. 1–2 cache tiles, the `PTn × PTk` grid, and the
+/// minimal-tile fallback when scratch is refused).
 pub fn try_conv3d_ndirect(
     pool: &StaticPool,
     input: &Tensor5,
@@ -142,154 +155,29 @@ pub fn try_conv3d_ndirect(
     shape: &Conv3dShape,
 ) -> Result<Tensor5, Error> {
     check::isa()?;
-    if input.dims() != (shape.n, shape.c, shape.d, shape.h, shape.w) {
-        return Err(Error::Config {
-            msg: format!(
-                "input dims mismatch: shape implies {:?}, tensor is {:?}",
-                (shape.n, shape.c, shape.d, shape.h, shape.w),
-                input.dims()
-            ),
-        });
+    shape.validate()?;
+    let input_dims = (shape.n, shape.c, shape.d, shape.h, shape.w);
+    let want = (input_dims, (shape.k, shape.c, shape.t, shape.r, shape.s));
+    let got = (input.dims(), filter.dims());
+    if got != want {
+        let msg = format!("(input, filter) dims {got:?} are not the shape's {want:?}");
+        return Err(Error::Config { msg });
     }
-    if filter.dims() != (shape.k, shape.c, shape.t, shape.r, shape.s) {
-        return Err(Error::Config {
-            msg: format!(
-                "filter dims mismatch: shape implies {:?}, tensor is {:?}",
-                (shape.k, shape.c, shape.t, shape.r, shape.s),
-                filter.dims()
-            ),
-        });
-    }
-    if shape.stride < 1 {
-        return Err(Error::Shape(ndirect_tensor::ShapeError::ZeroStride));
-    }
-    if shape.d + 2 * shape.pad_d < shape.t {
-        return Err(Error::Shape(ndirect_tensor::ShapeError::KernelExceedsInput {
-            axis: 'd',
-            kernel: shape.t,
-            padded: shape.d + 2 * shape.pad_d,
-        }));
-    }
-    if shape.h + 2 * shape.pad_h < shape.r {
-        return Err(Error::Shape(ndirect_tensor::ShapeError::KernelExceedsInput {
-            axis: 'h',
-            kernel: shape.r,
-            padded: shape.h + 2 * shape.pad_h,
-        }));
-    }
-    if shape.w + 2 * shape.pad_w < shape.s {
-        return Err(Error::Shape(ndirect_tensor::ShapeError::KernelExceedsInput {
-            axis: 'w',
-            kernel: shape.s,
-            padded: shape.w + 2 * shape.pad_w,
-        }));
-    }
-    let (od, p, q) = (shape.od(), shape.p(), shape.q());
-    let mut out = Tensor5::zeros(shape.n, shape.k, od, p, q);
-
-    let (vw, vk) = shape.register_tile(&ndirect_platform::host());
-    let rdim = shape.t * shape.r; // flattened (t, r) row dimension
-    let kv_total = shape.k.div_ceil(vk);
-
-    let threads = pool.size();
-    let kernel = Kernel::best();
-    let rows_total = shape.n * od * p;
-    let in_data = input.as_slice();
-    let image_len = shape.c * shape.d * shape.h * shape.w;
-
-    // Whole-filter transform once (K is typically small for 3-D nets; the
-    // per-block on-the-fly variant works identically but obscures the
-    // demonstration).
-    let mut tf = try_scratch_bufs(checked_product(&[kv_total, shape.c, rdim, shape.s, vk]), 1)?
-        .swap_remove(0)
-        .into_inner()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    transform_filter3d_block(filter, 0, shape.k, vk, &mut tf);
-    let tf_block_len = shape.c * rdim * shape.s * vk;
-    // One strip buffer per thread, provisioned before the region so a
-    // refusal is an error here rather than an abort on a worker.
-    let strip_len = input_span(vw, shape.stride, shape.s)
-        .and_then(|win_max| checked_product(&[shape.c, rdim, win_max]));
-    let strips = try_scratch_bufs(strip_len, threads)?;
-
-    let out_shared = SharedSlice::new(out.as_mut_slice());
-    pool.try_run(|tid| {
-        // Disjointness: threads own disjoint output rows (static split);
-        // barrier before return.
-        let out_all = &out_shared;
-        let mut buf = strips[tid].lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        for row in split_static(rows_total, threads, tid) {
-            let n = row / (od * p);
-            let odh = row % (od * p);
-            let odi = odh / p;
-            let oh = odh % p;
-            let image = &in_data[n * image_len..(n + 1) * image_len];
-
-            let id0 = (odi * shape.stride) as isize - shape.pad_d as isize;
-            let ih0 = (oh * shape.stride) as isize - shape.pad_h as isize;
-            let mut wv = 0;
-            while wv < q {
-                let valid_w = vw.min(q - wv);
-                let win = (valid_w - 1) * shape.stride + shape.s;
-                let iw0 = (wv * shape.stride) as isize - shape.pad_w as isize;
-                // 3-D gather: row (c, t·R + r) is input row (id0+t, ih0+r)
-                // of channel c.
-                for cc in 0..shape.c {
-                    for tt in 0..shape.t {
-                        for rr in 0..shape.r {
-                            let dst_row = cc * rdim + tt * shape.r + rr;
-                            let dst = &mut buf[dst_row * win..(dst_row + 1) * win];
-                            gather_row3d(
-                                image, shape, cc, id0 + tt as isize, ih0 + rr as isize, iw0, dst,
-                            );
-                        }
-                    }
-                }
-                for kv in 0..kv_total {
-                    let k0 = kv * vk;
-                    let args = TileArgs {
-                        tcb: shape.c,
-                        rdim,
-                        sdim: shape.s,
-                        stride: shape.stride,
-                        tf: &tf[kv * tf_block_len..(kv + 1) * tf_block_len],
-                        vk,
-                        obase: (((n * shape.k + k0) * od + odi) * p + oh) * q + wv,
-                        kstride: od * p * q,
-                        wstride: 1,
-                        valid_w,
-                        valid_k: vk.min(shape.k - k0),
-                    };
-                    let mut rows = RowSource::Packed {
-                        buf: &buf,
-                        win,
-                        rdim,
-                    };
-                    run_tile(kernel, &mut rows, &args, out_all);
-                }
-                wv += vw;
-            }
-        }
-    })?;
+    let rows = kcrs_rows(filter)?;
+    let sched = Schedule::derive(&ndirect_platform::host(), &shape.flat(), pool.size());
+    let plan = ConvPlan::try_borrowed(&shape.flat(), &rows, &sched, Layout::Ncdhw(*shape))?;
+    let mut out = Tensor5::zeros(shape.n, shape.k, shape.od(), shape.p(), shape.q());
+    plan.execute_slices(pool, input.as_slice(), out.as_mut_slice())?;
     Ok(out)
 }
 
-/// One input row of a 3-D volume with zero fill outside any axis.
-fn gather_row3d(
-    image: &[f32],
-    shape: &Conv3dShape,
-    c: usize,
-    id: isize,
-    ih: isize,
-    iw0: isize,
-    dst: &mut [f32],
-) {
-    if id < 0 || id as usize >= shape.d || ih < 0 || ih as usize >= shape.h {
-        dst.fill(0.0);
-        return;
-    }
-    let row0 = ((c * shape.d + id as usize) * shape.h + ih as usize) * shape.w;
-    crate::pack::fill_row_clipped(&image[row0..row0 + shape.w], iw0, shape.w, dst);
+/// The `KCTRS` filter as the `KCRS` one with `T·R` rows it is in memory.
+fn kcrs_rows(filter: &Filter5) -> Result<Filter, Error> {
+    let (k, c, t, r, s) = filter.dims();
+    let mut data = AlignedBuf::try_zeroed(filter.len())
+        .map_err(|elements| Error::ScratchAlloc { elements })?;
+    data.copy_from_slice(filter.as_slice());
+    Ok(Filter::from_buf(data, k, c, t * r, s, FilterLayout::Kcrs))
 }
 
 /// Naive 3-D convolution oracle.
@@ -442,6 +330,47 @@ mod tests {
         let b = try_conv3d_ndirect(&StaticPool::new(4), &input, &filter, &shape)
             .expect("valid problem");
         assert_eq!(a.as_slice(), b.as_slice());
+    }
+
+    #[test]
+    fn plan_grids_bitwise_identical() {
+        // The 3-D plan splits K over PTk (K = 10: three Vk = 4 groups) and
+        // the flat N·OD·P rows over PTn, as the 2-D one does.
+        let shape = Conv3dShape {
+            n: 2,
+            c: 3,
+            d: 4,
+            h: 5,
+            w: 6,
+            k: 10,
+            t: 3,
+            r: 3,
+            s: 3,
+            stride: 1,
+            pad_d: 1,
+            pad_h: 1,
+            pad_w: 1,
+        };
+        let (input, filter) = problem(&shape, 13);
+        let rows = kcrs_rows(&filter).expect("small filter");
+        let run = |ptn, ptk| {
+            let grid = ndirect_threads::Grid2::new(ptn, ptk);
+            let sched = Schedule::minimal(&shape.flat()).with_grid(grid);
+            let plan = ConvPlan::try_borrowed(&shape.flat(), &rows, &sched, Layout::Ncdhw(shape))
+                .expect("valid problem");
+            let mut out = Tensor5::zeros(shape.n, shape.k, shape.od(), shape.p(), shape.q());
+            let pool = StaticPool::new(ptn * ptk);
+            plan.execute_slices(&pool, input.as_slice(), out.as_mut_slice())
+                .expect("valid problem");
+            out
+        };
+        let base = run(1, 1);
+        let expect = conv3d_naive(&input, &filter, &shape);
+        ndirect_tensor::assert_close(base.as_slice(), expect.as_slice(), 2e-4, "1x1 grid");
+        for (ptn, ptk) in [(2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (4, 1), (1, 4)] {
+            let got = run(ptn, ptk);
+            assert_eq!(got.as_slice(), base.as_slice(), "grid {ptn}x{ptk}");
+        }
     }
 
     #[test]

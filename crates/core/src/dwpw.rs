@@ -343,14 +343,13 @@ impl<'f> FusedDwPwPlan<'f> {
         // [oh0, oh0+len) of *all* K channels of its image — the K and C
         // dimensions are never split, so every output element has a single
         // writer and the result is bitwise identical for any thread count.
+        operands.check(input, out)?;
         execute_frame(
-            operands,
             threads,
             &self.arena,
             || Self::alloc_set(shape, sched, threads),
             pool,
-            input,
-            out,
+            out.as_mut_slice(),
             |tid, scratch, out_all| {
                 for item in split_static(shape.n * slices, threads, tid) {
                     let n_idx = item / slices;

@@ -53,7 +53,6 @@ pub mod depthwise;
 pub mod dwpw;
 pub mod error;
 pub mod filter;
-pub mod inner_product;
 pub mod int16;
 pub mod kernel;
 mod microkernel;
@@ -73,7 +72,6 @@ pub use dwpw::{
 };
 pub use conv3d::{conv3d_naive, try_conv3d_ndirect, Conv3dShape};
 pub use error::Error;
-pub use inner_product::try_conv_inner_product;
 #[doc(hidden)]
 pub use microkernel::Kernel;
 pub use int16::{conv_int16_naive, try_conv_int16, Int16Filter, Int16Tensor};

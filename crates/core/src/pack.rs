@@ -14,6 +14,8 @@
 //! stores between FMA bursts exactly as the paper places `st` after `fma`
 //! to let out-of-order execution hide them.
 
+use crate::conv3d::Conv3dShape;
+
 /// Geometry of one packed strip.
 #[derive(Debug, Clone, Copy)]
 pub struct StripGeom {
@@ -140,6 +142,39 @@ pub fn pack_strip_nhwc(
             for (d, &x) in dst[lo..hi].iter_mut().zip(image[first..].iter().step_by(c)) {
                 *d = x;
             }
+        }
+    }
+}
+
+/// Packs an `NCDHW` strip into the same `[c][r][win]` buffer, `T·R` rows
+/// per channel: the one pass every 3-D strip takes (its plans run
+/// [`crate::PackingMode::Sequential`] on `Conv3dShape::flat`). Flat output
+/// row `oh = od·P + oh'` has its strip origin at depth `od·str − pad_d` and
+/// height `oh'·str − pad_h`, and strip row `t·R + r` is the input row `t`
+/// deeper and `r` lower, zero outside the volume on any axis. `image` is
+/// one volume's `CDHW` data, read as `C·D` planes of `H × W`.
+pub(crate) fn pack_strip_ncdhw(
+    image: &[f32],
+    vol: &Conv3dShape,
+    ct: usize,
+    tcb: usize,
+    oh: usize,
+    geom: StripGeom,
+    buf: &mut [f32],
+) {
+    let rdim = vol.t * vol.r;
+    let StripGeom { win, iw0, .. } = geom;
+    // AUDIT: allow(hotpath-no-panic) O(1) guard: a short buffer would leave
+    // strip rows unpacked; a failure is a planner sizing bug.
+    assert!(buf.len() >= tcb * rdim * win, "packing buffer too small");
+    let id0 = ((oh / vol.p()) * vol.stride) as isize - vol.pad_d as isize;
+    let ih0 = ((oh % vol.p()) * vol.stride) as isize - vol.pad_h as isize;
+    for (row, dst) in buf.chunks_exact_mut(win).take(tcb * rdim).enumerate() {
+        let (c, t, r) = (ct + row / rdim, row % rdim / vol.r, row % vol.r);
+        let ih = ih0 + r as isize;
+        match usize::try_from(id0 + t as isize) {
+            Ok(id) if id < vol.d => gather_row(image, c * vol.d + id, ih, iw0, vol.h, vol.w, dst),
+            _ => dst.fill(0.0),
         }
     }
 }
@@ -293,6 +328,37 @@ mod tests {
             pack_strip(nchw.as_slice(), ct, tcb, shape.r, shape.h, shape.w, g, &mut want);
             pack_strip_nhwc(nhwc.as_slice(), &shape, ct, tcb, g, &mut got);
             assert_eq!(got, want, "oh={oh} wv={wv} vw={vw}");
+        }
+    }
+
+    #[test]
+    fn ncdhw_strip_packs_each_depth_like_the_nchw_strip() {
+        // Stride 2 and padding on every axis, a channel window inside C:
+        // strip rows `t·R..(t+1)·R` are the NCHW strip of plane
+        // `c·D + id0 + t`, or zeros where that depth is padding.
+        let vol = Conv3dShape {
+            n: 1, c: 3, d: 5, h: 7, w: 9, k: 1, t: 3, r: 3, s: 3,
+            stride: 2, pad_d: 1, pad_h: 1, pad_w: 1,
+        };
+        let img = image(vol.c * vol.d, vol.h, vol.w);
+        let plane = ConvShape::new(1, 1, vol.h, vol.w, 1, vol.r, vol.s, 2, Padding::same(1));
+        let (p, (ct, tcb)) = (vol.p(), (1, 2));
+        // Output depths 0 (front padding), 1 and 2 (back padding).
+        for (oh, wv, vw) in [(0, 0, 4), (p + 2, 1, 3), (2 * p + 3, 3, 1)] {
+            let g = StripGeom::new(&plane, oh % p, wv, vw);
+            let rows = vol.r * g.win;
+            let mut got = vec![7.0; tcb * vol.t * rows];
+            pack_strip_ncdhw(&img, &vol, ct, tcb, oh, g, &mut got);
+            for (i, got) in got.chunks_exact(rows).enumerate() {
+                let (c, t) = (ct + i / vol.t, i % vol.t);
+                let id = ((oh / p) * vol.stride + t) as isize - vol.pad_d as isize;
+                let mut want = vec![0.0; rows];
+                if (0..vol.d as isize).contains(&id) {
+                    let c_plane = c * vol.d + id as usize;
+                    pack_strip(&img, c_plane, 1, vol.r, vol.h, vol.w, g, &mut want);
+                }
+                assert_eq!(got, want, "oh={oh} c={c} t={t}");
+            }
         }
     }
 

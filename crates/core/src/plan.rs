@@ -55,6 +55,15 @@
 //!
 //! So the outputs sum in the `NCHW` `(c, r, s)` order and are bitwise equal
 //! to the `NCHW` plan's on the same schedule, transposed.
+//!
+//! ## `NCDHW`
+//!
+//! 3-D convolution runs the same nest on the flattened problem
+//! (`Conv3dShape::flat`, §10.2): a `KCTRS` filter is a `KCRS` one with
+//! `T·R` rows, and an `NCDHW` output an `NCHW` one with `OD·P` rows, so the
+//! transform, the tile scatter, the row walk and the thread partition are
+//! the 2-D ones. Only the strip pack (`pack::pack_strip_ncdhw`,
+//! again one pass under `Sequential`) and the image length read the volume.
 
 use std::sync::Mutex;
 
@@ -63,6 +72,7 @@ use ndirect_tensor::{ActLayout, AlignedBuf, ConvShape, Filter, FilterLayout, Ten
 use ndirect_threads::{split_static, SharedSlice, StaticPool};
 
 use crate::conv::{compute_strip, try_alloc_scratch, Scratch, StripCtx};
+use crate::conv3d::Conv3dShape;
 use crate::error::{check, Error};
 use crate::filter::{transform_filter_block, TransformedFilter};
 use crate::microkernel::Kernel;
@@ -160,29 +170,33 @@ pub(crate) struct Operands {
     pub(crate) out_dims: (usize, usize, usize, usize),
 }
 
-/// The frame every plan's `execute` runs in: O(1) layout/dimension/pool
-/// checks — kept in release builds because the kernels write through
-/// [`SharedSlice`]'s unchecked accessors — a scratch-set lease from
-/// `arena` (`alloc` only on a miss: more concurrent executes than pooled
-/// sets), the parallel region with each worker's scratch slot locked, and
-/// the put-back. `body(tid, scratch, out)` runs on `threads` workers; it
-/// must give every output element a single writer, and the pool barrier
-/// orders all writes before this returns.
-#[allow(clippy::too_many_arguments)]
+impl Operands {
+    /// The O(1) layout and dimension checks every plan's `execute` starts
+    /// with, kept in release builds because the kernels write through
+    /// [`SharedSlice`]'s unchecked accessors.
+    pub(crate) fn check(&self, input: &Tensor4, out: &Tensor4) -> Result<(), Error> {
+        check::act_layout(input, self.layout, self.contexts.0)?;
+        check::dims("input dims", self.in_dims, input.dims())?;
+        check::dims("output dims", self.out_dims, out.dims())?;
+        check::act_layout(out, self.layout, self.contexts.1)
+    }
+}
+
+/// The frame every plan's `execute` runs in, after its [`Operands::check`]:
+/// the pool check, a scratch-set lease from `arena` (`alloc` only on a
+/// miss: more concurrent executes than pooled sets), the parallel region
+/// with each worker's scratch slot locked, and the put-back.
+/// `body(tid, scratch, out)` runs on `threads` workers; it must give every
+/// output element a single writer, and the pool barrier orders all writes
+/// before this returns.
 pub(crate) fn execute_frame<S: Send>(
-    operands: Operands,
     threads: usize,
     arena: &Arena<S>,
     alloc: impl FnOnce() -> Result<Vec<Mutex<S>>, Error>,
     pool: &StaticPool,
-    input: &Tensor4,
-    out: &mut Tensor4,
+    out: &mut [f32],
     body: impl Fn(usize, &mut S, &SharedSlice<'_, f32>) + Sync,
 ) -> Result<(), Error> {
-    check::act_layout(input, operands.layout, operands.contexts.0)?;
-    check::dims("input dims", operands.in_dims, input.dims())?;
-    check::dims("output dims", operands.out_dims, out.dims())?;
-    check::act_layout(out, operands.layout, operands.contexts.1)?;
     if threads > pool.size() {
         return Err(Error::GridExceedsPool {
             needed: threads,
@@ -199,7 +213,7 @@ pub(crate) fn execute_frame<S: Send>(
             alloc()?
         }
     };
-    let out_shared = SharedSlice::new(out.as_mut_slice());
+    let out_shared = SharedSlice::new(out);
     let result = pool.try_run(|tid| {
         if tid >= threads {
             return;
@@ -215,6 +229,30 @@ pub(crate) fn execute_frame<S: Send>(
     result.map_err(Error::from)
 }
 
+/// Where a [`ConvPlan`]'s activations sit: what packs a strip, how long an
+/// image is, and where the tile scatters.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Layout {
+    /// `NCHW`, named by a `KCRS` filter.
+    Nchw,
+    /// `NHWC`, named by a `KRSC` filter.
+    Nhwc,
+    /// `NCDHW`, planned by [`crate::try_conv3d_ndirect`] on the flattened
+    /// shape, which it is `NCHW` to but for the strip pack and the image
+    /// length.
+    Ncdhw(Conv3dShape),
+}
+
+impl Layout {
+    /// The layout a 2-D filter names: `KCRS` → `NCHW`, `KRSC` → `NHWC`.
+    pub(crate) fn of(filter: &Filter) -> Layout {
+        match filter.layout() {
+            FilterLayout::Kcrs => Layout::Nchw,
+            FilterLayout::Krsc => Layout::Nhwc,
+        }
+    }
+}
+
 /// A pre-built nDirect convolution: sanitized [`Schedule`], transformed
 /// filter, and reusable per-thread scratch, ready to [`execute`] against
 /// any number of input/output pairs of the planned [`ConvShape`].
@@ -227,7 +265,7 @@ pub struct ConvPlan<'f> {
     sched: Schedule,
     degraded: bool,
     kernel: Kernel,
-    layout: ActLayout,
+    layout: Layout,
     filter: FilterForm<'f, TransformedFilter>,
     arena: Arena<Scratch>,
 }
@@ -251,7 +289,8 @@ impl<'f> ConvPlan<'f> {
         validate_filter(shape, filter)?;
         let sched = Schedule::derive(platform, shape, threads)
             .with_filter_state(FilterState::PreTransformed);
-        ConvPlan::build(shape, filter, &sched, || FilterRef::Owned(filter.clone()))
+        let layout = Layout::of(filter);
+        ConvPlan::build(shape, filter, &sched, layout, || FilterRef::Owned(filter.clone()))
     }
 
     /// Builds a plan with an explicit schedule, in the layout the filter
@@ -265,19 +304,23 @@ impl<'f> ConvPlan<'f> {
         schedule: &Schedule,
     ) -> Result<ConvPlan<'static>, Error> {
         validate_filter(shape, filter)?;
-        ConvPlan::build(shape, filter, schedule, || FilterRef::Owned(filter.clone()))
+        let layout = Layout::of(filter);
+        ConvPlan::build(shape, filter, schedule, layout, || FilterRef::Owned(filter.clone()))
     }
 
-    /// The throwaway plan behind [`crate::try_conv_ndirect_with`]: borrows
-    /// the filter (zero-copy for on-the-fly schedules, so a one-shot call
-    /// copies nothing) and skips validation — the wrapper already ran
-    /// [`validate_filter`], the ISA probe among its checks.
+    /// The throwaway plan behind [`crate::try_conv_ndirect_with`] and
+    /// [`crate::try_conv3d_ndirect`]: borrows the filter (zero-copy for
+    /// on-the-fly schedules, so a one-shot call copies nothing) and skips
+    /// validation — the wrapper already ran it, the ISA probe among its
+    /// checks. A 3-D plan is the flattened problem over the `KCTRS` filter
+    /// read as `KCRS` with `T·R` rows, in [`Layout::Ncdhw`].
     pub(crate) fn try_borrowed(
         shape: &ConvShape,
         filter: &'f Filter,
         schedule: &Schedule,
+        layout: Layout,
     ) -> Result<ConvPlan<'f>, Error> {
-        ConvPlan::build(shape, filter, schedule, || FilterRef::Borrowed(filter))
+        ConvPlan::build(shape, filter, schedule, layout, || FilterRef::Borrowed(filter))
     }
 
     /// Shared build path: sanitize, allocate the first scratch set with
@@ -290,16 +333,16 @@ impl<'f> ConvPlan<'f> {
         shape: &ConvShape,
         filter: &Filter,
         schedule: &Schedule,
+        layout: Layout,
         keep_raw: impl FnOnce() -> FilterRef<'f>,
     ) -> Result<ConvPlan<'f>, Error> {
         let _build = ndirect_probe::probe_span!(PlanBuild, 0);
-        let layout = act_layout_for(filter);
         let mut sched = schedule.sanitized(shape);
-        // An `NHWC` strip is one pack pass into the `[c][r][win]` buffer,
-        // then the kernel: no fused gather or per-channel slab reads its
-        // pixel-interleaved rows. Every mode coerces to `Sequential`, so
-        // `schedule()` says what runs (and the pack accounting stays exact).
-        if layout == ActLayout::Nhwc {
+        // An `NHWC` or `NCDHW` strip is one pack pass into the `[c][r][win]`
+        // buffer, then the kernel: no fused gather or per-channel slab reads
+        // its rows. Every mode coerces to `Sequential`, so `schedule()` says
+        // what runs (and the pack accounting stays exact).
+        if layout != Layout::Nchw {
             sched.packing = PackingMode::Sequential;
         }
         let mut degraded = false;
@@ -412,24 +455,42 @@ impl<'f> ConvPlan<'f> {
         out: &mut Tensor4,
     ) -> Result<(), Error> {
         let shape = &self.shape;
-        let contexts = match self.layout {
-            ActLayout::Nchw => ("plan executes NCHW input", "plan writes NCHW"),
-            ActLayout::Nhwc => ("plan executes NHWC input", "plan writes NHWC"),
+        // A 3-D plan is `NCHW` to its nest; only its own entry runs it.
+        let (layout, contexts) = match self.layout {
+            Layout::Nhwc => (ActLayout::Nhwc, ("plan executes NHWC input", "plan writes NHWC")),
+            Layout::Nchw | Layout::Ncdhw(_) => {
+                (ActLayout::Nchw, ("plan executes NCHW input", "plan writes NCHW"))
+            }
         };
         let operands = Operands {
-            layout: self.layout,
+            layout,
             contexts,
             in_dims: (shape.n, shape.c, shape.h, shape.w),
             out_dims: (shape.n, shape.k, shape.p(), shape.q()),
         };
-        let in_data = input.as_slice();
+        operands.check(input, out)?;
+        self.execute_slices(pool, input.as_slice(), out.as_mut_slice())
+    }
+
+    /// [`ConvPlan::execute`] on the operands' data: `in_data` holds `N`
+    /// images in the plan's layout, `out` the planned shape's outputs.
+    /// [`ConvPlan::execute`] checks its `Tensor4`s, the 3-D entry its
+    /// `Tensor5`s; the output length is checked again here, as the kernels
+    /// scatter through unchecked accessors.
+    pub(crate) fn execute_slices(
+        &self,
+        pool: &StaticPool,
+        in_data: &[f32],
+        out: &mut [f32],
+    ) -> Result<(), Error> {
+        let shape = &self.shape;
+        let planned = shape.n * shape.k * shape.p() * shape.q();
+        check::dims("output length", (planned, 1, 1, 1), (out.len(), 1, 1, 1))?;
         execute_frame(
-            operands,
             self.sched.grid.threads(),
             &self.arena,
             || self.alloc_set(),
             pool,
-            input,
             out,
             |tid, scratch, out_all| {
                 // Disjointness for the SharedSlice writes: K ranges are
@@ -444,7 +505,7 @@ impl<'f> ConvPlan<'f> {
 
     /// One thread's share of Algorithm 2's loop nest (see [`crate::conv`]
     /// for the loop-by-loop commentary) against pre-leased scratch, for
-    /// either activation layout.
+    /// every activation layout.
     fn run(
         &self,
         (k_lo, k_hi, rows): (usize, usize, std::ops::Range<usize>),
@@ -456,7 +517,10 @@ impl<'f> ConvPlan<'f> {
         let sched = &self.sched;
         let (pre_tf, raw_filter) = self.filter.split();
         let (p, q) = (shape.p(), shape.q());
-        let image_len = shape.c * shape.h * shape.w;
+        let image_len = match self.layout {
+            Layout::Ncdhw(vol) => vol.c * vol.d * vol.h * vol.w,
+            Layout::Nchw | Layout::Nhwc => shape.c * shape.h * shape.w,
+        };
         let Scratch { bbuf, tfbuf } = scratch;
         for (n, ohs) in image_rows(rows, p) {
             let image = &in_data[n * image_len..(n + 1) * image_len];
@@ -512,7 +576,7 @@ impl<'f> ConvPlan<'f> {
                                     compute_strip(
                                         StripCtx {
                                             kernel: self.kernel,
-                                            layout: self.layout,
+                                            layout: &self.layout,
                                             image,
                                             shape,
                                             sched,
@@ -551,18 +615,8 @@ impl<'f> ConvPlan<'f> {
     }
 }
 
-/// The activation layout a filter pairs with: `KCRS` → `NCHW`,
-/// `KRSC` → `NHWC`.
-fn act_layout_for(filter: &Filter) -> ActLayout {
-    match filter.layout() {
-        FilterLayout::Kcrs => ActLayout::Nchw,
-        FilterLayout::Krsc => ActLayout::Nhwc,
-    }
-}
-
-/// Plan build-time filter checks (the input is checked at execute); `Ok`
-/// carries the activation layout the filter names.
-pub(crate) fn validate_filter(shape: &ConvShape, filter: &Filter) -> Result<ActLayout, Error> {
+/// Plan build-time filter checks (the input is checked at execute).
+pub(crate) fn validate_filter(shape: &ConvShape, filter: &Filter) -> Result<(), Error> {
     check::isa()?;
     shape.validate()?;
     check::dims(
@@ -570,7 +624,7 @@ pub(crate) fn validate_filter(shape: &ConvShape, filter: &Filter) -> Result<ActL
         (shape.k, shape.c, shape.r, shape.s),
         filter.dims(),
     )?;
-    Ok(act_layout_for(filter))
+    Ok(())
 }
 
 /// A pre-built depthwise convolution (`K == C`, channel multiplier 1):
@@ -678,14 +732,13 @@ impl<'f> DepthwisePlan<'f> {
         let (rs, plane_in, plane_out) = (shape.r * shape.s, shape.h * shape.w, p * q);
         let threads = self.threads;
         let in_data = input.as_slice();
+        operands.check(input, out)?;
         execute_frame(
-            operands,
             threads,
             &self.arena,
             || Self::alloc_set(shape, threads),
             pool,
-            input,
-            out,
+            out.as_mut_slice(),
             |tid, scratch, out_all| {
                 // In NCHW, item `n·C + c` indexes both its input and its
                 // output plane; `c` picks the taps.
@@ -843,7 +896,7 @@ mod tests {
         let mut sched = Schedule::minimal(&shape);
         sched.tc = shape.c; // survives sanitize: tc is clamped to C
         let filter = Filter::zeros(4, 1, 3, 3, FilterLayout::Kcrs);
-        let plan = ConvPlan::try_borrowed(&shape, &filter, &sched).unwrap();
+        let plan = ConvPlan::try_borrowed(&shape, &filter, &sched, Layout::Nchw).unwrap();
         assert!(plan.degraded());
         assert!(plan.schedule().tc < shape.c);
     }

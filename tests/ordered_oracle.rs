@@ -11,6 +11,10 @@
 //! shape and schedule space. The one-shot entry points run the best entry
 //! and are held the same way.
 //!
+//! 3-D convolution runs the same nest on a flattened problem, so a volume
+//! of height 1 under a filter of height 1 is the 2-D plan over `(D, W)`,
+//! and is held to the same oracle.
+//!
 //! The oracle with one group and no fusing is `naive::conv_ref` itself
 //! (checked in `ndirect-baselines`), so this suite ties every entry's
 //! kernels to the naive seven-loop convolution without a tolerance.
@@ -20,9 +24,14 @@
 
 use ndirect_baselines::naive::conv_ordered;
 use ndirect_core::kernel::Body;
-use ndirect_core::{try_conv_ndirect_with, ConvPlan, Kernel, PackingMode, Schedule};
+use ndirect_core::{
+    try_conv3d_ndirect, try_conv_ndirect_with, Conv3dShape, ConvPlan, Kernel, PackingMode,
+    Schedule,
+};
 use ndirect_support::Rng64;
-use ndirect_tensor::{fill, ActLayout, ConvShape, Filter, FilterLayout, Padding, Tensor4};
+use ndirect_tensor::{
+    fill, ActLayout, ConvShape, Filter, Filter5, FilterLayout, Padding, Tensor4, Tensor5,
+};
 use ndirect_threads::{Grid2, StaticPool};
 
 /// Seeds that run first: each pins a corner the generator reaches rarely.
@@ -167,6 +176,58 @@ fn table_4_shapes_equal_the_ordered_oracle_on_derived_schedules() {
             let want = conv_ordered(&input, &filter, &shape, tc, fused);
             let what = format!("Table 4 #{} as {shape} with {sched:?} on {}", layer.id, kernel.name());
             assert_eq!(planned.as_slice(), want.as_slice(), "{what}");
+        }
+    }
+}
+
+#[test]
+fn conv3d_depth_as_rows_equals_the_2d_plan_and_the_ordered_oracle() {
+    // H = R = 1 with no height padding: the volume is a (D, W) image, the
+    // filter a T × S one, and the 3-D entry must sum as the 2-D plan over
+    // them does, on every pool size up to 4 (whatever grid each derives).
+    let platform = ndirect_platform::host();
+    // (N, C, D, W, K, T, S, stride, pad_d, pad_w)
+    let cases = [
+        (1, 3, 9, 11, 5, 3, 3, 1, 1, 1),
+        (2, 5, 8, 13, 13, 3, 5, 2, 1, 2),
+        (1, 4, 7, 16, 20, 5, 3, 1, 2, 1),
+        (1, 6, 5, 9, 9, 1, 1, 1, 0, 0),
+        (2, 2, 3, 7, 17, 7, 1, 3, 3, 0),
+    ];
+    for (seed, (n, c, d, w, k, t, s, stride, pad_d, pad_w)) in cases.into_iter().enumerate() {
+        let shape = ConvShape::new(n, c, d, w, k, t, s, stride, Padding { h: pad_d, w: pad_w });
+        let shape3 = Conv3dShape {
+            n, c, d, h: 1, w, k, t, r: 1, s, stride, pad_d, pad_h: 0, pad_w,
+        };
+        let seed = seed as u64;
+        let input = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nchw), seed);
+        let filter = fill::random_filter(Filter::for_shape(&shape, FilterLayout::Kcrs), seed);
+        let mut input3 = Tensor5::zeros(n, c, d, 1, w);
+        input3.as_mut_slice().copy_from_slice(input.as_slice());
+        let mut filter3 = Filter5::zeros(k, c, t, 1, s);
+        filter3.as_mut_slice().copy_from_slice(filter.as_slice());
+        let body = Body::of(t, s);
+        let what = format!("{shape3:?} as {shape}");
+
+        let pool = StaticPool::new(2);
+        let tc = ConvPlan::try_new(&platform, &shape, &filter, 2).expect("valid").schedule().tc;
+        let want = |kernel: Kernel| conv_ordered(&input, &filter, &shape, tc, kernel.fused(body));
+        for kernel in Kernel::supported() {
+            let plan = ConvPlan::try_new(&platform, &shape, &filter, 2)
+                .expect("valid problem")
+                .with_kernel(kernel);
+            let mut planned = Tensor4::output_for(&shape, ActLayout::Nchw);
+            plan.execute(&pool, &input, &mut planned).expect("valid problem");
+            let expect = want(kernel);
+            let on = kernel.name();
+            assert_eq!(planned.as_slice(), expect.as_slice(), "{what}: 2-D plan on {on}");
+        }
+        let expect = want(Kernel::best());
+        for threads in 1..=4 {
+            let pool = StaticPool::new(threads);
+            let got =
+                try_conv3d_ndirect(&pool, &input3, &filter3, &shape3).expect("valid problem");
+            assert_eq!(got.as_slice(), expect.as_slice(), "{what}: conv3d on {threads} threads");
         }
     }
 }

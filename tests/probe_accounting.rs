@@ -11,9 +11,13 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use ndirect_core::{ConvPlan, FusedDwPwPlan, PackingMode, Schedule};
+use ndirect_core::{
+    try_conv3d_ndirect, Conv3dShape, ConvPlan, FusedDwPwPlan, PackingMode, Schedule,
+};
 use ndirect_probe::{Counter, Phase, TraceReport};
-use ndirect_tensor::{fill, ActLayout, ConvShape, Filter, FilterLayout, Padding, Tensor4};
+use ndirect_tensor::{
+    fill, ActLayout, ConvShape, Filter, Filter5, FilterLayout, Padding, Tensor4, Tensor5,
+};
 use ndirect_threads::{Grid2, StaticPool};
 use ndirect_workloads::{make_problem, table4};
 
@@ -176,6 +180,41 @@ fn nhwc_driver_accounts_like_the_cache_model_too() {
     } else {
         assert_eq!(d, vec![0, 0]);
     }
+}
+
+#[test]
+fn conv3d_counts_its_flops_and_runs_its_declared_tile() {
+    // OD = P = 1 is one row tile, so each filter block is transformed once,
+    // and K = 3 is one K tile of one Vk group: the strip packs pin the Vw
+    // and the transform the Vk the 3-D plan runs, which must be
+    // `Conv3dShape::register_tile` (the tile `tests/kernel_table.rs` holds
+    // to the declared table). Q = 48 strips differ in count for every Vw.
+    let _g = lock();
+    let shape = Conv3dShape {
+        n: 1, c: 2, d: 2, h: 3, w: 48, k: 3, t: 2, r: 3, s: 3,
+        stride: 1, pad_d: 0, pad_h: 0, pad_w: 1,
+    };
+    let mut input = Tensor5::zeros(shape.n, shape.c, shape.d, shape.h, shape.w);
+    fill::fill_random(input.as_mut_slice(), 61);
+    let mut filter = Filter5::zeros(shape.k, shape.c, shape.t, shape.r, shape.s);
+    fill::fill_random(filter.as_mut_slice(), 62);
+    let pool = StaticPool::new(1);
+    let watched = [Counter::FlopsIssued, Counter::BytesPacked, Counter::BytesTransformed];
+    let d = deltas(&watched, || {
+        try_conv3d_ndirect(&pool, &input, &filter, &shape).expect("valid problem");
+    });
+    if !ndirect_probe::ENABLED {
+        assert_eq!(d, vec![0; 3], "disabled probe must not count");
+        return;
+    }
+    assert_eq!(d[0], shape.flops(), "flops_issued must equal 2·N·K·OD·P·Q·C·T·R·S");
+    let (vw, vk) = shape.register_tile(&ndirect_platform::host());
+    let q = shape.q();
+    let win = |wv: usize| (vw.min(q - wv) - 1) * shape.stride + shape.s;
+    let win_sum: usize = (0..q).step_by(vw).map(win).sum();
+    let rows = shape.c * shape.t * shape.r;
+    assert_eq!(d[1], (rows * win_sum * 4) as u64, "every strip packed once at Vw = {vw}");
+    assert_eq!(d[2], (rows * shape.s * vk * 4) as u64, "one transform at Vk = {vk}");
 }
 
 #[test]
