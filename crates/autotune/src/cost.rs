@@ -11,7 +11,7 @@ use ndirect_core::{PackingMode, Schedule};
 use ndirect_tensor::ConvShape;
 
 /// Number of features the model consumes.
-pub const NUM_FEATURES: usize = 10;
+pub const NUM_FEATURES: usize = 9;
 
 /// Extracts the feature vector of a schedule for a problem.
 ///
@@ -20,8 +20,7 @@ pub const NUM_FEATURES: usize = 10;
 /// 2. `ln Vw`, `ln Vk` — register-tile shape,
 /// 3. register-pressure overflow (how far Eq. 3 is exceeded),
 /// 4. `ln Tc`, `ln(Tk/Vk)`, `ln Th` — cache tiles,
-/// 5. packing mode flags (fused and sliced; sequential is the all-zero
-///    reference level),
+/// 5. packing mode flag (fused; sequential is the zero reference level),
 /// 6. thread-grid balance `ln(PTn/PTk)`.
 pub fn features(sched: &Schedule, shape: &ConvShape) -> [f64; NUM_FEATURES] {
     let regs = ndirect_core::model::register_tile::registers_used(sched.vw, sched.vk, shape.s);
@@ -36,7 +35,6 @@ pub fn features(sched: &Schedule, shape: &ConvShape) -> [f64; NUM_FEATURES] {
         (sched.th as f64).ln(),
         if sched.packing == PackingMode::Fused { 1.0 } else { 0.0 },
         (sched.grid.ptn() as f64 / sched.grid.ptk() as f64).ln(),
-        if matches!(sched.packing, PackingMode::Sliced { .. }) { 1.0 } else { 0.0 },
     ]
 }
 

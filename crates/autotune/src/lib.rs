@@ -13,9 +13,7 @@
 //!   measure-and-learn loop);
 //! * [`search`] — evolutionary search: random initial population, tournament
 //!   selection, mutation of one parameter at a time, cost-model-guided
-//!   pruning of candidates before spending real measurements;
-//! * [`dwpw`] — exhaustive measured search over the fused
-//!   depthwise+pointwise schedule's much smaller space.
+//!   pruning of candidates before spending real measurements.
 //!
 //! The tuner measures real executions (like Ansor's RPC measurement), so
 //! tuned throughput is directly comparable to nDirect's model-derived
@@ -29,7 +27,6 @@
 
 pub mod cache;
 pub mod cost;
-pub mod dwpw;
 pub mod search;
 pub mod space;
 

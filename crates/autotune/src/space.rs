@@ -32,15 +32,6 @@ impl ScheduleSpace {
     /// The space for a problem and a fixed thread count.
     pub fn for_shape(shape: &ConvShape, threads: usize) -> Self {
         let p = shape.p();
-        // The sliced variant joins the search alongside the two packed
-        // baselines; its slice length comes from the host's analytic slab
-        // model so the candidate is cache-resident by construction (search
-        // can still reject it on measurement).
-        let model_rows = ndirect_core::model::slicing::slab_rows(
-            &ndirect_platform::host(),
-            shape,
-            16.min(shape.c).max(1),
-        );
         let tc_max = shape.c;
         let tc: Vec<usize> = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
             .iter()
@@ -64,11 +55,7 @@ impl ScheduleSpace {
             // Tk = multiplier × Vk, capped later by sanitize.
             tk_multiplier: vec![1, 2, 4, 8, 16, 32, 64],
             th,
-            packing: vec![
-                PackingMode::Fused,
-                PackingMode::Sequential,
-                PackingMode::Sliced { rows: model_rows },
-            ],
+            packing: vec![PackingMode::Fused, PackingMode::Sequential],
             grids: Grid2::factorizations(threads),
         }
     }

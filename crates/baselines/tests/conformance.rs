@@ -173,23 +173,16 @@ fn packing_variants_are_bitwise_identical_to_fused() {
         fused.packing = PackingMode::Fused;
         let want = try_conv_ndirect_with(&pool, &input, &filter, &shape, &fused.sanitized(&shape))
             .expect("valid problem");
-        for mode in [
-            PackingMode::Sequential,
-            PackingMode::Sliced { rows: 1 },
-            PackingMode::Sliced { rows: 3 },
-            PackingMode::Sliced { rows: usize::MAX },
-        ] {
-            let mut sched = base.clone();
-            sched.packing = mode;
-            let sched = sched.sanitized(&shape);
-            let got = try_conv_ndirect_with(&pool, &input, &filter, &shape, &sched)
-                .expect("valid problem");
-            assert_eq!(
-                got.as_slice(),
-                want.as_slice(),
-                "'{label}' ({shape}) under {mode:?} diverges bitwise from Fused"
-            );
-        }
+        let mut sched = base.clone();
+        sched.packing = PackingMode::Sequential;
+        let sched = sched.sanitized(&shape);
+        let got =
+            try_conv_ndirect_with(&pool, &input, &filter, &shape, &sched).expect("valid problem");
+        assert_eq!(
+            got.as_slice(),
+            want.as_slice(),
+            "'{label}' ({shape}) under Sequential diverges bitwise from Fused"
+        );
     }
 }
 

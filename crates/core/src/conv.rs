@@ -145,22 +145,13 @@ pub(crate) fn try_alloc_scratch(
     shape: &ConvShape,
     threads: usize,
 ) -> Result<Vec<Mutex<Scratch>>, usize> {
-    // The input-side buffer is packing-mode dependent: the per-strip modes
-    // hold one `Tc·R·win` strip, `Sliced` holds one cache-resident slab
-    // (`Tc·slab_rows·row_win`).
+    // The input-side buffer holds one `Tc·R·win` strip.
     let lens = || {
-        let bbuf_len = match sched.packing {
-            PackingMode::Sliced { rows } => checked_product(&[
-                sched.tc,
-                input_span(rows, shape.stride, shape.r)?,
-                input_span(shape.q(), shape.stride, shape.s)?,
-            ])?,
-            PackingMode::Fused | PackingMode::Sequential => checked_product(&[
-                sched.tc,
-                shape.r,
-                input_span(sched.vw, shape.stride, shape.s)?,
-            ])?,
-        };
+        let bbuf_len = checked_product(&[
+            sched.tc,
+            shape.r,
+            input_span(sched.vw, shape.stride, shape.s)?,
+        ])?;
         let kv_blocks = sched.tk.div_ceil(sched.vk);
         let tfbuf_len = checked_product(&[kv_blocks, sched.tc, shape.r, shape.s, sched.vk])?;
         let total = bbuf_len.checked_add(tfbuf_len)?.checked_mul(threads)?;
@@ -239,8 +230,6 @@ pub(crate) struct StripCtx<'a> {
     pub(crate) kt: usize,
     pub(crate) kv_blocks: usize,
     pub(crate) k_hi: usize,
-    /// The output rows whose slab `bbuf` holds (`Sliced` only).
-    pub(crate) slice: std::ops::Range<usize>,
     pub(crate) oh: usize,
     pub(crate) wv: usize,
     pub(crate) valid_w: usize,
@@ -250,11 +239,9 @@ pub(crate) struct StripCtx<'a> {
 }
 
 /// Runs loop L7 for one output strip, building each `kv` iteration's
-/// [`RowSource`] straight from the schedule's packing mode: under the
-/// per-strip modes the first iteration fills `bbuf` (fused gather or a
-/// sequential pack) and the rest read it back; under `Sliced` every
-/// iteration reads the slab the driver packed into `bbuf` for the current
-/// slice.
+/// [`RowSource`] straight from the schedule's packing mode: the first
+/// iteration fills `bbuf` (fused gather or a sequential pack) and the rest
+/// read it back.
 ///
 /// The activation layout is a packing and addressing detail: an `NHWC`
 /// or `NCDHW` strip (always `Sequential`, see [`crate::ConvPlan`]) packs
@@ -267,12 +254,10 @@ pub(crate) fn compute_strip(ctx: StripCtx<'_>, bbuf: &mut [f32], out_all: &Share
         Layout::Nchw | Layout::Ncdhw(_) => (ctx.p * ctx.q, 1),
         Layout::Nhwc => (1, shape.k),
     };
-    // Accounting: a per-strip mode packs `tcb·R·WIN` floats once here
-    // (fused gather and sequential packing move the same data) — `Sliced`
-    // instead books those bytes as *saved* (its slab pack adds its own
-    // `BytesPacked` at the slice level).
-    // Either way the strip issues 2 FLOPs per MAC over `valid_w` output
-    // pixels × the K channels this tile covers.
+    // Accounting: the strip packs `tcb·R·WIN` floats once here (fused
+    // gather and sequential packing move the same data) and issues 2 FLOPs
+    // per MAC over `valid_w` output pixels × the K channels this tile
+    // covers.
     if ndirect_probe::ENABLED {
         let covered_k = sched.tk.min(ctx.k_hi - ctx.kt) as u64;
         ndirect_probe::add(
@@ -280,11 +265,7 @@ pub(crate) fn compute_strip(ctx: StripCtx<'_>, bbuf: &mut [f32], out_all: &Share
             2 * ctx.valid_w as u64 * covered_k * ctx.tcb as u64 * shape.r as u64 * shape.s as u64,
         );
         let strip_bytes = (ctx.tcb * shape.r * ctx.geom.win * std::mem::size_of::<f32>()) as u64;
-        let counter = match sched.packing {
-            PackingMode::Fused | PackingMode::Sequential => ndirect_probe::Counter::BytesPacked,
-            PackingMode::Sliced { .. } => ndirect_probe::Counter::BytesPackSaved,
-        };
-        ndirect_probe::add(counter, strip_bytes);
+        ndirect_probe::add(ndirect_probe::Counter::BytesPacked, strip_bytes);
     }
     let StripGeom { win, ih0, iw0 } = ctx.geom;
     for kv in 0..ctx.kv_blocks {
@@ -338,17 +319,7 @@ pub(crate) fn compute_strip(ctx: StripCtx<'_>, bbuf: &mut [f32], out_all: &Share
                 }
                 RowSource::Packed { buf: &*bbuf, win, rdim: shape.r }
             }
-            (PackingMode::Fused | PackingMode::Sequential, false) => {
-                RowSource::Packed { buf: &*bbuf, win, rdim: shape.r }
-            }
-            (PackingMode::Sliced { .. }, _) => RowSource::Strided {
-                buf: &*bbuf,
-                rows_per_c: (ctx.slice.len() - 1) * shape.stride + shape.r,
-                row_stride: (ctx.q - 1) * shape.stride + shape.s,
-                row_off: (ctx.oh - ctx.slice.start) * shape.stride,
-                col_off: ctx.wv * shape.stride,
-                win,
-            },
+            (_, false) => RowSource::Packed { buf: &*bbuf, win, rdim: shape.r },
         };
         let _mk = ndirect_probe::probe_phase!(MicroKernel);
         run_tile(ctx.kernel, &mut rows, &args, out_all);
@@ -445,9 +416,10 @@ mod tests {
 
     #[test]
     fn zero_copy_modes_match_fused_bitwise() {
-        // The sliced path reads its strips out of a shared slab and must be
-        // bitwise-identical to the per-strip packed path — including
-        // stride 2, heavy padding, a pointwise layer, and every tail kind.
+        // Every non-fused way of sourcing the strip rows (packing the whole
+        // strip before the kernel) must be bitwise identical to gathering
+        // it inside the first `kv` iteration, including stride 2, heavy
+        // padding, a pointwise layer, and every tail kind.
         let shapes = [
             ConvShape::square(1, 8, 16, 12, 3, 1),
             ConvShape::new(2, 5, 9, 17, 13, 3, 3, 2, Padding::same(1)),
@@ -457,39 +429,13 @@ mod tests {
         let pool = StaticPool::new(1);
         for (i, shape) in shapes.into_iter().enumerate() {
             let (input, filter) = problem(&shape, 21 + i as u64);
-            let base = Schedule::minimal(&shape);
-            let fused = try_conv_ndirect_with(
-                &pool, &input, &filter, &shape,
-                &base.with_packing(PackingMode::Fused),
-            )
-            .expect("valid problem");
-            for mode in [
-                PackingMode::Sliced { rows: 1 },
-                PackingMode::Sliced { rows: 3 },
-                PackingMode::Sliced { rows: 1000 }, // sanitize clamps to Th
-            ] {
-                let got =
-                    try_conv_ndirect_with(&pool, &input, &filter, &shape, &base.with_packing(mode))
-                        .expect("valid problem");
-                assert_eq!(
-                    fused.as_slice(),
-                    got.as_slice(),
-                    "shape {i} under {mode:?} must be bitwise identical to Fused"
-                );
-            }
+            let [fused, seq] = [PackingMode::Fused, PackingMode::Sequential].map(|mode| {
+                let sched = Schedule::minimal(&shape).with_packing(mode);
+                try_conv_ndirect_with(&pool, &input, &filter, &shape, &sched)
+                    .expect("valid problem")
+            });
+            assert_eq!(fused.as_slice(), seq.as_slice(), "shape {i}: packing modes agree bitwise");
         }
-    }
-
-    #[test]
-    fn sliced_slab_is_bounded_by_rows() {
-        // The sliced slab is bounded by rows, not by the full image.
-        let shape = ConvShape::square(1, 8, 16, 12, 3, 1);
-        let sliced = Schedule::minimal(&shape).with_packing(PackingMode::Sliced { rows: 2 });
-        let sliced = sliced.sanitized(&shape);
-        let scratch = try_alloc_scratch(&sliced, &shape, 1).unwrap();
-        let guard = scratch[0].lock().unwrap();
-        let row_win = (shape.q() - 1) * shape.stride + shape.s;
-        assert_eq!(guard.bbuf.len(), sliced.tc * (shape.stride + shape.r) * row_win);
     }
 
     #[test]

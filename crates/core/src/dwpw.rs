@@ -11,9 +11,8 @@
 //!
 //! 1. the depthwise register tile ([`crate::depthwise`]) computes rows
 //!    `[oh0, oh0+len)` of *all* `C` channels into a thread-private slab
-//!    laid out `[C][row][Q]`, sized by the same half-of-L2 reservation
-//!    (Eq. 2) that [`crate::model::slicing`] uses for input slabs
-//!    ([`crate::model::slicing::fused_slab_rows`]);
+//!    laid out `[C][row][Q]`, sized against the half-of-L2 reservation
+//!    of Eq. 2 ([`crate::model::slicing::fused_slab_rows`]);
 //! 2. the pointwise micro-kernel (Algorithm 3 with `R = S = 1`, via
 //!    [`crate::kernel::RowSource::Strided`]) consumes the slab immediately,
 //!    while it is cache-hot, accumulating into the final `(N, K, P, Q)`
@@ -33,7 +32,6 @@
 use std::sync::Mutex;
 
 use ndirect_platform::Platform;
-use ndirect_support::{Json, JsonError};
 use ndirect_tensor::{ActLayout, AlignedBuf, ConvShape, Filter, FilterLayout, Tensor4};
 use ndirect_threads::{split_static, StaticPool};
 
@@ -91,32 +89,6 @@ impl DwPwSchedule {
             vw: self.vw.clamp(1, 12),
             vk: (self.vk / 4).clamp(1, 3) * 4,
         }
-    }
-
-    /// Serializes in the same style as [`crate::Schedule::to_json`].
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("slice_rows".into(), Json::usize(self.slice_rows)),
-            ("vw".into(), Json::usize(self.vw)),
-            ("vk".into(), Json::usize(self.vk)),
-        ])
-    }
-
-    /// Parses the [`DwPwSchedule::to_json`] form; malformed or degenerate
-    /// fields are typed errors, never panics.
-    pub fn from_json(v: &Json) -> Result<DwPwSchedule, JsonError> {
-        let s = DwPwSchedule {
-            slice_rows: v.usize_field("slice_rows")?,
-            vw: v.usize_field("vw")?,
-            vk: v.usize_field("vk")?,
-        };
-        if s.slice_rows == 0 || s.vw == 0 || s.vk == 0 {
-            return Err(JsonError {
-                msg: "dwpw schedule fields must be >= 1".into(),
-                at: 0,
-            });
-        }
-        Ok(s)
     }
 }
 
@@ -669,25 +641,6 @@ mod tests {
         for (g, b) in out.as_slice().iter().zip(base.as_slice()) {
             assert!((g - (b + 1.0)).abs() <= 1e-5 * (b.abs() + 1.0));
         }
-    }
-
-    #[test]
-    fn schedule_json_round_trips() {
-        let s = DwPwSchedule {
-            slice_rows: 7,
-            vw: 12,
-            vk: 8,
-        };
-        let j = s.to_json();
-        let parsed = DwPwSchedule::from_json(&j).unwrap();
-        assert_eq!(parsed, s);
-        // Degenerate fields are typed errors.
-        let bad = DwPwSchedule {
-            slice_rows: 0,
-            vw: 4,
-            vk: 4,
-        };
-        assert!(DwPwSchedule::from_json(&bad.to_json()).is_err());
     }
 
     #[test]

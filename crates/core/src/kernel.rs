@@ -77,22 +77,21 @@ pub enum RowSource<'a> {
         /// Rows per channel.
         rdim: usize,
     },
-    /// Read rows out of a cache-resident slice slab packed by
-    /// [`crate::pack::pack_slice_slab`] (`[c][ih_rel][row_stride]` layout):
-    /// the [`crate::PackingMode::Sliced`] path. Each strip row is a
-    /// contiguous `win`-element sub-slice of one slab row, so the kernels
-    /// run unchanged — only the addressing differs from `Packed`.
+    /// Read rows out of a cache-resident slab laid out
+    /// `[c][row][row_stride]`: the fused dw+pw plan's depthwise-output slab
+    /// ([`crate::FusedDwPwPlan`]). Each strip row is a contiguous
+    /// `win`-element sub-slice of one slab row, so the kernels run
+    /// unchanged — only the addressing differs from `Packed`.
     Strided {
-        /// The slab (`[c][ih_rel][row_stride]`, `c` relative to the tile).
+        /// The slab (`[c][row][row_stride]`, `c` relative to the tile).
         buf: &'a [f32],
-        /// Slab rows per channel (`(slice_len−1)·stride + R`).
+        /// Slab rows per channel.
         rows_per_c: usize,
-        /// Elements per slab row (`(Q−1)·stride + S`).
+        /// Elements per slab row.
         row_stride: usize,
-        /// First slab row of this strip's window (`(oh − slice_oh0)·stride`).
+        /// First slab row of this strip's window.
         row_off: usize,
-        /// Column offset of this strip's window inside a slab row
-        /// (`wv·stride`).
+        /// Column offset of this strip's window inside a slab row.
         col_off: usize,
         /// Elements per strip row (`(valid_w−1)·stride + S`).
         win: usize,
@@ -792,14 +791,19 @@ mod tests {
                 let slice_oh0 = oh.saturating_sub(1);
                 let slice_len = oh - slice_oh0 + 1;
                 let row_win = (q - 1) * shape.stride + shape.s;
-                let slab_rows = (slice_len - 1) * shape.stride + shape.r;
-                let mut slab = vec![0.0; tcb * slab_rows * row_win];
-                crate::pack::pack_slice_slab(
-                    image, ct, tcb, shape, slice_oh0, slice_len, &mut slab,
-                );
+                let rows_per_c = (slice_len - 1) * shape.stride + shape.r;
+                // The slab holds every full-width input row the slice
+                // reads, per channel.
+                let ih_base = (slice_oh0 * shape.stride) as isize - shape.pad.h as isize;
+                let iw0 = -(shape.pad.w as isize);
+                let mut slab = vec![0.0; tcb * rows_per_c * row_win];
+                for (i, row) in slab.chunks_exact_mut(row_win).enumerate() {
+                    let (c, ir) = (ct + i / rows_per_c, (i % rows_per_c) as isize);
+                    gather_row(image, c, ih_base + ir, iw0, shape.h, shape.w, row);
+                }
                 run(&mut RowSource::Strided {
                     buf: &slab,
-                    rows_per_c: slab_rows,
+                    rows_per_c,
                     row_stride: row_win,
                     row_off: (oh - slice_oh0) * shape.stride,
                     col_off: wv * shape.stride,

@@ -61,7 +61,6 @@ pub mod pack;
 pub mod plan;
 pub mod quantize;
 pub mod registry;
-pub mod sparse;
 pub mod schedule;
 
 pub use conv::{try_conv_ndirect, try_conv_ndirect_with};
@@ -76,7 +75,6 @@ pub use error::Error;
 pub use microkernel::Kernel;
 pub use int16::{conv_int16_naive, try_conv_int16, Int16Filter, Int16Tensor};
 pub use quantize::{try_conv_quantized, QuantParams};
-pub use sparse::{prune_channels, try_conv_ndirect_pruned, ChannelMask};
 pub use filter::{transform_filter, transform_filter_block, TransformedFilter};
 pub use plan::{ConvPlan, DepthwisePlan};
 pub use registry::{PlanKey, PlanRegistry};

@@ -363,55 +363,28 @@ pub mod cache_tiles {
 }
 
 pub mod slicing {
-    //! Slab sizing for [`crate::PackingMode::Sliced`].
+    //! Slab sizing for the fused dw+pw path ([`crate::FusedDwPwPlan`]).
     //!
-    //! The sliced schedule packs one cache-resident input slab per
-    //! `rows`-row slice of the `Th` tile and reuses it across every `Tk`
-    //! tile and strip window of the slice. The slab must stay resident
-    //! next to the `Tk × Tc × R × S` filter block Eq. 2 already budgets,
-    //! so we size it against the same half-of-L2 reservation: pick the
-    //! largest `rows` with
-    //! `Tc · ((rows−1)·str + R) · ((Q−1)·str + S) · 4 ≤ C_L2 / 2`.
+    //! The fused plan holds one cache-resident slab of finished depthwise
+    //! rows per slice and runs the pointwise stage over it. The slab must
+    //! stay resident next to the filter block Eq. 2 already budgets, so it
+    //! is sized against the same half-of-L2 reservation: the largest
+    //! `rows` with `C · rows · Q · 4 ≤ C_L2 / 2`.
 
     use ndirect_platform::Platform;
     use ndirect_tensor::ConvShape;
 
-    /// Bytes one `rows`-row slab occupies for a `tc`-channel tile.
-    pub fn slab_bytes(shape: &ConvShape, tc: usize, rows: usize) -> usize {
-        let row_win = (shape.q() - 1) * shape.stride + shape.s;
-        let slab_rows = (rows.max(1) - 1) * shape.stride + shape.r;
-        tc * slab_rows * row_win * 4
-    }
-
-    /// The largest slice length whose slab fits half the per-core L2,
-    /// clamped to `[1, P]`. Degrades to 1 row when even a single strip
-    /// row overflows the budget (the slab then still beats per-strip
-    /// packing on reuse across `Tk` tiles).
-    pub fn slab_rows(platform: &Platform, shape: &ConvShape, tc: usize) -> usize {
-        let budget = platform.cache.l2_per_core() / 2 / 4; // floats
-        let row_win = (shape.q() - 1) * shape.stride + shape.s;
-        let per_row = (tc * row_win).max(1);
-        let max_slab_rows = budget / per_row;
-        let rows = max_slab_rows
-            .saturating_sub(shape.r)
-            .checked_div(shape.stride)
-            .unwrap_or(0)
-            .saturating_add(1);
-        rows.clamp(1, shape.p())
-    }
-
     /// Bytes one `rows`-row *depthwise-output* slab occupies for the fused
-    /// dw+pw path: `C · rows · Q · 4`. Unlike [`slab_bytes`] the fused slab
-    /// holds finished depthwise rows, not an input window, so there is no
-    /// `R`/stride halo — the pointwise consumer is 1×1 stride-1.
+    /// dw+pw path: `C · rows · Q · 4`. The slab holds finished depthwise
+    /// rows, not an input window, so there is no `R`/stride halo — the
+    /// pointwise consumer is 1×1 stride-1.
     pub fn fused_slab_bytes(dw_shape: &ConvShape, rows: usize) -> usize {
         dw_shape.c * rows.max(1) * dw_shape.q() * 4
     }
 
     /// The largest fused dw-output slice length whose slab fits half the
-    /// per-core L2, clamped to `[1, P]`. Same Eq. 2 reservation as
-    /// [`slab_rows`]; degrades to 1 row when even a single `C·Q` row plane
-    /// overflows the budget.
+    /// per-core L2, clamped to `[1, P]`; degrades to 1 row when even a
+    /// single `C·Q` row plane overflows the budget.
     pub fn fused_slab_rows(platform: &Platform, dw_shape: &ConvShape) -> usize {
         let budget = platform.cache.l2_per_core() / 2 / 4; // floats
         let per_row = (dw_shape.c * dw_shape.q()).max(1);
@@ -423,45 +396,6 @@ pub mod slicing {
         use super::*;
         use ndirect_platform::{kp920, phytium_2000p, rpi4};
         use ndirect_tensor::ConvShape;
-
-        #[test]
-        fn slab_fits_half_l2_or_is_one_row() {
-            for p in [phytium_2000p(), kp920(), rpi4()] {
-                for shape in [
-                    ConvShape::square(1, 64, 64, 56, 3, 1),
-                    ConvShape::square(1, 256, 256, 14, 3, 2),
-                    ConvShape::square(1, 512, 512, 7, 1, 1),
-                ] {
-                    let tc = 16.min(shape.c);
-                    let rows = slab_rows(&p, &shape, tc);
-                    assert!(rows >= 1 && rows <= shape.p(), "{}: rows={rows}", p.name);
-                    if rows > 1 {
-                        assert!(
-                            slab_bytes(&shape, tc, rows) <= p.cache.l2_per_core() / 2,
-                            "{}: {} bytes",
-                            p.name,
-                            slab_bytes(&shape, tc, rows)
-                        );
-                    }
-                }
-            }
-        }
-
-        #[test]
-        fn wider_images_get_shorter_slices() {
-            let p = kp920();
-            let narrow = ConvShape::square(1, 64, 64, 56, 3, 1);
-            let wide = ConvShape::square(1, 64, 64, 112, 3, 1);
-            assert!(slab_rows(&p, &wide, 16) <= slab_rows(&p, &narrow, 16));
-        }
-
-        #[test]
-        fn tiny_shapes_take_the_whole_row_range() {
-            // A 7×7 late-stage layer fits entirely: rows == P.
-            let p = kp920();
-            let shape = ConvShape::square(1, 32, 32, 7, 3, 1);
-            assert_eq!(slab_rows(&p, &shape, 8), shape.p());
-        }
 
         #[test]
         fn fused_slab_fits_half_l2_or_is_one_row() {
@@ -483,6 +417,16 @@ pub mod slicing {
                     }
                 }
             }
+        }
+
+        #[test]
+        fn wider_images_get_shorter_slices() {
+            // A wider depthwise output row costs more slab per row, so the
+            // half-L2 budget holds fewer rows.
+            let p = kp920();
+            let narrow = ConvShape::square(1, 64, 64, 56, 3, 1);
+            let wide = ConvShape::square(1, 64, 64, 112, 3, 1);
+            assert!(fused_slab_rows(&p, &wide) < fused_slab_rows(&p, &narrow));
         }
 
         #[test]

@@ -179,45 +179,6 @@ pub(crate) fn pack_strip_ncdhw(
     }
 }
 
-/// Packs the cache-resident slab for one `rows`-row slice of a `Th` tile —
-/// the [`crate::PackingMode::Sliced`] path (arXiv 2303.04739). The slab
-/// covers the *full* output-row window (`row_win = (Q−1)·stride + S`
-/// columns) of every input row the slice touches
-/// (`slab_rows = (slice_len−1)·stride + R`), for channels `ct..ct+tcb`.
-///
-/// `buf` layout: `[c][ih_rel][row_win]` with `c` relative to `ct` and
-/// `ih_rel` relative to the slab's first input row
-/// `slice_oh0·stride − pad.h`. Every per-strip window of the slice is then
-/// a contiguous sub-slice of one slab row — strip `(oh, wv)` reads slab row
-/// `(oh − slice_oh0)·stride + rr` at column offset `wv·stride` — so the
-/// kernels consume the slab via [`crate::kernel::RowSource::Strided`]
-/// without any per-strip repacking; that sharing across `Tk` tiles and
-/// overlapping strip windows is the mode's entire traffic win.
-pub fn pack_slice_slab(
-    image: &[f32],
-    ct: usize,
-    tcb: usize,
-    shape: &ndirect_tensor::ConvShape,
-    slice_oh0: usize,
-    slice_len: usize,
-    buf: &mut [f32],
-) {
-    let row_win = (shape.q() - 1) * shape.stride + shape.s;
-    let slab_rows = (slice_len - 1) * shape.stride + shape.r;
-    // AUDIT: allow(hotpath-no-panic) O(1) guard protecting the unchecked
-    // packing loop below; a failure is a planner sizing bug.
-    assert!(buf.len() >= tcb * slab_rows * row_win, "slab buffer too small");
-    let ih_base = (slice_oh0 * shape.stride) as isize - shape.pad.h as isize;
-    let iw0 = -(shape.pad.w as isize);
-    for c in 0..tcb {
-        for ir in 0..slab_rows {
-            let dst =
-                &mut buf[(c * slab_rows + ir) * row_win..(c * slab_rows + ir + 1) * row_win];
-            gather_row(image, ct + c, ih_base + ir as isize, iw0, shape.h, shape.w, dst);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,40 +238,6 @@ mod tests {
         assert_eq!(g.win, 9);
         assert_eq!(g.ih0, 3);
         assert_eq!(g.iw0, 1);
-    }
-
-    #[test]
-    fn slice_slab_windows_match_per_strip_packing() {
-        // Every strip window of a slice must be readable out of the slab as
-        // a contiguous sub-row identical to what pack_strip would gather —
-        // including a stride-2 + padding shape where windows overlap.
-        let shape = ConvShape::new(1, 2, 9, 9, 4, 3, 3, 2, Padding::same(1));
-        let img = image(2, 9, 9);
-        let (tcb, slice_oh0, slice_len) = (2, 1, 3);
-        let row_win = (shape.q() - 1) * shape.stride + shape.s;
-        let slab_rows = (slice_len - 1) * shape.stride + shape.r;
-        let mut slab = vec![7.0; tcb * slab_rows * row_win];
-        pack_slice_slab(&img, 0, tcb, &shape, slice_oh0, slice_len, &mut slab);
-
-        for oh in slice_oh0..slice_oh0 + slice_len {
-            let mut wv = 0;
-            while wv < shape.q() {
-                let vw = 4.min(shape.q() - wv);
-                let g = StripGeom::new(&shape, oh, wv, vw);
-                let mut strip = vec![0.0; tcb * shape.r * g.win];
-                pack_strip(&img, 0, tcb, shape.r, shape.h, shape.w, g, &mut strip);
-                for c in 0..tcb {
-                    for rr in 0..shape.r {
-                        let want = &strip[(c * shape.r + rr) * g.win..][..g.win];
-                        let row = (oh - slice_oh0) * shape.stride + rr;
-                        let got =
-                            &slab[(c * slab_rows + row) * row_win + wv * shape.stride..][..g.win];
-                        assert_eq!(got, want, "oh={oh} wv={wv} c={c} rr={rr}");
-                    }
-                }
-                wv += vw;
-            }
-        }
     }
 
     #[test]

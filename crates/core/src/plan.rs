@@ -76,7 +76,7 @@ use crate::conv3d::Conv3dShape;
 use crate::error::{check, Error};
 use crate::filter::{transform_filter_block, TransformedFilter};
 use crate::microkernel::Kernel;
-use crate::pack::{pack_slice_slab, StripGeom};
+use crate::pack::StripGeom;
 use crate::schedule::{image_rows, FilterState, PackingMode, Schedule};
 
 /// How many idle scratch sets a plan keeps for reuse. Leases beyond this
@@ -530,82 +530,55 @@ impl<'f> ConvPlan<'f> {
                 let mut ct = 0;
                 while ct < shape.c {
                     let tcb = sched.tc.min(shape.c - ct);
-                    // `Sliced` packs one cache-resident slab per
-                    // `rows`-row slice of this `(ht, ct)` tile, hoisted
-                    // above the kt/oh/wv loops so every `Tk` tile and
-                    // strip of the slice reuses it; the other modes
-                    // take a single degenerate slice spanning the tile
-                    // with no slab work.
-                    let slice_step = match sched.packing {
-                        PackingMode::Sliced { rows } => rows.max(1),
-                        _ => ht_end - ht,
-                    };
-                    let mut sl = ht;
-                    while sl < ht_end {
-                        let sl_end = (sl + slice_step).min(ht_end);
-                        if matches!(sched.packing, PackingMode::Sliced { .. }) {
-                            let slab_rows = (sl_end - sl - 1) * shape.stride + shape.r;
-                            let row_win = (q - 1) * shape.stride + shape.s;
+                    let mut kt = k_lo;
+                    while kt < k_hi {
+                        let tkb = sched.tk.min(k_hi - kt);
+                        let kv_blocks = tkb.div_ceil(sched.vk);
+                        // Per-kv block length in the transform buffer uses
+                        // the *live* channel count of this tile.
+                        let tf_block_len = tcb * shape.r * shape.s * sched.vk;
+                        if let Some(f) = raw_filter {
+                            let _ft = ndirect_probe::probe_phase!(FilterTransform);
                             ndirect_probe::probe_count!(
-                                BytesPacked,
-                                tcb * slab_rows * row_win * std::mem::size_of::<f32>()
+                                BytesTransformed,
+                                kv_blocks * tf_block_len * std::mem::size_of::<f32>()
                             );
-                            let _pack = ndirect_probe::probe_phase!(Pack);
-                            pack_slice_slab(image, ct, tcb, shape, sl, sl_end - sl, bbuf);
+                            transform_filter_block(f, kt, tkb, ct, tcb, sched.vk, tfbuf);
                         }
-                        let mut kt = k_lo;
-                        while kt < k_hi {
-                            let tkb = sched.tk.min(k_hi - kt);
-                            let kv_blocks = tkb.div_ceil(sched.vk);
-                            // Per-kv block length in the transform
-                            // buffer uses the *live* channel count of
-                            // this tile.
-                            let tf_block_len = tcb * shape.r * shape.s * sched.vk;
-                            if let Some(f) = raw_filter {
-                                let _ft = ndirect_probe::probe_phase!(FilterTransform);
-                                ndirect_probe::probe_count!(
-                                    BytesTransformed,
-                                    kv_blocks * tf_block_len * std::mem::size_of::<f32>()
+                        for oh in ht..ht_end {
+                            let mut wv = 0;
+                            while wv < q {
+                                let valid_w = sched.vw.min(q - wv);
+                                compute_strip(
+                                    StripCtx {
+                                        kernel: self.kernel,
+                                        layout: &self.layout,
+                                        image,
+                                        shape,
+                                        sched,
+                                        pre_tf,
+                                        tfbuf: &*tfbuf,
+                                        tf_block_len,
+                                        n,
+                                        ct,
+                                        tcb,
+                                        kt,
+                                        kv_blocks,
+                                        k_hi,
+                                        oh,
+                                        wv,
+                                        valid_w,
+                                        geom: StripGeom::new(shape, oh, wv, valid_w),
+                                        p,
+                                        q,
+                                    },
+                                    bbuf,
+                                    out_all,
                                 );
-                                transform_filter_block(f, kt, tkb, ct, tcb, sched.vk, tfbuf);
+                                wv += sched.vw;
                             }
-                            for oh in sl..sl_end {
-                                let mut wv = 0;
-                                while wv < q {
-                                    let valid_w = sched.vw.min(q - wv);
-                                    compute_strip(
-                                        StripCtx {
-                                            kernel: self.kernel,
-                                            layout: &self.layout,
-                                            image,
-                                            shape,
-                                            sched,
-                                            pre_tf,
-                                            tfbuf: &*tfbuf,
-                                            tf_block_len,
-                                            n,
-                                            ct,
-                                            tcb,
-                                            kt,
-                                            kv_blocks,
-                                            k_hi,
-                                            slice: sl..sl_end,
-                                            oh,
-                                            wv,
-                                            valid_w,
-                                            geom: StripGeom::new(shape, oh, wv, valid_w),
-                                            p,
-                                            q,
-                                        },
-                                        bbuf,
-                                        out_all,
-                                    );
-                                    wv += sched.vw;
-                                }
-                            }
-                            kt += sched.tk;
                         }
-                        sl = sl_end;
+                        kt += sched.tk;
                     }
                     ct += sched.tc;
                 }

@@ -7,9 +7,7 @@ use ndirect_threads::{split_static, Grid2};
 
 use crate::model;
 
-/// How input packing interacts with computation (§5.3, Figure 5), extended
-/// with cache-resident convolution slicing from the related work (arXiv
-/// 2303.04739).
+/// How input packing interacts with computation (§5.3, Figure 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PackingMode {
     /// The paper's optimization: the packing gather for each `(c, r)` row is
@@ -19,16 +17,6 @@ pub enum PackingMode {
     /// The conventional strategy (im2col-style): pack the whole strip into
     /// the buffer, then start computing. The Figure 5 ablation baseline.
     Sequential,
-    /// Convolution slicing: pack one cache-resident slab per `rows`-row
-    /// slice of the `Th` tile (all strips and `Tk` tiles of the slice reuse
-    /// it), instead of re-packing every strip per `Tk` tile. `rows` is the
-    /// number of output rows per slab, sized by the analytic cache model
-    /// ([`crate::model::slicing::slab_rows`]).
-    Sliced {
-        /// Output rows covered by one packed slab (clamped to `[1, Th]` by
-        /// [`Schedule::sanitized`]).
-        rows: usize,
-    },
 }
 
 /// Whether the filter is transformed per cache block on the fly (the
@@ -120,10 +108,6 @@ impl Schedule {
         s.tk = s.tk.max(s.vk).min(shape.k.div_ceil(s.vk) * s.vk);
         s.tk = (s.tk / s.vk) * s.vk;
         s.th = s.th.clamp(1, shape.p());
-        if let PackingMode::Sliced { rows } = s.packing {
-            // A slab never spans more rows than the Th tile it slices.
-            s.packing = PackingMode::Sliced { rows: rows.clamp(1, s.th) };
-        }
         s
     }
 
@@ -161,49 +145,21 @@ impl Schedule {
     /// `|rows| · #Tk-tiles · C · R · Σ_strips WIN`; `#Tk-tiles` depends on
     /// the thread's K range, which is why the count is grid-dependent while
     /// the FLOP count ([`ConvShape::flops`]) is not.
-    ///
-    /// `Sliced` packs one slab per (image, `Th` tile, slice) on each
-    /// thread: `C · slab_rows · row_win` floats, with `row_win =
-    /// (Q−1)·stride + S` spanning the whole output row and `slab_rows =
-    /// (slice_len−1)·stride + R` the slice's input rows. There is no
-    /// `#Tk-tiles` factor: the slab is packed above loop L4 and reused by
-    /// every `Tk` tile and strip of the slice.
     pub fn predicted_pack_bytes(&self, shape: &ConvShape) -> u128 {
         let s = self.sanitized(shape);
-        let (p, q) = (shape.p(), shape.q());
+        let q = shape.q();
         // Window widths summed over one row's strips.
         let win_sum: u128 = (0..q)
             .step_by(s.vw)
             .map(|wv| ((s.vw.min(q - wv) - 1) * shape.stride + shape.s) as u128)
             .sum();
-        let row_win = ((q - 1) * shape.stride + shape.s) as u128;
-
-        let mut total_floats: u128 = 0;
-        for tid in 0..s.grid.threads() {
-            let Some((k_lo, k_hi, rows)) = s.partition(shape, tid) else {
-                continue;
-            };
-            total_floats += shape.c as u128
-                * match s.packing {
-                    PackingMode::Fused | PackingMode::Sequential => {
-                        let kt_tiles = (k_hi - k_lo).div_ceil(s.tk) as u128;
-                        rows.len() as u128 * kt_tiles * shape.r as u128 * win_sum
-                    }
-                    PackingMode::Sliced { rows: srows } => {
-                        let mut slab_rows: u128 = 0;
-                        for (_, ohs) in image_rows(rows, p) {
-                            for ht in ohs.clone().step_by(s.th) {
-                                let ht_end = (ht + s.th).min(ohs.end);
-                                for sl in (ht..ht_end).step_by(srows) {
-                                    let len = srows.min(ht_end - sl);
-                                    slab_rows += ((len - 1) * shape.stride + shape.r) as u128;
-                                }
-                            }
-                        }
-                        slab_rows * row_win
-                    }
-                };
-        }
+        let total_floats: u128 = (0..s.grid.threads())
+            .filter_map(|tid| s.partition(shape, tid))
+            .map(|(k_lo, k_hi, rows)| {
+                let kt_tiles = (k_hi - k_lo).div_ceil(s.tk) as u128;
+                rows.len() as u128 * kt_tiles * (shape.c * shape.r) as u128 * win_sum
+            })
+            .sum();
         total_floats * std::mem::size_of::<f32>() as u128
     }
 
@@ -245,7 +201,7 @@ impl Schedule {
             ("tk".into(), Json::usize(self.tk)),
             ("th".into(), Json::usize(self.th)),
             ("grid".into(), self.grid.to_json()),
-            ("packing".into(), Json::str(self.packing.encode())),
+            ("packing".into(), Json::str(self.packing.as_str())),
             ("filter_state".into(), Json::str(self.filter_state.as_str())),
         ])
     }
@@ -285,38 +241,20 @@ pub(crate) fn image_rows(
 }
 
 impl PackingMode {
-    /// The variant's family name, without parameters (display / reports).
+    /// Stable string form used by the JSON schedule encoding and reports.
     pub fn as_str(&self) -> &'static str {
         match self {
             PackingMode::Fused => "fused",
             PackingMode::Sequential => "sequential",
-            PackingMode::Sliced { .. } => "sliced",
         }
     }
 
-    /// Stable string form used by the JSON schedule encoding. Parameterized
-    /// variants carry their parameter after a colon: `"sliced:<rows>"`.
-    pub fn encode(&self) -> String {
-        match self {
-            PackingMode::Sliced { rows } => format!("sliced:{rows}"),
-            other => other.as_str().to_string(),
-        }
-    }
-
-    /// Inverse of [`PackingMode::encode`]. Unknown family names, a missing
-    /// or non-numeric `sliced` row count, and `sliced:0` all return `None`
-    /// (degenerate slabs are rejected at parse time, not silently clamped).
+    /// Inverse of [`PackingMode::as_str`]; any other name is `None`.
     pub fn parse(s: &str) -> Option<PackingMode> {
         match s {
             "fused" => Some(PackingMode::Fused),
             "sequential" => Some(PackingMode::Sequential),
-            _ => {
-                let rows = s.strip_prefix("sliced:")?.parse::<usize>().ok()?;
-                if rows == 0 {
-                    return None;
-                }
-                Some(PackingMode::Sliced { rows })
-            }
+            _ => None,
         }
     }
 }
@@ -417,7 +355,7 @@ mod tests {
         // An autotune cache entry written while schedules carried a
         // `prefetch` flag parses to the same schedule, the flag dropped.
         let entry = r#"{"vw": 12, "vk": 8, "tc": 16, "tk": 64, "th": 7,
-            "grid": {"ptn": 2, "ptk": 1}, "packing": "sliced:3",
+            "grid": {"ptn": 2, "ptk": 1}, "packing": "sequential",
             "filter_state": "on_the_fly", "prefetch": true}"#;
         let parsed = Schedule::from_json(&Json::parse(entry).unwrap()).unwrap();
         let want = Schedule {
@@ -427,7 +365,7 @@ mod tests {
             tk: 64,
             th: 7,
             grid: Grid2::new(2, 1),
-            packing: PackingMode::Sliced { rows: 3 },
+            packing: PackingMode::Sequential,
             filter_state: FilterState::OnTheFly,
         };
         assert_eq!(parsed, want);
@@ -447,8 +385,10 @@ mod tests {
     #[test]
     fn json_rejects_unknown_packing() {
         let shape = ConvShape::square(1, 8, 8, 8, 3, 1);
-        let bad_modes =
-            ["vectorized-harder", "none", "sliced", "sliced:", "sliced:abc", "sliced:0", "none:4"];
+        let bad_modes = [
+            "vectorized-harder", "none", "sliced", "sliced:", "sliced:abc", "sliced:0", "sliced:3",
+            "none:4",
+        ];
         for bad in bad_modes {
             let mut j = Schedule::minimal(&shape).to_json();
             if let Json::Obj(fields) = &mut j {
@@ -466,47 +406,31 @@ mod tests {
     #[test]
     fn json_accepts_every_packing_variant() {
         // The positive polarity of `json_rejects_unknown_packing`: every
-        // mode round-trips through the cache encoding, rows included.
+        // mode round-trips through the cache encoding.
         let shape = ConvShape::square(1, 8, 8, 8, 3, 1);
-        for mode in [PackingMode::Fused, PackingMode::Sequential, PackingMode::Sliced { rows: 6 }] {
+        for mode in [PackingMode::Fused, PackingMode::Sequential] {
             let s = Schedule::minimal(&shape).with_packing(mode);
             let parsed =
                 Schedule::from_json(&Json::parse(&s.to_json().pretty()).unwrap()).unwrap();
             assert_eq!(parsed, s, "{mode:?}");
-            assert_eq!(PackingMode::parse(&mode.encode()), Some(mode));
+            assert_eq!(PackingMode::parse(mode.as_str()), Some(mode));
         }
     }
 
     #[test]
-    fn sanitize_clamps_sliced_rows_to_the_th_tile() {
-        let shape = ConvShape::square(1, 8, 8, 10, 3, 1);
-        let base = Schedule::minimal(&shape);
-        let s = base.with_packing(PackingMode::Sliced { rows: 1000 }).sanitized(&shape);
-        assert_eq!(s.packing, PackingMode::Sliced { rows: s.th });
-        let s = base.with_packing(PackingMode::Sliced { rows: 2 }).sanitized(&shape);
-        assert_eq!(s.packing, PackingMode::Sliced { rows: 2 });
-    }
-
-    #[test]
     fn predicted_pack_bytes_by_mode() {
+        // Each (output row, Tk tile, Vw strip) packs C·R·WIN floats, fused
+        // and sequential alike: Q = 10 at Vw = 4 gives windows of 6, 6 and
+        // 4 columns, and K = 16 at Tk = 8 gives two Tk tiles.
         let shape = ConvShape::square(2, 8, 16, 10, 3, 1);
         let base = Schedule::minimal(&shape);
-        // One slab per (image, slice): slices of 4 output rows over P=10
-        // give [4, 4, 2] per image; slab_rows = (len−1)·stride + R.
-        let sliced = base.with_packing(PackingMode::Sliced { rows: 4 });
-        let row_win = (shape.q() - 1) * shape.stride + shape.s;
-        let expect: usize = [4usize, 4, 2]
-            .iter()
-            .map(|len| shape.c * ((len - 1) * shape.stride + shape.r) * row_win * 4)
-            .sum::<usize>()
-            * shape.n;
-        assert_eq!(sliced.predicted_pack_bytes(&shape), expect as u128);
-
-        // Slicing always packs no more than the per-strip modes: the slab
-        // is shared across Tk tiles and overlapping strip windows.
-        assert!(
-            sliced.predicted_pack_bytes(&shape)
-                <= base.with_packing(PackingMode::Fused).predicted_pack_bytes(&shape)
-        );
+        let expect = shape.n * shape.p() * 2 * shape.c * shape.r * (6 + 6 + 4) * 4;
+        for mode in [PackingMode::Fused, PackingMode::Sequential] {
+            assert_eq!(base.with_packing(mode).predicted_pack_bytes(&shape), expect as u128);
+        }
+        // A 2×2 grid splits K into two single-tile halves and the rows in
+        // two: the same total.
+        let grid = base.with_grid(Grid2::new(2, 2));
+        assert_eq!(grid.predicted_pack_bytes(&shape), expect as u128);
     }
 }

@@ -105,13 +105,6 @@ pub enum Counter {
     Regions,
     /// Timeline events discarded because a per-thread buffer was full.
     EventsDropped,
-    /// Bytes of per-strip packing traffic the slab-sharing schedule variant
-    /// (`PackingMode::Sliced`) *avoided*: for every strip served without
-    /// its own packed buffer, the `Tc·R·WIN·4` bytes the fused/sequential
-    /// modes would have written. On the same layer and schedule,
-    /// `bytes_pack_saved` under `Sliced` equals `bytes_packed` under
-    /// `Fused`.
-    BytesPackSaved,
     /// Bytes of depthwise-intermediate round-trip traffic the fused
     /// dw+pw path *avoided*: for every row-slice consumed straight out
     /// of the cache-resident slab, the write plus read of the slice the
@@ -121,7 +114,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants.
-pub const NUM_COUNTERS: usize = 12;
+pub const NUM_COUNTERS: usize = 11;
 
 impl Counter {
     /// All counters, in declaration (= serialization) order.
@@ -136,7 +129,6 @@ impl Counter {
         Counter::PlanCacheMisses,
         Counter::Regions,
         Counter::EventsDropped,
-        Counter::BytesPackSaved,
         Counter::BytesIntermediateSaved,
     ];
 
@@ -153,7 +145,6 @@ impl Counter {
             Counter::PlanCacheMisses => "plan_cache_misses",
             Counter::Regions => "regions",
             Counter::EventsDropped => "events_dropped",
-            Counter::BytesPackSaved => "bytes_pack_saved",
             Counter::BytesIntermediateSaved => "bytes_intermediate_saved",
         }
     }

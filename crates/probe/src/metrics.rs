@@ -152,8 +152,8 @@ impl LogHistogram {
         Self::bucket_upper(NUM_BUCKETS - 1)
     }
 
-    /// A self-consistent point-in-time copy (sparse: only nonzero
-    /// buckets). `count` is recomputed from the buckets so quantile ranks
+    /// A self-consistent point-in-time copy of the nonzero buckets
+    /// only. `count` is recomputed from the buckets so quantile ranks
     /// inside the snapshot always agree with its own bucket totals.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = Vec::new();
@@ -186,7 +186,7 @@ fn rank_for(q: f64, total: u64) -> u64 {
     ((q / 100.0 * total as f64).ceil() as u64).clamp(1, total)
 }
 
-/// Immutable sparse copy of a [`LogHistogram`]: `(bucket index, count)`
+/// Immutable copy of a [`LogHistogram`]'s nonzero buckets: `(bucket index, count)`
 /// pairs sorted by index, plus total count and value sum. Supports the
 /// same quantile queries, plus `merge`/`since` set arithmetic.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

@@ -11,8 +11,12 @@
 //! builds without the `chaos` feature carry none of these branches (the
 //! [`crate::server`] hooks compile to constant `false`).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
+
+/// The longest [`Faults::hold_queue`] keeps the batcher waiting, so a hold
+/// that is never released delays the pipeline but cannot hang it.
+const QUEUE_HOLD_MAX: Duration = Duration::from_secs(10);
 
 /// A countdown budget of injectable faults, shared with a server via
 /// [`crate::Server::with_faults`]. All methods are callable concurrently
@@ -25,6 +29,7 @@ pub struct Faults {
     poison_submits: AtomicUsize,
     slow_kernel_ms: AtomicU64,
     stall_queue_ms: AtomicU64,
+    hold_queue: AtomicBool,
     injected: AtomicUsize,
 }
 
@@ -75,6 +80,20 @@ impl Faults {
         self.stall_queue_ms.store(ms, Ordering::Release);
     }
 
+    /// The batcher waits before its next pop until
+    /// [`Faults::release_queue`], so every request submitted meanwhile is
+    /// queued when it pops: the batch it forms does not depend on timing.
+    /// Armed before [`crate::Server::with_faults`], the hold comes before
+    /// the batcher's first pop.
+    pub fn hold_queue(&self) {
+        self.hold_queue.store(true, Ordering::Release);
+    }
+
+    /// Ends a [`Faults::hold_queue`].
+    pub fn release_queue(&self) {
+        self.hold_queue.store(false, Ordering::Release);
+    }
+
     /// How many faults have actually fired so far (tests assert their
     /// injection really happened).
     pub fn injected(&self) -> usize {
@@ -114,6 +133,17 @@ impl Faults {
         }
     }
 
+    pub(crate) fn wait_while_held(&self) {
+        if !self.hold_queue.load(Ordering::Acquire) {
+            return;
+        }
+        self.injected.fetch_add(1, Ordering::AcqRel);
+        let start = Instant::now();
+        while self.hold_queue.load(Ordering::Acquire) && start.elapsed() < QUEUE_HOLD_MAX {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+
     pub(crate) fn take_queue_stall(&self) -> Option<Duration> {
         match self.stall_queue_ms.swap(0, Ordering::AcqRel) {
             0 => None,
@@ -138,6 +168,24 @@ mod tests {
         assert!(f.take_refused_alloc());
         assert!(!f.take_refused_alloc(), "budget exhausted");
         assert_eq!(f.injected(), 2);
+    }
+
+    #[test]
+    fn hold_waits_for_release() {
+        let f = std::sync::Arc::new(Faults::new());
+        f.wait_while_held();
+        assert_eq!(f.injected(), 0, "an unarmed hold returns at once");
+        f.hold_queue();
+        let waiter = {
+            let f = std::sync::Arc::clone(&f);
+            std::thread::spawn(move || f.wait_while_held())
+        };
+        while f.injected() == 0 {
+            std::thread::yield_now();
+        }
+        assert!(!waiter.is_finished(), "held until released");
+        f.release_queue();
+        waiter.join().expect("released");
     }
 
     #[test]

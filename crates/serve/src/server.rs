@@ -179,6 +179,13 @@ impl FaultHook {
         }
     }
 
+    fn queue_hold(&self) {
+        #[cfg(any(test, feature = "chaos"))]
+        if let Some(f) = &self.sheet {
+            f.wait_while_held();
+        }
+    }
+
     fn queue_stall(&self) -> Option<Duration> {
         #[cfg(any(test, feature = "chaos"))]
         {
@@ -549,6 +556,7 @@ fn batcher_loop(inner: &Arc<ServerInner>) {
     // reused (cleared) every wakeup.
     let mut expired = Vec::new();
     loop {
+        inner.faults.queue_hold();
         if let Some(stall) = inner.faults.queue_stall() {
             std::thread::sleep(stall);
         }

@@ -240,14 +240,16 @@ fn transient_alloc_refusal_is_retried_transparently() {
 fn exhausted_retries_degrade_to_minimal_schedule_correctly() {
     let config = ServeConfig { max_retries: 1, ..quick_config() };
     let faults = Arc::new(Faults::new());
+    faults.hold_queue();
     let server =
         Server::with_faults(config, vec![model_def(1)], Arc::clone(&faults)).expect("server");
     // Two refusals cover the first try + single retry of a fresh batch
-    // plan; the degraded build then succeeds.
+    // plan; the degraded build then succeeds. The hold makes the two
+    // requests one batch of 2.
     faults.refuse_next_allocs(2);
-    faults.stall_queue_once_ms(40);
     let t1 = server.submit(MODEL, input(5), None).expect("submit");
     let t2 = server.submit(MODEL, input(6), None).expect("submit");
+    faults.release_queue();
     let r1 = t1.wait().expect("degraded result");
     let r2 = t2.wait().expect("degraded result");
     assert!(r1.degraded && r2.degraded, "minimal-schedule fallback used");
@@ -277,14 +279,16 @@ fn exhausted_retries_degrade_to_minimal_schedule_correctly() {
 fn total_transient_failure_yields_retries_exhausted() {
     let config = ServeConfig { max_retries: 1, ..quick_config() };
     let faults = Arc::new(Faults::new());
+    faults.hold_queue();
     let server =
         Server::with_faults(config, vec![model_def(1)], Arc::clone(&faults)).expect("server");
     // First try + 1 retry + degraded fallback = 3 refusals needed to
-    // exhaust everything for one fresh (batched) plan.
+    // exhaust everything for one fresh (batched) plan. The hold makes the
+    // two requests one batch of 2.
     faults.refuse_next_allocs(3);
-    faults.stall_queue_once_ms(40);
     let t1 = server.submit(MODEL, input(1), None).expect("submit");
     let t2 = server.submit(MODEL, input(2), None).expect("submit");
+    faults.release_queue();
     for t in [t1, t2] {
         match t.wait() {
             Err(e @ ServeError::RetriesExhausted { attempts, .. }) => {

@@ -2,6 +2,9 @@
 //! (MobileNet's building block), 3-D convolution, and the native NHWC
 //! entry point.
 //!
+//! Each printed time is the median of five calls after a warm-up call, so
+//! first-touch pages and cold caches stay out of it.
+//!
 //! ```sh
 //! cargo run --release -p ndirect-integration --example extensions
 //! ```
@@ -15,6 +18,23 @@ use ndirect_tensor::{
 use ndirect_threads::StaticPool;
 use std::time::Instant;
 
+/// Timed calls per measurement, after one warm-up call.
+const REPS: usize = 5;
+
+/// Calls `f` once to warm up, then `REPS` more times; returns the last
+/// result and the median seconds of the timed calls.
+fn timed_median<T>(mut f: impl FnMut() -> T) -> (T, f64) {
+    let mut out = f();
+    let mut secs = [0.0; REPS];
+    for s in &mut secs {
+        let t = Instant::now();
+        out = f();
+        *s = t.elapsed().as_secs_f64();
+    }
+    secs.sort_by(f64::total_cmp);
+    (out, secs[REPS / 2])
+}
+
 fn main() {
     let pool = StaticPool::with_hardware_threads();
 
@@ -23,15 +43,15 @@ fn main() {
     let input = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nchw), 1);
     let dw = fill::random_filter(Filter::zeros(64, 1, 3, 3, FilterLayout::Kcrs), 2);
     let pw = fill::random_filter(Filter::zeros(128, 64, 1, 1, FilterLayout::Kcrs), 3);
-    let t = Instant::now();
-    let out = try_conv_depthwise_separable(&pool, &input, &dw, &pw, &shape).expect("valid problem");
-    let dsc_time = t.elapsed();
+    let (out, dsc_secs) = timed_median(|| {
+        try_conv_depthwise_separable(&pool, &input, &dw, &pw, &shape).expect("valid problem")
+    });
     // The separable pair vs the dense 3x3 it approximates: count the MACs.
     let dsc_macs = 64 * 56 * 56 * 9 + 128 * 64 * 56 * 56;
     let dense_macs = 128 * 64 * 56 * 56 * 9;
     println!(
-        "depthwise-separable 64->128 @56x56: {:?}, {}x fewer MACs than dense 3x3",
-        dsc_time,
+        "depthwise-separable 64->128 @56x56: {:.2} ms, {}x fewer MACs than dense 3x3",
+        dsc_secs * 1e3,
         dense_macs / dsc_macs
     );
     assert_eq!(out.dims(), (1, 128, 56, 56));
@@ -57,12 +77,9 @@ fn main() {
     let mut f3 = Filter5::zeros(shape3.k, shape3.c, shape3.t, shape3.r, shape3.s);
     fill::fill_random(f3.as_mut_slice(), 5);
 
-    let t = Instant::now();
-    let got = try_conv3d_ndirect(&pool, &vol, &f3, &shape3).expect("valid problem");
-    let fast = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let expect = conv3d_naive(&vol, &f3, &shape3);
-    let slow = t.elapsed().as_secs_f64();
+    let (got, fast) =
+        timed_median(|| try_conv3d_ndirect(&pool, &vol, &f3, &shape3).expect("valid problem"));
+    let (expect, slow) = timed_median(|| conv3d_naive(&vol, &f3, &shape3));
     let err = max_rel_diff(got.as_slice(), expect.as_slice());
     println!(
         "conv3d 4->8 @16x32x32 3x3x3: {:.2} GFLOPS ({:.1}x over naive), max rel err {err:.1e}",
@@ -75,11 +92,11 @@ fn main() {
     let shape = ConvShape::square(1, 64, 64, 28, 3, 1);
     let in_nhwc = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nhwc), 6);
     let f_krsc = fill::random_filter(Filter::for_shape(&shape, FilterLayout::Krsc), 7);
-    let t = Instant::now();
-    let out = try_conv_ndirect(&pool, &in_nhwc, &f_krsc, &shape).expect("valid problem");
+    let (out, nhwc_secs) =
+        timed_median(|| try_conv_ndirect(&pool, &in_nhwc, &f_krsc, &shape).expect("valid problem"));
     println!(
         "native NHWC 64->64 @28x28 3x3: {:.2} GFLOPS, output layout {:?}",
-        shape.gflops(t.elapsed().as_secs_f64()),
+        shape.gflops(nhwc_secs),
         out.layout()
     );
     let oracle = ndirect_baselines::naive::conv_ref(&in_nhwc, &f_krsc, &shape);
@@ -90,10 +107,9 @@ fn main() {
     let shape = ConvShape::square(1, 64, 64, 28, 3, 1);
     let input = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nchw), 8);
     let filter = fill::random_filter(Filter::for_shape(&shape, FilterLayout::Kcrs), 9);
-    let t = Instant::now();
-    let (qout, qx, qw) = ndirect_core::try_conv_quantized(&pool, &input, &filter, &shape)
-        .expect("valid problem");
-    let qt = t.elapsed().as_secs_f64();
+    let ((qout, qx, qw), qt) = timed_median(|| {
+        ndirect_core::try_conv_quantized(&pool, &input, &filter, &shape).expect("valid problem")
+    });
     let reference = ndirect_baselines::naive::conv_ref(&input, &filter, &shape);
     let qerr = max_rel_diff(qout.as_slice(), reference.as_slice());
     println!(

@@ -62,15 +62,6 @@ fn max_ulp(got: &[f32], want: &[f32], abs_floor: f32) -> u64 {
 const BUDGET_ULP: u64 = 4096;
 const ABS_FLOOR: f32 = 1e-6;
 
-/// The packing variants the unfused pointwise reference must reproduce
-/// bitwise, besides `Fused`.
-const OTHER_PACKINGS: [PackingMode; 4] = [
-    PackingMode::Sequential,
-    PackingMode::Sliced { rows: 1 },
-    PackingMode::Sliced { rows: 3 },
-    PackingMode::Sliced { rows: usize::MAX },
-];
-
 /// One grid pair: `(label, N, C, K, H, W, stride, pad)` for a `3×3`
 /// depthwise stage feeding a `1×1` pointwise `C → K`.
 fn pair_grid() -> Vec<(&'static str, ConvShape, usize)> {
@@ -174,14 +165,12 @@ fn unfused_reference(
             .expect("valid problem")
     };
     let want = run(PackingMode::Fused);
-    for mode in OTHER_PACKINGS {
-        let got = run(mode);
-        assert_eq!(
-            got.as_slice(),
-            want.as_slice(),
-            "{pw_shape} under {mode:?} differs from Fused"
-        );
-    }
+    let got = run(PackingMode::Sequential);
+    assert_eq!(
+        got.as_slice(),
+        want.as_slice(),
+        "{pw_shape} under Sequential differs from Fused"
+    );
     want
 }
 

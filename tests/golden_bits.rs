@@ -115,8 +115,7 @@ fn schedule(shape: &ConvShape, tiles: (usize, usize, usize, usize, usize)) -> Sc
     s
 }
 
-const MODES: [PackingMode; 3] =
-    [PackingMode::Fused, PackingMode::Sequential, PackingMode::Sliced { rows: 2 }];
+const MODES: [PackingMode; 2] = [PackingMode::Fused, PackingMode::Sequential];
 const GRIDS: [(usize, usize); 3] = [(1, 1), (2, 1), (1, 2)];
 
 /// The order-matched oracle's output for each rounding, indexed by

@@ -85,9 +85,8 @@ fn dense_case(seed: u64, pool: &StaticPool) {
         [false, true].map(|fused| conv_ordered(&input, &filter, &shape, base.tc, fused));
     let want = |kernel: Kernel| &oracle[usize::from(kernel.fused(body))];
     let grids = [(1, 1), *rng.choose(&[(2, 1), (1, 2), (2, 2)])];
-    let sliced = PackingMode::Sliced { rows: rng.gen_range_usize(1, 4) };
 
-    for mode in [PackingMode::Fused, PackingMode::Sequential, sliced] {
+    for mode in [PackingMode::Fused, PackingMode::Sequential] {
         for (ptn, ptk) in grids {
             let sched = base.with_packing(mode).with_grid(Grid2::new(ptn, ptk));
             let at = format!("{what}: {mode:?} on {ptn}x{ptk}");

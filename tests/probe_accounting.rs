@@ -11,9 +11,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use ndirect_core::{
-    try_conv3d_ndirect, Conv3dShape, ConvPlan, FusedDwPwPlan, PackingMode, Schedule,
-};
+use ndirect_core::{try_conv3d_ndirect, Conv3dShape, ConvPlan, FusedDwPwPlan, Schedule};
 use ndirect_probe::{Counter, Phase, TraceReport};
 use ndirect_tensor::{
     fill, ActLayout, ConvShape, Filter, Filter5, FilterLayout, Padding, Tensor4, Tensor5,
@@ -99,60 +97,6 @@ fn packed_bytes_match_schedule_prediction() {
             } else {
                 assert_eq!(d[0], 0);
             }
-        }
-    }
-}
-
-/// The slab-sharing schedule variant: `Sliced` must pack exactly what the
-/// analytic slab model predicts and record in `bytes_pack_saved` precisely
-/// the per-strip traffic a `Fused` run of the same layer pays in
-/// `bytes_packed` — all while staying bitwise identical to `Fused`.
-#[test]
-fn zero_copy_variants_account_exactly_and_match_fused_bitwise() {
-    let _g = lock();
-    let platform = ndirect_platform::host();
-    let watched = [Counter::BytesPacked, Counter::BytesPackSaved];
-    for &id in &LAYERS {
-        let shape = table4::layer_by_id(id).unwrap().shape(1);
-        let p = make_problem(shape, ActLayout::Nchw, FilterLayout::Kcrs, id as u64);
-        let pool = StaticPool::new(2);
-        let base = Schedule::derive(&platform, &shape, 2);
-        let model_rows = ndirect_core::model::slicing::slab_rows(&platform, &shape, base.tc);
-
-        let run = |packing: PackingMode| {
-            let mut sched = base.clone();
-            sched.packing = packing;
-            let plan =
-                ConvPlan::try_with_schedule(&shape, &p.filter, &sched).expect("valid layer");
-            let predicted = plan.schedule().predicted_pack_bytes(&shape);
-            let mut out = Tensor4::output_for(&shape, ActLayout::Nchw);
-            let d = deltas(&watched, || {
-                plan.execute(&pool, &p.input, &mut out).expect("valid layer");
-            });
-            (out, d, predicted)
-        };
-
-        let (fused_out, fused_d, _) = run(PackingMode::Fused);
-        if ndirect_probe::ENABLED {
-            assert_eq!(fused_d[1], 0, "layer {id}: Fused saves nothing");
-        }
-        let (out, d, predicted) = run(PackingMode::Sliced { rows: model_rows });
-        assert_eq!(
-            out.as_slice(),
-            fused_out.as_slice(),
-            "layer {id}: Sliced must be bitwise identical to Fused"
-        );
-        if ndirect_probe::ENABLED {
-            assert_eq!(
-                d[0] as u128, predicted,
-                "layer {id}: Sliced bytes_packed must match the prediction"
-            );
-            assert_eq!(
-                d[1], fused_d[0],
-                "layer {id}: Sliced bytes_pack_saved must equal Fused's bytes_packed"
-            );
-        } else {
-            assert_eq!(d, vec![0, 0]);
         }
     }
 }

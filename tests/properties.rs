@@ -453,8 +453,9 @@ fn diff_shape(rng: &mut Rng64, depthwise: bool) -> ConvShape {
 /// Advances `rng` past the draws each seed's dense case made before its
 /// separable case when both ran here, from one stream (the dense case is
 /// now `tests/ordered_oracle.rs`): the shape, then seven single draws
-/// (five tile sizes, a thread grid, a sliced packing's rows). So every
-/// seed's separable case is still the one it always drew.
+/// (five tile sizes, a thread grid, and the slab rows of a packing mode
+/// since deleted). So every seed's separable case is still the one it
+/// always drew.
 fn skip_dense_draws(rng: &mut Rng64) {
     diff_shape(rng, false);
     for _ in 0..7 {
