@@ -77,25 +77,6 @@ pub enum RowSource<'a> {
         /// Rows per channel.
         rdim: usize,
     },
-    /// Read rows out of a cache-resident slab laid out
-    /// `[c][row][row_stride]`: the fused dw+pw plan's depthwise-output slab
-    /// ([`crate::FusedDwPwPlan`]). Each strip row is a contiguous
-    /// `win`-element sub-slice of one slab row, so the kernels run
-    /// unchanged — only the addressing differs from `Packed`.
-    Strided {
-        /// The slab (`[c][row][row_stride]`, `c` relative to the tile).
-        buf: &'a [f32],
-        /// Slab rows per channel.
-        rows_per_c: usize,
-        /// Elements per slab row.
-        row_stride: usize,
-        /// First slab row of this strip's window.
-        row_off: usize,
-        /// Column offset of this strip's window inside a slab row.
-        col_off: usize,
-        /// Elements per strip row (`(valid_w−1)·stride + S`).
-        win: usize,
-    },
 }
 
 impl RowSource<'_> {
@@ -106,8 +87,8 @@ impl RowSource<'_> {
     /// the kernel reads, `(valid_w − 1)·stride + S`.
     ///
     /// Each source keeps a loop of its own, so that only the gathering one
-    /// has a call in it and the others hold the caller's accumulators in
-    /// registers. Callers mark `f` `#[inline(always)]` for the same reason:
+    /// has a call in it and the packed one holds the caller's accumulators
+    /// in registers. Callers mark `f` `#[inline(always)]` for the same reason:
     /// with one call site per loop it would otherwise be outlined and the
     /// accumulators would live in memory.
     #[inline(always)]
@@ -148,20 +129,6 @@ impl RowSource<'_> {
                 for ((c, rr, tfr), brow) in walk.zip(buf.chunks_exact_mut(*bwin)) {
                     gather_row(image, *ct + c, *ih0 + rr as isize, *iw0, *h, *w, brow);
                     f(tfr, brow);
-                }
-            }
-            RowSource::Strided {
-                buf,
-                rows_per_c,
-                row_stride,
-                row_off,
-                col_off,
-                win: swin,
-            } => {
-                debug_assert!(*swin >= win);
-                for (c, rr, tfr) in walk {
-                    let base = (c * *rows_per_c + *row_off + rr) * *row_stride + *col_off;
-                    f(tfr, &buf[base..base + *swin]);
                 }
             }
         }
@@ -694,12 +661,11 @@ mod tests {
         }
     }
 
-    /// The three row sources a tile kernel reads.
+    /// The two row sources a tile kernel reads.
     #[derive(Clone, Copy, Debug)]
     enum Source {
         Packed,
         Gather,
-        Strided,
     }
 
     /// How a test runs a tile.
@@ -785,31 +751,6 @@ mod tests {
                 win: geom.win,
                 rdim: shape.r,
             }),
-            Source::Strided => {
-                // A two-row slice ending at `oh` (one row when oh = 0), so
-                // `row_off` is exercised, not just a zero offset.
-                let slice_oh0 = oh.saturating_sub(1);
-                let slice_len = oh - slice_oh0 + 1;
-                let row_win = (q - 1) * shape.stride + shape.s;
-                let rows_per_c = (slice_len - 1) * shape.stride + shape.r;
-                // The slab holds every full-width input row the slice
-                // reads, per channel.
-                let ih_base = (slice_oh0 * shape.stride) as isize - shape.pad.h as isize;
-                let iw0 = -(shape.pad.w as isize);
-                let mut slab = vec![0.0; tcb * rows_per_c * row_win];
-                for (i, row) in slab.chunks_exact_mut(row_win).enumerate() {
-                    let (c, ir) = (ct + i / rows_per_c, (i % rows_per_c) as isize);
-                    gather_row(image, c, ih_base + ir, iw0, shape.h, shape.w, row);
-                }
-                run(&mut RowSource::Strided {
-                    buf: &slab,
-                    rows_per_c,
-                    row_stride: row_win,
-                    row_off: (oh - slice_oh0) * shape.stride,
-                    col_off: wv * shape.stride,
-                    win: geom.win,
-                });
-            }
         }
         match out_layout {
             ActLayout::Nchw => out_vec,
@@ -870,7 +811,7 @@ mod tests {
                 let oracle = oracle(&input, &filter, &shape, kernel);
                 assert_tile_eq(&want, &oracle, &shape, oh, 0, valid_w, vk.min(shape.k), &what);
                 let via = Via::Stamped(kernel.is_one_of(entries));
-                for source in [Source::Packed, Source::Gather, Source::Strided] {
+                for source in [Source::Packed, Source::Gather] {
                     for out_layout in [ActLayout::Nchw, ActLayout::Nhwc] {
                         let what = format!("{what}: {source:?} into {out_layout:?}");
                         assert_eq!(run(kernel, source, via, out_layout), want, "{what}");
@@ -881,7 +822,7 @@ mod tests {
     }
 
     #[test]
-    fn strided_source_matches_packed_bitwise() {
+    fn packed_source_matches_oracle_on_interior_and_boundary_strips() {
         // (shape, vk, valid_w, oh, wv): interior and boundary strips,
         // stride 1 and 2, pointwise, a 7x7, and a dyn-kernel width.
         if Kernel::supported().count() == 1 {
@@ -909,7 +850,7 @@ mod tests {
                 )
             };
             // Under every registry entry: its dynamic kernel equals the
-            // oracle, and both sources through `run_tile` equal it.
+            // oracle, and the packed source through `run_tile` equals it.
             for kernel in Kernel::supported() {
                 let what = format!("case {i} on {}", kernel.name());
                 let dynamic = run(kernel, Source::Packed, Via::Dyn);
@@ -917,8 +858,6 @@ mod tests {
                 assert_tile_eq(&dynamic, &oracle, &shape, oh, wv, valid_w, vk.min(shape.k), &what);
                 let packed = run(kernel, Source::Packed, Via::Tile);
                 assert_eq!(packed, dynamic, "{what}: Packed differs from the dynamic kernel");
-                let strided = run(kernel, Source::Strided, Via::Tile);
-                assert_eq!(strided, packed, "{what}: Strided differs from Packed");
             }
         }
     }

@@ -64,11 +64,10 @@ pub mod registry;
 pub mod schedule;
 
 pub use conv::{try_conv_ndirect, try_conv_ndirect_with};
-pub use depthwise::{conv_depthwise, try_conv_depthwise, try_conv_depthwise_separable};
-pub use dwpw::{
-    fused_pair_flops, try_compose_shapes, try_conv_dwpw_fused, try_conv_dwpw_fused_with,
-    DwPwSchedule, FusedDwPwPlan,
+pub use depthwise::{
+    conv_depthwise, try_compose_shapes, try_conv_depthwise, try_conv_depthwise_separable,
 };
+pub use dwpw::FusedDwPwPlan;
 pub use conv3d::{conv3d_naive, try_conv3d_ndirect, Conv3dShape};
 pub use error::Error;
 #[doc(hidden)]

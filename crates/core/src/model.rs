@@ -362,82 +362,6 @@ pub mod cache_tiles {
     }
 }
 
-pub mod slicing {
-    //! Slab sizing for the fused dw+pw path ([`crate::FusedDwPwPlan`]).
-    //!
-    //! The fused plan holds one cache-resident slab of finished depthwise
-    //! rows per slice and runs the pointwise stage over it. The slab must
-    //! stay resident next to the filter block Eq. 2 already budgets, so it
-    //! is sized against the same half-of-L2 reservation: the largest
-    //! `rows` with `C · rows · Q · 4 ≤ C_L2 / 2`.
-
-    use ndirect_platform::Platform;
-    use ndirect_tensor::ConvShape;
-
-    /// Bytes one `rows`-row *depthwise-output* slab occupies for the fused
-    /// dw+pw path: `C · rows · Q · 4`. The slab holds finished depthwise
-    /// rows, not an input window, so there is no `R`/stride halo — the
-    /// pointwise consumer is 1×1 stride-1.
-    pub fn fused_slab_bytes(dw_shape: &ConvShape, rows: usize) -> usize {
-        dw_shape.c * rows.max(1) * dw_shape.q() * 4
-    }
-
-    /// The largest fused dw-output slice length whose slab fits half the
-    /// per-core L2, clamped to `[1, P]`; degrades to 1 row when even a
-    /// single `C·Q` row plane overflows the budget.
-    pub fn fused_slab_rows(platform: &Platform, dw_shape: &ConvShape) -> usize {
-        let budget = platform.cache.l2_per_core() / 2 / 4; // floats
-        let per_row = (dw_shape.c * dw_shape.q()).max(1);
-        (budget / per_row).clamp(1, dw_shape.p())
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use ndirect_platform::{kp920, phytium_2000p, rpi4};
-        use ndirect_tensor::ConvShape;
-
-        #[test]
-        fn fused_slab_fits_half_l2_or_is_one_row() {
-            for p in [phytium_2000p(), kp920(), rpi4()] {
-                for dw in [
-                    ConvShape::square(1, 64, 64, 112, 3, 1),
-                    ConvShape::square(1, 256, 256, 28, 3, 2),
-                    ConvShape::square(1, 512, 512, 14, 3, 1),
-                ] {
-                    let rows = fused_slab_rows(&p, &dw);
-                    assert!(rows >= 1 && rows <= dw.p(), "{}: rows={rows}", p.name);
-                    if rows > 1 {
-                        assert!(
-                            fused_slab_bytes(&dw, rows) <= p.cache.l2_per_core() / 2,
-                            "{}: {} bytes",
-                            p.name,
-                            fused_slab_bytes(&dw, rows)
-                        );
-                    }
-                }
-            }
-        }
-
-        #[test]
-        fn wider_images_get_shorter_slices() {
-            // A wider depthwise output row costs more slab per row, so the
-            // half-L2 budget holds fewer rows.
-            let p = kp920();
-            let narrow = ConvShape::square(1, 64, 64, 56, 3, 1);
-            let wide = ConvShape::square(1, 64, 64, 112, 3, 1);
-            assert!(fused_slab_rows(&p, &wide) < fused_slab_rows(&p, &narrow));
-        }
-
-        #[test]
-        fn fused_tiny_shapes_take_the_whole_row_range() {
-            let p = kp920();
-            let dw = ConvShape::square(1, 32, 32, 7, 3, 1);
-            assert_eq!(fused_slab_rows(&p, &dw), dw.p());
-        }
-    }
-}
-
 pub mod thread_map {
     //! Eqs. 5–6: the thread-mapping model.
     //!

@@ -85,8 +85,7 @@ use crate::schedule::{image_rows, FilterState, PackingMode, Schedule};
 const CACHED_SETS_MAX: usize = 8;
 
 /// A filter the plan either borrows (the one-shot wrappers, zero-copy) or
-/// owns (plans that outlive the caller's borrow). Shared with the fused
-/// dw+pw plan in [`crate::dwpw`].
+/// owns (plans that outlive the caller's borrow).
 pub(crate) enum FilterRef<'f> {
     Borrowed(&'f Filter),
     Owned(Filter),
@@ -142,11 +141,11 @@ impl<S> Arena<S> {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    fn take(&self) -> Option<Vec<Mutex<S>>> {
+    pub(crate) fn take(&self) -> Option<Vec<Mutex<S>>> {
         self.lock().pop()
     }
 
-    fn put(&self, s: Vec<Mutex<S>>) {
+    pub(crate) fn put(&self, s: Vec<Mutex<S>>) {
         let mut g = self.lock();
         if g.len() < CACHED_SETS_MAX {
             // AUDIT: allow(hotpath-no-alloc) bounded arena return — at most
@@ -659,7 +658,7 @@ impl<'f> DepthwisePlan<'f> {
 
     // AUDIT: cold — scratch provisioning; runs on arena miss, never per tile.
     fn alloc_set(shape: &ConvShape, threads: usize) -> Result<Vec<Mutex<AlignedBuf>>, Error> {
-        crate::conv::try_scratch_bufs(crate::depthwise::padded_len(shape, shape.p()), threads)
+        crate::conv::try_scratch_bufs(crate::depthwise::padded_len(shape), threads)
     }
 
     /// The shape the plan was built for.
@@ -725,10 +724,11 @@ impl<'f> DepthwisePlan<'f> {
                         &in_data[item * plane_in..][..plane_in],
                         &taps[c * rs..][..rs],
                         shape,
-                        0..p,
                         scratch,
                         dst,
                     );
+                    // 2 FLOPs per tap per output pixel: no `C` reduction.
+                    ndirect_probe::probe_count!(FlopsIssued, 2 * rs * plane_out);
                 }
             },
         )
@@ -740,7 +740,7 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ConvPlan<'static>>();
     assert_send_sync::<DepthwisePlan<'static>>();
-    assert_send_sync::<crate::dwpw::FusedDwPwPlan<'static>>();
+    assert_send_sync::<crate::dwpw::FusedDwPwPlan>();
 };
 
 #[cfg(test)]

@@ -21,16 +21,11 @@ use std::sync::{Arc, Mutex};
 
 use ndirect_tensor::{ConvShape, Filter};
 
-use crate::dwpw::FusedDwPwPlan;
 use crate::error::Error;
 use crate::plan::{ConvPlan, DepthwisePlan};
 
 /// Identity of a planned layer: shape + frozen-filter identity + thread
 /// count + caller tag.
-///
-/// Two-filter layers (the fused dw+pw block) extend the identity with the
-/// second filter's buffer via [`PlanKey::for_pair`]; single-filter keys
-/// leave those fields zero, so the two families never collide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// The convolution shape the plan was built for.
@@ -39,11 +34,6 @@ pub struct PlanKey {
     fptr: usize,
     /// Length of the filter buffer in elements.
     flen: usize,
-    /// Address of the second (pointwise) filter buffer for fused dw+pw
-    /// keys; 0 for single-filter layers.
-    fptr2: usize,
-    /// Length of the second filter buffer; 0 for single-filter layers.
-    flen2: usize,
     /// Thread count the plan's grid targets.
     pub threads: usize,
     /// Caller-chosen discriminator between alternative plans for the same
@@ -65,27 +55,9 @@ impl PlanKey {
             shape: *shape,
             fptr: data.as_ptr() as usize,
             flen: data.len(),
-            fptr2: 0,
-            flen2: 0,
             threads,
             tag,
         }
-    }
-
-    /// Key for a two-filter fused dw+pw layer: `shape` is the depthwise
-    /// stage's, and both frozen filter buffers join the identity.
-    pub fn for_pair(
-        shape: &ConvShape,
-        dw_filter: &Filter,
-        pw_filter: &Filter,
-        threads: usize,
-        tag: u64,
-    ) -> Self {
-        let pw = pw_filter.as_slice();
-        let mut key = Self::with_tag(shape, dw_filter, threads, tag);
-        key.fptr2 = pw.as_ptr() as usize;
-        key.flen2 = pw.len();
-        key
     }
 }
 
@@ -130,16 +102,14 @@ impl<P> Cache<P> {
 }
 
 /// A concurrent build-once cache of planned layers, shared across worker
-/// threads via `Arc`. Three plan families live side by side — standard
-/// [`ConvPlan`]s, [`DepthwisePlan`]s, and fused [`FusedDwPwPlan`]s — each
-/// in its own typed map under the same [`PlanKey`] identity scheme, so the
-/// serving layer and the model backends resolve every layer kind through
-/// one registry.
+/// threads via `Arc`. Two plan families live side by side — standard
+/// [`ConvPlan`]s and [`DepthwisePlan`]s — each in its own typed map under
+/// the same [`PlanKey`] identity scheme, so the serving layer and the
+/// model backends resolve every layer kind through one registry.
 #[derive(Default)]
 pub struct PlanRegistry {
     map: Cache<ConvPlan<'static>>,
     dw: Cache<DepthwisePlan<'static>>,
-    fused: Cache<FusedDwPwPlan<'static>>,
 }
 
 impl std::fmt::Debug for PlanRegistry {
@@ -194,25 +164,9 @@ impl PlanRegistry {
         self.dw.get(key)
     }
 
-    /// Returns the cached fused dw+pw plan for `key` (built with
-    /// [`PlanKey::for_pair`]), or builds, caches, and returns it — same
-    /// locking discipline as [`PlanRegistry::get_or_try_build`].
-    pub fn get_or_try_build_fused(
-        &self,
-        key: PlanKey,
-        build: impl FnOnce() -> Result<FusedDwPwPlan<'static>, Error>,
-    ) -> Result<Arc<FusedDwPwPlan<'static>>, Error> {
-        self.fused.get_or_try_build(key, build)
-    }
-
-    /// Returns the cached fused dw+pw plan for `key` without building.
-    pub fn get_fused(&self, key: &PlanKey) -> Option<Arc<FusedDwPwPlan<'static>>> {
-        self.fused.get(key)
-    }
-
-    /// Number of distinct plans cached, across all three families.
+    /// Number of distinct plans cached, across both families.
     pub fn len(&self) -> usize {
-        self.map.lock().len() + self.dw.lock().len() + self.fused.lock().len()
+        self.map.lock().len() + self.dw.lock().len()
     }
 
     /// Whether the registry holds no plans.
@@ -225,7 +179,6 @@ impl PlanRegistry {
     pub fn clear(&self) {
         self.map.lock().clear();
         self.dw.lock().clear();
-        self.fused.lock().clear();
     }
 }
 
@@ -334,7 +287,7 @@ mod tests {
         assert!(plans.iter().all(|p| Arc::ptr_eq(p, &plans[0])));
     }
 
-    fn dwpw_problem() -> (ConvShape, Filter, Filter) {
+    fn depthwise_problem() -> (ConvShape, Filter) {
         let shape = ndirect_tensor::ConvShape::new(
             1,
             8,
@@ -347,13 +300,12 @@ mod tests {
             ndirect_tensor::Padding::same(1),
         );
         let dw = fill::random_filter(Filter::zeros(8, 1, 3, 3, FilterLayout::Kcrs), 2);
-        let pw = fill::random_filter(Filter::zeros(12, 8, 1, 1, FilterLayout::Kcrs), 3);
-        (shape, dw, pw)
+        (shape, dw)
     }
 
     #[test]
     fn depthwise_plans_register_and_reuse() {
-        let (shape, dw, _) = dwpw_problem();
+        let (shape, dw) = depthwise_problem();
         let reg = PlanRegistry::new();
         let key = PlanKey::new(&shape, &dw, 1);
         let a = reg
@@ -370,75 +322,18 @@ mod tests {
     }
 
     #[test]
-    fn pair_keys_distinguish_pointwise_filters() {
-        let (shape, dw, pw) = dwpw_problem();
-        let pw2 = fill::random_filter(Filter::zeros(12, 8, 1, 1, FilterLayout::Kcrs), 4);
-        let a = PlanKey::for_pair(&shape, &dw, &pw, 1, 0);
-        let b = PlanKey::for_pair(&shape, &dw, &pw2, 1, 0);
-        assert_ne!(a, b, "a different pointwise filter is a different layer");
-        assert_ne!(
-            a,
-            PlanKey::new(&shape, &dw, 1),
-            "pair keys never collide with single-filter keys"
-        );
-    }
-
-    #[test]
-    fn concurrent_fused_lookups_share_one_plan() {
-        let (shape, dw, pw) = dwpw_problem();
-        let reg = Arc::new(PlanRegistry::new());
-        let key = PlanKey::for_pair(&shape, &dw, &pw, 1, 0);
-        let plans: Vec<_> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let reg = Arc::clone(&reg);
-                    let (shape, dw, pw) = (&shape, &dw, &pw);
-                    s.spawn(move || {
-                        reg.get_or_try_build_fused(key, || {
-                            FusedDwPwPlan::try_new(
-                                &ndirect_platform::host(),
-                                shape,
-                                dw,
-                                pw,
-                                1,
-                            )
-                        })
-                        .expect("racing fused build")
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("no panic")).collect()
-        });
-        assert_eq!(reg.len(), 1, "one winner");
-        assert!(plans.iter().all(|p| Arc::ptr_eq(p, &plans[0])));
-        // Shared-Arc execution: every clone runs the same plan instance.
-        let pool = ndirect_threads::StaticPool::new(1);
-        let input = fill::random_tensor(
-            ndirect_tensor::Tensor4::input_for(&shape, ndirect_tensor::ActLayout::Nchw),
-            5,
-        );
-        let mut out = ndirect_tensor::Tensor4::zeros(
-            1,
-            12,
-            shape.p(),
-            shape.q(),
-            ndirect_tensor::ActLayout::Nchw,
-        );
-        plans[0].execute(&pool, &input, &mut out).expect("execute");
-    }
-
-    #[test]
     fn clear_empties_every_family() {
-        let (shape, dw, pw) = dwpw_problem();
+        let (shape, dw) = depthwise_problem();
         let reg = PlanRegistry::new();
         reg.get_or_try_build_depthwise(PlanKey::new(&shape, &dw, 1), || {
             DepthwisePlan::try_new(&shape, &dw, 1)
         })
         .expect("dw");
-        reg.get_or_try_build_fused(PlanKey::for_pair(&shape, &dw, &pw, 1, 0), || {
-            FusedDwPwPlan::try_new(&ndirect_platform::host(), &shape, &dw, &pw, 1)
+        let (conv_shape, filter) = problem();
+        reg.get_or_try_build(PlanKey::new(&conv_shape, &filter, 1), || {
+            build(&conv_shape, &filter)
         })
-        .expect("fused");
+        .expect("conv");
         assert_eq!(reg.len(), 2);
         reg.clear();
         assert!(reg.is_empty());

@@ -433,4 +433,47 @@ mod tests {
         let grid = base.with_grid(Grid2::new(2, 2));
         assert_eq!(grid.predicted_pack_bytes(&shape), expect as u128);
     }
+
+    /// The per-thread work identity, without timing: on every Table 4
+    /// shape (batch 2, so row ranges cross images) and the 3-D flat shape
+    /// each lifts to, under every `PTn × PTk` grid of at most 8 threads,
+    /// the partition's regions cover the `N·P × K` output exactly once and
+    /// the per-thread FLOPs sum to `ConvShape::flops`.
+    #[test]
+    fn partition_covers_the_output_once_and_conserves_flops() {
+        use crate::conv3d::Conv3dShape;
+        use ndirect_workloads::TABLE4;
+        let mut shapes: Vec<ConvShape> = TABLE4.iter().map(|l| l.shape(2)).collect();
+        for l in &TABLE4 {
+            let pad = l.rs / 2;
+            let volume = Conv3dShape {
+                n: 2, c: l.c, d: 4, h: l.hw, w: l.hw, k: l.k, t: l.rs, r: l.rs, s: l.rs,
+                stride: l.stride, pad_d: pad, pad_h: pad, pad_w: pad,
+            };
+            let flat = volume.flat();
+            assert_eq!(flat.flops(), volume.flops(), "{volume:?}");
+            shapes.push(flat);
+        }
+        for shape in &shapes {
+            let (rows, k) = (shape.n * shape.p(), shape.k);
+            let mac = 2 * (shape.q() * shape.c * shape.r * shape.s) as u64;
+            for (ptn, ptk) in (1..=8).flat_map(|n| (1..=8 / n).map(move |k| (n, k))) {
+                let s = Schedule::derive(&phytium_2000p(), shape, ptn * ptk)
+                    .with_grid(Grid2::new(ptn, ptk))
+                    .sanitized(shape);
+                let mut owners = vec![0u8; rows * k];
+                let mut flops = 0;
+                for tid in 0..s.threads() {
+                    let Some((k_lo, k_hi, rs)) = s.partition(shape, tid) else { continue };
+                    flops += rs.len() as u64 * (k_hi - k_lo) as u64 * mac;
+                    for row in rs {
+                        owners[row * k + k_lo..row * k + k_hi].iter_mut().for_each(|o| *o += 1);
+                    }
+                }
+                let what = format!("{shape:?} on {ptn}×{ptk}");
+                assert!(owners.iter().all(|&o| o == 1), "{what}: not covered exactly once");
+                assert_eq!(flops, shape.flops(), "{what}: per-thread FLOPs");
+            }
+        }
+    }
 }

@@ -18,9 +18,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ndirect_baselines::Convolution;
-use ndirect_core::{
-    ConvPlan, DepthwisePlan, FusedDwPwPlan, Kernel, PlanKey, PlanRegistry, Schedule,
-};
+use ndirect_core::{ConvPlan, DepthwisePlan, Kernel, PlanKey, PlanRegistry, Schedule};
 use ndirect_platform::Platform;
 use ndirect_tensor::{ConvShape, Filter, Tensor4};
 use ndirect_threads::StaticPool;
@@ -118,28 +116,6 @@ impl NDirectBackend {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Eagerly builds (and caches) the fused dw+pw plan for a
-    /// depthwise-separable pair; `dw_shape` is the depthwise stage's shape
-    /// and both frozen filter buffers join the cache key. `mid_relu`
-    /// selects the in-slab ReLU and is part of the identity (`tag`), so
-    /// both variants of a layer can coexist.
-    pub fn prepare_fused(
-        &self,
-        dw_shape: &ConvShape,
-        dw_filter: &Filter,
-        pw_filter: &Filter,
-        threads: usize,
-        mid_relu: bool,
-    ) -> Arc<FusedDwPwPlan<'static>> {
-        let key = PlanKey::for_pair(dw_shape, dw_filter, pw_filter, threads, mid_relu as u64);
-        self.cache
-            .get_or_try_build_fused(key, || {
-                FusedDwPwPlan::try_new(&self.platform, dw_shape, dw_filter, pw_filter, threads)
-                    .map(|p| p.with_kernel(self.kernel).with_mid_relu(mid_relu))
-            })
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Number of distinct layers planned so far.
     pub fn planned_layers(&self) -> usize {
         self.cache.len()
@@ -224,43 +200,6 @@ mod tests {
         let mut out = Tensor4::output_for(&shape, ActLayout::Nchw);
         plan.execute(&pool, &input, &mut out).unwrap();
         assert_eq!(out.as_slice(), got.as_slice());
-    }
-
-    #[test]
-    fn prepare_fused_caches_and_executes() {
-        let dw_shape = ConvShape::new(
-            1,
-            8,
-            10,
-            10,
-            8,
-            3,
-            3,
-            1,
-            ndirect_tensor::Padding::same(1),
-        );
-        let dwf = fill::random_filter(Filter::zeros(8, 1, 3, 3, FilterLayout::Kcrs), 4);
-        let pwf = fill::random_filter(Filter::zeros(12, 8, 1, 1, FilterLayout::Kcrs), 5);
-        let pool = StaticPool::new(1);
-        let backend = NDirectBackend::host();
-
-        let a = backend.prepare_fused(&dw_shape, &dwf, &pwf, 1, false);
-        let b = backend.prepare_fused(&dw_shape, &dwf, &pwf, 1, false);
-        assert!(Arc::ptr_eq(&a, &b), "second prepare is a cache hit");
-        assert_eq!(backend.planned_layers(), 1);
-        // The mid-relu variant is a distinct plan under the same pair.
-        let c = backend.prepare_fused(&dw_shape, &dwf, &pwf, 1, true);
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(backend.planned_layers(), 2);
-
-        // The cached plan matches the unfused composition.
-        let input = fill::random_tensor(Tensor4::input_for(&dw_shape, ActLayout::Nchw), 6);
-        let mut out = Tensor4::zeros(1, 12, dw_shape.p(), dw_shape.q(), ActLayout::Nchw);
-        a.execute(&pool, &input, &mut out).unwrap();
-        let want =
-            ndirect_core::try_conv_depthwise_separable(&pool, &input, &dwf, &pwf, &dw_shape)
-                .expect("valid problem");
-        assert_close(out.as_slice(), want.as_slice(), 2e-4, "prepare_fused");
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub struct Engine<'a> {
     backend: &'a dyn Convolution,
     pool: &'a StaticPool,
     fuse_residual: bool,
-    fuse_dwpw: bool,
 }
 
 impl<'a> Engine<'a> {
@@ -46,7 +45,6 @@ impl<'a> Engine<'a> {
             backend,
             pool,
             fuse_residual: false,
-            fuse_dwpw: false,
         }
     }
 
@@ -61,20 +59,6 @@ impl<'a> Engine<'a> {
     /// the kernel's existing read-add-write store.
     pub fn with_residual_fusion(mut self, on: bool) -> Self {
         self.fuse_residual = on;
-        self
-    }
-
-    /// Enables depthwise+pointwise fusion: a `DepthwiseConv → Conv(1×1)`
-    /// pair with an identity depthwise post-affine runs as one
-    /// [`ndirect_core::FusedDwPwPlan`] block — the depthwise intermediate
-    /// stays in a cache-resident slab instead of round-tripping through
-    /// memory (the MobileNet block's dominant cost). The depthwise ReLU,
-    /// when present, is applied in-slab; the pointwise layer's affine and
-    /// ReLU run on the fused output as usual. Like the depthwise operator
-    /// itself, the fused block always runs nDirect regardless of the
-    /// standard-conv backend.
-    pub fn with_dwpw_fusion(mut self, on: bool) -> Self {
-        self.fuse_dwpw = on;
         self
     }
 
@@ -115,19 +99,12 @@ impl<'a> Engine<'a> {
         let mut act = input.clone();
         let mut saved: Option<Tensor4> = None;
         let mut skip_next_join = false;
-        let mut skip_next_conv = false;
         for (i, node) in model.nodes.iter().enumerate() {
             // One timeline span per node so NDIRECT_PROBE traces show the
             // per-layer structure of a run (arg = node index).
             let _layer = ndirect_probe::probe_span!(Layer, i);
             match node {
                 Node::Conv(layer) => {
-                    if skip_next_conv {
-                        // The preceding depthwise node already ran this
-                        // 1×1 conv inside the fused dw+pw block.
-                        skip_next_conv = false;
-                        continue;
-                    }
                     // Residual fusion: seed the conv output with the saved
                     // shortcut when the very next node joins it back with no
                     // projection and the conv has an identity post-affine.
@@ -149,24 +126,8 @@ impl<'a> Engine<'a> {
                     }
                 }
                 Node::DepthwiseConv(layer) => {
-                    // Dw+pw fusion: run the depthwise and the following
-                    // 1×1 conv as one cache-resident block when the
-                    // depthwise post-affine is the identity (its ReLU, if
-                    // any, is applied in-slab between the stages).
-                    let fused_pw = match model.nodes.get(i + 1) {
-                        Some(Node::Conv(pw))
-                            if self.fuse_dwpw
-                                && identity_affine(layer)
-                                && (pw.rs, pw.stride, pw.pad) == (1, 1, 0) =>
-                        {
-                            Some(pw)
-                        }
-                        _ => None,
-                    };
-                    act = self.conv(layer, &act, ConvKind::Depthwise(fused_pw), &mut stats)?;
-                    // Fused, the block's output is the pointwise layer's.
-                    finish(fused_pw.unwrap_or(layer), &mut act);
-                    skip_next_conv = fused_pw.is_some();
+                    act = self.conv(layer, &act, ConvKind::Depthwise, &mut stats)?;
+                    finish(layer, &mut act);
                 }
                 Node::MaxPool(k, s, p) => act = ops::max_pool(&act, *k, *s, *p),
                 Node::GlobalAvgPool => act = ops::global_avg_pool(&act),
@@ -208,16 +169,14 @@ impl<'a> Engine<'a> {
         &self,
         layer: &ConvLayer,
         act: &Tensor4,
-        kind: ConvKind<'_>,
+        kind: ConvKind,
         stats: &mut InferenceStats,
     ) -> Result<Tensor4, ModelError> {
         let (n, c, h, w) = act.dims();
         let shape = match kind {
             ConvKind::Standard(_) => layer.try_shape_for(n, c, h, w)?,
-            ConvKind::Depthwise(_) => layer.try_depthwise_shape_for(n, c, h, w)?,
+            ConvKind::Depthwise => layer.try_depthwise_shape_for(n, c, h, w)?,
         };
-        // A fused dw+pw block counts both its convolutions, as unfused.
-        let convs = if matches!(kind, ConvKind::Depthwise(Some(_))) { 2 } else { 1 };
         let t0 = Instant::now();
         let out = match kind {
             ConvKind::Standard(seed) => {
@@ -236,26 +195,18 @@ impl<'a> Engine<'a> {
                     .conv(self.pool, act, &layer.filter, &shape, &mut out);
                 out
             }
-            ConvKind::Depthwise(None) => {
+            ConvKind::Depthwise => {
                 ndirect_core::try_conv_depthwise(self.pool, act, &layer.filter, &shape)?
             }
-            ConvKind::Depthwise(Some(pw)) => ndirect_core::try_conv_dwpw_fused_with(
-                self.pool,
-                act,
-                &layer.filter,
-                &pw.filter,
-                &shape,
-                layer.relu,
-            )?,
         };
         stats.conv_time += t0.elapsed();
-        stats.convs += convs;
+        stats.convs += 1;
         Ok(out)
     }
 }
 
 /// Which kernel a convolution node runs, and what its output starts from.
-enum ConvKind<'m> {
+enum ConvKind {
     /// The backend's convolution, accumulating onto the given seed (the
     /// saved shortcut, under residual fusion) or else into a fresh zeroed
     /// output.
@@ -263,9 +214,8 @@ enum ConvKind<'m> {
     /// nDirect's depthwise kernel — none of the baseline libraries
     /// implement depthwise, so (as in real frameworks) the operator is
     /// routed to the dedicated implementation regardless of the
-    /// standard-conv backend — fused with the given pointwise layer when
-    /// there is one.
-    Depthwise(Option<&'m ConvLayer>),
+    /// standard-conv backend.
+    Depthwise,
 }
 
 /// Whether the layer's post-affine is the identity.
@@ -378,69 +328,6 @@ mod tests {
             1e-4,
             "residual fusion",
         );
-    }
-
-    #[test]
-    fn dwpw_fusion_matches_unfused() {
-        // mobilenet_lite's dw layers carry identity affines with ReLU —
-        // exactly the fusable pattern; every dw→pw pair fuses.
-        let model = crate::zoo::mobilenet_lite(31);
-        let pool = StaticPool::new(2);
-        let nd = crate::backend::NDirectBackend::host();
-        let input = fill::random_tensor(Tensor4::zeros(1, 3, 224, 224, ActLayout::Nchw), 32);
-        let (plain, s_plain) = Engine::new(&nd, &pool).run(&model, &input);
-        let (fused, s_fused) = Engine::new(&nd, &pool)
-            .with_dwpw_fusion(true)
-            .run(&model, &input);
-        assert_eq!(s_plain.convs, s_fused.convs, "fusion keeps the conv count");
-        ndirect_tensor::assert_close(
-            fused.as_slice(),
-            plain.as_slice(),
-            1e-4,
-            "dwpw fusion",
-        );
-    }
-
-    #[test]
-    fn dwpw_fusion_skips_non_identity_depthwise_affine() {
-        // A dw layer with a real affine must fall back to the unfused
-        // path (the affine runs between the stages).
-        let pool = StaticPool::new(1);
-        let mk = |c: usize, k: usize| {
-            fill::random_filter(Filter::zeros(k, c, 1, 1, FilterLayout::Kcrs), 41)
-        };
-        let dw = crate::layer::ConvLayer {
-            k: 8,
-            rs: 3,
-            stride: 1,
-            pad: 1,
-            filter: fill::random_filter(Filter::zeros(8, 1, 3, 3, FilterLayout::Kcrs), 42),
-            scale: vec![0.5; 8],
-            shift: vec![0.1; 8],
-            relu: true,
-        };
-        let pw = crate::layer::ConvLayer {
-            k: 12,
-            rs: 1,
-            stride: 1,
-            pad: 0,
-            filter: mk(8, 12),
-            scale: vec![1.0; 12],
-            shift: vec![0.0; 12],
-            relu: true,
-        };
-        let model = Model {
-            name: "affine-dw".into(),
-            input: (8, 10, 10),
-            nodes: vec![Node::DepthwiseConv(dw), Node::Conv(pw)],
-        };
-        let nd = crate::backend::NDirectBackend::host();
-        let input = fill::random_tensor(Tensor4::zeros(1, 8, 10, 10, ActLayout::Nchw), 43);
-        let (plain, _) = Engine::new(&nd, &pool).run(&model, &input);
-        let (maybe_fused, _) = Engine::new(&nd, &pool)
-            .with_dwpw_fusion(true)
-            .run(&model, &input);
-        assert_eq!(plain.as_slice(), maybe_fused.as_slice(), "must not fuse");
     }
 
     #[test]

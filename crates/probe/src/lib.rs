@@ -79,7 +79,8 @@ pub const EVENTS_PER_THREAD: usize = 4096;
 pub enum Counter {
     /// Floating-point operations issued by the inner kernels, counted as
     /// 2 (multiply + add) per MAC actually performed, padding excluded.
-    /// For one full direct conv this equals `ConvShape::flops()`.
+    /// For one full direct conv this equals `ConvShape::flops()`; a
+    /// depthwise plan books `2·N·C·P·Q·R·S` (no reduction over `C`).
     FlopsIssued = 0,
     /// Bytes of activation data written into packed strip buffers
     /// (`Tc·R·WIN` floats per strip, fused and sequential alike).
@@ -105,16 +106,10 @@ pub enum Counter {
     Regions,
     /// Timeline events discarded because a per-thread buffer was full.
     EventsDropped,
-    /// Bytes of depthwise-intermediate round-trip traffic the fused
-    /// dw+pw path *avoided*: for every row-slice consumed straight out
-    /// of the cache-resident slab, the write plus read of the slice the
-    /// unfused composition would have pushed through memory
-    /// (`2·C·len·Q·4` per slice, `2·N·C·P·Q·4` over a whole layer).
-    BytesIntermediateSaved,
 }
 
 /// Number of [`Counter`] variants.
-pub const NUM_COUNTERS: usize = 11;
+pub const NUM_COUNTERS: usize = 10;
 
 impl Counter {
     /// All counters, in declaration (= serialization) order.
@@ -129,7 +124,6 @@ impl Counter {
         Counter::PlanCacheMisses,
         Counter::Regions,
         Counter::EventsDropped,
-        Counter::BytesIntermediateSaved,
     ];
 
     /// Stable snake_case name used in JSON and the text report.
@@ -145,7 +139,6 @@ impl Counter {
             Counter::PlanCacheMisses => "plan_cache_misses",
             Counter::Regions => "regions",
             Counter::EventsDropped => "events_dropped",
-            Counter::BytesIntermediateSaved => "bytes_intermediate_saved",
         }
     }
 }

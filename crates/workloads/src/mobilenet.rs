@@ -3,10 +3,10 @@
 //! Howard et al., 2017 (arXiv 1704.04861), Table 1: after the full
 //! 3×3 stem, the body is 13 repetitions of the depthwise-separable block —
 //! a `3×3` depthwise conv (stride 1 or 2, same padding) followed by a
-//! `1×1` pointwise conv that mixes channels. These rows are what the
-//! fused dw+pw path (`ndirect-core`'s `FusedDwPwPlan`) targets: each pair
-//! is memory-bound (a handful of FLOPs per intermediate byte), so the win
-//! is the intermediate tensor that never round-trips through memory.
+//! `1×1` pointwise conv that mixes channels. `ndirect-core` runs each
+//! pair as a `DepthwisePlan` feeding a 1×1 `ConvPlan` (`FusedDwPwPlan`
+//! holds the two); each pair is memory-bound, a handful of FLOPs per byte
+//! of the `(N, C, P, Q)` intermediate the two stages pass.
 //!
 //! Same conventions as [`crate::table4`]: rows are `(ID, C, K, H/W, str)`
 //! with `R/S = 3` and same padding fixed by the architecture, FP32
@@ -63,9 +63,9 @@ impl DwPwConfig {
         dw_flops + self.pw_shape(n).flops()
     }
 
-    /// Bytes of depthwise-intermediate round-trip traffic the unfused
-    /// composition pays at batch size `n` — the write plus the read of
-    /// the `(N, C, P, Q)` tensor the fusion keeps in cache.
+    /// Bytes of depthwise-intermediate round-trip traffic the pair pays at
+    /// batch size `n` — the write plus the read of the `(N, C, P, Q)`
+    /// tensor between its two stages.
     pub fn intermediate_bytes(&self, n: usize) -> u64 {
         let dw = self.dw_shape(n);
         2 * (n * self.c * dw.p() * dw.q() * 4) as u64

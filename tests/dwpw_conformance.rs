@@ -1,66 +1,20 @@
-//! Differential conformance for the fused depthwise+pointwise path.
+//! Differential conformance for the depthwise-separable block.
 //!
-//! Every grid pair runs twice: fused ([`ndirect_core::FusedDwPwPlan`], one
-//! pass, slab-resident intermediate) and unfused (`conv_depthwise` into a
-//! materialized tensor, then the standard nDirect 1×1), and the outputs are
-//! diffed in max-ULP terms. The unfused pointwise stage runs under every
-//! packing variant, which must agree bitwise, so the fusion is held to all
-//! of them.
+//! Every grid pair runs twice: as one [`ndirect_core::FusedDwPwPlan`] (a
+//! depthwise plan feeding a 1×1 plan through a pooled intermediate) and
+//! unfused (`conv_depthwise` into a materialized tensor, then the one-shot
+//! nDirect 1×1), and the outputs must agree bit for bit. The unfused
+//! pointwise stage runs under every packing variant, which must agree
+//! bitwise too.
 //!
 //! The grid deliberately walks the boundary machinery: stride 1 and 2,
 //! same and valid padding, channel counts off the 4-lane grid (dw) and
 //! off the `Vk` grid (pw), odd spatial sizes, and a `Q` that exercises
 //! `Vw` tail tiles.
 
-use ndirect_core::{
-    conv_depthwise, try_conv_ndirect_with, try_conv_dwpw_fused, try_conv_dwpw_fused_with,
-    DwPwSchedule, FusedDwPwPlan, PackingMode, Schedule,
-};
+use ndirect_core::{conv_depthwise, try_conv_ndirect_with, FusedDwPwPlan, PackingMode, Schedule};
 use ndirect_tensor::{fill, ActLayout, ConvShape, Filter, FilterLayout, Padding, Tensor4};
 use ndirect_threads::StaticPool;
-
-// --- ULP harness (mirrors crates/baselines/tests/conformance.rs; Cargo
-// --- integration tests are separate binaries, so the ~30 lines are
-// --- restated rather than shared).
-
-/// ULP distance between two finite f32s via the lexicographic-order
-/// mapping of IEEE bits; values straddling zero are charged the sum of
-/// their distances from zero.
-fn ulp_distance(a: f32, b: f32) -> u64 {
-    fn order(x: f32) -> i64 {
-        let bits = x.to_bits() as i32;
-        if bits < 0 {
-            -i64::from(bits & i32::MAX)
-        } else {
-            i64::from(bits)
-        }
-    }
-    order(a).abs_diff(order(b))
-}
-
-/// Max hybrid ULP distance over two slices: exact zeros-by-floor first,
-/// ULP distance for everything else.
-fn max_ulp(got: &[f32], want: &[f32], abs_floor: f32) -> u64 {
-    assert_eq!(got.len(), want.len(), "outputs must be same-size");
-    got.iter()
-        .zip(want)
-        .map(|(&g, &w)| {
-            assert!(g.is_finite(), "fused path produced a non-finite value {g}");
-            if (g - w).abs() <= abs_floor {
-                0
-            } else {
-                ulp_distance(g, w)
-            }
-        })
-        .max()
-        .unwrap_or(0)
-}
-
-/// The pointwise stage reassociates the same `C`-length f32 dot products
-/// as the unfused reference, so the pair sits in the exact-method budget
-/// band of the baselines' conformance table.
-const BUDGET_ULP: u64 = 4096;
-const ABS_FLOOR: f32 = 1e-6;
 
 /// One grid pair: `(label, N, C, K, H, W, stride, pad)` for a `3×3`
 /// depthwise stage feeding a `1×1` pointwise `C → K`.
@@ -140,14 +94,8 @@ fn unfused_reference(
     pw_filter: &Filter,
     dw_shape: &ConvShape,
     k: usize,
-    mid_relu: bool,
 ) -> Tensor4 {
-    let mut mid = conv_depthwise(pool, input, dw_filter, dw_shape);
-    if mid_relu {
-        for v in mid.as_mut_slice() {
-            *v = v.max(0.0);
-        }
-    }
+    let mid = conv_depthwise(pool, input, dw_filter, dw_shape);
     let pw_shape = ConvShape::new(
         dw_shape.n,
         dw_shape.c,
@@ -174,100 +122,45 @@ fn unfused_reference(
     want
 }
 
-/// The headline table: fused vs. unfused over the whole grid, within the
-/// exact-method ULP budget.
+fn plan(
+    dw_shape: &ConvShape,
+    dwf: &Filter,
+    pwf: &Filter,
+    threads: usize,
+) -> Result<FusedDwPwPlan, ndirect_core::Error> {
+    FusedDwPwPlan::try_new(&ndirect_platform::host(), dw_shape, dwf, pwf, threads)
+}
+
+/// The headline table: the planned block against the unfused one-shot
+/// composition over the whole grid, bit for bit.
 #[test]
 fn fused_conforms_to_unfused_on_grid() {
     let pool = StaticPool::new(2);
     for (i, (label, dw_shape, k)) in pair_grid().into_iter().enumerate() {
         let (input, dwf, pwf) = seeded_pair(&dw_shape, k, 0xd2f0 + i as u64);
-        let want = unfused_reference(&pool, &input, &dwf, &pwf, &dw_shape, k, false);
-        let got = try_conv_dwpw_fused(&pool, &input, &dwf, &pwf, &dw_shape)
-            .unwrap_or_else(|e| panic!("fused on '{label}': {e}"));
-        let ulp = max_ulp(got.as_slice(), want.as_slice(), ABS_FLOOR);
-        eprintln!("dwpw {label:<16} max {ulp} ULP (budget {BUDGET_ULP})");
-        assert!(
-            ulp <= BUDGET_ULP,
-            "fused on '{label}' ({dw_shape} -> K={k}): {ulp} ULP exceeds {BUDGET_ULP}"
+        let want = unfused_reference(&pool, &input, &dwf, &pwf, &dw_shape, k);
+        let mut got = Tensor4::zeros(dw_shape.n, k, dw_shape.p(), dw_shape.q(), ActLayout::Nchw);
+        plan(&dw_shape, &dwf, &pwf, pool.size())
+            .and_then(|plan| plan.execute(&pool, &input, &mut got))
+            .unwrap_or_else(|e| panic!("block on '{label}': {e}"));
+        assert_eq!(
+            got.as_slice(),
+            want.as_slice(),
+            "block on '{label}' ({dw_shape} -> K={k}) differs from the unfused composition"
         );
     }
 }
 
-/// Same table with the MobileNet activation placement: ReLU on the
-/// depthwise intermediate, applied inside the slab by the fused path and
-/// on the materialized tensor by the reference.
-#[test]
-fn fused_mid_relu_conforms_on_grid() {
-    let pool = StaticPool::new(2);
-    for (i, (label, dw_shape, k)) in pair_grid().into_iter().enumerate() {
-        let (input, dwf, pwf) = seeded_pair(&dw_shape, k, 0xe1f0 + i as u64);
-        let want = unfused_reference(&pool, &input, &dwf, &pwf, &dw_shape, k, true);
-        let got = try_conv_dwpw_fused_with(&pool, &input, &dwf, &pwf, &dw_shape, true)
-            .unwrap_or_else(|e| panic!("fused mid-relu on '{label}': {e}"));
-        let ulp = max_ulp(got.as_slice(), want.as_slice(), ABS_FLOOR);
-        eprintln!("dwpw+relu {label:<16} max {ulp} ULP (budget {BUDGET_ULP})");
-        assert!(
-            ulp <= BUDGET_ULP,
-            "fused mid-relu on '{label}': {ulp} ULP exceeds {BUDGET_ULP}"
-        );
-    }
-}
-
-/// Within the fused path, every schedule is the same loop nest with the
-/// same per-output accumulation chain — slice length and register tile
-/// only re-partition work. Outputs must be *bitwise* identical across the
-/// schedule corners, on every grid pair. No ULP budget at all.
-#[test]
-fn fused_schedules_are_bitwise_identical_on_grid() {
-    let pool = StaticPool::new(2);
-    for (i, (label, dw_shape, k)) in pair_grid().into_iter().enumerate() {
-        let (input, dwf, pwf) = seeded_pair(&dw_shape, k, 0xf1f0 + i as u64);
-        let run = |sched: &DwPwSchedule| {
-            let plan =
-                FusedDwPwPlan::try_with_schedule(&dw_shape, &dwf, &pwf, sched, pool.size())
-                    .unwrap_or_else(|e| panic!("'{label}': {e}"));
-            let mut out =
-                Tensor4::zeros(dw_shape.n, k, dw_shape.p(), dw_shape.q(), ActLayout::Nchw);
-            plan.execute(&pool, &input, &mut out)
-                .unwrap_or_else(|e| panic!("'{label}': {e}"));
-            out
-        };
-        let reference = DwPwSchedule::derive(&ndirect_platform::host(), &dw_shape);
-        let want = run(&reference);
-        for (rows, vw, vk) in [
-            (1, 4, 4),
-            (1, 12, 12),
-            (dw_shape.p(), 4, 12),
-            (dw_shape.p(), 12, 4),
-            (2, 8, 8),
-        ] {
-            let sched = DwPwSchedule {
-                slice_rows: rows,
-                vw,
-                vk,
-            }
-            .sanitized(&dw_shape);
-            let got = run(&sched);
-            assert_eq!(
-                got.as_slice(),
-                want.as_slice(),
-                "'{label}': schedule {sched:?} diverged bitwise from {reference:?}"
-            );
-        }
-    }
-}
-
-/// The one-shot fused entry points reject pairs the plan cannot fuse,
-/// with typed errors rather than wrong answers.
+/// The block refuses pairs it cannot compose, with typed errors rather
+/// than wrong answers.
 #[test]
 fn fused_rejects_mismatched_pairs() {
-    let pool = StaticPool::new(1);
     let dw_shape = ConvShape::new(1, 8, 10, 10, 8, 3, 3, 1, Padding::same(1));
-    let (input, dwf, _) = seeded_pair(&dw_shape, 12, 9);
+    let (_, dwf, _) = seeded_pair(&dw_shape, 12, 9);
     // Pointwise filter whose C doesn't match the depthwise output.
     let bad_pw = Filter::zeros(12, 7, 1, 1, FilterLayout::Kcrs);
-    assert!(try_conv_dwpw_fused(&pool, &input, &dwf, &bad_pw, &dw_shape).is_err());
+    assert!(plan(&dw_shape, &dwf, &bad_pw, 1).is_err());
     // Pointwise filter that isn't 1×1.
     let bad_rs = Filter::zeros(12, 8, 3, 3, FilterLayout::Kcrs);
-    assert!(try_conv_dwpw_fused(&pool, &input, &dwf, &bad_rs, &dw_shape).is_err());
+    assert!(plan(&dw_shape, &dwf, &bad_rs, 1).is_err());
 }

@@ -6,7 +6,7 @@
 //! presets are held to the AArch64 table as data, on any host.
 
 use ndirect_core::kernel::{Body, Tile, AARCH64_TILES, TILES};
-use ndirect_core::{Conv3dShape, DwPwSchedule, Schedule};
+use ndirect_core::{Conv3dShape, Schedule};
 use ndirect_models::zoo;
 use ndirect_platform::presets::paper_platforms;
 use ndirect_platform::{host, Platform, SimdSpec};
@@ -99,30 +99,6 @@ fn derived_conv_schedules_land_on_declared_tiles() {
                 s.vk,
                 body,
             );
-        }
-    }
-    assert_no_misses(misses);
-}
-
-#[test]
-fn derived_dwpw_schedules_land_on_declared_pointwise_tiles() {
-    let mut misses = Vec::new();
-    for (platform, table) in platforms() {
-        for n in BATCHES {
-            for pair in mobilenet_pairs() {
-                let dw = pair.dw_shape(n);
-                let s = DwPwSchedule::derive(&platform, &dw);
-                let what = format!("MobileNet dw+pw #{} N={n} {dw:?}", pair.id);
-                check(
-                    &mut misses,
-                    table,
-                    &platform.name,
-                    &what,
-                    s.vw,
-                    s.vk,
-                    Body::Pointwise,
-                );
-            }
         }
     }
     assert_no_misses(misses);

@@ -11,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use ndirect_core::{ConvPlan, DepthwisePlan, DwPwSchedule, FusedDwPwPlan};
+use ndirect_core::{ConvPlan, DepthwisePlan, FusedDwPwPlan};
 use ndirect_tensor::{fill, ActLayout, ConvShape, Filter, FilterLayout, Padding, Tensor4};
 use ndirect_threads::StaticPool;
 
@@ -120,17 +120,13 @@ fn warmed_plan_execute_never_allocates() {
     });
     assert_eq!(n, 0, "depthwise steady-state execute hit the allocator {n}x");
 
-    // So do fused dw+pw plans, stride 2 included, on both pools.
+    // So do dw+pw blocks, whose intermediate is pooled like scratch,
+    // stride 2 included, on both pools.
     let pw_filter = fill::random_filter(Filter::zeros(10, 6, 1, 1, FilterLayout::Kcrs), 8);
     for (stride, pool) in [(1, &pool1), (2, &pool2)] {
         let shape = ConvShape::new(1, 6, 12, 12, 6, 3, 3, stride, Padding::same(1));
-        let sched = DwPwSchedule {
-            slice_rows: 2,
-            vw: 8,
-            vk: 8,
-        };
         let fused =
-            FusedDwPwPlan::try_with_schedule(&shape, &dw_filter, &pw_filter, &sched, pool.size())
+            FusedDwPwPlan::try_new(&platform, &shape, &dw_filter, &pw_filter, pool.size())
                 .unwrap();
         let mut out = Tensor4::zeros(1, 10, shape.p(), shape.q(), ActLayout::Nchw);
         fused.execute(pool, &dw_input, &mut out).unwrap();

@@ -11,13 +11,13 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use ndirect_core::{try_conv3d_ndirect, Conv3dShape, ConvPlan, FusedDwPwPlan, Schedule};
-use ndirect_probe::{Counter, Phase, TraceReport};
-use ndirect_tensor::{
-    fill, ActLayout, ConvShape, Filter, Filter5, FilterLayout, Padding, Tensor4, Tensor5,
+use ndirect_core::{
+    try_conv3d_ndirect, Conv3dShape, ConvPlan, DepthwisePlan, FusedDwPwPlan, Schedule,
 };
+use ndirect_probe::{Counter, Phase, TraceReport};
+use ndirect_tensor::{fill, ActLayout, Filter, Filter5, FilterLayout, Tensor4, Tensor5};
 use ndirect_threads::{Grid2, StaticPool};
-use ndirect_workloads::{make_problem, table4};
+use ndirect_workloads::{make_problem, table4, MOBILENET};
 
 /// Serializes counter-sensitive tests within this binary (other test
 /// binaries are separate processes, so their counters are independent).
@@ -281,104 +281,45 @@ fn balanced_split_shows_every_worker_busy() {
     assert_eq!(report.counter(Counter::Regions), 1);
 }
 
-/// One fused dw+pw pair for the accounting tests: seeded operands and a
-/// plan built with the host-derived schedule.
-fn fused_pair(
-    dw_shape: &ConvShape,
-    k: usize,
-    threads: usize,
-) -> (Tensor4, FusedDwPwPlan<'static>) {
-    let input = fill::random_tensor(Tensor4::input_for(dw_shape, ActLayout::Nchw), 0xd3);
-    let dwf = fill::random_filter(
-        Filter::zeros(dw_shape.c, 1, dw_shape.r, dw_shape.s, FilterLayout::Kcrs),
-        7,
-    );
-    let pwf = fill::random_filter(Filter::zeros(k, dw_shape.c, 1, 1, FilterLayout::Kcrs), 8);
-    let platform = ndirect_platform::host();
-    let plan = FusedDwPwPlan::try_new(&platform, dw_shape, &dwf, &pwf, threads)
-        .expect("valid fused pair");
-    (input, plan)
-}
-
-/// The fused path's headline counter: `bytes_intermediate_saved` must land
-/// *exactly* on the closed-form `2·N·C·P·Q·4` the plan predicts — per
-/// execute, across strides, paddings, and thread counts. Any drift means
-/// the slab slicing double-counts or drops a slice.
+/// The FLOP identity over the separable layers: on every MobileNetV1
+/// block, at 1 and 2 threads, a depthwise plan books `2·N·C·P·Q·R·S` (no
+/// reduction over `C`, which `ConvShape::flops` would count) and the dw+pw
+/// block books that plus its pointwise stage's `ConvShape::flops`, the
+/// workload's `pair_flops`.
 #[test]
-fn fused_intermediate_saved_matches_prediction_exactly() {
+fn depthwise_and_dwpw_flops_match_closed_form_on_mobilenet_blocks() {
     let _g = lock();
-    let shapes = [
-        ConvShape::new(1, 8, 12, 12, 8, 3, 3, 1, Padding::same(1)),
-        ConvShape::new(2, 6, 13, 13, 6, 3, 3, 2, Padding::same(1)),
-        ConvShape::new(1, 10, 11, 11, 10, 3, 3, 1, Padding::NONE),
-    ];
-    for dw_shape in &shapes {
+    let platform = ndirect_platform::host();
+    for cfg in &MOBILENET {
+        let (dw_shape, pw_shape) = (cfg.dw_shape(1), cfg.pw_shape(1));
+        let seed = cfg.id as u64;
+        let input = fill::random_tensor(Tensor4::input_for(&dw_shape, ActLayout::Nchw), seed);
+        let dwf = fill::random_filter(Filter::zeros(cfg.c, 1, 3, 3, FilterLayout::Kcrs), seed);
+        let pwf = fill::random_filter(Filter::zeros(cfg.k, cfg.c, 1, 1, FilterLayout::Kcrs), seed);
+        let s = &dw_shape;
+        let dw_flops = 2 * (s.n * s.c * s.p() * s.q() * s.r * s.s) as u64;
+        assert_eq!(dw_flops + pw_shape.flops(), cfg.pair_flops(1), "block {}", cfg.id);
         for threads in [1, 2] {
-            let (input, plan) = fused_pair(dw_shape, 12, threads);
             let pool = StaticPool::new(threads);
-            let mut out = Tensor4::zeros(
-                dw_shape.n,
-                12,
-                dw_shape.p(),
-                dw_shape.q(),
-                ActLayout::Nchw,
-            );
-            let d = deltas(&[Counter::BytesIntermediateSaved], || {
-                plan.execute(&pool, &input, &mut out).expect("valid pair");
+            let what = format!("block {} on {threads} threads", cfg.id);
+            let dw = DepthwisePlan::try_new(&dw_shape, &dwf, threads).expect("valid block");
+            let block = FusedDwPwPlan::try_new(&platform, &dw_shape, &dwf, &pwf, threads)
+                .expect("valid block");
+            let mut mid = Tensor4::output_for(&dw_shape, ActLayout::Nchw);
+            let mut out = Tensor4::output_for(&pw_shape, ActLayout::Nchw);
+            let d = deltas(&[Counter::FlopsIssued], || {
+                dw.execute(&pool, &input, &mut mid).expect("valid block");
+            });
+            let b = deltas(&[Counter::FlopsIssued], || {
+                block.execute(&pool, &input, &mut out).expect("valid block");
             });
             if ndirect_probe::ENABLED {
-                assert_eq!(
-                    d[0] as u128,
-                    plan.predicted_intermediate_saved_bytes(),
-                    "{dw_shape} × {threads} threads: measured must equal 2·N·C·P·Q·4"
-                );
+                assert_eq!(d[0], dw_flops, "{what}: depthwise");
+                assert_eq!(b[0], cfg.pair_flops(1), "{what}: dw+pw");
             } else {
-                assert_eq!(d[0], 0, "disabled probe must not count");
+                assert_eq!((d[0], b[0]), (0, 0), "disabled probe must not count");
             }
         }
-    }
-}
-
-/// The counter is cumulative across executes (no reset inside the plan),
-/// and the fused scratch slab obeys the analytic budget: exactly
-/// `fused_slab_bytes` for the derived slice length, within half the L2
-/// per core unless even a single row exceeds it.
-#[test]
-fn fused_slab_budget_and_cumulative_accounting() {
-    let _g = lock();
-    let dw_shape = ConvShape::new(1, 8, 14, 14, 8, 3, 3, 1, Padding::same(1));
-    let (input, plan) = fused_pair(&dw_shape, 8, 1);
-    let pool = StaticPool::new(1);
-
-    let sched = *plan.schedule();
-    let platform = ndirect_platform::host();
-    assert_eq!(
-        plan.slab_bytes(),
-        ndirect_core::model::slicing::fused_slab_bytes(&dw_shape, sched.slice_rows),
-        "slab bytes must be the model's closed form"
-    );
-    assert!(
-        plan.slab_bytes() <= platform.cache.l2_per_core() / 2 || sched.slice_rows == 1,
-        "derived slab ({} B) must fit half the per-core L2 ({} B) or be a single row",
-        plan.slab_bytes(),
-        platform.cache.l2_per_core() / 2
-    );
-
-    const RUNS: u64 = 3;
-    let mut out = Tensor4::zeros(dw_shape.n, 8, dw_shape.p(), dw_shape.q(), ActLayout::Nchw);
-    let d = deltas(&[Counter::BytesIntermediateSaved], || {
-        for _ in 0..RUNS {
-            plan.execute(&pool, &input, &mut out).expect("valid pair");
-        }
-    });
-    if ndirect_probe::ENABLED {
-        assert_eq!(
-            d[0] as u128,
-            RUNS as u128 * plan.predicted_intermediate_saved_bytes(),
-            "each execute must add exactly one layer's worth of savings"
-        );
-    } else {
-        assert_eq!(d[0], 0);
     }
 }
 

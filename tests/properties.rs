@@ -4,9 +4,8 @@
 
 use ndirect_baselines::{blocked, im2col, indirect, naive};
 use ndirect_core::{
-    conv_depthwise, try_conv_ndirect_with, fused_pair_flops, try_compose_shapes,
-    try_conv_depthwise_separable, try_conv_dwpw_fused, try_conv_dwpw_fused_with, DepthwisePlan,
-    DwPwSchedule, FusedDwPwPlan, Kernel, Schedule,
+    conv_depthwise, try_compose_shapes, try_conv_depthwise_separable, try_conv_ndirect_with,
+    DepthwisePlan, FusedDwPwPlan, Kernel, Schedule,
 };
 use ndirect_support::Rng64;
 use ndirect_tensor::{
@@ -303,9 +302,10 @@ fn random_separable(rng: &mut Rng64) -> (ConvShape, usize) {
 fn dwpw_composed_shapes_satisfy_closed_forms() {
     // `try_compose_shapes` must put the pointwise stage exactly on the
     // depthwise output (a 1×1/stride-1/unpadded conv is the identity on
-    // spatial dims), and `fused_pair_flops` must equal the two stages'
-    // closed forms: 2·N·C·P·Q·R·S (depthwise — `ConvShape::flops` would
-    // overcount by C) plus the pointwise 2·N·K·P·Q·C.
+    // spatial dims), and the pointwise stage's `ConvShape::flops` must be
+    // its closed form 2·N·K·P·Q·C (the depthwise stage's FLOPs, which
+    // `ConvShape::flops` would overcount by C, are held to the probe in
+    // `tests/probe_accounting.rs`).
     let mut rng = Rng64::seed_from_u64(0x9a0e);
     for case in 0..400 {
         let (shape, k) = random_separable(&mut rng);
@@ -317,8 +317,6 @@ fn dwpw_composed_shapes_satisfy_closed_forms() {
         assert_eq!((pw.c, pw.k), (shape.c, k), "case {case}: {shape} pw channels");
 
         let plane = (dw.n * dw.p() * dw.q()) as u64;
-        let expect = 2 * plane * (dw.c * dw.r * dw.s) as u64 + 2 * plane * (k * dw.c) as u64;
-        assert_eq!(fused_pair_flops(&shape, k), expect, "case {case}: {shape} flops");
         assert_eq!(
             2 * plane * (k * dw.c) as u64,
             pw.flops(),
@@ -347,24 +345,6 @@ fn dwpw_checked_composition_agrees_with_plain_construction() {
 }
 
 #[test]
-fn dwpw_schedule_sanitize_is_idempotent_and_in_kernel_range() {
-    let mut rng = Rng64::seed_from_u64(0x9a10);
-    for case in 0..400 {
-        let (shape, _) = random_separable(&mut rng);
-        let raw = DwPwSchedule {
-            slice_rows: rng.gen_range_usize(0, 64),
-            vw: rng.gen_range_usize(0, 32),
-            vk: rng.gen_range_usize(0, 32),
-        };
-        let s = raw.sanitized(&shape);
-        assert_eq!(s.sanitized(&shape), s, "case {case}: {shape} idempotent");
-        assert!((1..=shape.p()).contains(&s.slice_rows), "case {case}: {shape} rows");
-        assert!((1..=12).contains(&s.vw), "case {case}: {shape} vw");
-        assert!(s.vk % 4 == 0 && (4..=12).contains(&s.vk), "case {case}: {shape} vk");
-    }
-}
-
-#[test]
 fn dwpw_fused_matches_unfused_on_random_shapes() {
     let mut rng = Rng64::seed_from_u64(0x9a11);
     let pool = StaticPool::new(2);
@@ -380,14 +360,11 @@ fn dwpw_fused_matches_unfused_on_random_shapes() {
             fill::random_filter(Filter::zeros(k, shape.c, 1, 1, FilterLayout::Kcrs), seed ^ 2);
         let expect = try_conv_depthwise_separable(&pool, &input, &dwf, &pwf, &shape)
             .unwrap_or_else(|e| panic!("case {case}: {shape}: {e}"));
-        let got = try_conv_dwpw_fused(&pool, &input, &dwf, &pwf, &shape)
+        let plan = FusedDwPwPlan::try_new(&ndirect_platform::host(), &shape, &dwf, &pwf, 2)
             .unwrap_or_else(|e| panic!("case {case}: {shape}: {e}"));
-        assert_close(
-            got.as_slice(),
-            expect.as_slice(),
-            2e-4,
-            &format!("case {case}: {shape} -> K={k}"),
-        );
+        let mut got = Tensor4::zeros(shape.n, k, shape.p(), shape.q(), ActLayout::Nchw);
+        plan.execute(&pool, &input, &mut got).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        assert_eq!(got.as_slice(), expect.as_slice(), "case {case}: {shape} -> K={k}");
     }
 }
 
@@ -395,10 +372,10 @@ fn dwpw_fused_matches_unfused_on_random_shapes() {
 //
 // ROADMAP item 2's safety net in its minimal form, for the
 // depthwise-separable paths: per seed, one depthwise-separable pair over a
-// *generated* shape space, run as depthwise plans (every tile-kernel entry
-// the host supports, two thread counts), the fused dw+pw one-shot and the
-// fused plan (every entry), held bitwise equal to each other and within
-// the conformance ULP budget of `baselines::naive`. Dense convolutions
+// *generated* shape space, run as depthwise plans and as the planned
+// dw+pw block (every tile-kernel entry the host supports, two thread
+// counts each) and as the separable one-shot, held bitwise equal to each
+// other and within the conformance ULP budget of `baselines::naive`. Dense convolutions
 // have their own generated suite, held bitwise to the order-matched
 // oracle (`tests/ordered_oracle.rs`). A failure prints the seed and the
 // shape.
@@ -466,8 +443,7 @@ fn skip_dense_draws(rng: &mut Rng64) {
 fn separable_case(seed: u64, rng: &mut Rng64, pool: &StaticPool) {
     let shape = diff_shape(rng, true);
     let k = rng.gen_range_usize(1, 18);
-    let mid_relu = rng.gen_bool(0.5);
-    let what = format!("seed {seed:#x}: depthwise {shape} -> K={k}, mid_relu {mid_relu}");
+    let what = format!("seed {seed:#x}: depthwise {shape} -> K={k}");
     let input = fill::random_tensor(Tensor4::input_for(&shape, ActLayout::Nchw), seed);
     let dwf = fill::random_filter(
         Filter::zeros(shape.c, 1, shape.r, shape.s, FilterLayout::Kcrs),
@@ -483,7 +459,7 @@ fn separable_case(seed: u64, rng: &mut Rng64, pool: &StaticPool) {
             *diagonal.at_mut(c, c, r, s) = dwf.at(c, 0, r, s);
         }
     }
-    let mut mid = naive::conv_ref(&input, &diagonal, &shape);
+    let mid = naive::conv_ref(&input, &diagonal, &shape);
     let dw_out = conv_depthwise(pool, &input, &dwf, &shape);
     assert_conforms(dw_out.as_slice(), mid.as_slice(), &what);
     for threads in [1, 3] {
@@ -498,29 +474,22 @@ fn separable_case(seed: u64, rng: &mut Rng64, pool: &StaticPool) {
         }
     }
 
-    if mid_relu {
-        mid.as_mut_slice().iter_mut().for_each(|v| *v = v.max(0.0));
-    }
     let (_, pw_shape) = try_compose_shapes(&shape, k).unwrap_or_else(|e| panic!("{what}: {e}"));
     let want = naive::conv_ref(&mid, &pwf, &pw_shape);
-    let fused = try_conv_dwpw_fused_with(pool, &input, &dwf, &pwf, &shape, mid_relu)
+    let separable = try_conv_depthwise_separable(pool, &input, &dwf, &pwf, &shape)
         .unwrap_or_else(|e| panic!("{what}: {e}"));
-    assert_conforms(fused.as_slice(), want.as_slice(), &what);
-    let sched = DwPwSchedule {
-        slice_rows: rng.gen_range_usize(1, shape.p() + 2),
-        vw: rng.gen_range_usize(1, 13),
-        vk: *rng.choose(&[4, 8, 12]),
-    };
-    let threads = rng.gen_range_usize(1, 4);
-    for kernel in Kernel::supported() {
-        let plan = FusedDwPwPlan::try_with_schedule(&shape, &dwf, &pwf, &sched, threads)
-            .unwrap_or_else(|e| panic!("{what}: {e}"))
-            .with_mid_relu(mid_relu)
-            .with_kernel(kernel);
-        let mut planned = Tensor4::zeros(shape.n, k, shape.p(), shape.q(), ActLayout::Nchw);
-        plan.execute(pool, &input, &mut planned).unwrap_or_else(|e| panic!("{what}: {e}"));
-        let at = format!("{what}: {sched:?} on {threads}, {}", kernel.name());
-        assert_eq!(planned.as_slice(), fused.as_slice(), "{at}");
+    assert_conforms(separable.as_slice(), want.as_slice(), &what);
+    let host = ndirect_platform::host();
+    for threads in [1, 3] {
+        for kernel in Kernel::supported() {
+            let plan = FusedDwPwPlan::try_new(&host, &shape, &dwf, &pwf, threads)
+                .unwrap_or_else(|e| panic!("{what}: {e}"))
+                .with_kernel(kernel);
+            let mut planned = Tensor4::zeros(shape.n, k, shape.p(), shape.q(), ActLayout::Nchw);
+            plan.execute(pool, &input, &mut planned).unwrap_or_else(|e| panic!("{what}: {e}"));
+            let at = format!("{what}: dw+pw plan on {threads}, {}", kernel.name());
+            assert_eq!(planned.as_slice(), separable.as_slice(), "{at}");
+        }
     }
 }
 

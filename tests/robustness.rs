@@ -13,7 +13,7 @@ use ndirect_baselines::{naive, winograd, BaselineError};
 use ndirect_core::{
     try_conv3d_ndirect, try_conv_depthwise, try_conv_int16, try_conv_ndirect,
     try_conv_ndirect_with, try_conv_quantized, Conv3dShape, ConvPlan, DepthwisePlan, Error,
-    Int16Filter, Int16Tensor, Schedule,
+    FusedDwPwPlan, Int16Filter, Int16Tensor, Schedule,
 };
 use ndirect_gemm::GemmError;
 use ndirect_models::{zoo, ConvLayer, Engine, Model, ModelError, NDirectBackend, Node};
@@ -45,8 +45,8 @@ fn depthwise_problem() -> (ConvShape, Tensor4, Filter) {
     (shape, input, filter)
 }
 
-/// `DepthwiseConv → Conv(1×1)` over [`depthwise_problem`]'s input, the
-/// depthwise affine the identity so the pair is fusable.
+/// `DepthwiseConv → Conv(1×1)` over [`depthwise_problem`]'s input: a
+/// depthwise-separable pair.
 fn dw_then_pw_model() -> Model {
     let layer = |k: usize, rs: usize, pad: usize, filter: Filter| ConvLayer {
         k,
@@ -523,6 +523,8 @@ fn unsupported_isa_degrades_to_typed_error() {
     };
     let (input3, filter3) = (Tensor5::zeros(1, 2, 3, 5, 5), Filter5::zeros(4, 2, 2, 3, 3));
     let (qi, qf) = (Int16Tensor::zeros(1, 4, 6, 6), Int16Filter::zeros(8, 4, 3, 3));
+    let pw_filter = Filter::zeros(8, 6, 1, 1, FilterLayout::Kcrs);
+    let platform = ndirect_platform::host();
 
     ndirect_simd::force_unsupported(true);
     let err = try_conv_ndirect(&pool, &input, &filter, &shape).expect_err("forced ISA miss");
@@ -535,8 +537,7 @@ fn unsupported_isa_degrades_to_typed_error() {
     let dw_plan = DepthwisePlan::try_new(&dw_shape, &dw_filter, 1).map(|_| ());
     let engine = Engine::new(&backend, &pool);
     let plain = engine.try_run(&model, &dw_input).map(|_| ());
-    let engine = Engine::new(&backend, &pool).with_dwpw_fusion(true);
-    let fused = engine.try_run(&model, &dw_input).map(|_| ());
+    let dwpw = FusedDwPwPlan::try_new(&platform, &dw_shape, &dw_filter, &pw_filter, 1).map(|_| ());
     ndirect_simd::force_unsupported(false);
     match &err {
         Error::Isa(e) => assert!(e.to_string().contains("host CPU only supports"), "{e}"),
@@ -549,7 +550,7 @@ fn unsupported_isa_degrades_to_typed_error() {
     assert!(matches!(dw, Err(Error::Isa(_))), "{dw:?}");
     assert!(matches!(dw_plan, Err(Error::Isa(_))), "{dw_plan:?}");
     assert!(matches!(plain, Err(ModelError::Conv(Error::Isa(_)))), "{plain:?}");
-    assert!(matches!(fused, Err(ModelError::Conv(Error::Isa(_)))), "{fused:?}");
+    assert!(matches!(dwpw, Err(Error::Isa(_))), "{dwpw:?}");
     Engine::new(&backend, &pool).try_run(&model, &dw_input).expect("supported host");
 
     // With the hook released, the same problem runs and matches the oracle.
